@@ -40,7 +40,8 @@ main()
         "means the whole program).");
 
     bench::Q20Environment env;
-    const core::Mapper baseline = core::makeBaselineMapper();
+    const core::Mapper baseline =
+        core::makeMapper({.name = "baseline"});
     const std::size_t windows[] = {1, 4, 16, 64, 0};
 
     TextTable table({"Benchmark", "t=1", "t=4", "t=16", "t=64",

@@ -69,8 +69,9 @@ main()
     const calibration::Snapshot snap =
         bench::paperEraTenerife(q5);
 
-    const core::Mapper baseline = core::makeBaselineMapper();
-    const core::Mapper aware = core::makeVqaVqmMapper();
+    const core::Mapper baseline =
+        core::makeMapper({.name = "baseline"});
+    const core::Mapper aware = core::makeMapper({.name = "vqa+vqm"});
     const sim::NoiseModel model(q5, snap);
 
     struct Model

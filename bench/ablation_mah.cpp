@@ -29,9 +29,10 @@ main()
     // followed by each hop budget, all evaluated through one batched
     // trial engine instead of a per-candidate serial loop.
     std::vector<core::Mapper> policies;
-    policies.push_back(core::makeBaselineMapper());
+    policies.push_back(core::makeMapper({.name = "baseline"}));
     for (int mah : budgets)
-        policies.push_back(core::makeVqmMapper(mah));
+        policies.push_back(
+            core::makeMapper({.name = "vqm", .mah = mah}));
     const std::size_t numPolicies = policies.size();
 
     const auto suite = workloads::standardSuite(env.machine);

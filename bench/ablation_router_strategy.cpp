@@ -80,7 +80,7 @@ main()
     std::cout << table.render() << "\n";
     std::cout << "Observation: layer-A* wins on shallow parallel "
                  "circuits, per-gate is more robust\non deep "
-                 "serial ones -- motivating the portfolio used by "
-                 "makeVqmMapper().\n";
+                 "serial ones -- motivating the portfolio behind "
+                 "the vqm policy.\n";
     return 0;
 }

@@ -76,9 +76,10 @@ batchPstOf(const std::vector<circuit::Circuit> &physicals,
            std::size_t trials = 200'000)
 {
     const sim::NoiseModel model(machine, snapshot);
+    sim::ParallelFaultSim engine;
     sim::ParallelFaultSimOptions options;
     options.trials = trials;
-    return sim::runFaultInjectionBatch(physicals, model, options);
+    return engine.runBatch(physicals, model, options);
 }
 
 /**

@@ -36,9 +36,10 @@ main()
         {"mesh-5x5", topology::grid(5, 5)},
     };
 
-    const core::Mapper baseline = core::makeBaselineMapper();
-    const core::Mapper vqm = core::makeVqmMapper();
-    const core::Mapper vqaVqm = core::makeVqaVqmMapper();
+    const core::Mapper baseline =
+        core::makeMapper({.name = "baseline"});
+    const core::Mapper vqm = core::makeMapper({.name = "vqm"});
+    const core::Mapper vqaVqm = core::makeMapper({.name = "vqa+vqm"});
 
     TextTable table({"Machine", "Workload", "Baseline PST",
                      "VQM", "VQA+VQM", "swaps (base)"});

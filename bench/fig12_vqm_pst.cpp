@@ -29,9 +29,9 @@ main()
 
     bench::Q20Environment env;
     std::vector<core::Mapper> policies;
-    policies.push_back(core::makeBaselineMapper());
-    policies.push_back(core::makeVqmMapper());
-    policies.push_back(core::makeVqmMapper(4));
+    policies.push_back(core::makeMapper({.name = "baseline"}));
+    policies.push_back(core::makeMapper({.name = "vqm"}));
+    policies.push_back(core::makeMapper({.name = "vqm", .mah = 4}));
     const std::size_t numPolicies = policies.size();
 
     const auto suite = workloads::standardSuite(env.machine);

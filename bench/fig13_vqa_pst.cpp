@@ -26,9 +26,9 @@ main()
 
     bench::Q20Environment env;
     std::vector<core::Mapper> policies;
-    policies.push_back(core::makeBaselineMapper());
-    policies.push_back(core::makeVqmMapper());
-    policies.push_back(core::makeVqaVqmMapper());
+    policies.push_back(core::makeMapper({.name = "baseline"}));
+    policies.push_back(core::makeMapper({.name = "vqm"}));
+    policies.push_back(core::makeMapper({.name = "vqa+vqm"}));
     const std::size_t numPolicies = policies.size();
 
     // Compile the deterministic policy stack for every benchmark,
@@ -63,8 +63,9 @@ main()
         for (std::uint64_t seed = 1; seed <= 32; ++seed) {
             native.push_back(
                 bench::analyticPstOf(
-                    core::makeRandomizedMapper(seed), w.circuit,
-                    env.machine, env.averaged) /
+                    core::makeMapper(
+                        {.name = "random", .seed = seed}),
+                    w.circuit, env.machine, env.averaged) /
                 base);
         }
         const double lo =

@@ -24,8 +24,9 @@ main()
         "archive).");
 
     bench::Q20Environment env;
-    const core::Mapper baseline = core::makeBaselineMapper();
-    const core::Mapper vqaVqm = core::makeVqaVqmMapper();
+    const core::Mapper baseline =
+        core::makeMapper({.name = "baseline"});
+    const core::Mapper vqaVqm = core::makeMapper({.name = "vqa+vqm"});
     const auto bv = workloads::bernsteinVazirani(16);
 
     TextTable table({"Day", "Link-error CoV", "Relative PST"});

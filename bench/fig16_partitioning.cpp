@@ -25,7 +25,7 @@ main()
         "search, all compiled with VQA+VQM.");
 
     bench::Q20Environment env;
-    const core::Mapper mapper = core::makeVqaVqmMapper();
+    const core::Mapper mapper = core::makeMapper({.name = "vqa+vqm"});
 
     TextTable table({"Benchmark", "Two Weak Copies",
                      "One Strong Copy", "PST single",

@@ -106,7 +106,7 @@ BM_FullPolicy(benchmark::State &state)
     const auto suite = workloads::standardSuite(env().machine);
     const auto &w =
         suite[static_cast<std::size_t>(state.range(0))];
-    const core::Mapper mapper = core::makeVqaVqmMapper();
+    const core::Mapper mapper = core::makeMapper({.name = "vqa+vqm"});
     for (auto _ : state) {
         benchmark::DoNotOptimize(
             mapper.map(w.circuit, env().machine, env().averaged));

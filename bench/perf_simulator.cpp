@@ -31,35 +31,15 @@ const core::MappedCircuit &
 mappedBv16()
 {
     static const core::MappedCircuit instance =
-        core::makeBaselineMapper().map(
+        core::makeMapper({.name = "baseline"}).map(
             workloads::bernsteinVazirani(16), env().machine,
             env().averaged);
     return instance;
 }
 
-void
-BM_FaultInjection(benchmark::State &state)
-{
-    const sim::NoiseModel model(env().machine, env().averaged);
-    sim::FaultSimOptions options;
-    options.trials = static_cast<std::size_t>(state.range(0));
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(sim::runFaultInjection(
-            mappedBv16().physical, model, options));
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        state.range(0));
-}
-BENCHMARK(BM_FaultInjection)
-    ->Arg(10000)
-    ->Arg(100000)
-    ->Arg(1000000)
-    ->Unit(benchmark::kMillisecond);
-
-// The parallel trial engine on the same 1M-trial workload, swept
-// over worker counts; compare against BM_FaultInjection (the serial
-// engine) for the speedup. Real time is the relevant axis.
+// The parallel trial engine on a 1M-trial workload, swept over
+// worker counts; the {1000000, 1} arm is the single-thread
+// reference for the speedup. Real time is the relevant axis.
 void
 BM_ParallelFaultInjection(benchmark::State &state)
 {
@@ -114,7 +94,7 @@ BM_FaultInjectionBatch(benchmark::State &state)
     const sim::NoiseModel model(env().machine, env().averaged);
     static const std::vector<circuit::Circuit> suite = [] {
         std::vector<circuit::Circuit> circuits;
-        const auto mapper = core::makeBaselineMapper();
+        const auto mapper = core::makeMapper({.name = "baseline"});
         for (const auto &w :
              workloads::standardSuite(env().machine)) {
             circuits.push_back(
@@ -193,7 +173,7 @@ BM_TrajectoryShots(benchmark::State &state)
         q5, calibration::SyntheticParams{}, 5);
     const auto snap = source.nextCycle();
     const sim::NoiseModel model(q5, snap);
-    const auto mapped = core::makeBaselineMapper().map(
+    const auto mapped = core::makeMapper({.name = "baseline"}).map(
         workloads::bernsteinVazirani(4), q5, snap);
     sim::TrajectoryOptions options;
     options.shots = static_cast<std::size_t>(state.range(0));
@@ -218,7 +198,7 @@ BM_DensityMatrixNoisy(benchmark::State &state)
         q5, calibration::SyntheticParams{}, 6);
     const auto snap = source.nextCycle();
     const sim::NoiseModel model(q5, snap);
-    const auto mapped = core::makeBaselineMapper().map(
+    const auto mapped = core::makeMapper({.name = "baseline"}).map(
         workloads::bernsteinVazirani(4), q5, snap);
     for (auto _ : state) {
         sim::DensityMatrix rho(5);

@@ -21,7 +21,8 @@ main()
         "(SWAP-minimizing) policy.");
 
     bench::Q20Environment env;
-    const core::Mapper baseline = core::makeBaselineMapper();
+    const core::Mapper baseline =
+        core::makeMapper({.name = "baseline"});
 
     TextTable table({"Workload", "Num Qubits", "Total Inst",
                      "SWAP Inst", "2q Ops", "Depth"});

@@ -33,8 +33,9 @@ main()
         "error statistics.");
 
     const auto machine = topology::ibmQ20Tokyo();
-    const core::Mapper baseline = core::makeBaselineMapper();
-    const core::Mapper vqaVqm = core::makeVqaVqmMapper();
+    const core::Mapper baseline =
+        core::makeMapper({.name = "baseline"});
+    const core::Mapper vqaVqm = core::makeMapper({.name = "vqa+vqm"});
     const auto bv = workloads::bernsteinVazirani(16);
 
     struct Row

@@ -61,8 +61,9 @@ main()
     const auto q5 = topology::ibmQ5Tenerife();
     const calibration::Snapshot snap = bench::paperEraTenerife(q5);
 
-    const core::Mapper baseline = core::makeBaselineMapper();
-    const core::Mapper vqaVqm = core::makeVqaVqmMapper();
+    const core::Mapper baseline =
+        core::makeMapper({.name = "baseline"});
+    const core::Mapper vqaVqm = core::makeMapper({.name = "vqa+vqm"});
     const sim::NoiseModel machineModel(q5, snap);
     sim::TrajectoryOptions options;
     options.shots = 4096;

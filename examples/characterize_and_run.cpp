@@ -77,8 +77,8 @@ main()
     std::cout << "\nrunning bv-4 (hidden string 111), 4096 "
                  "trials each:\n";
     for (const core::Mapper &mapper :
-         {core::makeBaselineMapper(),
-          core::makeVqaVqmMapper()}) {
+         {core::makeMapper({.name = "baseline"}),
+          core::makeMapper({.name = "vqa+vqm"})}) {
         const auto job =
             runner.run(program, mapper, estimated, 4096);
         std::cout << "  " << mapper.name() << ": inferred "

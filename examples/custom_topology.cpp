@@ -66,8 +66,9 @@ main()
 
     const sim::NoiseModel model(machine, reloaded);
     for (const core::Mapper &mapper :
-         {core::makeBaselineMapper(), core::makeVqmMapper(),
-          core::makeVqaVqmMapper()}) {
+         {core::makeMapper({.name = "baseline"}),
+          core::makeMapper({.name = "vqm"}),
+          core::makeMapper({.name = "vqa+vqm"})}) {
         const core::MappedCircuit mapped =
             mapper.map(program, machine, reloaded);
         std::cout << mapper.name() << ": initial layout [";

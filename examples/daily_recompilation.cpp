@@ -31,8 +31,9 @@ main()
     calibration::SyntheticSource source(machine);
     const auto program = workloads::bernsteinVazirani(16);
 
-    const core::Mapper aware = core::makeVqaVqmMapper();
-    const core::Mapper baseline = core::makeBaselineMapper();
+    const core::Mapper aware = core::makeMapper({.name = "vqa+vqm"});
+    const core::Mapper baseline =
+        core::makeMapper({.name = "baseline"});
 
     // Day 0: the stale binary everyone keeps reusing.
     const calibration::Snapshot day0 = source.nextCycle();

@@ -45,7 +45,7 @@ main()
     const auto machine = topology::ibmQ20Tokyo();
     calibration::SyntheticSource source(machine);
     const auto calibration = source.series(52).averaged();
-    const auto mapper = core::makeVqaVqmMapper();
+    const auto mapper = core::makeMapper({.name = "vqa+vqm"});
 
     for (const auto &w : workloads::tenQubitSuite()) {
         const auto report = partition::comparePartitioning(

@@ -18,7 +18,7 @@
 #include "circuit/qasm.hpp"
 #include "common/strings.hpp"
 #include "core/mapper.hpp"
-#include "sim/fault_sim.hpp"
+#include "sim/parallel_fault_sim.hpp"
 #include "topology/layouts.hpp"
 #include "workloads/workloads.hpp"
 
@@ -47,22 +47,26 @@ main()
               << program.instructionCount() << " instructions\n\n";
 
     // 4. Compile with both policies.
-    const core::Mapper baseline = core::makeBaselineMapper();
-    const core::Mapper aware = core::makeVqaVqmMapper();
+    const core::Mapper baseline =
+        core::makeMapper({.name = "baseline"});
+    const core::Mapper aware = core::makeMapper({.name = "vqa+vqm"});
     const core::MappedCircuit mappedBase =
         baseline.map(program, machine, calibration);
     const core::MappedCircuit mappedAware =
         aware.map(program, machine, calibration);
 
-    // 5. Estimate reliability with the Monte-Carlo fault injector.
+    // 5. Estimate reliability with the Monte-Carlo fault injector
+    //    (one worker per hardware thread; results do not depend on
+    //    the thread count).
     const sim::NoiseModel model(machine, calibration);
-    sim::FaultSimOptions options;
+    sim::ParallelFaultSim engine;
+    sim::ParallelFaultSimOptions options;
     options.trials = 200000;
 
     const auto resultBase =
-        sim::runFaultInjection(mappedBase.physical, model, options);
-    const auto resultAware = sim::runFaultInjection(
-        mappedAware.physical, model, options);
+        engine.run(mappedBase.physical, model, options);
+    const auto resultAware =
+        engine.run(mappedAware.physical, model, options);
 
     std::cout << "baseline: " << mappedBase.insertedSwaps
               << " swaps inserted, PST = "

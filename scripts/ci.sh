@@ -2,7 +2,8 @@
 # CI entry point: the default (tier-1) build-and-test leg, followed
 # by an optional ThreadSanitizer leg over the thread-crossing suites.
 #
-#   scripts/ci.sh          # tier-1: full build + full ctest
+#   scripts/ci.sh          # tier-1: full build + full ctest +
+#                          # examples smoke
 #   scripts/ci.sh --tsan   # also run the -DVAQ_SANITIZE=thread leg
 #   scripts/ci.sh --asan   # also run the address+UB sanitizer leg
 #   scripts/ci.sh --tidy   # also gate on scripts/lint.sh
@@ -56,6 +57,18 @@ fi
 
 echo "== tier-1: full test suite (all labels) =="
 ctest --test-dir build --output-on-failure -j "$JOBS"
+
+echo "== tier-1: examples smoke (each must exit 0) =="
+# The examples are the documented front doors of the library; a
+# build that compiles them but crashes at run time must fail CI.
+for example in characterize_and_run custom_topology \
+    daily_recompilation partition_explorer quickstart; do
+    "build/examples/$example" >/dev/null || {
+        echo "ci: example $example failed" >&2
+        exit 1
+    }
+done
+echo "ci: examples smoke passed"
 
 echo "== tier-1: robustness label smoke (must select tests) =="
 ctest --test-dir build -L robustness --output-on-failure -j "$JOBS"

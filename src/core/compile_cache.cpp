@@ -1,7 +1,6 @@
 #include "core/compile_cache.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <mutex>
 #include <unordered_map>
@@ -19,10 +18,9 @@ namespace vaq::core
 namespace
 {
 
-std::atomic<bool> g_pathCacheEnabled{true};
-
-/** Per-thread PathCacheScope override: -1 unset, else 0/1. */
-thread_local int t_pathCacheOverride = -1;
+/** Per-thread path-cache state; PathCacheScope saves and restores
+ *  it. On unless a scope on this thread turned it off. */
+thread_local bool t_pathCacheEnabled = true;
 
 /** Process-wide matrix store (epoch + LRU inside). */
 graph::ReliabilityMatrixCache &
@@ -73,29 +71,21 @@ costGraphKey(const topology::CouplingGraph &graph,
 
 } // namespace
 
-void
-setPathCacheEnabled(bool enabled)
-{
-    g_pathCacheEnabled.store(enabled, std::memory_order_relaxed);
-}
-
 bool
 pathCacheEnabled()
 {
-    if (t_pathCacheOverride >= 0)
-        return t_pathCacheOverride != 0;
-    return g_pathCacheEnabled.load(std::memory_order_relaxed);
+    return t_pathCacheEnabled;
 }
 
 PathCacheScope::PathCacheScope(bool enabled)
-    : _previous(t_pathCacheOverride)
+    : _previous(t_pathCacheEnabled)
 {
-    t_pathCacheOverride = enabled ? 1 : 0;
+    t_pathCacheEnabled = enabled;
 }
 
 PathCacheScope::~PathCacheScope()
 {
-    t_pathCacheOverride = _previous;
+    t_pathCacheEnabled = _previous;
 }
 
 graph::WeightedGraph

@@ -1,16 +1,11 @@
 /**
  * @file
- * Per-compile options: the explicit replacement for the process
- * globals that used to steer a compile.
- *
- * Historically the only way to turn the shared path caches off was
- * the global core::setPathCacheEnabled toggle, which is both racy
- * to flip around a single compile and invisible in signatures. A
- * CompileOptions value travels with the call instead: through
- * Mapper::compile, BatchCompiler and IterativeRunner::runBatch.
- * Default-constructed options snapshot the current globals, so
- * `mapper.map(...)` (which forwards a default CompileOptions) and
- * the `--no-path-cache` flag behave exactly as before.
+ * Per-compile options. A CompileOptions value travels with the call
+ * — through Mapper::compile, BatchCompiler and the compile
+ * requests — so switching the shared path caches off is scoped to
+ * that one compile (or batch) and visible in its signature; vaqc's
+ * `--no-path-cache` flag sets cacheEnabled = false. Default options
+ * keep the caches on and take telemetry from obs::enabled().
  */
 #ifndef VAQ_CORE_COMPILE_OPTIONS_HPP
 #define VAQ_CORE_COMPILE_OPTIONS_HPP
@@ -23,17 +18,12 @@
 namespace vaq::core
 {
 
-// Defined in compile_cache.hpp; declared here so default options
-// can snapshot the (deprecated) global toggle without pulling in
-// the whole cache header.
-bool pathCacheEnabled();
-
 /** Options for one compile (or one batch of compiles). */
 struct CompileOptions
 {
     /** Consult the shared reliability-matrix / movement-plan
-     *  stores. Defaults to the global toggle's current state. */
-    bool cacheEnabled = pathCacheEnabled();
+     *  stores. */
+    bool cacheEnabled = true;
     /** Record metrics and tracing spans for this compile (only
      *  effective while obs::enabled() is also on). */
     bool telemetryEnabled = obs::enabled();
@@ -48,8 +38,8 @@ struct CompileOptions
 };
 
 /**
- * RAII thread-local override of the path-cache toggle. Installed
- * by Mapper::compile so the layers that read pathCacheEnabled()
+ * RAII thread-local override of the path-cache state. Installed
+ * by Mapper::compileRaw so the layers that read pathCacheEnabled()
  * internally (allocators, the movement planner) honor the
  * per-compile CompileOptions::cacheEnabled without threading a flag
  * through every signature. Thread-local, so concurrent compiles
@@ -65,7 +55,7 @@ class PathCacheScope
     PathCacheScope &operator=(const PathCacheScope &) = delete;
 
   private:
-    int _previous;
+    bool _previous;
 };
 
 } // namespace vaq::core

@@ -437,41 +437,4 @@ policyNames()
     return names;
 }
 
-Mapper
-makeRandomizedMapper(std::uint64_t seed)
-{
-    return makeMapper({.name = "random", .seed = seed});
-}
-
-Mapper
-makeBaselineMapper(RouteStrategy strategy)
-{
-    if (strategy == RouteStrategy::LayerAstar)
-        return makeMapper({.name = "baseline"});
-    // Non-default strategies have no registry spelling; build the
-    // single configuration directly.
-    RouterOptions options;
-    options.strategy = strategy;
-    return Mapper("baseline", std::make_unique<LocalityAllocator>(),
-                  CostKind::SwapCount, options);
-}
-
-Mapper
-makeVqmMapper(int mah)
-{
-    return makeMapper({.name = "vqm", .mah = mah});
-}
-
-Mapper
-makeVqaMapper()
-{
-    return makeMapper({.name = "vqa"});
-}
-
-Mapper
-makeVqaVqmMapper(int mah)
-{
-    return makeMapper({.name = "vqa+vqm", .mah = mah});
-}
-
 } // namespace vaq::core

@@ -27,9 +27,6 @@
  * | "vqa+vqm"   | VQA strength      | reliability(*) |
  *
  * (*) portfolio over routing strategies with a baseline fallback.
- *
- * The legacy make*Mapper free functions survive as one-line
- * wrappers over the registry.
  */
 #ifndef VAQ_CORE_MAPPER_HPP
 #define VAQ_CORE_MAPPER_HPP
@@ -109,7 +106,7 @@ class Mapper
                              const calibration::Snapshot &snapshot,
                              const CompileOptions &options = {}) const;
 
-    /** compile() with default options (snapshots the globals). */
+    /** compile() with default CompileOptions (path caches on). */
     MappedCircuit map(const circuit::Circuit &logical,
                       const topology::CouplingGraph &graph,
                       const calibration::Snapshot &snapshot) const;
@@ -159,37 +156,6 @@ Mapper makeMapper(const PolicySpec &spec);
 
 /** Canonical policy names makeMapper accepts (without aliases). */
 std::vector<std::string> policyNames();
-
-/** @deprecated Use makeMapper({.name = "random", .seed = seed}). */
-Mapper makeRandomizedMapper(std::uint64_t seed);
-
-/**
- * Locality allocation + fewest-SWAPs routing (Zulehner-style
- * baseline, Section 4.5). The non-default strategy overload has no
- * registry equivalent and stays the direct constructor for tests.
- * @deprecated Use makeMapper({.name = "baseline"}).
- */
-Mapper makeBaselineMapper(RouteStrategy strategy =
-                              RouteStrategy::LayerAstar);
-
-/**
- * VQM (Section 5): reliability-cost routing over a portfolio of
- * allocation/strategy combinations, with the baseline configuration
- * as the no-variation fallback. mah = kUnlimitedHops gives
- * unconstrained VQM; mah = 4 gives the paper's hop-limited variant.
- * @deprecated Use makeMapper({.name = "vqm", .mah = mah}).
- */
-Mapper makeVqmMapper(int mah = kUnlimitedHops);
-
-/** VQA allocation with fewest-SWAPs routing (allocation-only
- *  ablation), with baseline fallback.
- *  @deprecated Use makeMapper({.name = "vqa"}). */
-Mapper makeVqaMapper();
-
-/** VQA + VQM combined (the paper's headline policy, Section 6):
- *  the VQM portfolio extended with strongest-subgraph allocation.
- *  @deprecated Use makeMapper({.name = "vqa+vqm", .mah = mah}). */
-Mapper makeVqaVqmMapper(int mah = kUnlimitedHops);
 
 } // namespace vaq::core
 

@@ -148,19 +148,6 @@ IterativeRunner::runBatch(
     const std::vector<circuit::Circuit> &logicals,
     const core::Mapper &mapper,
     const calibration::Snapshot &calibration, std::size_t trials,
-    core::CompileOptions options) const
-{
-    core::BatchOptions batchOptions;
-    batchOptions.compile = options;
-    return runBatch(logicals, mapper, calibration, trials,
-                    batchOptions);
-}
-
-std::vector<JobResult>
-IterativeRunner::runBatch(
-    const std::vector<circuit::Circuit> &logicals,
-    const core::Mapper &mapper,
-    const calibration::Snapshot &calibration, std::size_t trials,
     const core::BatchOptions &options) const
 {
     require(trials > 0, "need at least one trial");

@@ -140,31 +140,25 @@ class IterativeRunner
     /**
      * Run a whole queue of programs against one calibration cycle —
      * the recompile-everything burst of Section 3.3. Compilation
-     * fans out across `options.threads` workers through the batch
-     * compiler (core/batch_compiler.hpp), sharing one reliability
-     * matrix and plan table per snapshot; execution then proceeds
-     * serially in queue order, because the machine callback is not
-     * required to be thread-safe. Results are in queue order.
+     * fans out across `options.compile.threads` workers through
+     * the batch compiler (core/batch_compiler.hpp), sharing one
+     * reliability matrix and plan table per snapshot; execution
+     * then proceeds serially in queue order, because the machine
+     * callback is not required to be thread-safe. Results are in
+     * queue order.
      *
      * Faults are contained per job: a job whose compile failed (or
      * timed out) comes back with its status and an empty log, and
-     * the other jobs execute normally.
+     * the other jobs execute normally. `options` carries the
+     * failure-containment knobs (retries, deadlines, quarantine
+     * thresholds) and the per-compile CompileOptions.
      */
     std::vector<JobResult>
     runBatch(const std::vector<circuit::Circuit> &logicals,
              const core::Mapper &mapper,
              const calibration::Snapshot &calibration,
              std::size_t trials,
-             core::CompileOptions options = {}) const;
-
-    /** runBatch with full control over the failure-containment
-     *  knobs (retries, deadlines, quarantine thresholds). */
-    std::vector<JobResult>
-    runBatch(const std::vector<circuit::Circuit> &logicals,
-             const core::Mapper &mapper,
-             const calibration::Snapshot &calibration,
-             std::size_t trials,
-             const core::BatchOptions &options) const;
+             const core::BatchOptions &options = {}) const;
 
     /**
      * Replay the queue against every cycle of a calibration series

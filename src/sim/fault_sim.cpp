@@ -166,21 +166,4 @@ analyticPst(const Circuit &physical, const NoiseModel &model)
         detail::collectErrorProbs(physical, model));
 }
 
-FaultSimResult
-runFaultInjection(const Circuit &physical, const NoiseModel &model,
-                  const FaultSimOptions &options)
-{
-    require(options.trials > 0, "need at least one trial");
-    checkExecutable(physical, model);
-
-    const std::vector<double> probs =
-        detail::collectErrorProbs(physical, model);
-
-    Rng rng(options.seed);
-    const detail::TrialTally tally =
-        detail::simulateChunk(probs, options.trials, rng);
-    return detail::resultFromTally(
-        tally, detail::productSuccessProb(probs));
-}
-
 } // namespace vaq::sim

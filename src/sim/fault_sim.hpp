@@ -9,7 +9,9 @@
  * (Probability of a Successful Trial, Section 4.1) is the success
  * fraction over N trials; with independent errors it has the closed
  * form prod(1 - e_i), which analyticPst() computes and the tests use
- * to validate the sampler.
+ * to validate the sampler. The sampler itself is the chunked trial
+ * engine in sim/parallel_fault_sim; this header holds the result
+ * type, the closed form and the per-chunk building blocks.
  */
 #ifndef VAQ_SIM_FAULT_SIM_HPP
 #define VAQ_SIM_FAULT_SIM_HPP
@@ -25,13 +27,6 @@
 
 namespace vaq::sim
 {
-
-/** Knobs of the Monte-Carlo fault-injection run. */
-struct FaultSimOptions
-{
-    std::size_t trials = 1'000'000; ///< paper uses 1M per workload
-    std::uint64_t seed = 13;
-};
 
 /** Outcome of a fault-injection run. */
 struct FaultSimResult
@@ -62,17 +57,11 @@ void checkExecutable(const circuit::Circuit &physical,
 double analyticPst(const circuit::Circuit &physical,
                    const NoiseModel &model);
 
-/** Run the Monte-Carlo fault-injection study. */
-FaultSimResult runFaultInjection(const circuit::Circuit &physical,
-                                 const NoiseModel &model,
-                                 const FaultSimOptions &options = {});
-
 /**
- * Building blocks shared by the serial sampler, analyticPst() and
- * the parallel trial engine (sim/parallel_fault_sim). Exposed so
- * every entry point runs the exact same trial loop and closed-form
- * product — they cannot drift apart — and so tests can pin the
- * boundary behaviour of the error bar.
+ * Building blocks shared by analyticPst() and the parallel trial
+ * engine (sim/parallel_fault_sim). Exposed so both reduce the exact
+ * same collected probabilities — they cannot drift apart — and so
+ * tests can pin the boundary behaviour of the error bar.
  */
 namespace detail
 {
@@ -117,8 +106,8 @@ struct TrialTally
 
 /**
  * Run `trials` Bernoulli-per-operation trials against `probs`,
- * consuming randomness from `rng`. The single trial loop behind
- * both runFaultInjection and ParallelFaultSim.
+ * consuming randomness from `rng`. The trial loop ParallelFaultSim
+ * runs once per chunk, on that chunk's split stream.
  */
 TrialTally simulateChunk(const std::vector<double> &probs,
                          std::size_t trials, Rng &rng);

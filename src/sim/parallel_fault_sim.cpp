@@ -301,31 +301,4 @@ ParallelFaultSim::runBatch(std::span<const Circuit> physicals,
     return results;
 }
 
-FaultSimResult
-runFaultInjectionParallel(const Circuit &physical,
-                          const NoiseModel &model,
-                          const ParallelFaultSimOptions &options)
-{
-    ParallelFaultSim engine(options.threads);
-    return engine.run(physical, model, options);
-}
-
-OutcomeSimResult
-runOutcomeCheckedParallel(const Circuit &physical,
-                          const NoiseModel &model,
-                          const OutcomeSimOptions &options)
-{
-    ParallelFaultSim engine(options.threads);
-    return engine.runOutcomeChecked(physical, model, options);
-}
-
-std::vector<FaultSimResult>
-runFaultInjectionBatch(std::span<const Circuit> physicals,
-                       const NoiseModel &model,
-                       const ParallelFaultSimOptions &options)
-{
-    ParallelFaultSim engine(options.threads);
-    return engine.runBatch(physicals, model, options);
-}
-
 } // namespace vaq::sim

@@ -37,10 +37,6 @@ struct ParallelFaultSimOptions
 {
     std::size_t trials = 1'000'000; ///< paper uses 1M per workload
     std::uint64_t seed = 13;
-    /** Worker threads for the one-shot entry points; 0 = one per
-     *  hardware thread. Ignored by ParallelFaultSim instances,
-     *  whose pool size is fixed at construction. */
-    std::size_t threads = 0;
     /**
      * Trials per chunk — the unit of determinism. Results depend on
      * this value (it defines the RNG stream layout) but never on
@@ -71,9 +67,6 @@ struct OutcomeSimOptions
     /** Defaults to the trajectory engine's seed so a single-threaded
      *  chunk replays TrajectorySimulator streams per chunk. */
     std::uint64_t seed = 29;
-    /** Worker threads for the one-shot entry point; 0 = one per
-     *  hardware thread. Ignored by ParallelFaultSim instances. */
-    std::size_t threads = 0;
     /** Trials per chunk — the unit of determinism (see
      *  ParallelFaultSimOptions::chunkTrials). */
     std::size_t chunkTrials = 4'096;
@@ -160,25 +153,6 @@ class ParallelFaultSim
   private:
     ThreadPool _pool;
 };
-
-/** One-shot convenience for runOutcomeChecked (options.threads). */
-OutcomeSimResult
-runOutcomeCheckedParallel(const circuit::Circuit &physical,
-                          const NoiseModel &model,
-                          const OutcomeSimOptions &options = {});
-
-/** One-shot convenience: build a transient engine (options.threads)
- *  and run once. Prefer ParallelFaultSim for repeated calls. */
-FaultSimResult
-runFaultInjectionParallel(const circuit::Circuit &physical,
-                          const NoiseModel &model,
-                          const ParallelFaultSimOptions &options = {});
-
-/** One-shot convenience over a circuit sweep (see runBatch). */
-std::vector<FaultSimResult>
-runFaultInjectionBatch(std::span<const circuit::Circuit> physicals,
-                       const NoiseModel &model,
-                       const ParallelFaultSimOptions &options = {});
 
 } // namespace vaq::sim
 

@@ -149,19 +149,6 @@ ArtifactStore::get(const ArtifactKey &key)
 std::optional<CompileArtifact>
 ArtifactStore::getOrDelta(const ArtifactKey &key,
                           const calibration::Snapshot &snapshot,
-                          bool *via_delta)
-{
-    DeltaServeInfo info;
-    std::optional<CompileArtifact> result =
-        getOrDelta(key, snapshot, info);
-    if (via_delta != nullptr)
-        *via_delta = info.viaDelta || info.boundReuse;
-    return result;
-}
-
-std::optional<CompileArtifact>
-ArtifactStore::getOrDelta(const ArtifactKey &key,
-                          const calibration::Snapshot &snapshot,
                           DeltaServeInfo &info)
 {
     info = DeltaServeInfo{};

@@ -129,7 +129,9 @@ class ArtifactStore
      * A delta hit is additionally indexed under the new key in
      * memory, so the rest of the cycle hits exactly without
      * re-scanning; the alias writes no new file (no store bloat).
-     * Sets *via_delta when the result came from the fallback.
+     * `info` reports how the result was served: info.viaDelta for
+     * this touched-set fallback, info.boundReuse for the bound
+     * fallback below (never both).
      *
      * When StoreOptions::stalenessTol > 0, a second fallback runs
      * after the touched-set scan: serve the first base-bucket
@@ -140,12 +142,6 @@ class ArtifactStore
      * measured against the compile-time baseline, so repeated
      * serves can never accumulate drift past the tolerance.
      */
-    std::optional<CompileArtifact>
-    getOrDelta(const ArtifactKey &key,
-               const calibration::Snapshot &snapshot,
-               bool *via_delta = nullptr);
-
-    /** getOrDelta with the full serve classification. */
     std::optional<CompileArtifact>
     getOrDelta(const ArtifactKey &key,
                const calibration::Snapshot &snapshot,

@@ -100,38 +100,6 @@ TEST_F(MapperTest, NativeAliasesResolveToRandom)
     EXPECT_EQ(makeMapper({.name = "native"}).name(), "ibm-native");
 }
 
-TEST_F(MapperTest, DeprecatedFactoriesMatchRegistry)
-{
-    // The legacy make*Mapper wrappers must stay source-compatible
-    // and agree with their registry spellings.
-    const auto ghz = workloads::ghz(5);
-    const std::vector<std::pair<Mapper, Mapper>> pairs = []() {
-        std::vector<std::pair<Mapper, Mapper>> p;
-        p.emplace_back(makeRandomizedMapper(3),
-                       makeMapper({.name = "random", .seed = 3}));
-        p.emplace_back(makeBaselineMapper(),
-                       makeMapper({.name = "baseline"}));
-        p.emplace_back(makeVqmMapper(4),
-                       makeMapper({.name = "vqm", .mah = 4}));
-        p.emplace_back(makeVqaMapper(),
-                       makeMapper({.name = "vqa"}));
-        p.emplace_back(makeVqaVqmMapper(),
-                       makeMapper({.name = "vqa+vqm"}));
-        return p;
-    }();
-    for (const auto &[legacy, registry] : pairs) {
-        EXPECT_EQ(legacy.name(), registry.name());
-        EXPECT_EQ(legacy.configCount(), registry.configCount());
-        const auto a = legacy.map(ghz, graph, snap);
-        const auto b = registry.map(ghz, graph, snap);
-        EXPECT_EQ(a.initial.progToPhys(), b.initial.progToPhys())
-            << legacy.name();
-        EXPECT_EQ(a.physical.gates().size(),
-                  b.physical.gates().size())
-            << legacy.name();
-    }
-}
-
 TEST_F(MapperTest, PortfolioSizes)
 {
     EXPECT_EQ(makeMapper({.name = "baseline"}).configCount(), 1u);

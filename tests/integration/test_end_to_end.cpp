@@ -11,7 +11,7 @@
 #include "calibration/synthetic.hpp"
 #include "core/mapper.hpp"
 #include "partition/partition.hpp"
-#include "sim/fault_sim.hpp"
+#include "sim/parallel_fault_sim.hpp"
 #include "sim/trajectory_sim.hpp"
 #include "test_support.hpp"
 #include "topology/layouts.hpp"
@@ -34,10 +34,10 @@ TEST(EndToEnd, SimulatedQ20Flow)
         core::makeMapper({.name = "vqa+vqm"}).map(bv, q20, snap);
 
     const sim::NoiseModel model(q20, snap);
-    sim::FaultSimOptions options;
+    sim::ParallelFaultSimOptions options;
     options.trials = 100000;
     const auto result =
-        sim::runFaultInjection(mapped.physical, model, options);
+        sim::ParallelFaultSim(1).run(mapped.physical, model, options);
 
     EXPECT_GT(result.pst, 0.0);
     EXPECT_LT(result.pst, 1.0);

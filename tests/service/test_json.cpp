@@ -119,7 +119,7 @@ canonicalRequest()
     bell.measure(1);
     request.circuit = bell;
     request.policy = {.name = "vqa+vqm", .mah = 4};
-    // Pin the dynamic defaults (they follow global toggles) so the
+    // Pin the options (telemetry defaults to obs::enabled()) so the
     // golden below is state-independent.
     request.options.cacheEnabled = true;
     request.options.telemetryEnabled = false;

@@ -6,6 +6,7 @@
 
 #include "common/error.hpp"
 #include "core/mapper.hpp"
+#include "sim/parallel_fault_sim.hpp"
 #include "test_support.hpp"
 #include "topology/layouts.hpp"
 #include "workloads/workloads.hpp"
@@ -89,10 +90,10 @@ TEST_F(FaultSimTest, MonteCarloMatchesAnalytic)
     Circuit c(5);
     c.h(0).cx(0, 1).cx(1, 2).swap(2, 3).measureAll();
 
-    FaultSimOptions options;
+    ParallelFaultSimOptions options;
     options.trials = 400000;
     const FaultSimResult result =
-        runFaultInjection(c, model, options);
+        ParallelFaultSim(1).run(c, model, options);
     EXPECT_EQ(result.trials, options.trials);
     EXPECT_NEAR(result.pst, result.analyticPst,
                 4.0 * result.stderrPst + 1e-4);
@@ -103,15 +104,15 @@ TEST_F(FaultSimTest, MonteCarloIsDeterministicPerSeed)
     const NoiseModel model(graph, snap);
     Circuit c(5);
     c.cx(0, 1).cx(1, 2).measureAll();
-    FaultSimOptions options;
+    ParallelFaultSimOptions options;
     options.trials = 10000;
     options.seed = 77;
-    const auto a = runFaultInjection(c, model, options);
-    const auto b = runFaultInjection(c, model, options);
+    const auto a = ParallelFaultSim(1).run(c, model, options);
+    const auto b = ParallelFaultSim(1).run(c, model, options);
     EXPECT_EQ(a.successes, b.successes);
 
     options.seed = 78;
-    const auto other = runFaultInjection(c, model, options);
+    const auto other = ParallelFaultSim(1).run(c, model, options);
     EXPECT_NE(a.successes, other.successes);
 }
 
@@ -149,16 +150,16 @@ TEST_F(FaultSimTest, ZeroErrorMachineAlwaysSucceeds)
                            CoherenceMode::None);
     Circuit c(5);
     c.h(0).cx(0, 1).measureAll();
-    FaultSimOptions options;
+    ParallelFaultSimOptions options;
     options.trials = 1000;
-    const auto result = runFaultInjection(c, model, options);
+    const auto result = ParallelFaultSim(1).run(c, model, options);
     EXPECT_EQ(result.successes, result.trials);
     EXPECT_DOUBLE_EQ(result.analyticPst, 1.0);
 }
 
 TEST_F(FaultSimTest, ResultAnalyticSharesAnalyticPstCodePath)
 {
-    // runFaultInjection and analyticPst() reduce the same collected
+    // ParallelFaultSim and analyticPst() reduce the same collected
     // probabilities through one helper; the reported closed forms
     // must be bit-identical, not merely close.
     const NoiseModel model(graph, snap, CoherenceMode::Idle);
@@ -167,9 +168,9 @@ TEST_F(FaultSimTest, ResultAnalyticSharesAnalyticPstCodePath)
     for (int i = 0; i < 10; ++i)
         c.cx(2, 3);
     c.cx(1, 2).measureAll();
-    FaultSimOptions options;
+    ParallelFaultSimOptions options;
     options.trials = 1000;
-    const auto result = runFaultInjection(c, model, options);
+    const auto result = ParallelFaultSim(1).run(c, model, options);
     EXPECT_DOUBLE_EQ(result.analyticPst, analyticPst(c, model));
 }
 
@@ -209,9 +210,9 @@ TEST(FaultSimStderr, BoundaryResultsSurfaceTheBound)
     const NoiseModel model(graph, perfect, CoherenceMode::None);
     Circuit c(5);
     c.h(0).cx(0, 1).measureAll();
-    FaultSimOptions options;
+    ParallelFaultSimOptions options;
     options.trials = 500;
-    const auto result = runFaultInjection(c, model, options);
+    const auto result = ParallelFaultSim(1).run(c, model, options);
     EXPECT_DOUBLE_EQ(result.pst, 1.0);
     EXPECT_DOUBLE_EQ(result.stderrPst, 0.5 / 501.0);
 }
@@ -225,15 +226,16 @@ TEST(FaultSimProbs, CorruptCalibrationThrowsInsteadOfClamping)
     Circuit c(5);
     c.h(2);
     EXPECT_THROW(analyticPst(c, model), VaqError);
-    EXPECT_THROW(runFaultInjection(c, model, {}), VaqError);
+    EXPECT_THROW(ParallelFaultSim(1).run(c, model, {}), VaqError);
 }
 
 TEST_F(FaultSimTest, OptionsValidated)
 {
     const NoiseModel model(graph, snap);
-    FaultSimOptions options;
+    ParallelFaultSimOptions options;
     options.trials = 0;
-    EXPECT_THROW(runFaultInjection(Circuit(5), model, options),
+    EXPECT_THROW(ParallelFaultSim(1).run(Circuit(5), model,
+                                         options),
                  VaqError);
 }
 
@@ -253,9 +255,9 @@ TEST_P(FaultSimScaleSweep, MonteCarloTracksAnalytic)
 
     Circuit c(5);
     c.h(0).cx(0, 1).cx(1, 2).swap(2, 3).cx(3, 4).measureAll();
-    FaultSimOptions options;
+    ParallelFaultSimOptions options;
     options.trials = 200000;
-    const auto result = runFaultInjection(c, model, options);
+    const auto result = ParallelFaultSim(1).run(c, model, options);
     EXPECT_NEAR(result.pst, result.analyticPst,
                 4.0 * result.stderrPst + 1e-4);
 }

@@ -236,12 +236,12 @@ TEST(FrameVsDense, FallbackCircuitsMatchDenseEngineBitExactly)
         OutcomeSimOptions options;
         options.trials = 20'000;
         options.chunkTrials = 2048;
-        options.threads = 2;
+        ParallelFaultSim sim(2);
 
         options.engine = SimEngine::Auto;
         const OutcomeSimResult automatic =
-            runOutcomeCheckedParallel(fallbackCase.circuit, model,
-                                      options);
+            sim.runOutcomeChecked(fallbackCase.circuit, model,
+                                  options);
         EXPECT_FALSE(automatic.framePath);
         EXPECT_NE(
             automatic.fallbackReason.find("non-Clifford"),
@@ -250,7 +250,7 @@ TEST(FrameVsDense, FallbackCircuitsMatchDenseEngineBitExactly)
         EXPECT_GT(automatic.gates.nonClifford, 0u);
 
         options.engine = SimEngine::Dense;
-        const OutcomeSimResult dense = runOutcomeCheckedParallel(
+        const OutcomeSimResult dense = sim.runOutcomeChecked(
             fallbackCase.circuit, model, options);
         EXPECT_TRUE(dense.fallbackReason.empty());
 
@@ -275,15 +275,16 @@ TEST(FrameVsDense, EnginesAgreeBitExactlyThroughOutcomeChecked)
     OutcomeSimOptions options;
     options.trials = 30'000;
     options.chunkTrials = 1024;
+    ParallelFaultSim sim;
 
     options.engine = SimEngine::PauliFrame;
     const OutcomeSimResult frameResult =
-        runOutcomeCheckedParallel(c, model, options);
+        sim.runOutcomeChecked(c, model, options);
     EXPECT_TRUE(frameResult.framePath);
 
     options.engine = SimEngine::Dense;
     const OutcomeSimResult denseResult =
-        runOutcomeCheckedParallel(c, model, options);
+        sim.runOutcomeChecked(c, model, options);
     EXPECT_FALSE(denseResult.framePath);
 
     EXPECT_EQ(frameResult.trials, denseResult.trials);
@@ -362,22 +363,21 @@ TEST(FrameVsDense, OptionsAndContractsValidated)
     Circuit measured(5);
     measured.h(0).cx(0, 1).measureAll();
 
+    ParallelFaultSim sim;
     OutcomeSimOptions options;
     options.trials = 0;
-    EXPECT_THROW(
-        runOutcomeCheckedParallel(measured, model, options),
-        VaqError);
+    EXPECT_THROW(sim.runOutcomeChecked(measured, model, options),
+                 VaqError);
     options.trials = 100;
     options.chunkTrials = 0;
-    EXPECT_THROW(
-        runOutcomeCheckedParallel(measured, model, options),
-        VaqError);
+    EXPECT_THROW(sim.runOutcomeChecked(measured, model, options),
+                 VaqError);
 
     // A program measuring nothing has no outcome to check.
     Circuit unmeasured(5);
     unmeasured.h(0).cx(0, 1);
-    EXPECT_THROW(
-        runOutcomeCheckedParallel(unmeasured, model, {}), VaqError);
+    EXPECT_THROW(sim.runOutcomeChecked(unmeasured, model, {}),
+                 VaqError);
 
     // A uniform accept set (H on every measured qubit) covers the
     // whole outcome space; "success" is meaningless there, on both
@@ -388,9 +388,9 @@ TEST(FrameVsDense, OptionsAndContractsValidated)
          {SimEngine::PauliFrame, SimEngine::Dense}) {
         OutcomeSimOptions uniformOptions;
         uniformOptions.engine = engine;
-        EXPECT_THROW(runOutcomeCheckedParallel(uniform, model,
-                                               uniformOptions),
-                     VaqError);
+        EXPECT_THROW(
+            sim.runOutcomeChecked(uniform, model, uniformOptions),
+            VaqError);
     }
 
     // Explicitly requesting the frame engine on a circuit it cannot
@@ -401,12 +401,11 @@ TEST(FrameVsDense, OptionsAndContractsValidated)
     OutcomeSimOptions forced;
     forced.trials = 100;
     forced.engine = SimEngine::PauliFrame;
-    EXPECT_THROW(
-        runOutcomeCheckedParallel(nonClifford, model, forced),
-        VaqError);
+    EXPECT_THROW(sim.runOutcomeChecked(nonClifford, model, forced),
+                 VaqError);
     forced.engine = SimEngine::Auto;
     const OutcomeSimResult fallback =
-        runOutcomeCheckedParallel(nonClifford, model, forced);
+        sim.runOutcomeChecked(nonClifford, model, forced);
     EXPECT_FALSE(fallback.framePath);
     EXPECT_EQ(fallback.trials, 100u);
 }

@@ -74,7 +74,7 @@ TEST_F(ParallelFaultSimTest, TracksAnalyticPst)
     ParallelFaultSimOptions options;
     options.trials = 400'000;
     const FaultSimResult result =
-        runFaultInjectionParallel(workload, model, options);
+        ParallelFaultSim().run(workload, model, options);
     EXPECT_NEAR(result.pst, result.analyticPst,
                 4.0 * result.stderrPst + 1e-4);
     EXPECT_DOUBLE_EQ(result.analyticPst,
@@ -88,7 +88,7 @@ TEST_F(ParallelFaultSimTest, PartialFinalChunkRunsExactBudget)
     options.trials = 10'001;
     options.chunkTrials = 1000;
     const auto result =
-        runFaultInjectionParallel(workload, model, options);
+        ParallelFaultSim().run(workload, model, options);
     EXPECT_EQ(result.trials, 10'001u);
     EXPECT_LE(result.successes, result.trials);
 }
@@ -101,7 +101,7 @@ TEST_F(ParallelFaultSimTest, AdaptiveModeStopsEarly)
     options.chunkTrials = 1000;
     options.targetStderr = 0.005;
     const auto result =
-        runFaultInjectionParallel(workload, model, options);
+        ParallelFaultSim().run(workload, model, options);
     EXPECT_LT(result.trials, options.trials);
     EXPECT_LE(result.stderrPst, options.targetStderr);
     EXPECT_GT(result.trials, 0u);
@@ -131,7 +131,7 @@ TEST_F(ParallelFaultSimTest, UnreachableTargetRunsFullBudget)
     options.chunkTrials = 1000;
     options.targetStderr = 1e-9; // needs ~1e17 trials
     const auto result =
-        runFaultInjectionParallel(workload, model, options);
+        ParallelFaultSim().run(workload, model, options);
     EXPECT_EQ(result.trials, options.trials);
 }
 
@@ -165,7 +165,7 @@ TEST_F(ParallelFaultSimTest, BatchMatchesIndividualRuns)
 TEST_F(ParallelFaultSimTest, EmptyBatchReturnsNothing)
 {
     const NoiseModel model(graph, snap);
-    const auto results = runFaultInjectionBatch(
+    const auto results = ParallelFaultSim().runBatch(
         std::span<const Circuit>{}, model, {});
     EXPECT_TRUE(results.empty());
 }
@@ -178,8 +178,8 @@ TEST_F(ParallelFaultSimTest, BoundaryRunsReportPositiveStderr)
                                CoherenceMode::None);
     ParallelFaultSimOptions options;
     options.trials = 2000;
-    const auto good =
-        runFaultInjectionParallel(workload, noiseless, options);
+    ParallelFaultSim engine;
+    const auto good = engine.run(workload, noiseless, options);
     EXPECT_EQ(good.successes, good.trials);
     EXPECT_GT(good.stderrPst, 0.0);
 
@@ -189,8 +189,7 @@ TEST_F(ParallelFaultSimTest, BoundaryRunsReportPositiveStderr)
     const NoiseModel hopeless(graph, broken, CoherenceMode::None);
     Circuit c(5);
     c.cx(0, 1);
-    const auto bad =
-        runFaultInjectionParallel(c, hopeless, options);
+    const auto bad = engine.run(c, hopeless, options);
     EXPECT_EQ(bad.successes, 0u);
     EXPECT_GT(bad.stderrPst, 0.0);
 }
@@ -198,21 +197,16 @@ TEST_F(ParallelFaultSimTest, BoundaryRunsReportPositiveStderr)
 TEST_F(ParallelFaultSimTest, OptionsValidated)
 {
     const NoiseModel model(graph, snap);
+    ParallelFaultSim engine;
     ParallelFaultSimOptions options;
     options.trials = 0;
-    EXPECT_THROW(runFaultInjectionParallel(workload, model,
-                                           options),
-                 VaqError);
+    EXPECT_THROW(engine.run(workload, model, options), VaqError);
     options.trials = 100;
     options.chunkTrials = 0;
-    EXPECT_THROW(runFaultInjectionParallel(workload, model,
-                                           options),
-                 VaqError);
+    EXPECT_THROW(engine.run(workload, model, options), VaqError);
     options.chunkTrials = 10;
     options.targetStderr = -0.1;
-    EXPECT_THROW(runFaultInjectionParallel(workload, model,
-                                           options),
-                 VaqError);
+    EXPECT_THROW(engine.run(workload, model, options), VaqError);
 }
 
 TEST_F(ParallelFaultSimTest, CorruptCalibrationIsRejected)
@@ -222,7 +216,7 @@ TEST_F(ParallelFaultSimTest, CorruptCalibrationIsRejected)
     const NoiseModel model(graph, corrupt, CoherenceMode::None);
     Circuit c(5);
     c.measure(0);
-    EXPECT_THROW(runFaultInjectionParallel(c, model, {}), VaqError);
+    EXPECT_THROW(ParallelFaultSim().run(c, model, {}), VaqError);
     EXPECT_THROW(analyticPst(c, model), VaqError);
 }
 

@@ -215,37 +215,40 @@ TEST_F(ArtifactStoreTest, DeltaReuseServesAcrossCycles)
     ASSERT_NE(keyFor(benign).combined(),
               keyFor(snapshot).combined());
 
-    bool viaDelta = false;
-    const auto hit =
-        store.getOrDelta(keyFor(benign), benign, &viaDelta);
+    // stalenessTol is 0, so a serve across the change is a
+    // touched-set (delta) serve and never a bound serve.
+    DeltaServeInfo info;
+    const auto hit = store.getOrDelta(keyFor(benign), benign, info);
     ASSERT_TRUE(hit.has_value());
-    EXPECT_TRUE(viaDelta);
+    EXPECT_TRUE(info.viaDelta);
+    EXPECT_FALSE(info.boundReuse);
     EXPECT_EQ(store.stats().deltaReuse, 1u);
+    EXPECT_EQ(store.stats().boundReuse, 0u);
 
     // The alias makes the rest of the cycle exact, with no second
     // file on disk.
-    const auto again =
-        store.getOrDelta(keyFor(benign), benign, &viaDelta);
+    const auto again = store.getOrDelta(keyFor(benign), benign, info);
     ASSERT_TRUE(again.has_value());
-    EXPECT_FALSE(viaDelta);
+    EXPECT_FALSE(info.viaDelta);
+    EXPECT_FALSE(info.boundReuse);
     EXPECT_EQ(store.stats().exactHits, 1u);
     EXPECT_EQ(test::storeRecords(dir.path()).size(), 1u);
 
     // A cycle that drifts a touched link must miss.
     calibration::Snapshot breaking = snapshot;
     breaking.setLinkError(artifact.touchedLinks.front(), 0.2);
-    EXPECT_FALSE(store
-                     .getOrDelta(keyFor(breaking), breaking,
-                                 &viaDelta)
-                     .has_value());
-    EXPECT_FALSE(viaDelta);
+    EXPECT_FALSE(
+        store.getOrDelta(keyFor(breaking), breaking, info).has_value());
+    EXPECT_FALSE(info.viaDelta);
+    EXPECT_FALSE(info.boundReuse);
     EXPECT_EQ(store.stats().misses, 1u);
 
     // Delta reuse can be disabled.
     ArtifactStore strict(StoreOptions{.deltaReuse = false});
     strict.put(keyFor(snapshot), artifact);
     EXPECT_FALSE(
-        strict.getOrDelta(keyFor(benign), benign).has_value());
+        strict.getOrDelta(keyFor(benign), benign, info).has_value());
+    EXPECT_FALSE(info.viaDelta);
 }
 
 TEST_F(ArtifactStoreTest, BoundReuseServesCertifiedStaleness)
@@ -349,8 +352,9 @@ TEST_F(ArtifactStoreTest, DifferentPolicyNeverCrossesOver)
     const ArtifactKey otherKey =
         makeArtifactKey(logical, graph, snapshot, other);
     EXPECT_FALSE(store.get(otherKey).has_value());
+    DeltaServeInfo info;
     EXPECT_FALSE(
-        store.getOrDelta(otherKey, snapshot).has_value());
+        store.getOrDelta(otherKey, snapshot, info).has_value());
 }
 
 } // namespace

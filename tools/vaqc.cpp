@@ -1031,12 +1031,12 @@ run(const Options &options)
 
     // Report.
     const sim::NoiseModel model(machine, snapshot);
+    // One engine serves the Bernoulli and the outcome-checked run.
+    sim::ParallelFaultSim engine(options.threads);
     sim::ParallelFaultSimOptions simOptions;
     simOptions.trials = options.trials;
-    simOptions.threads = options.threads;
     simOptions.targetStderr = options.targetStderr;
-    const auto result = sim::runFaultInjectionParallel(
-        mapped.physical, model, simOptions);
+    const auto result = engine.run(mapped.physical, model, simOptions);
 
     std::cout << "program   : " << qasmPath << " ("
               << logical.numQubits() << " qubits, "
@@ -1070,13 +1070,12 @@ run(const Options &options)
     if (!options.simEngine.empty()) {
         sim::OutcomeSimOptions oOptions;
         oOptions.trials = options.trials;
-        oOptions.threads = options.threads;
         oOptions.targetStderr = options.targetStderr;
         oOptions.engine = sim::simEngineFromName(options.simEngine);
         try {
             const sim::OutcomeSimResult checked =
-                sim::runOutcomeCheckedParallel(mapped.physical,
-                                               model, oOptions);
+                engine.runOutcomeChecked(mapped.physical, model,
+                                         oOptions);
             std::cout << "sim-engine: "
                       << (checked.framePath ? "frame" : "dense")
                       << " (" << checked.gates.clifford
