@@ -10,6 +10,13 @@
  * engine two machine words per qubit). The dense-27 bench is pinned
  * to a handful of trials and one iteration so the comparison stays
  * runnable on a laptop.
+ *
+ * BM_FrameReference times PauliFrameSim construction alone — the
+ * stabilizer tableau plus the sparse ideal reference — on the same
+ * workloads and on mapped BV-19 on IBM-Q20, whose intermediate
+ * support (2^19 states) is the sparse replay's worst case.
+ * BM_DenseIdealMappedBv19 is the 2^20-amplitude dense run of that
+ * circuit, the cost the sparse replay must stay below.
  */
 #include <benchmark/benchmark.h>
 
@@ -19,10 +26,14 @@
 #include "calibration/synthetic.hpp"
 #include "circuit/circuit.hpp"
 #include "common/rng.hpp"
+#include "core/mapper.hpp"
 #include "sim/noise_model.hpp"
 #include "sim/parallel_fault_sim.hpp"
+#include "sim/pauli_frame.hpp"
+#include "sim/statevector.hpp"
 #include "topology/coupling_graph.hpp"
 #include "topology/layouts.hpp"
+#include "workloads/workloads.hpp"
 
 namespace
 {
@@ -180,5 +191,61 @@ BENCHMARK(BM_FrameTrials)
     ->Arg(20)
     ->Arg(27)
     ->Unit(benchmark::kMillisecond);
+
+void
+BM_FrameReference(benchmark::State &state)
+{
+    const FrameEnv &env = envFor(static_cast<int>(state.range(0)));
+    for (auto _ : state)
+        benchmark::DoNotOptimize(sim::PauliFrameSim(env.circuit, env.model));
+}
+BENCHMARK(BM_FrameReference)
+    ->Arg(5)
+    ->Arg(16)
+    ->Arg(20)
+    ->Unit(benchmark::kMillisecond);
+
+/** BV-19 mapped onto IBM-Q20 by vqa+vqm, with its noise model. */
+struct MappedBv19
+{
+    topology::CouplingGraph graph = topology::ibmQ20Tokyo();
+    calibration::Snapshot snapshot =
+        calibration::SyntheticSource(graph,
+                                     calibration::SyntheticParams{}, 11)
+            .nextCycle();
+    sim::NoiseModel model{graph, snapshot};
+    circuit::Circuit circuit =
+        core::makeMapper({.name = "vqa+vqm"})
+            .map(workloads::bernsteinVazirani(19), graph, snapshot)
+            .physical;
+};
+
+const MappedBv19 &
+mappedBv19()
+{
+    static const MappedBv19 env;
+    return env;
+}
+
+void
+BM_FrameReferenceMappedBv19(benchmark::State &state)
+{
+    const MappedBv19 &env = mappedBv19();
+    for (auto _ : state)
+        benchmark::DoNotOptimize(sim::PauliFrameSim(env.circuit, env.model));
+}
+BENCHMARK(BM_FrameReferenceMappedBv19)->Unit(benchmark::kMillisecond);
+
+void
+BM_DenseIdealMappedBv19(benchmark::State &state)
+{
+    const MappedBv19 &env = mappedBv19();
+    for (auto _ : state) {
+        sim::StateVector ideal(env.circuit.numQubits());
+        ideal.applyUnitaries(env.circuit);
+        benchmark::DoNotOptimize(ideal.probability(0));
+    }
+}
+BENCHMARK(BM_DenseIdealMappedBv19)->Unit(benchmark::kMillisecond);
 
 } // namespace

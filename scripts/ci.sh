@@ -104,6 +104,12 @@ cmp "$CHAOS_A" "$CHAOS_B" || {
 rm -f "$CHAOS_A" "$CHAOS_B"
 echo "ci: chaos smoke deterministic (threads 1 vs 8)"
 
+echo "== tier-1: frame reference bench smoke (must exit 0) =="
+# Times PauliFrameSim construction (stabilizer tableau + sparse ideal
+# reference) at widths 5/16/20 and on mapped BV-19/IBM-Q20.
+build/bench/perf_frame --benchmark_filter=BM_FrameReference >/dev/null
+echo "ci: frame reference bench smoke passed"
+
 echo "== tier-1: vaqd daemon smoke (compile + rollover over HTTP) =="
 # Start vaqd on an ephemeral port, parse the port it prints, then
 # drive one compile / rollover / recompile cycle through the

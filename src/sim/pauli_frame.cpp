@@ -6,6 +6,7 @@
 
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "sim/fault_sim.hpp"
 #include "sim/statevector.hpp"
 
@@ -447,6 +448,196 @@ StabilizerTableau::support() const
     return support;
 }
 
+namespace
+{
+
+/** One non-zero amplitude of the sparse ideal replay. */
+struct SparseAmp
+{
+    std::uint64_t state;
+    Amplitude amp;
+};
+
+/**
+ * StateVector's gate arithmetic over the non-zero amplitudes only,
+ * kept in a flat vector. CX and SWAP relabel states in place and
+ * leave the vector unsorted; a one-qubit gate first restores
+ * ascending order with an LSD radix sort, then pairs partners block
+ * by block and writes its output already sorted. Every gate is a
+ * few linear passes: no comparison sort, no tree.
+ */
+class SparseReplay
+{
+  public:
+    SparseReplay() { _cur.push_back({0, Amplitude(1.0, 0.0)}); }
+
+    /** Non-zero amplitudes, ascending state. */
+    const std::vector<SparseAmp> &
+    amplitudes()
+    {
+        sortByState();
+        return _cur;
+    }
+
+    void
+    apply(const Gate &gate)
+    {
+        const int a = gate.q0;
+        const int b = gate.q1;
+        switch (gate.kind) {
+          case GateKind::I:
+            return;
+          case GateKind::CX:
+            // Control set: the target bit flips.
+            for (SparseAmp &e : _cur)
+                e.state ^= ((e.state >> a) & 1) << b;
+            _sorted = false;
+            return;
+          case GateKind::CZ: {
+            const std::uint64_t both = (1ULL << a) | (1ULL << b);
+            for (SparseAmp &e : _cur) {
+                if ((e.state & both) == both)
+                    e.amp = -e.amp;
+            }
+            return;
+          }
+          case GateKind::SWAP:
+            for (SparseAmp &e : _cur) {
+                const std::uint64_t d = ((e.state >> a) ^ (e.state >> b)) & 1;
+                e.state ^= (d << a) | (d << b);
+            }
+            _sorted = false;
+            return;
+          default:
+            oneQubit(1ULL << a, cliffordMatrix(gate.kind).m);
+            return;
+        }
+    }
+
+  private:
+    /**
+     * Pair every entry with its partner across `bit` (an absent
+     * partner is +0) and run StateVector's pair update on it. In a
+     * sorted vector the states sharing the bits above `bit` form a
+     * block, bit-clear entries first; each block's outputs are
+     * emitted bit-clear half first, so the result stays sorted.
+     */
+    void
+    oneQubit(std::uint64_t bit, const Amplitude m[2][2])
+    {
+        sortByState();
+        const std::uint64_t low = bit - 1;
+        const std::uint64_t high = ~(low | bit);
+        // Low bits never reach ~0, so it marks an exhausted half.
+        constexpr std::uint64_t kNone = ~0ULL;
+        const std::size_t n = _cur.size();
+        _next.clear();
+        _next.reserve(2 * n);
+        std::size_t i = 0;
+        while (i < n) {
+            const std::uint64_t block = _cur[i].state & high;
+            std::size_t mid = i;
+            while (mid < n && (_cur[mid].state & ~low) == block)
+                ++mid;
+            std::size_t end = mid;
+            while (end < n && (_cur[end].state & high) == block)
+                ++end;
+            _hi.clear();
+            for (std::size_t x = i, y = mid; x < mid || y < end;) {
+                const std::uint64_t k0 =
+                    x < mid ? _cur[x].state & low : kNone;
+                const std::uint64_t k1 =
+                    y < end ? _cur[y].state & low : kNone;
+                const std::uint64_t key = std::min(k0, k1);
+                Amplitude a0(0.0, 0.0);
+                Amplitude a1(0.0, 0.0);
+                if (k0 == key)
+                    a0 = _cur[x++].amp;
+                if (k1 == key)
+                    a1 = _cur[y++].amp;
+                applyPair(m, a0, a1);
+                if (a0 != Amplitude(0.0, 0.0))
+                    _next.push_back({block | key, a0});
+                if (a1 != Amplitude(0.0, 0.0))
+                    _hi.push_back({block | bit | key, a1});
+            }
+            // Blocks are often one or two entries: a plain loop
+            // beats a range insert here.
+            for (const SparseAmp &e : _hi)
+                _next.push_back(e);
+            i = end;
+        }
+        _cur.swap(_next);
+    }
+
+    /** Stable LSD radix sort on the state over the bits any state
+     *  uses. Digits are at most 11 bits and no wider than the
+     *  vector's size needs, so tiny supports skip wide histograms. */
+    void
+    sortByState()
+    {
+        if (_sorted)
+            return;
+        _sorted = true;
+        const auto byState = [](const SparseAmp &x, const SparseAmp &y) {
+            return x.state < y.state;
+        };
+        if (std::is_sorted(_cur.begin(), _cur.end(), byState))
+            return;
+        std::uint64_t used = 0;
+        for (const SparseAmp &e : _cur)
+            used |= e.state;
+        const int width = std::bit_width(used);
+        const int digitBits =
+            std::clamp(static_cast<int>(std::bit_width(_cur.size())), 1, 11);
+        const std::uint64_t digitMask = (1ULL << digitBits) - 1;
+        _next.resize(_cur.size());
+        for (int shift = 0; shift < width; shift += digitBits) {
+            _offset.assign(digitMask + 2, 0);
+            for (const SparseAmp &e : _cur)
+                ++_offset[((e.state >> shift) & digitMask) + 1];
+            for (std::size_t d = 1; d < _offset.size(); ++d)
+                _offset[d] += _offset[d - 1];
+            for (const SparseAmp &e : _cur)
+                _next[_offset[(e.state >> shift) & digitMask]++] = e;
+            _cur.swap(_next);
+        }
+    }
+
+    std::vector<SparseAmp> _cur;
+    std::vector<SparseAmp> _next;
+    std::vector<SparseAmp> _hi;
+    std::vector<std::size_t> _offset;
+    bool _sorted = true;
+};
+
+} // namespace
+
+std::vector<std::pair<std::uint64_t, double>>
+sparseIdealProbabilities(const Circuit &circuit)
+{
+    require(circuit.numQubits() <= 64,
+            "sparse ideal replay supports at most 64 qubits");
+    SparseReplay replay;
+    for (const Gate &gate : circuit.gates()) {
+        if (!gate.isUnitary())
+            continue;
+        require(isCliffordGate(gate.kind),
+                "sparse ideal replay supports Clifford gates only, "
+                "got " + circuit::gateName(gate.kind));
+        replay.apply(gate);
+    }
+    const std::vector<SparseAmp> &amplitudes = replay.amplitudes();
+    std::vector<std::pair<std::uint64_t, double>> probabilities;
+    probabilities.reserve(amplitudes.size());
+    for (const SparseAmp &e : amplitudes) {
+        const double p = std::norm(e.amp);
+        if (p != 0.0)
+            probabilities.push_back({e.state, p});
+    }
+    return probabilities;
+}
+
 PauliFrameSim::PauliFrameSim(const Circuit &physical,
                              const NoiseModel &model,
                              const PauliFrameOptions &options)
@@ -511,25 +702,25 @@ PauliFrameSim::PauliFrameSim(const Circuit &physical,
         _stream.m1.push_back(g.isTwoQubit() ? (1ULL << g.q1) : 0);
     }
 
+    obs::Span referenceSpan("sim.frame.reference", telemetry);
+    obs::ScopedTimer referenceTimer("sim.frame.reference.seconds",
+                                    telemetry);
     StabilizerTableau tableau(physical.numQubits());
     tableau.applyUnitaries(physical);
     _support = tableau.support();
 
-    // Prefer the dense reference when feasible: its per-shot walk
-    // replays the dense sampler's exact float subtractions, making
-    // frame trials bit-identical to dense trials.
+    // Prefer the dense-amplitude reference when feasible: its
+    // per-shot walk replays the dense sampler's exact float
+    // subtractions, making frame trials bit-identical to dense
+    // trials. Every tableau-support state has a non-zero dense
+    // probability, so a support wider than maxDenseSupport can
+    // never pass the size check and the replay is skipped.
     _reference = FrameReference::Tableau;
+    const std::size_t k = _support.dimension();
     if (physical.numQubits() <=
-        std::min(options.denseReferenceMaxQubits, 27)) {
-        StateVector ideal(physical.numQubits());
-        ideal.applyUnitaries(physical);
-        std::vector<std::pair<std::uint64_t, double>> entries;
-        const std::uint64_t dim = ideal.dimension();
-        for (std::uint64_t s = 0; s < dim; ++s) {
-            const double p = ideal.probability(s);
-            if (p != 0.0)
-                entries.push_back({s, p});
-        }
+            std::min(options.denseReferenceMaxQubits, 27) &&
+        k < 64 && (1ULL << k) <= options.maxDenseSupport) {
+        auto entries = sparseIdealProbabilities(physical);
         if (entries.size() <= options.maxDenseSupport) {
             _denseRef = std::move(entries);
             _reference = FrameReference::DenseAmplitudes;
@@ -555,8 +746,11 @@ PauliFrameSim::sampleIdeal(Rng &rng, std::uint64_t frameX) const
         // dense loop never compares against the last index).
         double r = rng.uniform();
         const std::uint64_t dim = 1ULL << _physical.numQubits();
-        std::vector<std::pair<std::uint64_t, double>> shifted;
-        shifted.reserve(_denseRef.size());
+        // Per-thread scratch: runShot() stays const and reentrant
+        // without an allocation per trial.
+        thread_local std::vector<std::pair<std::uint64_t, double>>
+            shifted;
+        shifted.clear();
         for (const auto &[s, p] : _denseRef)
             shifted.push_back({s ^ frameX, p});
         std::sort(shifted.begin(), shifted.end());

@@ -23,9 +23,13 @@
  *    under those phases), so the dense noisy probability vector is
  *    the ideal one XOR-permuted by the frame's X mask, bitwise;
  *  - the frame path replays StateVector::sample()'s exact
- *    subtraction walk over that permuted vector using amplitudes
- *    from a single ideal dense run (FrameReference::DenseAmplitudes).
- * Beyond the dense envelope (width or support too large) sampling
+ *    subtraction walk over that permuted vector
+ *    (FrameReference::DenseAmplitudes). The ideal probabilities come
+ *    from sparseIdealProbabilities(), which repeats the dense
+ *    engine's gate arithmetic over the non-zero amplitudes only and
+ *    matches the dense run bitwise without allocating 2^n
+ *    amplitudes.
+ * Beyond that envelope (width or support too large) sampling
  * switches to an exact stabilizer-tableau description of the ideal
  * state (FrameReference::Tableau): the support of a stabilizer
  * state is an affine subspace offset ^ span(basis) with uniform
@@ -42,6 +46,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "circuit/circuit.hpp"
@@ -195,11 +200,35 @@ class StabilizerTableau
     std::vector<Row> _rows;
 };
 
+/**
+ * Ideal output distribution of a Clifford circuit: (basis state,
+ * probability) for every non-zero probability, ascending state.
+ * Bitwise equal to the non-zero entries of
+ * StateVector::probabilities() after applyUnitaries(), computed by
+ * repeating the dense engine's gate arithmetic over the non-zero
+ * amplitudes only:
+ *  - one-qubit gates pair each amplitude with its partner across
+ *    the qubit's bit (an absent partner is +0) and run the dense
+ *    pair update, applyPair(), on the pair;
+ *  - CX and SWAP permute basis states, CZ negates;
+ *  - amplitudes that come out exactly zero are dropped.
+ * An absent partner differs from the dense one at most in the sign
+ * of a zero, which never reaches a non-zero result or std::norm.
+ * Each gate costs a few linear passes over a flat vector of the
+ * support: CX and SWAP relabel states in place, and a one-qubit gate
+ * restores ascending order with a radix sort before pairing. The
+ * intermediate support can still reach 2^n. Throws
+ * VaqError on non-Clifford gates or circuits wider than 64 qubits.
+ */
+std::vector<std::pair<std::uint64_t, double>>
+sparseIdealProbabilities(const circuit::Circuit &circuit);
+
 /** How frame-path trials turn a frame into an outcome. */
 enum class FrameReference
 {
-    /** Replay of the dense sampler's float walk over one ideal
-     *  dense run — bit-exact vs. the dense engine. */
+    /** Replay of the dense sampler's float walk over the ideal
+     *  probabilities of sparseIdealProbabilities() — bit-exact vs.
+     *  the dense engine. */
     DenseAmplitudes,
     /** Exact stabilizer support with uniform outcome weights —
      *  used beyond the dense envelope. */
@@ -221,8 +250,11 @@ struct PauliFrameOptions
 
 /**
  * The per-trial engine. Construction classifies the circuit, builds
- * the frame stream and the ideal reference (one dense run and/or a
- * tableau); each trial is then O(gates + support). The referenced
+ * the frame stream and the ideal reference (the stabilizer tableau,
+ * plus the sparse ideal probabilities when the support fits the
+ * dense-amplitude envelope); each trial is then O(gates + support).
+ * Reference construction is timed in the sim.frame.reference span
+ * and sim.frame.reference.seconds histogram. The referenced
  * circuit and model must outlive the engine. runShot() is const and
  * safe to call concurrently with distinct Rng streams.
  */

@@ -18,6 +18,29 @@ constexpr double kInvSqrt2 = 0.7071067811865475244;
 
 } // namespace
 
+Matrix2
+cliffordMatrix(GateKind kind)
+{
+    switch (kind) {
+      case GateKind::X:
+        return {{{0, 1}, {1, 0}}};
+      case GateKind::Y:
+        return {{{0, Amplitude(0, -1)}, {Amplitude(0, 1), 0}}};
+      case GateKind::Z:
+        return {{{1, 0}, {0, -1}}};
+      case GateKind::H:
+        return {{{kInvSqrt2, kInvSqrt2}, {kInvSqrt2, -kInvSqrt2}}};
+      case GateKind::S:
+        return {{{1, 0}, {0, Amplitude(0, 1)}}};
+      case GateKind::Sdg:
+        return {{{1, 0}, {0, Amplitude(0, -1)}}};
+      default:
+        break;
+    }
+    throw VaqError("no one-qubit Clifford matrix for " +
+                   circuit::gateName(kind));
+}
+
 StateVector::StateVector(int num_qubits)
     : _numQubits(num_qubits)
 {
@@ -59,11 +82,7 @@ StateVector::applyOneQubitMatrix(Qubit q, const Amplitude m[2][2])
     for (std::uint64_t base = 0; base < dim; base += stride * 2) {
         for (std::uint64_t offset = 0; offset < stride; ++offset) {
             const std::uint64_t i0 = base + offset;
-            const std::uint64_t i1 = i0 + stride;
-            const Amplitude a0 = _amps[i0];
-            const Amplitude a1 = _amps[i1];
-            _amps[i0] = m[0][0] * a0 + m[0][1] * a1;
-            _amps[i1] = m[1][0] * a0 + m[1][1] * a1;
+            applyPair(m, _amps[i0], _amps[i0 + stride]);
         }
     }
 }
@@ -77,38 +96,14 @@ StateVector::apply(const Gate &gate)
     switch (gate.kind) {
       case GateKind::I:
         return;
-      case GateKind::X: {
-        const Amplitude m[2][2] = {{0, 1}, {1, 0}};
-        applyOneQubitMatrix(gate.q0, m);
+      case GateKind::X:
+      case GateKind::Y:
+      case GateKind::Z:
+      case GateKind::H:
+      case GateKind::S:
+      case GateKind::Sdg:
+        applyOneQubitMatrix(gate.q0, cliffordMatrix(gate.kind).m);
         return;
-      }
-      case GateKind::Y: {
-        const Amplitude m[2][2] = {{0, Amplitude(0, -1)},
-                                   {Amplitude(0, 1), 0}};
-        applyOneQubitMatrix(gate.q0, m);
-        return;
-      }
-      case GateKind::Z: {
-        const Amplitude m[2][2] = {{1, 0}, {0, -1}};
-        applyOneQubitMatrix(gate.q0, m);
-        return;
-      }
-      case GateKind::H: {
-        const Amplitude m[2][2] = {{kInvSqrt2, kInvSqrt2},
-                                   {kInvSqrt2, -kInvSqrt2}};
-        applyOneQubitMatrix(gate.q0, m);
-        return;
-      }
-      case GateKind::S: {
-        const Amplitude m[2][2] = {{1, 0}, {0, Amplitude(0, 1)}};
-        applyOneQubitMatrix(gate.q0, m);
-        return;
-      }
-      case GateKind::Sdg: {
-        const Amplitude m[2][2] = {{1, 0}, {0, Amplitude(0, -1)}};
-        applyOneQubitMatrix(gate.q0, m);
-        return;
-      }
       case GateKind::T: {
         const Amplitude m[2][2] = {
             {1, 0}, {0, std::polar(1.0, M_PI / 4.0)}};

@@ -32,6 +32,34 @@ namespace vaq::sim
 /** Complex amplitude type. */
 using Amplitude = std::complex<double>;
 
+/** Row-major 2x2 one-qubit matrix. */
+struct Matrix2
+{
+    Amplitude m[2][2];
+};
+
+/**
+ * The matrix StateVector::apply multiplies a one-qubit Clifford gate
+ * (X/Y/Z/H/S/Sdg) by; throws VaqError for any other kind. The
+ * Pauli-frame engine's sparse ideal replay reads the same constants.
+ */
+Matrix2 cliffordMatrix(circuit::GateKind kind);
+
+/**
+ * Update one amplitude pair (a0 at bit q clear, a1 at bit q set)
+ * through a 2x2 matrix. Every one-qubit update of the dense engine
+ * and of the sparse ideal replay goes through this expression, so
+ * the two perform the same float operations by construction.
+ */
+inline void
+applyPair(const Amplitude m[2][2], Amplitude &a0, Amplitude &a1)
+{
+    const Amplitude b0 = a0;
+    const Amplitude b1 = a1;
+    a0 = m[0][0] * b0 + m[0][1] * b1;
+    a1 = m[1][0] * b0 + m[1][1] * b1;
+}
+
 /** Dense 2^n state vector initialized to |0...0>. */
 class StateVector
 {

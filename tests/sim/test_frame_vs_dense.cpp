@@ -26,6 +26,7 @@
 #include "clifford_corpus.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "core/mapper.hpp"
 #include "sim/noise_model.hpp"
 #include "sim/noise_script.hpp"
 #include "sim/parallel_fault_sim.hpp"
@@ -119,6 +120,20 @@ TEST(FrameVsDense, BitExactPerTrialOnCliffordWorkloads)
         const NoiseModel model(graph, snap);
         expectBitExact(workloads::triSwap(), model, trajectory,
                        3000);
+    }
+    {
+        // A mapped program on a 20-qubit machine: its dense-amplitude
+        // reference comes from a sparse replay whose intermediate
+        // support reaches 2^16. Each dense trial moves 2^20
+        // amplitudes through every gate, hence the short run.
+        const auto q20 = topology::ibmQ20Tokyo();
+        const auto snap = test::uniformSnapshot(q20);
+        const NoiseModel model(q20, snap);
+        const Circuit bv = core::makeMapper({.name = "vqa+vqm"})
+                               .map(workloads::bernsteinVazirani(16),
+                                    q20, snap)
+                               .physical;
+        expectBitExact(bv, model, trajectory, 12);
     }
 }
 
