@@ -10,7 +10,10 @@
 #                          # (clang-tidy over the default dirs)
 #
 # The default ctest run includes every label (robustness, parallel,
-# analysis, store, router, obs, sim, fleet, ...). The TSan leg
+# analysis, store, router, obs, sim, fleet, ...). Two perf_* benches
+# run as exit-0 smokes: perf_frame's frame-reference construction and
+# perf_simulator's 1M-trial, 4-thread Bernoulli fault-injection run
+# (the threshold trial kernel). The TSan leg
 # rebuilds into build-tsan/ and runs only
 # `-L "parallel|analysis|store|sim|service|fleet"`
 # — the tests that exercise the thread pool, the shared path caches,
@@ -109,6 +112,18 @@ echo "== tier-1: frame reference bench smoke (must exit 0) =="
 # reference) at widths 5/16/20 and on mapped BV-19/IBM-Q20.
 build/bench/perf_frame --benchmark_filter=BM_FrameReference >/dev/null
 echo "ci: frame reference bench smoke passed"
+
+echo "== tier-1: Bernoulli trial kernel bench smoke (must exit 0) =="
+# 1M Monte-Carlo fault-injection trials of mapped BV-16 on 4 workers
+# through ParallelFaultSim's threshold kernel. Google Benchmark exits 0
+# when a filter matches nothing, so the output must name the case.
+KERNEL_OUT="$(build/bench/perf_simulator \
+    --benchmark_filter='BM_ParallelFaultInjection/1000000/4')"
+grep -q 'BM_ParallelFaultInjection/1000000/4' <<<"$KERNEL_OUT" || {
+    echo "ci: Bernoulli trial kernel bench selected no benchmark" >&2
+    exit 1
+}
+echo "ci: Bernoulli trial kernel bench smoke passed"
 
 echo "== tier-1: vaqd daemon smoke (compile + rollover over HTTP) =="
 # Start vaqd on an ephemeral port, parse the port it prints, then

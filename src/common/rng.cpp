@@ -21,12 +21,6 @@ splitMix64(std::uint64_t &x)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(std::uint64_t seed)
@@ -34,35 +28,6 @@ Rng::Rng(std::uint64_t seed)
     std::uint64_t s = seed;
     for (auto &word : _state)
         word = splitMix64(s);
-}
-
-Rng::result_type
-Rng::operator()()
-{
-    return nextRaw();
-}
-
-std::uint64_t
-Rng::nextRaw()
-{
-    const std::uint64_t result = rotl(_state[1] * 5, 7) * 9;
-    const std::uint64_t t = _state[1] << 17;
-
-    _state[2] ^= _state[0];
-    _state[3] ^= _state[1];
-    _state[1] ^= _state[2];
-    _state[0] ^= _state[3];
-    _state[2] ^= t;
-    _state[3] = rotl(_state[3], 45);
-
-    return result;
-}
-
-double
-Rng::uniform()
-{
-    // 53 high bits -> double in [0, 1).
-    return static_cast<double>(nextRaw() >> 11) * 0x1.0p-53;
 }
 
 double
@@ -92,16 +57,6 @@ Rng::uniformInt(std::int64_t lo, std::int64_t hi)
     const std::uint64_t span =
         static_cast<std::uint64_t>(hi - lo) + 1ULL;
     return lo + static_cast<std::int64_t>(uniformInt(span));
-}
-
-bool
-Rng::bernoulli(double p)
-{
-    if (p <= 0.0)
-        return false;
-    if (p >= 1.0)
-        return true;
-    return uniform() < p;
 }
 
 double

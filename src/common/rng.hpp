@@ -13,6 +13,8 @@
 #define VAQ_COMMON_RNG_HPP
 
 #include <array>
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -36,11 +38,32 @@ class Rng
     static constexpr result_type min() { return 0; }
     static constexpr result_type max() { return ~0ULL; }
 
-    /** Next raw 64-bit word. */
-    result_type operator()();
+    /** Next raw 64-bit word (one xoshiro256** step). */
+    std::uint64_t
+    nextRaw()
+    {
+        const std::uint64_t result = std::rotl(_state[1] * 5, 7) * 9;
+        const std::uint64_t t = _state[1] << 17;
 
-    /** Uniform double in [0, 1). */
-    double uniform();
+        _state[2] ^= _state[0];
+        _state[3] ^= _state[1];
+        _state[1] ^= _state[2];
+        _state[0] ^= _state[3];
+        _state[2] ^= t;
+        _state[3] = std::rotl(_state[3], 45);
+
+        return result;
+    }
+
+    /** Next raw 64-bit word. */
+    result_type operator()() { return nextRaw(); }
+
+    /** Uniform double in [0, 1): the 53 high bits of one word. */
+    double
+    uniform()
+    {
+        return static_cast<double>(nextRaw() >> 11) * 0x1.0p-53;
+    }
 
     /** Uniform double in [lo, hi). Requires lo <= hi. */
     double uniform(double lo, double hi);
@@ -51,8 +74,45 @@ class Rng
     /** Uniform integer in [lo, hi] inclusive. Requires lo <= hi. */
     std::int64_t uniformInt(std::int64_t lo, std::int64_t hi);
 
-    /** Bernoulli trial: true with probability p (clamped to [0,1]). */
-    bool bernoulli(double p);
+    /**
+     * Bernoulli trial: true with probability p (clamped to [0,1]).
+     * p <= 0 and p >= 1 decide without consuming a draw; any other
+     * p, NaN included, consumes exactly one.
+     */
+    bool
+    bernoulli(double p)
+    {
+        if (p <= 0.0)
+            return false;
+        if (p >= 1.0)
+            return true;
+        return uniform() < p;
+    }
+
+    /**
+     * Raw-word threshold of bernoulli(p): for p in (0, 1),
+     *
+     *     uniform() < p   <=>   nextRaw() < ceil(p * 2^53) * 2^11.
+     *
+     * uniform() tests k * 2^-53 < p on the word's high 53 bits
+     * k = r >> 11. Scaling by 2^53 is exact, so that is k <
+     * ceil(p * 2^53) for the integer k, which is r < ceil(p * 2^53)
+     * << 11. p < 1 keeps ceil(p * 2^53) <= 2^53 - 1, so the
+     * threshold stays below 2^64. NaN and p <= 0 give 0 (never
+     * fires). p >= 1 has no exact threshold: bernoulli fires
+     * without a draw there, so callers must handle it themselves;
+     * it returns max().
+     */
+    static std::uint64_t
+    bernoulliThreshold(double p)
+    {
+        if (!(p > 0.0))
+            return 0;
+        if (p >= 1.0)
+            return max();
+        return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53))
+               << 11;
+    }
 
     /** Standard normal via Box-Muller (cached spare). */
     double gauss();
@@ -94,8 +154,6 @@ class Rng
     Rng split();
 
   private:
-    std::uint64_t nextRaw();
-
     std::array<std::uint64_t, 4> _state;
     double _spare = 0.0;
     bool _hasSpare = false;

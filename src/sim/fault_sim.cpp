@@ -116,35 +116,55 @@ TrialTally::merge(const TrialTally &other)
 {
     trials += other.trials;
     successes += other.successes;
-    indicator.merge(other.indicator);
+}
+
+TrialThresholds
+compileThresholds(const std::vector<double> &probs)
+{
+    TrialThresholds compiled;
+    compiled.thresholds.reserve(probs.size());
+    for (double p : probs) {
+        if (p >= 1.0) {
+            compiled.certainFailure = true;
+            break;
+        }
+        if (p > 0.0)
+            compiled.thresholds.push_back(Rng::bernoulliThreshold(p));
+    }
+    return compiled;
 }
 
 TrialTally
-simulateChunk(const std::vector<double> &probs, std::size_t trials,
+simulateChunk(const TrialThresholds &compiled, std::size_t trials,
               Rng &rng)
 {
+    // Work on a local copy of the stream so its state can live in
+    // registers: the threshold loads are 64-bit words too, and the
+    // compiler cannot otherwise prove they do not alias it.
+    Rng local = rng;
+    const std::uint64_t *const first = compiled.thresholds.data();
+    const std::uint64_t *const last =
+        first + compiled.thresholds.size();
+    std::size_t survivors = 0;
+    for (std::size_t t = 0; t < trials; ++t) {
+        const std::uint64_t *op = first;
+        while (op != last && local.nextRaw() >= *op)
+            ++op;
+        survivors += op == last ? 1 : 0;
+    }
+    rng = local;
+
     TrialTally tally;
     tally.trials = trials;
-    for (std::size_t t = 0; t < trials; ++t) {
-        bool failed = false;
-        for (double p : probs) {
-            if (rng.bernoulli(p)) {
-                failed = true;
-                break;
-            }
-        }
-        if (!failed)
-            ++tally.successes;
-        tally.indicator.add(failed ? 0.0 : 1.0);
-    }
+    tally.successes = compiled.certainFailure ? 0 : survivors;
     return tally;
 }
 
 FaultSimResult
 resultFromTally(const TrialTally &tally, double analytic_pst)
 {
-    VAQ_ASSERT(tally.indicator.count() == tally.trials,
-               "trial tally and indicator stream disagree");
+    VAQ_ASSERT(tally.successes <= tally.trials,
+               "more successes than trials");
     FaultSimResult result;
     result.trials = tally.trials;
     result.successes = tally.successes;

@@ -21,7 +21,6 @@
 
 #include "circuit/circuit.hpp"
 #include "common/rng.hpp"
-#include "common/statistics.hpp"
 #include "sim/noise_model.hpp"
 #include "sim/schedule.hpp"
 
@@ -95,21 +94,37 @@ struct TrialTally
 {
     std::size_t trials = 0;
     std::size_t successes = 0;
-    /** Per-trial 0/1 success stream (RunningStats::merge-reducible). */
-    RunningStats indicator;
 
-    /** Fold another chunk's tally into this one (order-sensitive
-     *  only in floating-point rounding of `indicator`; the integer
-     *  fields are exact in any order). */
+    /** Fold another chunk's tally into this one. */
     void merge(const TrialTally &other);
 };
 
 /**
- * Run `trials` Bernoulli-per-operation trials against `probs`,
+ * Collected probabilities compiled for the trial kernel. A trial
+ * draws one raw word per threshold, in order, and fails at the first
+ * word below its threshold (Rng::bernoulliThreshold): the same coins
+ * a loop of Rng::bernoulli(p) flips, on the same words.
+ */
+struct TrialThresholds
+{
+    /** One threshold per op with 0 < p < 1, up to the first
+     *  p >= 1. Ops with p <= 0 are dropped: bernoulli(0) consumes
+     *  no draw. */
+    std::vector<std::uint64_t> thresholds;
+    /** A p >= 1 op ended the list: it fails every trial that
+     *  reaches it, without a draw. */
+    bool certainFailure = false;
+};
+
+/** Compile collectErrorProbs()' vector into kernel thresholds. */
+TrialThresholds compileThresholds(const std::vector<double> &probs);
+
+/**
+ * Run `trials` Bernoulli-per-operation trials against `compiled`,
  * consuming randomness from `rng`. The trial loop ParallelFaultSim
  * runs once per chunk, on that chunk's split stream.
  */
-TrialTally simulateChunk(const std::vector<double> &probs,
+TrialTally simulateChunk(const TrialThresholds &compiled,
                          std::size_t trials, Rng &rng);
 
 /** Assemble a FaultSimResult from a tally and the closed form. */

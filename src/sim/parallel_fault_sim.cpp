@@ -51,6 +51,8 @@ ParallelFaultSim::run(const Circuit &physical, const NoiseModel &model,
 
     const std::vector<double> probs =
         detail::collectErrorProbs(physical, model);
+    const detail::TrialThresholds compiled =
+        detail::compileThresholds(probs);
 
     const std::size_t numChunks =
         (options.trials + options.chunkTrials - 1) /
@@ -85,7 +87,8 @@ ParallelFaultSim::run(const Circuit &physical, const NoiseModel &model,
                 (first + i) * options.chunkTrials;
             const std::size_t n = std::min(
                 options.chunkTrials, options.trials - begin);
-            tallies[i] = detail::simulateChunk(probs, n, streams[i]);
+            tallies[i] =
+                detail::simulateChunk(compiled, n, streams[i]);
         });
 
         // Reduce in chunk order — the merge sequence, like the
@@ -245,7 +248,6 @@ ParallelFaultSim::runOutcomeChecked(const Circuit &physical,
                 const bool ok = accepts(outcome);
                 ++out.tally.trials;
                 out.tally.successes += ok ? 1 : 0;
-                out.tally.indicator.add(ok ? 1.0 : 0.0);
             }
         });
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -106,6 +108,68 @@ TEST(Rng, BernoulliEdgeCases)
         EXPECT_FALSE(rng.bernoulli(-0.5));
         EXPECT_TRUE(rng.bernoulli(1.5));
     }
+}
+
+TEST(Rng, BernoulliThresholdMatchesBernoulliOnSharedStream)
+{
+    std::vector<double> ps = {0.0,
+                              4.9e-324,
+                              0x1.0p-53,
+                              0.5,
+                              std::nextafter(1.0, 0.0),
+                              1.0,
+                              std::numeric_limits<double>::quiet_NaN()};
+    Rng pick(101);
+    for (int i = 0; i < 100'000; ++i) {
+        // Half uniform, half log-uniform down to 1e-12.
+        ps.push_back(i % 2 == 0 ? pick.uniform()
+                                : std::pow(10.0, pick.uniform(-12.0,
+                                                              0.0)));
+    }
+
+    Rng stream(103);
+    std::size_t mismatches = 0, diverged = 0;
+    for (const double p : ps) {
+        Rng viaBernoulli = stream;
+        const bool fired = viaBernoulli.bernoulli(p);
+        mismatches +=
+            fired != (stream.nextRaw() < Rng::bernoulliThreshold(p));
+        // Inside (0, 1), and for NaN, bernoulli consumes exactly the
+        // one word the threshold compare consumed.
+        if (!(p <= 0.0) && !(p >= 1.0)) {
+            Rng probe = stream;
+            diverged += viaBernoulli.nextRaw() != probe.nextRaw();
+        }
+    }
+    EXPECT_EQ(mismatches, 0u);
+    EXPECT_EQ(diverged, 0u);
+}
+
+TEST(Rng, BernoulliThresholdIsTheExactUniformBoundary)
+{
+    // The last word that fires and the first that does not, read as
+    // uniform() would read them.
+    const auto asUniform = [](std::uint64_t word) {
+        return static_cast<double>(word >> 11) * 0x1.0p-53;
+    };
+    Rng pick(107);
+    std::vector<double> ps = {4.9e-324, 0x1.0p-53, 0.5, 0.1,
+                              std::nextafter(1.0, 0.0)};
+    for (int i = 0; i < 1000; ++i)
+        ps.push_back(std::pow(10.0, pick.uniform(-15.0, 0.0)));
+    for (const double p : ps) {
+        const std::uint64_t threshold = Rng::bernoulliThreshold(p);
+        ASSERT_GT(threshold, 0u) << p;
+        EXPECT_LT(asUniform(threshold - 1), p) << p;
+        EXPECT_GE(asUniform(threshold), p) << p;
+    }
+    EXPECT_EQ(Rng::bernoulliThreshold(std::nextafter(1.0, 0.0)),
+              ~0ULL - 2047);
+    EXPECT_EQ(Rng::bernoulliThreshold(0.0), 0u);
+    EXPECT_EQ(Rng::bernoulliThreshold(-0.5), 0u);
+    EXPECT_EQ(Rng::bernoulliThreshold(
+                  std::numeric_limits<double>::quiet_NaN()),
+              0u);
 }
 
 TEST(Rng, BernoulliFrequencyMatchesP)
@@ -228,6 +292,30 @@ TEST(Rng, SplitSequenceIsDeterministic)
         for (int i = 0; i < 20; ++i)
             EXPECT_EQ(a(), b());
     }
+}
+
+TEST(Rng, GoldenStreamOfSeedSeven)
+{
+    // Recorded from the out-of-line engine before the xoshiro step,
+    // uniform() and bernoulli() moved into the header.
+    Rng raw(7);
+    EXPECT_EQ(raw.nextRaw(), 12923355070828475994ULL);
+    EXPECT_EQ(raw.nextRaw(), 5142052590334782674ULL);
+    EXPECT_EQ(raw.nextRaw(), 15488392906492639638ULL);
+    EXPECT_EQ(raw.nextRaw(), 18098058644649177664ULL);
+
+    Rng uni(7);
+    EXPECT_EQ(uni.uniform(), 0x1.66b1f5ee9df2ep-1);
+    EXPECT_EQ(uni.uniform(), 0x1.1d70f6593d20ap-2);
+    EXPECT_EQ(uni.uniform(), 0x1.ade3a6932a58fp-1);
+
+    Rng parent(7);
+    Rng child = parent.split();
+    EXPECT_EQ(child.nextRaw(), 2399390100814473381ULL);
+    EXPECT_EQ(child.nextRaw(), 9558726101048564188ULL);
+    EXPECT_EQ(child.uniform(), 0x1.b3ba06901991ep-1);
+    EXPECT_EQ(child.uniform(), 0x1.aaa2eddeeddd8p-2);
+    EXPECT_EQ(parent.nextRaw(), 5142052590334782674ULL);
 }
 
 } // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/error.hpp"
 #include "core/mapper.hpp"
@@ -237,6 +238,73 @@ TEST_F(FaultSimTest, OptionsValidated)
     EXPECT_THROW(ParallelFaultSim(1).run(Circuit(5), model,
                                          options),
                  VaqError);
+}
+
+/**
+ * The per-draw loop the threshold kernel replaced: one
+ * Rng::bernoulli(p) per operation, stopping at the first error.
+ */
+detail::TrialTally
+bernoulliLoopChunk(const std::vector<double> &probs,
+                   std::size_t trials, Rng &rng)
+{
+    detail::TrialTally tally;
+    tally.trials = trials;
+    for (std::size_t t = 0; t < trials; ++t) {
+        bool failed = false;
+        for (double p : probs) {
+            if (rng.bernoulli(p)) {
+                failed = true;
+                break;
+            }
+        }
+        tally.successes += failed ? 0 : 1;
+    }
+    return tally;
+}
+
+TEST(FaultSimKernel, ThresholdKernelMatchesBernoulliLoopBitForBit)
+{
+    const double tiny = 4.9e-324; // smallest subnormal
+    const double belowOne = std::nextafter(1.0, 0.0);
+    std::vector<double> realistic;
+    Rng pick(5);
+    for (int i = 0; i < 40; ++i)
+        realistic.push_back(pick.uniform(0.0, 0.05));
+    const std::vector<std::vector<double>> cases = {
+        // A certain error mid-vector: the ops before it still draw.
+        {0.0, tiny, 0x1.0p-53, 0.5, 1.0, belowOne, 0.25, 0.0},
+        {0.0, tiny, 0x1.0p-53, 0.5, 0.0, 0.01, 0.03},
+        {0.02, belowOne, 0.1},
+        {0.0, 0.0, 0.0},
+        {},
+        realistic,
+    };
+
+    std::size_t totalSuccesses = 0;
+    for (std::size_t c = 0; c < cases.size(); ++c) {
+        const std::vector<double> &probs = cases[c];
+        const detail::TrialThresholds compiled =
+            detail::compileThresholds(probs);
+        for (const std::uint64_t seed : {1ULL, 7ULL, 2019ULL}) {
+            for (const std::size_t trials : {1, 17, 4096}) {
+                SCOPED_TRACE(::testing::Message()
+                             << "case " << c << " seed " << seed
+                             << " trials " << trials);
+                Rng reference(seed), kernel(seed);
+                const detail::TrialTally expected =
+                    bernoulliLoopChunk(probs, trials, reference);
+                const detail::TrialTally got =
+                    detail::simulateChunk(compiled, trials, kernel);
+                EXPECT_EQ(got.trials, expected.trials);
+                EXPECT_EQ(got.successes, expected.successes);
+                // Same words consumed: both streams continue alike.
+                EXPECT_EQ(kernel.nextRaw(), reference.nextRaw());
+                totalSuccesses += got.successes;
+            }
+        }
+    }
+    EXPECT_GT(totalSuccesses, 0u);
 }
 
 /** Property sweep: the PST pipeline behaves across error scales. */

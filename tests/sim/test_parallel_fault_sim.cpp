@@ -5,8 +5,10 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "core/mapper.hpp"
 #include "test_support.hpp"
 #include "topology/layouts.hpp"
+#include "workloads/workloads.hpp"
 
 namespace vaq::sim
 {
@@ -218,6 +220,51 @@ TEST_F(ParallelFaultSimTest, CorruptCalibrationIsRejected)
     c.measure(0);
     EXPECT_THROW(ParallelFaultSim().run(c, model, {}), VaqError);
     EXPECT_THROW(analyticPst(c, model), VaqError);
+}
+
+TEST(ParallelFaultSimGolden, MappedBernoulliTallyIsPinned)
+{
+    // A fixed number, recorded with the per-draw bernoulli loop, not
+    // just agreement across thread counts: the trial kernel may
+    // change how it draws, but never which trials succeed. BV-8
+    // mapped onto IBM-Q20 under a seeded calibration, idle
+    // decoherence on, with a ragged final chunk.
+    const auto q20 = topology::ibmQ20Tokyo();
+    Rng calRng(2019);
+    const auto snap = test::randomSnapshot(q20, calRng);
+    const Circuit physical =
+        core::makeMapper({.name = "baseline"})
+            .map(workloads::bernsteinVazirani(8), q20, snap)
+            .physical;
+    const NoiseModel model(q20, snap, CoherenceMode::Idle);
+
+    ParallelFaultSimOptions options;
+    options.trials = 200'000;
+    options.seed = 1903;
+    options.chunkTrials = 6'000;
+    for (const std::size_t threads : {1, 3}) {
+        const FaultSimResult result =
+            ParallelFaultSim(threads).run(physical, model, options);
+        EXPECT_EQ(result.trials, options.trials);
+        EXPECT_EQ(result.successes, 51'057u);
+    }
+}
+
+TEST_F(ParallelFaultSimTest, OutcomeCheckedFrameTallyIsPinned)
+{
+    // Pauli-frame trials draw through Rng::bernoulli; this tally was
+    // recorded before that moved into the header.
+    const NoiseModel model(graph, snap);
+    OutcomeSimOptions options;
+    options.trials = 30'000;
+    options.chunkTrials = 2'048;
+    options.engine = SimEngine::PauliFrame;
+    const OutcomeSimResult result =
+        ParallelFaultSim(2).runOutcomeChecked(workload, model,
+                                              options);
+    EXPECT_TRUE(result.framePath);
+    EXPECT_EQ(result.trials, options.trials);
+    EXPECT_EQ(result.successes, 20'941u);
 }
 
 } // namespace
