@@ -3,14 +3,17 @@
 # by an optional ThreadSanitizer leg over the thread-crossing suites.
 #
 #   scripts/ci.sh          # tier-1: full build + full ctest +
-#                          # examples smoke
+#                          # examples and vaqc explain/sens smokes
 #   scripts/ci.sh --tsan   # also run the -DVAQ_SANITIZE=thread leg
 #   scripts/ci.sh --asan   # also run the address+UB sanitizer leg
 #   scripts/ci.sh --tidy   # also gate on scripts/lint.sh
 #                          # (clang-tidy over the default dirs)
 #
 # The default ctest run includes every label (robustness, parallel,
-# analysis, store, router, obs, sim, fleet, ...). Two perf_* benches
+# analysis, store, router, obs, sim, fleet, ...). Next to the
+# examples smoke, two vaqc smokes run the views of the loss
+# decomposition end to end: `--explain` must print "PST estimate"
+# and `vaqc sens` must print "log-PST". Two perf_* benches
 # run as exit-0 smokes: perf_frame's frame-reference construction and
 # perf_simulator's 1M-trial, 4-thread Bernoulli fault-injection run
 # (the threshold trial kernel). The TSan leg
@@ -72,6 +75,23 @@ for example in characterize_and_run custom_topology \
     }
 done
 echo "ci: examples smoke passed"
+
+echo "== tier-1: vaqc --explain and vaqc sens smokes (exit 0) =="
+# Both read the circuit's SensitivityProfile; each must exit 0 and
+# print its headline line.
+EXPLAIN_OUT="$(build/tools/vaqc --qasm tests/service/fixtures/bv4.qasm \
+    --machine q5 --policy vqa+vqm --synthetic-seed 7 --explain)"
+grep -q 'PST estimate' <<<"$EXPLAIN_OUT" || {
+    echo "ci: vaqc --explain printed no PST estimate" >&2
+    exit 1
+}
+SENS_OUT="$(build/tools/vaqc sens tests/service/fixtures/qft5.qasm \
+    --machine q20 --policy vqa+vqm --synthetic-seed 7 --drift-cycles 0)"
+grep -q 'log-PST' <<<"$SENS_OUT" || {
+    echo "ci: vaqc sens printed no log-PST" >&2
+    exit 1
+}
+echo "ci: vaqc explain/sens smokes passed"
 
 echo "== tier-1: robustness label smoke (must select tests) =="
 ctest --test-dir build -L robustness --output-on-failure -j "$JOBS"

@@ -205,21 +205,8 @@ double
 DataflowAnalysis::gateDurationNs(std::size_t i) const
 {
     VAQ_ASSERT(i < _circuit.size(), "gate index out of range");
-    const Gate &g = _circuit.gates()[i];
-    switch (g.kind) {
-    case GateKind::BARRIER:
-        return 0.0;
-    case GateKind::MEASURE:
-        return _durations.measureNs;
-    case GateKind::SWAP:
-        // Three CNOTs (Fig. 2d of the paper).
-        return 3.0 * _durations.twoQubitNs;
-    case GateKind::CX:
-    case GateKind::CZ:
-        return _durations.twoQubitNs;
-    default:
-        return _durations.oneQubitNs;
-    }
+    return calibration::gateDurationNs(_circuit.gates()[i],
+                                       _durations);
 }
 
 std::vector<double>

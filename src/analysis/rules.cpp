@@ -763,67 +763,24 @@ class DominantErrorSourceRule final : public AnalysisRule
         if (!(total > 0.0) || !std::isfinite(total))
             return;
 
-        // Scan parameters in a fixed order (links ascending, then
-        // per-qubit error1q/readout/t1) keeping the first maximum,
-        // so the pick is deterministic.
-        double best = 0.0;
-        std::string site;
-        int q0 = -1;
-        int q1 = -1;
-        for (const LinkSensitivity &l : profile->links) {
-            const double mass = l.contribution();
-            if (mass > best) {
-                best = mass;
-                site = "2q error on link {" + std::to_string(l.q0) +
-                       "," + std::to_string(l.q1) + "}";
-                q0 = l.q0;
-                q1 = l.q1;
-            }
-        }
-        for (const QubitSensitivity &q : profile->qubits) {
-            const std::string at =
-                " on qubit " + std::to_string(q.qubit);
-            if (q.oneQubitGates > 0.0) {
-                const double mass =
-                    -q.oneQubitGates * std::log1p(-q.error1q);
-                if (mass > best) {
-                    best = mass;
-                    site = "1q error" + at;
-                    q0 = q.qubit;
-                    q1 = -1;
-                }
-            }
-            if (q.measurements > 0.0) {
-                const double mass =
-                    -q.measurements * std::log1p(-q.readoutError);
-                if (mass > best) {
-                    best = mass;
-                    site = "readout error" + at;
-                    q0 = q.qubit;
-                    q1 = -1;
-                }
-            }
-            if (q.busyNs > 0.0) {
-                const double mass = q.busyNs / (1000.0 * q.t1Us);
-                if (mass > best) {
-                    best = mass;
-                    site = "T1 relaxation" + at;
-                    q0 = q.qubit;
-                    q1 = -1;
-                }
-            }
-        }
-        if (site.empty() ||
-            best < context.params.dominantFraction * total)
+        // The parameter `vaqc sens` ranks first (a positive total
+        // means at least one term exists).
+        static const char *const kSource[] = {
+            "2q error", "1q error", "readout error", "T1 relaxation"};
+        const SensitivityTerm top = profile->rankedTerms().front();
+        if (top.mass < context.params.dominantFraction * total)
             return;
+        const bool onLink = top.kind == ParamKind::Error2q;
         out.push_back(make(
             context,
-            site + " accounts for " +
-                formatDouble(100.0 * best / total, 1) +
+            std::string(kSource[static_cast<int>(top.kind)]) +
+                " on " + top.site() + " accounts for " +
+                formatDouble(100.0 * top.mass / total, 1) +
                 "% of the predicted reliability loss; improving "
                 "that one parameter (or avoiding it) moves the "
                 "whole PST",
-            -1, q0, q1));
+            -1, onLink ? top.q0 : static_cast<int>(top.index),
+            onLink ? top.q1 : -1));
     }
 };
 

@@ -1,7 +1,6 @@
 #include "analysis/sens_report.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <sstream>
 #include <vector>
@@ -10,100 +9,6 @@
 
 namespace vaq::analysis
 {
-
-namespace
-{
-
-/** One flattened parameter row, ranked by mass. */
-struct ParamRow
-{
-    /** Tie-break rank: 0 link error2q, 1 error1q, 2 readout, 3 t1 —
-     *  link errors first because they dominate the paper's error
-     *  budget. */
-    int kind = 0;
-    std::size_t index = 0; ///< qubit or link index
-    int q0 = -1;           ///< link endpoints (kind 0 only)
-    int q1 = -1;
-    const char *parameter = "";
-    double count = 0.0;
-    double value = 0.0;       ///< baseline parameter value
-    double coefficient = 0.0; ///< dlogPST/dparameter
-    double mass = 0.0;        ///< |logPST| contribution
-};
-
-std::vector<ParamRow>
-rankedParams(const SensitivityProfile &profile)
-{
-    std::vector<ParamRow> rows;
-    for (const LinkSensitivity &l : profile.links) {
-        ParamRow row;
-        row.kind = 0;
-        row.index = l.link;
-        row.q0 = l.q0;
-        row.q1 = l.q1;
-        row.parameter = "error2q";
-        row.count = l.effectiveGates;
-        row.value = l.error2q;
-        row.coefficient = l.dError2q();
-        row.mass = l.contribution();
-        rows.push_back(row);
-    }
-    for (const QubitSensitivity &q : profile.qubits) {
-        if (q.oneQubitGates > 0.0) {
-            ParamRow row;
-            row.kind = 1;
-            row.index = static_cast<std::size_t>(q.qubit);
-            row.parameter = "error1q";
-            row.count = q.oneQubitGates;
-            row.value = q.error1q;
-            row.coefficient = q.dError1q();
-            row.mass = -q.oneQubitGates * std::log1p(-q.error1q);
-            rows.push_back(row);
-        }
-        if (q.measurements > 0.0) {
-            ParamRow row;
-            row.kind = 2;
-            row.index = static_cast<std::size_t>(q.qubit);
-            row.parameter = "readout";
-            row.count = q.measurements;
-            row.value = q.readoutError;
-            row.coefficient = q.dReadout();
-            row.mass = -q.measurements * std::log1p(-q.readoutError);
-            rows.push_back(row);
-        }
-        if (q.busyNs > 0.0) {
-            ParamRow row;
-            row.kind = 3;
-            row.index = static_cast<std::size_t>(q.qubit);
-            row.parameter = "t1";
-            row.count = q.busyNs;
-            row.value = q.t1Us;
-            row.coefficient = q.dT1Us();
-            row.mass = q.busyNs / (1000.0 * q.t1Us);
-            rows.push_back(row);
-        }
-    }
-    std::sort(rows.begin(), rows.end(),
-              [](const ParamRow &a, const ParamRow &b) {
-                  if (a.mass != b.mass)
-                      return a.mass > b.mass;
-                  if (a.kind != b.kind)
-                      return a.kind < b.kind;
-                  return a.index < b.index;
-              });
-    return rows;
-}
-
-std::string
-paramSite(const ParamRow &row)
-{
-    if (row.kind == 0)
-        return "link {" + std::to_string(row.q0) + "," +
-               std::to_string(row.q1) + "}";
-    return "qubit " + std::to_string(row.index);
-}
-
-} // namespace
 
 std::string
 renderSensText(const SensReport &report)
@@ -118,13 +23,12 @@ renderSensText(const SensReport &report)
         << " qubits, " << profile.links.size() << " links)\n";
     oss << "params    : rank  site          param    value      "
            "dlogPST/dp   mass      share\n";
-    const std::vector<ParamRow> rows = rankedParams(profile);
     std::size_t rank = 0;
-    for (const ParamRow &row : rows) {
+    for (const SensitivityTerm &row : profile.rankedTerms()) {
         ++rank;
         std::ostringstream line;
-        line << "  " << rank << "  " << paramSite(row) << " "
-             << row.parameter << "  "
+        line << "  " << rank << "  " << row.site() << " "
+             << paramName(row.kind) << "  "
              << formatDouble(row.value, 5) << "  "
              << formatDouble(row.coefficient, 4) << "  "
              << formatDouble(row.mass, 6) << "  "
@@ -167,15 +71,15 @@ sensitivityJson(const SensitivityProfile &profile,
     block.set("totalMass",
               json::Value::number(profile.totalMass()));
     json::Value params = json::Value::array();
-    const std::vector<ParamRow> rows = rankedParams(profile);
+    const std::vector<SensitivityTerm> rows = profile.rankedTerms();
     const std::size_t limit =
         top_k == 0 ? rows.size() : std::min(top_k, rows.size());
     for (std::size_t i = 0; i < limit; ++i) {
-        const ParamRow &row = rows[i];
+        const SensitivityTerm &row = rows[i];
         json::Value item = json::Value::object();
         item.set("parameter",
-                 json::Value::string(row.parameter));
-        if (row.kind == 0) {
+                 json::Value::string(paramName(row.kind)));
+        if (row.kind == ParamKind::Error2q) {
             item.set("link", json::Value::number(row.index));
             item.set("q0", json::Value::number(
                                static_cast<std::int64_t>(row.q0)));

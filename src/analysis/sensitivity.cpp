@@ -1,5 +1,6 @@
 #include "analysis/sensitivity.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 
@@ -8,34 +9,33 @@
 namespace vaq::analysis
 {
 
-namespace
-{
-
 using circuit::Gate;
 using circuit::GateKind;
 
-/** Gate duration under the profile's durations — must mirror
- *  sim::NoiseModel::opDurationNs exactly (a SWAP is 3 CNOTs). */
-double
-gateDurationNs(const Gate &gate,
-               const calibration::GateDurations &d)
+const char *
+paramName(ParamKind kind)
 {
-    switch (gate.kind) {
-      case GateKind::BARRIER:
-        return 0.0;
-      case GateKind::MEASURE:
-        return d.measureNs;
-      case GateKind::CX:
-      case GateKind::CZ:
-        return d.twoQubitNs;
-      case GateKind::SWAP:
-        return 3.0 * d.twoQubitNs;
-      default:
-        return d.oneQubitNs;
+    switch (kind) {
+      case ParamKind::Error2q:
+        return "error2q";
+      case ParamKind::Error1q:
+        return "error1q";
+      case ParamKind::Readout:
+        return "readout";
+      case ParamKind::T1:
+        return "t1";
     }
+    return "";
 }
 
-} // namespace
+std::string
+SensitivityTerm::site() const
+{
+    if (kind == ParamKind::Error2q)
+        return "link {" + std::to_string(q0) + "," +
+               std::to_string(q1) + "}";
+    return "qubit " + std::to_string(index);
+}
 
 double
 QubitSensitivity::dError1q() const
@@ -56,13 +56,31 @@ QubitSensitivity::dT1Us() const
 }
 
 double
+QubitSensitivity::error1qMass() const
+{
+    return -oneQubitGates * std::log1p(-error1q);
+}
+
+double
+QubitSensitivity::readoutMass() const
+{
+    return -measurements * std::log1p(-readoutError);
+}
+
+double
+QubitSensitivity::t1Mass() const
+{
+    return busyNs / (1000.0 * t1Us);
+}
+
+double
 QubitSensitivity::contribution() const
 {
-    double mass = busyNs / (1000.0 * t1Us);
+    double mass = t1Mass();
     if (oneQubitGates > 0.0)
-        mass += -oneQubitGates * std::log1p(-error1q);
+        mass += error1qMass();
     if (measurements > 0.0)
-        mass += -measurements * std::log1p(-readoutError);
+        mass += readoutMass();
     return mass;
 }
 
@@ -93,6 +111,56 @@ SensitivityProfile::totalMass() const
     for (const LinkSensitivity &l : links)
         mass += l.contribution();
     return mass;
+}
+
+double
+SensitivityProfile::massOf(ParamKind kind) const
+{
+    double mass = 0.0;
+    for (const SensitivityTerm &term : terms())
+        if (term.kind == kind)
+            mass += term.mass;
+    return mass;
+}
+
+std::vector<SensitivityTerm>
+SensitivityProfile::terms() const
+{
+    std::vector<SensitivityTerm> out;
+    for (const LinkSensitivity &l : links)
+        out.push_back({ParamKind::Error2q, l.link, l.q0, l.q1,
+                       l.effectiveGates, l.error2q, l.dError2q(),
+                       l.contribution()});
+    for (const QubitSensitivity &q : qubits) {
+        const auto index = static_cast<std::size_t>(q.qubit);
+        if (q.oneQubitGates > 0.0)
+            out.push_back({ParamKind::Error1q, index, -1, -1,
+                           q.oneQubitGates, q.error1q, q.dError1q(),
+                           q.error1qMass()});
+        if (q.measurements > 0.0)
+            out.push_back({ParamKind::Readout, index, -1, -1,
+                           q.measurements, q.readoutError,
+                           q.dReadout(), q.readoutMass()});
+        if (q.busyNs > 0.0)
+            out.push_back({ParamKind::T1, index, -1, -1, q.busyNs,
+                           q.t1Us, q.dT1Us(), q.t1Mass()});
+    }
+    return out;
+}
+
+std::vector<SensitivityTerm>
+SensitivityProfile::rankedTerms() const
+{
+    std::vector<SensitivityTerm> ranked = terms();
+    std::sort(ranked.begin(), ranked.end(),
+              [](const SensitivityTerm &a, const SensitivityTerm &b) {
+                  if (a.mass != b.mass)
+                      return a.mass > b.mass;
+                  if (a.kind != b.kind)
+                      return a.kind < b.kind;
+                  return a.index < b.index;
+              });
+    return ranked;
 }
 
 SensitivityProfile
@@ -126,7 +194,8 @@ analyzeSensitivity(const DataflowAnalysis &dataflow,
         record.t1Us = cal.t1Us;
         for (const std::size_t idx : chain.touches) {
             const Gate &gate = circuit.gates()[idx];
-            record.busyNs += gateDurationNs(gate, profile.durations);
+            record.busyNs +=
+                calibration::gateDurationNs(gate, profile.durations);
             if (gate.kind == GateKind::MEASURE)
                 record.measurements += 1.0;
             else if (gate.isUnitary() && !gate.isTwoQubit())
@@ -161,19 +230,20 @@ analyzeSensitivity(const DataflowAnalysis &dataflow,
         profile.links.push_back(record);
     }
 
-    // The closed-form log PST. log1p keeps the small-error regime
-    // exact; a dead parameter (error rate 1) yields -inf, matching
-    // the product form's exact zero.
+    // The closed-form log PST, summed qubit terms first (the vaqd
+    // block serialises these bits). log1p keeps the small-error
+    // regime exact; a dead parameter (error rate 1) yields -inf,
+    // matching the product form's exact zero.
     double logPst = 0.0;
     for (const QubitSensitivity &q : profile.qubits) {
         if (q.oneQubitGates > 0.0)
-            logPst += q.oneQubitGates * std::log1p(-q.error1q);
+            logPst -= q.error1qMass();
         if (q.measurements > 0.0)
-            logPst += q.measurements * std::log1p(-q.readoutError);
-        logPst -= q.busyNs / (1000.0 * q.t1Us);
+            logPst -= q.readoutMass();
+        logPst -= q.t1Mass();
     }
     for (const LinkSensitivity &l : profile.links)
-        logPst += l.effectiveGates * std::log1p(-l.error2q);
+        logPst -= l.contribution();
     profile.logPst = logPst;
     return profile;
 }

@@ -36,6 +36,7 @@
 #define VAQ_ANALYSIS_SENSITIVITY_HPP
 
 #include <cstddef>
+#include <string>
 #include <vector>
 
 #include "analysis/dataflow.hpp"
@@ -68,6 +69,12 @@ struct QubitSensitivity
     double dReadout() const;
     /** dlogPST/d(t1Us) = +busyNs / (1000 * t1Us^2). */
     double dT1Us() const;
+    /** |logPST| mass of the 1q gate errors: -n1 * log1p(-error1q). */
+    double error1qMass() const;
+    /** |logPST| mass of the readouts: -nMeas * log1p(-readout). */
+    double readoutMass() const;
+    /** |logPST| mass of T1 relaxation: busyNs / (1000 * t1Us). */
+    double t1Mass() const;
     /** |logPST| mass this qubit contributes (all three terms). */
     double contribution() const;
 };
@@ -89,6 +96,38 @@ struct LinkSensitivity
     double dError2q() const;
     /** |logPST| mass this link contributes. */
     double contribution() const;
+};
+
+/** Which calibration parameter a term charges. The enumerator order
+ *  is the ranking tie-break: link errors first because they dominate
+ *  the paper's error budget. */
+enum class ParamKind
+{
+    Error2q,
+    Error1q,
+    Readout,
+    T1,
+};
+
+/** Report name of a parameter kind: "error2q", "error1q",
+ *  "readout" or "t1". */
+const char *paramName(ParamKind kind);
+
+/** One (parameter, site) term of the log-PST decomposition. */
+struct SensitivityTerm
+{
+    ParamKind kind = ParamKind::Error2q;
+    std::size_t index = 0; ///< link index (Error2q) or qubit
+    int q0 = -1;           ///< link endpoints (Error2q only)
+    int q1 = -1;
+    /** Effective 2q gates, 1q gates, measurements or busy ns. */
+    double count = 0.0;
+    double value = 0.0;       ///< baseline parameter value
+    double coefficient = 0.0; ///< dlogPST/dparameter
+    double mass = 0.0;        ///< |logPST| contribution
+
+    /** "link {q0,q1}" or "qubit <index>". */
+    std::string site() const;
 };
 
 /** The full symbolic profile of one mapped circuit against one
@@ -115,6 +154,16 @@ struct SensitivityProfile
     /** Total |logPST| mass across every parameter (the denominator
      *  for dominance/fragility fractions). */
     double totalMass() const;
+    /** Summed |logPST| mass of every term of one kind. */
+    double massOf(ParamKind kind) const;
+
+    /** Every parameter the circuit exercises: links ascending, then
+     *  per qubit its error1q, readout and T1 terms (each only when
+     *  its count is positive). */
+    std::vector<SensitivityTerm> terms() const;
+    /** terms() by mass descending, ties broken by kind, then index.
+     *  `vaqc sens`, the vaqd block and VL013 all read this order. */
+    std::vector<SensitivityTerm> rankedTerms() const;
 };
 
 /**

@@ -106,10 +106,7 @@ assessStaleness(const SensitivityProfile &profile,
                 const calibration::Snapshot &now)
 {
     StalenessAccumulator acc;
-    const calibration::GateDurations &d = now.durations;
-    if (d.oneQubitNs != profile.durations.oneQubitNs ||
-        d.twoQubitNs != profile.durations.twoQubitNs ||
-        d.measureNs != profile.durations.measureNs)
+    if (now.durations != profile.durations)
         acc.uncertifiable();
     for (const QubitSensitivity &q : profile.qubits) {
         if (q.qubit < 0 || q.qubit >= now.numQubits()) {

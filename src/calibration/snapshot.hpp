@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "circuit/gate.hpp"
 #include "topology/coupling_graph.hpp"
 
 namespace vaq::calibration
@@ -33,7 +34,33 @@ struct GateDurations
     double oneQubitNs = 60.0;
     double twoQubitNs = 200.0;
     double measureNs = 300.0;
+
+    bool operator==(const GateDurations &) const = default;
 };
+
+/**
+ * Duration of one operation in nanoseconds: the single definition
+ * behind the noise model's coherence charge, the sensitivity
+ * profile's T1 exposure and the dataflow schedule. A SWAP is three
+ * CNOTs (Fig. 2d of the paper); barriers take no time.
+ */
+inline double
+gateDurationNs(const circuit::Gate &gate, const GateDurations &d)
+{
+    switch (gate.kind) {
+      case circuit::GateKind::BARRIER:
+        return 0.0;
+      case circuit::GateKind::MEASURE:
+        return d.measureNs;
+      case circuit::GateKind::CX:
+      case circuit::GateKind::CZ:
+        return d.twoQubitNs;
+      case circuit::GateKind::SWAP:
+        return 3.0 * d.twoQubitNs;
+      default:
+        return d.oneQubitNs;
+    }
+}
 
 /**
  * One calibration cycle: qubit records plus per-link two-qubit error

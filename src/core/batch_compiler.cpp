@@ -13,15 +13,6 @@
 namespace vaq::core
 {
 
-std::vector<std::string>
-BatchCompiler::fallbackLadder(const std::string &policy_name)
-{
-    // The ladder itself moved to core/compile_request.hpp with the
-    // unified pipeline; this forwarder keeps the historical call
-    // sites (tests, the vaqc summary) compiling unchanged.
-    return core::fallbackLadder(policy_name);
-}
-
 BatchCompiler::BatchCompiler(const Mapper &mapper,
                              const topology::CouplingGraph &graph,
                              BatchOptions options)

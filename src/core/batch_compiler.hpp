@@ -58,12 +58,6 @@
 namespace vaq::core
 {
 
-// JobStatus, ArtifactHit, ArtifactCacheHook and the per-job
-// pipeline itself moved to core/compile_request.hpp with the
-// CompileRequest redesign; this header re-exports them through the
-// include above, and BatchCompiler is now an adapter that runs
-// core::compile() per job with batch-level shared state.
-
 /** One compile order: circuits[circuit] on snapshots[snapshot]. */
 struct BatchJob
 {
@@ -185,15 +179,6 @@ class BatchCompiler
     std::vector<BatchResult>
     compileAll(const std::vector<circuit::Circuit> &circuits,
                const std::vector<calibration::Snapshot> &snapshots);
-
-    /**
-     * The policy-degradation ladder for a primary policy name:
-     * vqa* -> {vqm, baseline}, vqm* -> {baseline}, baseline -> {},
-     * anything else -> {baseline}. Exposed for tests and for the
-     * vaqc summary.
-     */
-    static std::vector<std::string>
-    fallbackLadder(const std::string &policy_name);
 
   private:
     const Mapper &_mapper;

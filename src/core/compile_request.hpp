@@ -3,19 +3,14 @@
  * The unified compile entry point: one request struct, one result
  * struct, one pipeline.
  *
- * Before this header the repository had three-and-a-half front
- * doors into compilation — Mapper::compile (raw portfolio pass),
- * BatchCompiler (fault isolation, retry ladder, quarantine, store),
- * IterativeRunner::runBatch (a thin veneer over BatchCompiler) and
- * the vaqc flag surface — each taking a slightly different bundle
- * of PolicySpec / CompileOptions / lint / store knobs. A
- * CompileRequest now carries the full bundle, core::compile() runs
- * the one canonical per-job pipeline (quarantine -> artifact lookup
- * -> pre-lint -> attempt ladder -> scoring -> post-lint), and every
- * legacy entry point is a thin adapter over it:
+ * A CompileRequest carries the full bundle of PolicySpec /
+ * CompileOptions / lint / store knobs, and core::compile() runs the
+ * one per-job pipeline (quarantine -> artifact lookup -> pre-lint ->
+ * attempt ladder -> scoring -> post-lint). Every caller is a thin
+ * adapter over it:
  *
  *  - Mapper::compile forwards a Trust-mode fail-fast request (no
- *    validation, no retries — byte-for-byte the old semantics).
+ *    validation, no retries).
  *  - BatchCompiler builds one request template per batch plus a
  *    CompileContext of pre-built shared pieces (mapper, fallback
  *    ladder, linter, snapshot health, artifact hook) so the burst

@@ -2,40 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <sstream>
+#include <vector>
 
+#include "analysis/dataflow.hpp"
+#include "analysis/sensitivity.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
-#include "sim/noise_model.hpp"
 
 namespace vaq::core
 {
-
-using circuit::Gate;
-using circuit::GateKind;
-
-PstBreakdown
-pstBreakdown(const MappedCircuit &mapped,
-             const topology::CouplingGraph &graph,
-             const calibration::Snapshot &snapshot)
-{
-    const sim::NoiseModel model(graph, snapshot);
-    PstBreakdown out;
-    for (const Gate &g : mapped.physical.gates()) {
-        if (g.kind == GateKind::BARRIER)
-            continue;
-        const double op = model.opErrorProb(g);
-        if (g.isTwoQubit())
-            out.twoQubit *= 1.0 - op;
-        else if (g.kind == GateKind::MEASURE)
-            out.readout *= 1.0 - op;
-        else
-            out.oneQubit *= 1.0 - op;
-        out.coherence *= 1.0 - model.coherenceErrorProb(g);
-    }
-    return out;
-}
 
 std::string
 explainMapping(const MappedCircuit &mapped,
@@ -59,51 +35,46 @@ explainMapping(const MappedCircuit &mapped,
     }
     oss << placement.render() << "\n";
 
-    // --- Link usage. ---
-    std::map<std::size_t, std::size_t> cnotEquivalents;
-    for (const Gate &g : mapped.physical.gates()) {
-        if (!g.isTwoQubit())
-            continue;
-        const std::size_t link = graph.linkIndex(g.q0, g.q1);
-        cnotEquivalents[link] +=
-            g.kind == GateKind::SWAP ? 3 : 1;
-    }
-    std::vector<std::pair<std::size_t, std::size_t>> usage(
-        cnotEquivalents.begin(), cnotEquivalents.end());
-    std::sort(usage.begin(), usage.end(),
-              [](const auto &a, const auto &b) {
-                  return a.second > b.second;
-              });
+    // --- Link usage, busiest first (ties in link order). ---
+    const analysis::DataflowAnalysis dataflow(mapped.physical,
+                                              snapshot.durations);
+    const analysis::SensitivityProfile profile =
+        analysis::analyzeSensitivity(dataflow, graph, snapshot);
+    std::vector<analysis::LinkSensitivity> usage = profile.links;
+    std::stable_sort(usage.begin(), usage.end(),
+                     [](const auto &a, const auto &b) {
+                         return a.effectiveGates > b.effectiveGates;
+                     });
 
     TextTable links({"link", "2q error", "CNOT-equivalents",
                      "expected loss"});
-    for (const auto &[link, count] : usage) {
-        const auto &ends = graph.links()[link];
-        const double e = snapshot.linkError(link);
+    for (const analysis::LinkSensitivity &l : usage) {
         const double loss =
-            1.0 - std::pow(1.0 - e,
-                           static_cast<double>(count));
-        links.addRow({"Q" + std::to_string(ends.a) + "-Q" +
-                          std::to_string(ends.b),
-                      formatDouble(e, 3), std::to_string(count),
+            1.0 - std::pow(1.0 - l.error2q, l.effectiveGates);
+        links.addRow({"Q" + std::to_string(l.q0) + "-Q" +
+                          std::to_string(l.q1),
+                      formatDouble(l.error2q, 3),
+                      std::to_string(
+                          static_cast<std::size_t>(l.effectiveGates)),
                       formatDouble(loss, 3)});
     }
     oss << links.render() << "\n";
 
-    // --- Attribution. ---
-    const PstBreakdown breakdown =
-        pstBreakdown(mapped, graph, snapshot);
+    // --- Attribution: each factor is exp(-mass) over one kind. ---
+    const auto factor = [&profile](analysis::ParamKind kind) {
+        return formatDouble(std::exp(-profile.massOf(kind)), 5);
+    };
     oss << "inserted SWAPs : " << mapped.insertedSwaps << "\n";
-    oss << "PST estimate   : "
-        << formatDouble(breakdown.total(), 5) << "\n";
+    oss << "PST estimate   : " << formatDouble(profile.pst(), 5)
+        << "\n";
     oss << "  2q gates     : "
-        << formatDouble(breakdown.twoQubit, 5) << "\n";
+        << factor(analysis::ParamKind::Error2q) << "\n";
     oss << "  1q gates     : "
-        << formatDouble(breakdown.oneQubit, 5) << "\n";
+        << factor(analysis::ParamKind::Error1q) << "\n";
     oss << "  readout      : "
-        << formatDouble(breakdown.readout, 5) << "\n";
-    oss << "  coherence    : "
-        << formatDouble(breakdown.coherence, 5) << "\n";
+        << factor(analysis::ParamKind::Readout) << "\n";
+    oss << "  coherence    : " << factor(analysis::ParamKind::T1)
+        << "\n";
     return oss.str();
 }
 

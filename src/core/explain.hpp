@@ -6,7 +6,8 @@
  * the initial placement with each qubit's quality numbers, which
  * links the compiled circuit actually exercises (with their error
  * rates and usage counts), and a per-source breakdown of the
- * estimated failure probability. Exposed by vaqc as --explain.
+ * estimated success probability, all read from the circuit's
+ * analysis::SensitivityProfile. Exposed by vaqc as --explain.
  */
 #ifndef VAQ_CORE_EXPLAIN_HPP
 #define VAQ_CORE_EXPLAIN_HPP
@@ -19,27 +20,6 @@
 
 namespace vaq::core
 {
-
-/** Loss attribution of a mapped circuit. */
-struct PstBreakdown
-{
-    double twoQubit = 1.0;  ///< product of 2q success probs
-    double oneQubit = 1.0;  ///< product of 1q success probs
-    double readout = 1.0;   ///< product of measurement successes
-    double coherence = 1.0; ///< product of coherence survivals
-
-    /** Total analytic PST = product of the components. */
-    double
-    total() const
-    {
-        return twoQubit * oneQubit * readout * coherence;
-    }
-};
-
-/** Compute the per-source PST attribution. */
-PstBreakdown pstBreakdown(const MappedCircuit &mapped,
-                          const topology::CouplingGraph &graph,
-                          const calibration::Snapshot &snapshot);
 
 /**
  * Render the full report: placement, link usage, breakdown.

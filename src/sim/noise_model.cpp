@@ -41,20 +41,7 @@ NoiseModel::opErrorProb(const Gate &gate) const
 double
 NoiseModel::opDurationNs(const Gate &gate) const
 {
-    const calibration::GateDurations &d = _snapshot.durations;
-    switch (gate.kind) {
-      case GateKind::BARRIER:
-        return 0.0;
-      case GateKind::MEASURE:
-        return d.measureNs;
-      case GateKind::CX:
-      case GateKind::CZ:
-        return d.twoQubitNs;
-      case GateKind::SWAP:
-        return 3.0 * d.twoQubitNs;
-      default:
-        return d.oneQubitNs;
-    }
+    return calibration::gateDurationNs(gate, _snapshot.durations);
 }
 
 double

@@ -230,10 +230,7 @@ bool
 reusableUnder(const CompileArtifact &artifact,
               const calibration::Snapshot &snapshot)
 {
-    const calibration::GateDurations &d = snapshot.durations;
-    if (d.oneQubitNs != artifact.durations.oneQubitNs ||
-        d.twoQubitNs != artifact.durations.twoQubitNs ||
-        d.measureNs != artifact.durations.measureNs)
+    if (snapshot.durations != artifact.durations)
         return false;
     for (std::size_t i = 0; i < artifact.touchedQubits.size(); ++i) {
         const int q = artifact.touchedQubits[i];
@@ -259,14 +256,11 @@ assessArtifactStaleness(const CompileArtifact &artifact,
                         const calibration::Snapshot &snapshot)
 {
     analysis::StalenessAccumulator acc;
-    const calibration::GateDurations &d = snapshot.durations;
     const bool shapes_ok =
         artifact.qubitWeights.size() ==
             3 * artifact.touchedQubits.size() &&
         artifact.linkWeights.size() == artifact.touchedLinks.size();
-    if (!shapes_ok || d.oneQubitNs != artifact.durations.oneQubitNs ||
-        d.twoQubitNs != artifact.durations.twoQubitNs ||
-        d.measureNs != artifact.durations.measureNs) {
+    if (!shapes_ok || snapshot.durations != artifact.durations) {
         acc.uncertifiable();
     } else {
         for (std::size_t i = 0; i < artifact.touchedQubits.size();

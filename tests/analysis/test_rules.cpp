@@ -1,13 +1,22 @@
 #include <algorithm>
+#include <sstream>
 
 #include <gtest/gtest.h>
 
+#include "analysis/dataflow.hpp"
 #include "analysis/linter.hpp"
 #include "analysis/rule.hpp"
+#include "analysis/sens_report.hpp"
+#include "analysis/sensitivity.hpp"
 #include "calibration/snapshot.hpp"
+#include "calibration/synthetic.hpp"
 #include "circuit/circuit.hpp"
 #include "common/error.hpp"
+#include "common/strings.hpp"
+#include "core/mapper.hpp"
+#include "test_support.hpp"
 #include "topology/layouts.hpp"
+#include "workloads/workloads.hpp"
 
 namespace vaq::analysis
 {
@@ -350,6 +359,178 @@ TEST(Rules, WidthExceedsMachineSilentWhenItFits)
     input.graph = &graph;
     const LintReport report = runRule("VL010", input);
     EXPECT_TRUE(report.diagnostics.empty());
+}
+
+// --- VL013 dominant-error-source ------------------------------------
+
+/** VL013 alone over a physical circuit at the given threshold. */
+LintReport
+runDominant(const Circuit &physical,
+            const topology::CouplingGraph &graph,
+            const calibration::Snapshot &snapshot,
+            double dominantFraction = 0.5)
+{
+    LintOptions options;
+    options.enabledOnly = {"VL013"};
+    options.params.dominantFraction = dominantFraction;
+    LintInput input;
+    input.circuit = &physical;
+    input.physical = true;
+    input.graph = &graph;
+    input.snapshot = &snapshot;
+    return Linter(options).run(input);
+}
+
+/** "<p>%" share of the profile's top-ranked term, as VL013 prints
+ *  it. */
+std::string
+topShare(const Circuit &physical,
+         const topology::CouplingGraph &graph,
+         const calibration::Snapshot &snapshot)
+{
+    const DataflowAnalysis dataflow(physical, snapshot.durations);
+    const SensitivityProfile profile =
+        analyzeSensitivity(dataflow, graph, snapshot);
+    return formatDouble(100.0 * profile.rankedTerms().front().mass /
+                            profile.totalMass(),
+                        1) +
+           "%";
+}
+
+TEST(Rules, DominantErrorSourceNamesTheLink)
+{
+    // Three CNOTs over {0,1} at 20% error; every other parameter is
+    // near-perfect, so the link holds almost all of the mass.
+    const topology::CouplingGraph graph = topology::linear(3);
+    const calibration::Snapshot snap =
+        test::uniformSnapshot(graph, 0.2, 1e-4, 1e-4, 1e6);
+    Circuit c(3);
+    c.cx(0, 1).cx(0, 1).cx(0, 1);
+    const LintReport report = runDominant(c, graph, snap);
+    ASSERT_EQ(report.diagnostics.size(), 1u);
+    const Diagnostic &d = report.diagnostics[0];
+    EXPECT_EQ(d.severity, Severity::Info);
+    EXPECT_EQ(d.qubit, 0);
+    EXPECT_EQ(d.qubit2, 1);
+    EXPECT_EQ(d.message.rfind("2q error on link {0,1} accounts for " +
+                                  topShare(c, graph, snap),
+                              0),
+              0u)
+        << d.message;
+}
+
+TEST(Rules, DominantErrorSourceSilentBelowThreshold)
+{
+    // Two equally loaded links split the 2q mass, and T1 takes the
+    // rest: no parameter reaches half.
+    const topology::CouplingGraph graph = topology::linear(3);
+    const calibration::Snapshot snap =
+        test::uniformSnapshot(graph, 0.2, 1e-4, 1e-4, 1e6);
+    Circuit c(3);
+    c.cx(0, 1).cx(0, 1).cx(1, 2).cx(1, 2);
+    EXPECT_TRUE(runDominant(c, graph, snap).diagnostics.empty());
+    // The same split clears a lower bar: the silence above is the
+    // threshold, not a missing profile.
+    EXPECT_EQ(runDominant(c, graph, snap, 0.4).diagnostics.size(),
+              1u);
+}
+
+TEST(Rules, DominantErrorSourceNamesQubitParameters)
+{
+    const topology::CouplingGraph graph = topology::linear(3);
+    struct Case
+    {
+        const char *site;
+        int qubit;
+        calibration::Snapshot snap;
+        Circuit circuit;
+    };
+    Circuit oneQubit(3);
+    oneQubit.h(1).h(1).h(1);
+    Circuit readout(3);
+    readout.measure(2);
+    Circuit relax(3);
+    relax.h(0).h(0);
+    const Case cases[] = {
+        {"1q error on qubit 1", 1,
+         test::uniformSnapshot(graph, 1e-4, 0.2, 1e-4, 1e6),
+         oneQubit},
+        {"readout error on qubit 2", 2,
+         test::uniformSnapshot(graph, 1e-4, 1e-4, 0.3, 1e6),
+         readout},
+        // 120 ns against a 0.1 us T1.
+        {"T1 relaxation on qubit 0", 0,
+         test::uniformSnapshot(graph, 1e-4, 1e-4, 1e-4, 0.1), relax},
+    };
+    for (const Case &tc : cases) {
+        SCOPED_TRACE(tc.site);
+        const LintReport report =
+            runDominant(tc.circuit, graph, tc.snap);
+        ASSERT_EQ(report.diagnostics.size(), 1u);
+        const Diagnostic &d = report.diagnostics[0];
+        EXPECT_EQ(d.qubit, tc.qubit);
+        EXPECT_EQ(d.qubit2, -1);
+        EXPECT_EQ(d.message.rfind(std::string(tc.site) +
+                                      " accounts for " +
+                                      topShare(tc.circuit, graph,
+                                               tc.snap),
+                                  0),
+                  0u)
+            << d.message;
+    }
+}
+
+TEST(Rules, DominantErrorSourcePicksTheSensReportsFirstRow)
+{
+    // At threshold 0 VL013 always names its pick; it must be the
+    // parameter `vaqc sens` ranks first, across machines, programs
+    // and calibration draws.
+    const topology::CouplingGraph q20 = topology::ibmQ20Tokyo();
+    const core::Mapper mapper = core::makeMapper({.name = "vqa+vqm"});
+    const Circuit programs[] = {workloads::qft(5), workloads::ghz(6),
+                                workloads::bernsteinVazirani(5)};
+    const std::pair<const char *, const char *> labels[] = {
+        {"error2q", "2q error"},
+        {"error1q", "1q error"},
+        {"readout", "readout error"},
+        {"t1", "T1 relaxation"}};
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        const calibration::Snapshot snap =
+            calibration::SyntheticSource(q20, {}, seed).nextCycle();
+        for (const Circuit &program : programs) {
+            const core::MappedCircuit mapped =
+                mapper.map(program, q20, snap);
+            const LintReport lint =
+                runDominant(mapped.physical, q20, snap, 0.0);
+            ASSERT_EQ(lint.diagnostics.size(), 1u);
+
+            // The sens table's rank-1 row: "  1  <site> <param> ...".
+            SensReport sens;
+            const DataflowAnalysis dataflow(mapped.physical,
+                                            snap.durations);
+            sens.profile = analyzeSensitivity(dataflow, q20, snap);
+            std::istringstream table(renderSensText(sens));
+            std::string line;
+            while (std::getline(table, line) &&
+                   line.rfind("  1  ", 0) != 0) {
+            }
+            std::istringstream row(line.substr(5));
+            std::string kind, where, param;
+            row >> kind >> where >> param;
+            std::string label;
+            for (const auto &[name, source] : labels)
+                if (param == name)
+                    label = source;
+            ASSERT_FALSE(label.empty()) << line;
+            EXPECT_EQ(lint.diagnostics[0].message.rfind(
+                          label + " on " + kind + " " + where +
+                              " accounts for ",
+                          0),
+                      0u)
+                << "seed " << seed << ": " << line << " vs "
+                << lint.diagnostics[0].message;
+        }
+    }
 }
 
 // --- Registry ------------------------------------------------------

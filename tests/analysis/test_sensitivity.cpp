@@ -156,6 +156,50 @@ TEST(Sensitivity, CoefficientsMatchFiniteDifferences)
     }
 }
 
+TEST(Sensitivity, RankedTermsBreakMassTiesByKindThenIndex)
+{
+    // Every term below has the same mass, -log1p(-0.1); busyNs = 0
+    // leaves out the T1 terms.
+    QubitSensitivity q1;
+    q1.qubit = 1;
+    q1.oneQubitGates = 1.0;
+    q1.measurements = 1.0;
+    q1.error1q = 0.1;
+    q1.readoutError = 0.1;
+    q1.t1Us = 80.0;
+    QubitSensitivity q3 = q1;
+    q3.qubit = 3;
+    LinkSensitivity link;
+    link.link = 2;
+    link.q0 = 1;
+    link.q1 = 3;
+    link.effectiveGates = 1.0;
+    link.error2q = 0.1;
+    SensitivityProfile profile;
+    profile.qubits = {q1, q3};
+    profile.links = {link};
+
+    using Site = std::pair<ParamKind, std::size_t>;
+    const auto sites = [](const std::vector<SensitivityTerm> &terms) {
+        std::vector<Site> out;
+        for (const SensitivityTerm &t : terms)
+            out.emplace_back(t.kind, t.index);
+        return out;
+    };
+    EXPECT_EQ(sites(profile.terms()),
+              (std::vector<Site>{{ParamKind::Error2q, 2},
+                                 {ParamKind::Error1q, 1},
+                                 {ParamKind::Readout, 1},
+                                 {ParamKind::Error1q, 3},
+                                 {ParamKind::Readout, 3}}));
+    EXPECT_EQ(sites(profile.rankedTerms()),
+              (std::vector<Site>{{ParamKind::Error2q, 2},
+                                 {ParamKind::Error1q, 1},
+                                 {ParamKind::Error1q, 3},
+                                 {ParamKind::Readout, 1},
+                                 {ParamKind::Readout, 3}}));
+}
+
 TEST(Sensitivity, T2NeverEntersTheProfile)
 {
     const topology::CouplingGraph q5 = topology::ibmQ5Tenerife();

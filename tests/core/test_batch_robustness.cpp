@@ -511,16 +511,15 @@ TEST(BatchRobustness, InvalidationRacingBatchKeepsResultsBitIdentical)
 
 TEST(BatchRobustness, FallbackLadderShape)
 {
-    using core::BatchCompiler;
-    EXPECT_EQ(BatchCompiler::fallbackLadder("vqa+vqm"),
+    EXPECT_EQ(core::fallbackLadder("vqa+vqm"),
               (std::vector<std::string>{"vqm", "baseline"}));
-    EXPECT_EQ(BatchCompiler::fallbackLadder("vqa"),
+    EXPECT_EQ(core::fallbackLadder("vqa"),
               (std::vector<std::string>{"vqm", "baseline"}));
-    EXPECT_EQ(BatchCompiler::fallbackLadder("vqm"),
+    EXPECT_EQ(core::fallbackLadder("vqm"),
               (std::vector<std::string>{"baseline"}));
-    EXPECT_EQ(BatchCompiler::fallbackLadder("baseline"),
+    EXPECT_EQ(core::fallbackLadder("baseline"),
               std::vector<std::string>{});
-    EXPECT_EQ(BatchCompiler::fallbackLadder("random"),
+    EXPECT_EQ(core::fallbackLadder("random"),
               (std::vector<std::string>{"baseline"}));
 }
 

@@ -1,7 +1,11 @@
 #include "core/explain.hpp"
 
+#include <cmath>
+
 #include <gtest/gtest.h>
 
+#include "analysis/dataflow.hpp"
+#include "analysis/sensitivity.hpp"
 #include "common/rng.hpp"
 #include "core/mapper.hpp"
 #include "sim/fault_sim.hpp"
@@ -13,6 +17,25 @@ namespace vaq::core
 {
 namespace
 {
+
+using analysis::ParamKind;
+
+analysis::SensitivityProfile
+profileOf(const MappedCircuit &mapped,
+          const topology::CouplingGraph &graph,
+          const calibration::Snapshot &snap)
+{
+    const analysis::DataflowAnalysis dataflow(mapped.physical,
+                                              snap.durations);
+    return analysis::analyzeSensitivity(dataflow, graph, snap);
+}
+
+/** The report's per-source factor: exp(-mass) over one kind. */
+double
+factorOf(const analysis::SensitivityProfile &profile, ParamKind kind)
+{
+    return std::exp(-profile.massOf(kind));
+}
 
 class ExplainTest : public ::testing::Test
 {
@@ -32,27 +55,32 @@ class ExplainTest : public ::testing::Test
 
 TEST_F(ExplainTest, BreakdownMultipliesToAnalyticPst)
 {
-    const PstBreakdown breakdown =
-        pstBreakdown(mapped, graph, snap);
+    const analysis::SensitivityProfile profile =
+        profileOf(mapped, graph, snap);
+    const double total = factorOf(profile, ParamKind::Error2q) *
+                         factorOf(profile, ParamKind::Error1q) *
+                         factorOf(profile, ParamKind::Readout) *
+                         factorOf(profile, ParamKind::T1);
     const sim::NoiseModel model(graph, snap);
-    EXPECT_NEAR(breakdown.total(),
-                sim::analyticPst(mapped.physical, model), 1e-12);
+    EXPECT_NEAR(total, sim::analyticPst(mapped.physical, model),
+                1e-12);
+    EXPECT_NEAR(profile.pst(), total, 1e-12);
 }
 
 TEST_F(ExplainTest, ComponentsAreProbabilities)
 {
-    const PstBreakdown breakdown =
-        pstBreakdown(mapped, graph, snap);
-    for (double p :
-         {breakdown.twoQubit, breakdown.oneQubit,
-          breakdown.readout, breakdown.coherence}) {
+    const analysis::SensitivityProfile profile =
+        profileOf(mapped, graph, snap);
+    for (const ParamKind kind : {ParamKind::Error2q, ParamKind::Error1q,
+                                 ParamKind::Readout, ParamKind::T1}) {
+        const double p = factorOf(profile, kind);
         EXPECT_GT(p, 0.0);
         EXPECT_LE(p, 1.0);
     }
     // bv-4 has measures, 1q and 2q gates: all components < 1.
-    EXPECT_LT(breakdown.twoQubit, 1.0);
-    EXPECT_LT(breakdown.readout, 1.0);
-    EXPECT_LT(breakdown.oneQubit, 1.0);
+    EXPECT_LT(factorOf(profile, ParamKind::Error2q), 1.0);
+    EXPECT_LT(factorOf(profile, ParamKind::Readout), 1.0);
+    EXPECT_LT(factorOf(profile, ParamKind::Error1q), 1.0);
 }
 
 TEST_F(ExplainTest, ReportContainsKeySections)
@@ -89,9 +117,11 @@ TEST_F(ExplainTest, EmptyTwoQubitUsageHandled)
         makeMapper({.name = "baseline"}).map(trivial, graph, snap);
     const std::string report = explainMapping(tiny, graph, snap);
     EXPECT_NE(report.find("PST estimate"), std::string::npos);
-    const PstBreakdown breakdown =
-        pstBreakdown(tiny, graph, snap);
-    EXPECT_DOUBLE_EQ(breakdown.twoQubit, 1.0);
+    EXPECT_NE(report.find("  2q gates     : 1.00000"),
+              std::string::npos);
+    EXPECT_DOUBLE_EQ(
+        factorOf(profileOf(tiny, graph, snap), ParamKind::Error2q),
+        1.0);
 }
 
 } // namespace
