@@ -13,10 +13,11 @@
 # analysis, store, router, obs, sim, fleet, ...). Next to the
 # examples smoke, two vaqc smokes run the views of the loss
 # decomposition end to end: `--explain` must print "PST estimate"
-# and `vaqc sens` must print "log-PST". Two perf_* benches
-# run as exit-0 smokes: perf_frame's frame-reference construction and
-# perf_simulator's 1M-trial, 4-thread Bernoulli fault-injection run
-# (the threshold trial kernel). The TSan leg
+# and `vaqc sens` must print "log-PST". Three perf_* benches
+# run as exit-0 smokes: perf_frame's frame-reference construction,
+# perf_frame's width-27 Pauli-frame trials (the fault-table trial
+# kernel) and perf_simulator's 1M-trial, 4-thread Bernoulli
+# fault-injection run (the threshold trial kernel). The TSan leg
 # rebuilds into build-tsan/ and runs only
 # `-L "parallel|analysis|store|sim|service|fleet"`
 # — the tests that exercise the thread pool, the shared path caches,
@@ -144,6 +145,17 @@ grep -q 'BM_ParallelFaultInjection/1000000/4' <<<"$KERNEL_OUT" || {
     exit 1
 }
 echo "ci: Bernoulli trial kernel bench smoke passed"
+
+echo "== tier-1: Pauli-frame trial kernel bench smoke (must exit 0) =="
+# 16384 outcome-checked Pauli-frame trials of a Falcon-27 Clifford
+# workload through the fault-table kernel. As above, the output must
+# name the case.
+FRAME_OUT="$(build/bench/perf_frame --benchmark_filter='BM_FrameTrials/27')"
+grep -q 'BM_FrameTrials/27' <<<"$FRAME_OUT" || {
+    echo "ci: Pauli-frame trial kernel bench selected no benchmark" >&2
+    exit 1
+}
+echo "ci: Pauli-frame trial kernel bench smoke passed"
 
 echo "== tier-1: vaqd daemon smoke (compile + rollover over HTTP) =="
 # Start vaqd on an ephemeral port, parse the port it prints, then

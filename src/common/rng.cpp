@@ -37,19 +37,6 @@ Rng::uniform(double lo, double hi)
     return lo + (hi - lo) * uniform();
 }
 
-std::uint64_t
-Rng::uniformInt(std::uint64_t n)
-{
-    VAQ_ASSERT(n > 0, "uniformInt(0) is undefined");
-    // Lemire-style rejection to kill modulo bias.
-    const std::uint64_t threshold = (~n + 1) % n;
-    for (;;) {
-        std::uint64_t r = nextRaw();
-        if (r >= threshold)
-            return r % n;
-    }
-}
-
 std::int64_t
 Rng::uniformInt(std::int64_t lo, std::int64_t hi)
 {

@@ -18,6 +18,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/error.hpp"
+
 namespace vaq
 {
 
@@ -68,8 +70,20 @@ class Rng
     /** Uniform double in [lo, hi). Requires lo <= hi. */
     double uniform(double lo, double hi);
 
-    /** Uniform integer in [0, n). Requires n > 0. */
-    std::uint64_t uniformInt(std::uint64_t n);
+    /** Uniform integer in [0, n). Requires n > 0. Inline, so a
+     *  constant n folds the rejection bound and the modulo. */
+    std::uint64_t
+    uniformInt(std::uint64_t n)
+    {
+        VAQ_ASSERT(n > 0, "uniformInt(0) is undefined");
+        // Lemire-style rejection to kill modulo bias.
+        const std::uint64_t threshold = (~n + 1) % n;
+        for (;;) {
+            std::uint64_t r = nextRaw();
+            if (r >= threshold)
+                return r % n;
+        }
+    }
 
     /** Uniform integer in [lo, hi] inclusive. Requires lo <= hi. */
     std::int64_t uniformInt(std::int64_t lo, std::int64_t hi);
@@ -157,6 +171,43 @@ class Rng
     std::array<std::uint64_t, 4> _state;
     double _spare = 0.0;
     bool _hasSpare = false;
+};
+
+/**
+ * Rng::bernoulli(p) compiled once for a fixed p. Calling the draw
+ * consumes the same words and returns the same result as
+ * bernoulli(p) on the same stream; only the float compare becomes
+ * a raw-word compare against bernoulliThreshold(p).
+ */
+struct BernoulliDraw
+{
+    enum class Mode : std::uint8_t
+    {
+        Never,  ///< p <= 0: false, no word drawn
+        Always, ///< p >= 1: true, no word drawn
+        Compare ///< one word against the threshold (NaN: 0, never)
+    };
+
+    Mode mode = Mode::Never;
+    std::uint64_t threshold = 0;
+
+    static BernoulliDraw
+    compile(double p)
+    {
+        if (p <= 0.0)
+            return {Mode::Never, 0};
+        if (p >= 1.0)
+            return {Mode::Always, 0};
+        return {Mode::Compare, Rng::bernoulliThreshold(p)};
+    }
+
+    bool
+    operator()(Rng &rng) const
+    {
+        if (mode == Mode::Compare)
+            return rng.nextRaw() < threshold;
+        return mode == Mode::Always;
+    }
 };
 
 } // namespace vaq

@@ -11,10 +11,11 @@
  * Pauli-frame fast path (sim/pauli_frame.hpp) must replay trials
  * from the *same* RNG stream bit-identically, so that draw order is
  * reified here once — as a NoiseScript compiled from (circuit,
- * model, options) — and both engines run it through the templated
- * samplers below. The engines differ only in how an injected Pauli
- * is applied (dense gate vs. frame XOR); they cannot drift apart in
- * what is injected or when.
+ * model, options). The dense engine runs it through the templated
+ * samplers below. The frame engine compiles the same schedule into
+ * raw-word draws that consume the same words in the same order
+ * (tests keep sampleOpNoise as its oracle), and applies an injected
+ * Pauli as a precomputed frame XOR instead of a dense gate.
  */
 #ifndef VAQ_SIM_NOISE_SCRIPT_HPP
 #define VAQ_SIM_NOISE_SCRIPT_HPP
@@ -74,8 +75,8 @@ struct ScriptOp
 };
 
 /** One spectator exposed to crosstalk from a two-qubit gate. A
- *  zero-probability event still consumes one Bernoulli draw, exactly
- *  as the historical loop did. */
+ *  zero-probability event stays listed; like every Rng::bernoulli
+ *  call, it draws no word at p <= 0. */
 struct CrosstalkEvent
 {
     circuit::Qubit spectator = circuit::kNoQubit;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
-#include <map>
 #include <optional>
 
 #include "common/error.hpp"
@@ -26,6 +25,50 @@ namespace
  * matter how many workers execute the wave.
  */
 constexpr std::size_t kAdaptiveWaveChunks = 8;
+
+/** Outcome histogram as (outcome, count) runs, ascending outcome. */
+using OutcomeRuns = std::vector<std::pair<std::uint64_t, std::size_t>>;
+
+/** Sort a chunk's outcomes and run-length encode them. */
+OutcomeRuns
+encodeRuns(std::vector<std::uint64_t> &outcomes)
+{
+    std::sort(outcomes.begin(), outcomes.end());
+    OutcomeRuns runs;
+    for (std::size_t i = 0; i < outcomes.size();) {
+        std::size_t j = i + 1;
+        while (j < outcomes.size() && outcomes[j] == outcomes[i])
+            ++j;
+        runs.push_back({outcomes[i], j - i});
+        i = j;
+    }
+    return runs;
+}
+
+/** into := into + runs, both ascending; `scratch` is reused. */
+void
+mergeRuns(OutcomeRuns &into, const OutcomeRuns &runs,
+          OutcomeRuns &scratch)
+{
+    scratch.clear();
+    scratch.reserve(into.size() + runs.size());
+    std::size_t a = 0;
+    std::size_t b = 0;
+    while (a < into.size() || b < runs.size()) {
+        if (b == runs.size() ||
+            (a < into.size() && into[a].first < runs[b].first)) {
+            scratch.push_back(into[a++]);
+        } else if (a == into.size() || runs[b].first < into[a].first) {
+            scratch.push_back(runs[b++]);
+        } else {
+            scratch.push_back({into[a].first,
+                               into[a].second + runs[b].second});
+            ++a;
+            ++b;
+        }
+    }
+    into.swap(scratch);
+}
 
 } // namespace
 
@@ -209,13 +252,13 @@ ParallelFaultSim::runOutcomeChecked(const Circuit &physical,
     struct ChunkOutput
     {
         detail::TrialTally tally;
-        std::map<std::uint64_t, std::size_t> counts;
+        OutcomeRuns runs;
     };
 
     Rng master(options.seed);
     detail::TrialTally total;
-    ShotCounts histogram;
-    histogram.measuredMask = mask;
+    OutcomeRuns histogram;
+    OutcomeRuns scratch;
     std::vector<Rng> streams;
     std::vector<ChunkOutput> outputs;
     for (std::size_t first = 0; first < numChunks;
@@ -236,26 +279,24 @@ ParallelFaultSim::runOutcomeChecked(const Circuit &physical,
                 (first + i) * options.chunkTrials;
             const std::size_t n = std::min(
                 options.chunkTrials, options.trials - begin);
-            Rng &rng = streams[i];
+            Rng rng = streams[i];
             ChunkOutput &out = outputs[i];
-            for (std::size_t t = 0; t < n; ++t) {
-                const std::uint64_t outcome =
-                    result.framePath
-                        ? frame->runShot(rng)
-                        : denseTrajectoryShot(physical,
-                                              denseScript, rng);
-                ++out.counts[outcome];
-                const bool ok = accepts(outcome);
-                ++out.tally.trials;
-                out.tally.successes += ok ? 1 : 0;
+            std::vector<std::uint64_t> outcomes(n);
+            for (std::uint64_t &outcome : outcomes) {
+                outcome = result.framePath
+                              ? frame->runShot(rng)
+                              : denseTrajectoryShot(physical,
+                                                    denseScript, rng);
+                out.tally.successes += accepts(outcome) ? 1 : 0;
             }
+            out.tally.trials = n;
+            out.runs = encodeRuns(outcomes);
         });
 
         // Reduce in chunk order (thread-count invariant).
         for (const ChunkOutput &out : outputs) {
             total.merge(out.tally);
-            for (const auto &[outcome, n] : out.counts)
-                histogram.counts[outcome] += n;
+            mergeRuns(histogram, out.runs, scratch);
         }
 
         if (adaptive &&
@@ -266,14 +307,17 @@ ParallelFaultSim::runOutcomeChecked(const Circuit &physical,
         }
     }
 
-    histogram.shots = total.trials;
+    result.counts.shots = total.trials;
+    result.counts.measuredMask = mask;
+    for (const auto &[outcome, n] : histogram)
+        result.counts.counts.emplace_hint(result.counts.counts.end(),
+                                          outcome, n);
     result.trials = total.trials;
     result.successes = total.successes;
     result.pst = static_cast<double>(total.successes) /
                  static_cast<double>(total.trials);
     result.stderrPst =
         detail::pstStandardError(total.successes, total.trials);
-    result.counts = std::move(histogram);
 
     if (telemetry) {
         obs::count("sim.trials.total", total.trials);

@@ -638,6 +638,114 @@ sparseIdealProbabilities(const Circuit &circuit)
     return probabilities;
 }
 
+namespace
+{
+
+/** Second-operand coin of a two-qubit operational error:
+ *  bernoulli(0.75) as a raw-word compare. */
+const std::uint64_t kSecondOperandThreshold =
+    Rng::bernoulliThreshold(0.75);
+
+/**
+ * Pull end-of-circuit images back through one gate. On entry
+ * xImg[q] / zImg[q] are the end-of-circuit X masks of an X / Z fault
+ * on q just after `gate`; on exit, just before it. Pulling back
+ * through G maps a fault P to the images of G P G^dag, and that
+ * map is linear over GF(2).
+ */
+void
+pullBack(const Gate &gate, std::vector<std::uint64_t> &xImg,
+         std::vector<std::uint64_t> &zImg)
+{
+    const auto a = static_cast<std::size_t>(gate.q0);
+    const auto b = static_cast<std::size_t>(gate.q1);
+    switch (gate.kind) {
+      case GateKind::H:
+        // H X H = Z and H Z H = X.
+        std::swap(xImg[a], zImg[a]);
+        return;
+      case GateKind::S:
+      case GateKind::Sdg:
+        // X becomes +-Y = X Z up to phase; Z passes through.
+        xImg[a] ^= zImg[a];
+        return;
+      case GateKind::CX:
+        // X on the control spreads to the target; Z on the target
+        // spreads to the control.
+        xImg[a] ^= xImg[b];
+        zImg[b] ^= zImg[a];
+        return;
+      case GateKind::CZ:
+        // X on either operand grows a Z on the other.
+        xImg[a] ^= zImg[b];
+        xImg[b] ^= zImg[a];
+        return;
+      case GateKind::SWAP:
+        std::swap(xImg[a], xImg[b]);
+        std::swap(zImg[a], zImg[b]);
+        return;
+      default:
+        // I and the Paulis fix every Pauli up to phase.
+        return;
+    }
+}
+
+/**
+ * StateVector::sample()'s walk over the ideal probabilities
+ * XOR-permuted by a frame: visits the entries of a state-sorted list
+ * in ascending `state ^ flip` order, subtracting each probability
+ * from `r` until one exceeds it, and never compares against
+ * `last` (the dense loop's dim - 1 fallback). A sorted range whose
+ * states agree above some bit is an implicit binary trie: its
+ * bit-clear entries come first. A set bit of `flip` swaps the two
+ * halves, and below the lowest set bit the range is already in
+ * order, so no per-trial sort is needed.
+ */
+struct XorOrderWalk
+{
+    const std::vector<std::pair<std::uint64_t, double>> &ref;
+    std::uint64_t flip;
+    std::uint64_t last;
+    double r;
+
+    /** Walk ref[lo, hi), whose states agree above `bit`; true (and
+     *  `hit` set) once a sample lands. */
+    bool
+    visit(std::size_t lo, std::size_t hi, int bit, std::uint64_t &hit)
+    {
+        if (lo == hi)
+            return false;
+        if (bit < 0 || (flip & ((2ULL << bit) - 1)) == 0) {
+            for (std::size_t i = lo; i < hi; ++i) {
+                const std::uint64_t t = ref[i].first ^ flip;
+                if (t == last)
+                    continue;
+                if (r < ref[i].second) {
+                    hit = t;
+                    return true;
+                }
+                r -= ref[i].second;
+            }
+            return false;
+        }
+        const auto first = ref.begin();
+        const std::size_t mid = static_cast<std::size_t>(
+            std::partition_point(first + static_cast<std::ptrdiff_t>(lo),
+                                 first + static_cast<std::ptrdiff_t>(hi),
+                                 [bit](const auto &e) {
+                                     return ((e.first >> bit) & 1) == 0;
+                                 }) -
+            first);
+        if ((flip >> bit) & 1)
+            return visit(mid, hi, bit - 1, hit) ||
+                   visit(lo, mid, bit - 1, hit);
+        return visit(lo, mid, bit - 1, hit) ||
+               visit(mid, hi, bit - 1, hit);
+    }
+};
+
+} // namespace
+
 PauliFrameSim::PauliFrameSim(const Circuit &physical,
                              const NoiseModel &model,
                              const PauliFrameOptions &options)
@@ -669,42 +777,10 @@ PauliFrameSim::PauliFrameSim(const Circuit &physical,
     }
     _framePath = true;
 
-    const auto &gates = physical.gates();
-    _stream.kind.reserve(_script.ops.size());
-    _stream.m0.reserve(_script.ops.size());
-    _stream.m1.reserve(_script.ops.size());
-    for (const ScriptOp &op : _script.ops) {
-        const Gate &g = gates[op.gateIndex];
-        FrameOpKind kind = FrameOpKind::None;
-        switch (g.kind) {
-          case GateKind::H:
-            kind = FrameOpKind::H;
-            break;
-          case GateKind::S:
-          case GateKind::Sdg:
-            kind = FrameOpKind::S;
-            break;
-          case GateKind::CX:
-            kind = FrameOpKind::CX;
-            break;
-          case GateKind::CZ:
-            kind = FrameOpKind::CZ;
-            break;
-          case GateKind::SWAP:
-            kind = FrameOpKind::Swap;
-            break;
-          default:
-            kind = FrameOpKind::None;
-            break;
-        }
-        _stream.kind.push_back(kind);
-        _stream.m0.push_back(1ULL << g.q0);
-        _stream.m1.push_back(g.isTwoQubit() ? (1ULL << g.q1) : 0);
-    }
-
     obs::Span referenceSpan("sim.frame.reference", telemetry);
     obs::ScopedTimer referenceTimer("sim.frame.reference.seconds",
                                     telemetry);
+    buildFaultTables();
     StabilizerTableau tableau(physical.numQubits());
     tableau.applyUnitaries(physical);
     _support = tableau.support();
@@ -728,6 +804,79 @@ PauliFrameSim::PauliFrameSim(const Circuit &physical,
     }
 }
 
+void
+PauliFrameSim::buildFaultTables()
+{
+    // One row per (op, operand slot): q0, q1 of a two-qubit gate,
+    // then the crosstalk spectators in script order.
+    const std::vector<ScriptOp> &ops = _script.ops;
+    _opRows.reserve(ops.size());
+    std::size_t rows = 0;
+    for (const ScriptOp &op : ops) {
+        _opRows.push_back(static_cast<std::uint32_t>(rows));
+        rows += (op.q1 != circuit::kNoQubit ? 2 : 1) +
+                (op.ctEnd - op.ctBegin);
+    }
+    require(rows < kNoPair, "noise script too long for fault tables");
+
+    // Backward pass: before op i's gate is pulled back, the images
+    // are those of a fault injected right after it -- where
+    // sampleOpNoise injects op i's faults.
+    const auto n = static_cast<std::size_t>(_physical.numQubits());
+    std::vector<std::uint64_t> xImg(n);
+    std::vector<std::uint64_t> zImg(n, 0);
+    for (std::size_t q = 0; q < n; ++q)
+        xImg[q] = 1ULL << q;
+    _images.resize(rows);
+    const auto &gates = _physical.gates();
+    for (std::size_t i = ops.size(); i-- > 0;) {
+        const ScriptOp &op = ops[i];
+        std::size_t row = _opRows[i];
+        const auto record = [&](Qubit q) {
+            const auto x = xImg[static_cast<std::size_t>(q)];
+            const auto z = zImg[static_cast<std::size_t>(q)];
+            // Indexed by PauliKind: X, Y = XZ, Z.
+            _images[row++] = {x, x ^ z, z};
+        };
+        record(op.q0);
+        if (op.q1 != circuit::kNoQubit)
+            record(op.q1);
+        for (std::size_t c = op.ctBegin; c < op.ctEnd; ++c)
+            record(_script.crosstalk[c].spectator);
+        pullBack(gates[op.gateIndex], xImg, zImg);
+    }
+
+    // The trial schedule, in sampleOpNoise's draw order.
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+        const ScriptOp &op = ops[i];
+        const std::uint32_t row = _opRows[i];
+        const bool twoQubit = op.q1 != circuit::kNoQubit;
+        const auto add = [&](double p, std::uint32_t target,
+                             std::uint32_t pair) {
+            const BernoulliDraw draw = BernoulliDraw::compile(p);
+            if (draw.mode != BernoulliDraw::Mode::Never)
+                _draws.push_back({draw, target, pair});
+        };
+        add(op.opProb, row, twoQubit ? row + 1 : kNoPair);
+        add(op.cohProb, row, kNoPair);
+        std::uint32_t spectatorRow = row + (twoQubit ? 2 : 1);
+        for (std::size_t c = op.ctBegin; c < op.ctEnd; ++c)
+            add(_script.crosstalk[c].prob, spectatorRow++, kNoPair);
+    }
+}
+
+std::uint64_t
+PauliFrameSim::faultImage(std::size_t op, std::size_t slot,
+                          PauliKind pauli) const
+{
+    require(_framePath, "no fault tables on the dense fallback path");
+    require(op < _opRows.size(), "fault table op out of range");
+    const std::size_t end =
+        op + 1 < _opRows.size() ? _opRows[op + 1] : _images.size();
+    require(_opRows[op] + slot < end, "fault table slot out of range");
+    return _images[_opRows[op] + slot][static_cast<std::size_t>(pauli)];
+}
+
 const AffineSupport &
 PauliFrameSim::idealSupport() const
 {
@@ -744,24 +893,12 @@ PauliFrameSim::sampleIdeal(Rng &rng, std::uint64_t frameX) const
         // ideal probabilities: visit the shifted support ascending,
         // subtract the same doubles, keep the dim-1 fallback (the
         // dense loop never compares against the last index).
-        double r = rng.uniform();
         const std::uint64_t dim = 1ULL << _physical.numQubits();
-        // Per-thread scratch: runShot() stays const and reentrant
-        // without an allocation per trial.
-        thread_local std::vector<std::pair<std::uint64_t, double>>
-            shifted;
-        shifted.clear();
-        for (const auto &[s, p] : _denseRef)
-            shifted.push_back({s ^ frameX, p});
-        std::sort(shifted.begin(), shifted.end());
-        for (const auto &[t, p] : shifted) {
-            if (t == dim - 1)
-                continue;
-            if (r < p)
-                return t;
-            r -= p;
-        }
-        return dim - 1;
+        XorOrderWalk walk{_denseRef, frameX, dim - 1, rng.uniform()};
+        std::uint64_t outcome = dim - 1;
+        walk.visit(0, _denseRef.size(), _physical.numQubits() - 1,
+                   outcome);
+        return outcome;
     }
 
     // Tableau reference: outcomes are uniform over the shifted
@@ -780,22 +917,38 @@ PauliFrameSim::sampleIdeal(Rng &rng, std::uint64_t frameX) const
 }
 
 std::uint64_t
+PauliFrameSim::sampleFrameX(Rng &rng) const
+{
+    VAQ_ASSERT(_framePath, "no fault tables on the fallback path");
+    // Work on a local copy of the stream so its state can live in
+    // registers: the table loads are 64-bit words too, and the
+    // compiler cannot otherwise prove they do not alias it.
+    Rng local = rng;
+    std::uint64_t frameX = 0;
+    for (const FaultDraw &draw : _draws) {
+        if (!draw.fires(local))
+            continue;
+        frameX ^= _images[draw.row][static_cast<std::size_t>(
+            samplePauliKind(local))];
+        if (draw.pairRow != kNoPair &&
+            local.nextRaw() < kSecondOperandThreshold) {
+            frameX ^= _images[draw.pairRow][static_cast<std::size_t>(
+                samplePauliKind(local))];
+        }
+    }
+    rng = local;
+    return frameX;
+}
+
+std::uint64_t
 PauliFrameSim::runShot(Rng &rng) const
 {
     if (!_framePath)
         return denseTrajectoryShot(_physical, _script, rng);
 
-    PauliFrame frame;
-    for (std::size_t i = 0; i < _stream.size(); ++i) {
-        conjugateFrame(frame, _stream.kind[i], _stream.m0[i],
-                       _stream.m1[i]);
-        sampleOpNoise(_script.ops[i], _script, rng,
-                      [&](Qubit q, PauliKind pauli) {
-                          frame.inject(q, pauli);
-                      });
-    }
+    const std::uint64_t frameX = sampleFrameX(rng);
     const std::uint64_t outcome =
-        sampleIdeal(rng, frame.x) & _script.measuredMask;
+        sampleIdeal(rng, frameX) & _script.measuredMask;
     return applyReadoutNoise(_script, outcome, rng);
 }
 

@@ -6,16 +6,23 @@
  * circuit's gates. When every gate is Clifford, the noisy state
  * never needs amplitudes: it stays P |psi_ideal> for some Pauli P,
  * and P — the *frame* — is tracked as two packed uint64 bitmasks
- * (X and Z components, bit q = qubit q). Conjugating the frame
- * through a Clifford gate is a couple of bit operations, so a trial
- * costs O(gates) instead of O(gates * 2^n), unlocking PST estimation
- * at Falcon-27 scale.
+ * (X and Z components, bit q = qubit q). Only the X mask at the end
+ * of the circuit decides the outcome, and Clifford conjugation is
+ * linear over GF(2), so each possible fault is propagated to the end
+ * once, when the engine is built (a backward pass over the gates).
+ * A trial is then its noise draws alone: every fault that fires
+ * XORs one precomputed end-of-circuit X mask into the frame, and no
+ * gate is conjugated per trial. This is the propagate-once,
+ * sample-many scheme of Stim (Gidney, arXiv 2103.02202).
  *
  * The frame path is engineered to be *bit-exactly* equal to the
  * dense engine per trial at matched seeds, not merely statistically
  * equivalent:
- *  - both engines consume randomness through the same NoiseScript
- *    samplers, so the injected Paulis and their order are identical;
+ *  - both engines draw the NoiseScript schedule in the same order
+ *    (sampleOpNoise's order); the frame kernel compiles each
+ *    Bernoulli into a raw-word threshold that consumes the same
+ *    words and fires on the same words, so the injected Paulis and
+ *    their order are identical;
  *  - interleaved Pauli injections commute through the dense engine's
  *    float arithmetic exactly (Clifford matrices only permute,
  *    negate, multiply by +/-i and butterfly amplitudes; IEEE
@@ -44,6 +51,7 @@
 #ifndef VAQ_SIM_PAULI_FRAME_HPP
 #define VAQ_SIM_PAULI_FRAME_HPP
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -93,8 +101,8 @@ struct PauliFrame
     }
 };
 
-/** Frame conjugation alphabet. Pauli gates and I conjugate every
- *  Pauli to itself up to phase, hence None. */
+/** Frame conjugation alphabet of conjugateFrame(). Pauli gates and
+ *  I conjugate every Pauli to itself up to phase, hence None. */
 enum class FrameOpKind : std::uint8_t
 {
     None,
@@ -106,20 +114,11 @@ enum class FrameOpKind : std::uint8_t
 };
 
 /**
- * Precompiled Clifford gate stream in structure-of-arrays layout:
- * one entry per NoiseScript op (same indexing), operands as
- * single-bit masks.
+ * Conjugate the frame forward through one Clifford gate:
+ * f -> G f G^dag, operands as single-bit masks. Trials never call
+ * it (they XOR precomputed fault images); it is the gate-by-gate
+ * reference the fault tables are tested against.
  */
-struct FrameStream
-{
-    std::vector<FrameOpKind> kind;
-    std::vector<std::uint64_t> m0;
-    std::vector<std::uint64_t> m1;
-
-    std::size_t size() const { return kind.size(); }
-};
-
-/** Conjugate the frame through one Clifford gate: f -> G f G^dag. */
 void conjugateFrame(PauliFrame &frame, FrameOpKind kind,
                     std::uint64_t m0, std::uint64_t m1);
 
@@ -249,14 +248,20 @@ struct PauliFrameOptions
 };
 
 /**
- * The per-trial engine. Construction classifies the circuit, builds
- * the frame stream and the ideal reference (the stabilizer tableau,
- * plus the sparse ideal probabilities when the support fits the
- * dense-amplitude envelope); each trial is then O(gates + support).
- * Reference construction is timed in the sim.frame.reference span
- * and sim.frame.reference.seconds histogram. The referenced
- * circuit and model must outlive the engine. runShot() is const and
- * safe to call concurrently with distinct Rng streams.
+ * The per-trial engine. Construction classifies the circuit and
+ * builds, inside the sim.frame.reference span (and the
+ * sim.frame.reference.seconds histogram):
+ *  - the fault tables: one backward pass over the script's gates
+ *    records, for every (op, operand slot, Pauli kind), the X mask
+ *    that fault leaves at the end of the circuit;
+ *  - the ideal reference: the stabilizer tableau, plus the sparse
+ *    ideal probabilities when the support fits the dense-amplitude
+ *    envelope.
+ * A trial is then O(noise draws + fired faults) for the frame, plus
+ * the ideal sample: O(k) on the tableau, at most the support size
+ * on the dense amplitudes. The referenced circuit and model must
+ * outlive the engine. runShot() is const and safe to call
+ * concurrently with distinct Rng streams.
  */
 class PauliFrameSim
 {
@@ -294,10 +299,28 @@ class PauliFrameSim
     const AffineSupport &idealSupport() const;
 
     /**
+     * Fault-table image (frame path only): the X mask, at the end of
+     * the circuit, of `pauli` injected right after script op `op`'s
+     * gate on operand slot `slot`. Slot 0 is the op's q0, slot 1 its
+     * q1 (two-qubit gates), and the op's crosstalk spectators follow
+     * in NoiseScript order.
+     */
+    std::uint64_t faultImage(std::size_t op, std::size_t slot,
+                             PauliKind pauli) const;
+
+    /**
+     * Draw one trial's noise off `rng` (frame path only) and return
+     * the X part of the resulting end-of-circuit frame. Consumes the
+     * words sampleOpNoise() would over every script op, in order.
+     */
+    std::uint64_t sampleFrameX(Rng &rng) const;
+
+    /**
      * Run one trial off `rng`, returning the masked outcome. On the
-     * frame path this consumes the RNG stream exactly as a dense
-     * trajectory shot does; on the fallback path it *is* a dense
-     * trajectory shot.
+     * frame path this is sampleFrameX(), the ideal sample and the
+     * readout flips, and it consumes the RNG stream exactly as a
+     * dense trajectory shot does; on the fallback path it *is* a
+     * dense trajectory shot.
      */
     std::uint64_t runShot(Rng &rng) const;
 
@@ -307,6 +330,22 @@ class PauliFrameSim
     ShotCounts run() const;
 
   private:
+    static constexpr std::uint32_t kNoPair = ~std::uint32_t{0};
+
+    /** One Bernoulli event of the trial schedule, in draw order.
+     *  Events with p <= 0 draw nothing and inject nothing, so they
+     *  are left out. */
+    struct FaultDraw
+    {
+        BernoulliDraw fires;
+        /** _images row of the Pauli a firing event injects. */
+        std::uint32_t row = 0;
+        /** Operational error of a two-qubit gate: q1's row, hit on
+         *  the 0.75 second-operand coin; kNoPair otherwise. */
+        std::uint32_t pairRow = kNoPair;
+    };
+
+    void buildFaultTables();
     std::uint64_t sampleIdeal(Rng &rng, std::uint64_t frameX) const;
 
     const circuit::Circuit &_physical;
@@ -316,7 +355,14 @@ class PauliFrameSim
     bool _framePath = false;
     std::string _fallbackReason;
     FrameReference _reference = FrameReference::Tableau;
-    FrameStream _stream;
+    /** Trial schedule: every NoiseScript Bernoulli except those
+     *  with p <= 0. */
+    std::vector<FaultDraw> _draws;
+    /** End-of-circuit X masks of an X, Y, Z fault, one row per
+     *  (op, operand slot); indexed by PauliKind. */
+    std::vector<std::array<std::uint64_t, 3>> _images;
+    /** First _images row of each script op. */
+    std::vector<std::uint32_t> _opRows;
     AffineSupport _support;
     /** DenseAmplitudes reference: (basis state, probability) pairs
      *  of every non-zero ideal probability, ascending state. */

@@ -172,6 +172,95 @@ TEST(Rng, BernoulliThresholdIsTheExactUniformBoundary)
               0u);
 }
 
+TEST(Rng, BernoulliDrawConsumesWhatBernoulliConsumes)
+{
+    // A compiled draw must give bernoulli(p)'s result and leave the
+    // stream where bernoulli(p) leaves it, in every mode: no word at
+    // p <= 0 or p >= 1, one word otherwise (NaN included).
+    const double edge = 0.25; // threshold exactly 2^62
+    const std::vector<double> ps = {
+        0.0,
+        -0.1,
+        std::numeric_limits<double>::quiet_NaN(),
+        1.0,
+        1.5,
+        std::nextafter(edge, 0.0),
+        edge,
+        std::nextafter(edge, 1.0),
+        std::nextafter(1.0, 0.0),
+        4.9e-324};
+    EXPECT_EQ(BernoulliDraw::compile(0.0).mode,
+              BernoulliDraw::Mode::Never);
+    EXPECT_EQ(BernoulliDraw::compile(-0.1).mode,
+              BernoulliDraw::Mode::Never);
+    EXPECT_EQ(BernoulliDraw::compile(1.0).mode,
+              BernoulliDraw::Mode::Always);
+    EXPECT_EQ(BernoulliDraw::compile(1.5).mode,
+              BernoulliDraw::Mode::Always);
+    const BernoulliDraw nan =
+        BernoulliDraw::compile(std::numeric_limits<double>::quiet_NaN());
+    EXPECT_EQ(nan.mode, BernoulliDraw::Mode::Compare);
+    EXPECT_EQ(nan.threshold, 0u);
+    EXPECT_EQ(BernoulliDraw::compile(edge).threshold, 1ULL << 62);
+
+    for (const double p : ps) {
+        const BernoulliDraw draw = BernoulliDraw::compile(p);
+        Rng viaBernoulli(211);
+        Rng viaDraw(211);
+        std::size_t fired = 0;
+        for (int i = 0; i < 20'000; ++i) {
+            const bool expected = viaBernoulli.bernoulli(p);
+            ASSERT_EQ(draw(viaDraw), expected) << p << " draw " << i;
+            fired += expected ? 1 : 0;
+        }
+        EXPECT_EQ(viaDraw.nextRaw(), viaBernoulli.nextRaw()) << p;
+        if (p == edge) {
+            EXPECT_GT(fired, 0u);
+        }
+    }
+
+    // One ulp either side of a word's boundary: the draw agrees with
+    // bernoulli on the very word that decides it.
+    Rng probe(223);
+    for (int i = 0; i < 1000; ++i) {
+        Rng stream = probe;
+        const std::uint64_t word = probe.nextRaw();
+        const double u = static_cast<double>(word >> 11) * 0x1.0p-53;
+        for (const double p :
+             {std::nextafter(u, 0.0), u, std::nextafter(u, 1.0)}) {
+            Rng a = stream;
+            Rng b = stream;
+            EXPECT_EQ(BernoulliDraw::compile(p)(a), b.bernoulli(p))
+                << p;
+            EXPECT_EQ(a.nextRaw(), b.nextRaw()) << p;
+        }
+    }
+}
+
+TEST(Rng, GoldenUniformIntStreams)
+{
+    // Recorded from the out-of-line uniformInt before it moved into
+    // the header. uniformInt(3) is the Pauli-kind draw; 2^63 + 1
+    // rejects just under half of all words (five of the eleven
+    // words below).
+    Rng three(17);
+    const std::vector<std::uint64_t> picks = {2, 2, 1, 1, 0, 1, 2, 2,
+                                              2, 1, 0, 0, 1, 0, 1, 0};
+    for (const std::uint64_t expected : picks)
+        EXPECT_EQ(three.uniformInt(std::uint64_t{3}), expected);
+    EXPECT_EQ(three.nextRaw(), 1667708234081794088ULL);
+
+    Rng wide(13);
+    const std::uint64_t n = (1ULL << 63) + 1;
+    EXPECT_EQ(wide.uniformInt(n), 5216771479106562934ULL);
+    EXPECT_EQ(wide.uniformInt(n), 8539184146565648375ULL);
+    EXPECT_EQ(wide.uniformInt(n), 2830716437726855597ULL);
+    EXPECT_EQ(wide.uniformInt(n), 1189978561070935922ULL);
+    EXPECT_EQ(wide.uniformInt(n), 1687572034273699736ULL);
+    EXPECT_EQ(wide.uniformInt(n), 1117901239273758392ULL);
+    EXPECT_EQ(wide.nextRaw(), 9017378029270376796ULL);
+}
+
 TEST(Rng, BernoulliFrequencyMatchesP)
 {
     Rng rng(9);

@@ -20,7 +20,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <algorithm>
 #include <cstdint>
+#include <map>
 #include <vector>
 
 #include "clifford_corpus.hpp"
@@ -175,6 +177,89 @@ TEST(FrameVsDense, BitExactWithCrosstalkAndNoReadout)
     trajectory.crosstalk = 0.0;
     trajectory.readoutNoise = false;
     expectBitExact(c, model, trajectory, 1500);
+}
+
+/** IBM-Q20's first `width` qubits and the links among them: a
+ *  circuit drawn on it is executable on the full machine. */
+topology::CouplingGraph
+q20Prefix(int width)
+{
+    const auto q20 = topology::ibmQ20Tokyo();
+    std::vector<topology::Link> links;
+    for (const topology::Link &link : q20.links()) {
+        if (link.a < width && link.b < width)
+            links.push_back(link);
+    }
+    return topology::CouplingGraph("ibm-q20-prefix", width, links);
+}
+
+TEST(FrameVsDense, BitExactOnQ20WithPhaseGates)
+{
+    // Random H/S/Sdg/Pauli/CX/CZ/SWAP circuits on IBM-Q20's first 12
+    // qubits, run under the full machine's noise model (crosstalk
+    // spectators beyond the circuit's width are skipped).
+    const auto q20 = topology::ibmQ20Tokyo();
+    Rng calRng(20);
+    const auto snap = test::randomSnapshot(q20, calRng);
+    const NoiseModel model(q20, snap);
+    const auto prefix = q20Prefix(12);
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        Rng corpusRng(200 + seed);
+        const Circuit c =
+            test::randomCliffordCircuit(prefix, 90, corpusRng, 8);
+        std::size_t h = 0, s = 0, sdg = 0;
+        for (const circuit::Gate &g : c.gates()) {
+            h += g.kind == circuit::GateKind::H ? 1 : 0;
+            s += g.kind == circuit::GateKind::S ? 1 : 0;
+            sdg += g.kind == circuit::GateKind::Sdg ? 1 : 0;
+        }
+        ASSERT_GT(h, 0u);
+        ASSERT_GT(s, 0u);
+        ASSERT_GT(sdg, 0u);
+        TrajectoryOptions trajectory;
+        trajectory.seed = 300 + seed;
+        trajectory.crosstalk = seed == 2 ? 0.5 : 0.0;
+        expectBitExact(c, model, trajectory, 300);
+    }
+}
+
+TEST(FrameVsDense, BitExactOnFullDenseSupport)
+{
+    // H on 12 of 14 qubits, then only permutations and phases: the
+    // ideal support is 2^12 states, exactly maxDenseSupport, so every
+    // trial walks a 4096-entry reference in frame-shifted order.
+    const int n = 14;
+    const auto graph = topology::fullyConnected(n);
+    const auto snap = test::uniformSnapshot(graph);
+    const NoiseModel model(graph, snap);
+    Circuit c(n);
+    for (int q = 0; q < 12; ++q)
+        c.h(static_cast<circuit::Qubit>(q));
+    Rng gateRng(1414);
+    for (int i = 0; i < 60; ++i) {
+        const auto a = static_cast<circuit::Qubit>(gateRng.uniformInt(
+            static_cast<std::uint64_t>(n)));
+        const auto b = static_cast<circuit::Qubit>(
+            (a + 1 + gateRng.uniformInt(std::uint64_t{n - 1})) % n);
+        switch (gateRng.uniformInt(6)) {
+          case 0: c.cx(a, b); break;
+          case 1: c.cz(a, b); break;
+          case 2: c.swap(a, b); break;
+          case 3: c.s(a); break;
+          case 4: c.sdg(a); break;
+          default: c.x(a); break;
+        }
+    }
+    c.measureAll();
+
+    PauliFrameOptions options;
+    const PauliFrameSim sim(c, model, options);
+    ASSERT_EQ(sim.idealSupport().dimension(), 12u);
+    ASSERT_EQ(sim.reference(), FrameReference::DenseAmplitudes);
+
+    TrajectoryOptions trajectory;
+    trajectory.seed = 1212;
+    expectBitExact(c, model, trajectory, 200);
 }
 
 TEST(FrameVsDense, TableauReferenceAgreesWithinWilsonInterval)
@@ -343,6 +428,44 @@ TEST(FrameVsDense, OutcomeCheckedBitIdenticalAcrossThreadCounts)
         EXPECT_DOUBLE_EQ(one.pst, eight.pst);
         EXPECT_DOUBLE_EQ(one.stderrPst, eight.stderrPst);
     }
+}
+
+TEST(FrameVsDense, OutcomeCheckedHistogramMatchesSerialReplay)
+{
+    // The chunk histograms are sorted, run-length encoded and merged;
+    // the result must equal a plain per-trial tally of the same
+    // chunk streams (split from the master seed in chunk order), a
+    // ragged last chunk included.
+    const auto graph = topology::ibmQ5Tenerife();
+    const auto snap = test::uniformSnapshot(graph, 0.1, 0.02, 0.05);
+    const NoiseModel model(graph, snap);
+    Rng corpusRng(34);
+    const Circuit c =
+        test::randomCliffordCircuit(graph, 70, corpusRng, 2);
+
+    OutcomeSimOptions options;
+    options.trials = 10'000;
+    options.chunkTrials = 768;
+    options.engine = SimEngine::PauliFrame;
+    const OutcomeSimResult result =
+        ParallelFaultSim(3).runOutcomeChecked(c, model, options);
+
+    PauliFrameOptions frameOptions;
+    const PauliFrameSim sim(c, model, frameOptions);
+    std::map<std::uint64_t, std::size_t> expected;
+    Rng master(options.seed);
+    for (std::size_t begin = 0; begin < options.trials;
+         begin += options.chunkTrials) {
+        Rng stream = master.split();
+        const std::size_t n =
+            std::min(options.chunkTrials, options.trials - begin);
+        for (std::size_t t = 0; t < n; ++t)
+            ++expected[sim.runShot(stream)];
+    }
+    EXPECT_GT(expected.size(), 8u);
+    EXPECT_EQ(result.counts.counts, expected);
+    EXPECT_EQ(result.counts.shots, options.trials);
+    EXPECT_EQ(result.counts.measuredMask, sim.measuredMask());
 }
 
 TEST(FrameVsDense, AdaptiveStopIsThreadCountInvariant)

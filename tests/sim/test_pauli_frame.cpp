@@ -4,7 +4,9 @@
  * per-gate conjugation tables checked both symbolically and against
  * the dense simulator, frame-algebra identities (SWAP = 3 CX,
  * involutions), the affine-support normal form, and the stabilizer
- * tableau's support cross-checked against exact dense amplitudes.
+ * tableau's support cross-checked against exact dense amplitudes,
+ * and the engine's fault tables and trial kernel checked against
+ * gate-by-gate forward conjugation.
  */
 #include "sim/pauli_frame.hpp"
 
@@ -17,6 +19,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "sim/noise_model.hpp"
+#include "sim/noise_script.hpp"
 #include "sim/statevector.hpp"
 #include "test_support.hpp"
 #include "topology/layouts.hpp"
@@ -431,6 +434,190 @@ TEST(StabilizerTableauTest, SupportMatchesDenseOnRandomCorpus)
                         << "seed=" << seed << " basis=" << b;
             }
         }
+    }
+}
+
+/** Frame-alphabet kind of a Clifford gate. */
+FrameOpKind
+frameOpKind(circuit::GateKind kind)
+{
+    switch (kind) {
+      case circuit::GateKind::H:
+        return FrameOpKind::H;
+      case circuit::GateKind::S:
+      case circuit::GateKind::Sdg:
+        return FrameOpKind::S;
+      case circuit::GateKind::CX:
+        return FrameOpKind::CX;
+      case circuit::GateKind::CZ:
+        return FrameOpKind::CZ;
+      case circuit::GateKind::SWAP:
+        return FrameOpKind::Swap;
+      default:
+        return FrameOpKind::None;
+    }
+}
+
+/** Conjugate a frame forward through one gate of a circuit. */
+void
+conjugateThrough(PauliFrame &frame, const circuit::Gate &gate)
+{
+    conjugateFrame(frame, frameOpKind(gate.kind), 1ULL << gate.q0,
+                   gate.isTwoQubit() ? 1ULL << gate.q1 : 0);
+}
+
+/**
+ * The trial loop the fault tables replaced, kept as their oracle:
+ * conjugate the frame through each gate, then inject that op's
+ * noise as sampleOpNoise draws it.
+ */
+PauliFrame
+referenceTrialFrame(const Circuit &c, const NoiseScript &script,
+                    Rng &rng)
+{
+    PauliFrame frame;
+    for (const ScriptOp &op : script.ops) {
+        conjugateThrough(frame, c.gates()[op.gateIndex]);
+        sampleOpNoise(op, script, rng,
+                      [&](circuit::Qubit q, PauliKind pauli) {
+                          frame.inject(q, pauli);
+                      });
+    }
+    return frame;
+}
+
+/** Run the kernel and the oracle loop off equal streams: the X
+ *  frames and the next RNG word must match after every trial.
+ *  Returns the number of trials with a non-zero frame. */
+std::size_t
+expectKernelMatchesReferenceLoop(const Circuit &c,
+                                 const NoiseModel &model,
+                                 const TrajectoryOptions &trajectory,
+                                 std::size_t trials)
+{
+    PauliFrameOptions options;
+    options.trajectory = trajectory;
+    const PauliFrameSim sim(c, model, options);
+    EXPECT_TRUE(sim.framePath());
+    const NoiseScript script =
+        NoiseScript::compile(c, model, trajectory);
+    Rng oracleRng(trajectory.seed);
+    Rng kernelRng(trajectory.seed);
+    std::size_t nonZero = 0;
+    for (std::size_t t = 0; t < trials; ++t) {
+        const PauliFrame expected =
+            referenceTrialFrame(c, script, oracleRng);
+        const std::uint64_t x = sim.sampleFrameX(kernelRng);
+        const std::uint64_t oracleWord = Rng(oracleRng).nextRaw();
+        const std::uint64_t kernelWord = Rng(kernelRng).nextRaw();
+        if (x != expected.x || oracleWord != kernelWord) {
+            ADD_FAILURE() << "trial " << t << ": frame.x " << x
+                          << " vs " << expected.x << ", next word "
+                          << kernelWord << " vs " << oracleWord;
+            return nonZero;
+        }
+        nonZero += x != 0 ? 1 : 0;
+    }
+    return nonZero;
+}
+
+TEST(FaultTables, ImagesMatchForwardConjugation)
+{
+    // Every (op, slot, Pauli kind) image must equal that single
+    // fault conjugated forward to the circuit end, X part.
+    const std::vector<topology::CouplingGraph> machines = {
+        topology::ibmQ5Tenerife(), topology::ibmFalcon27(),
+        topology::grid(8, 8)};
+    for (const auto &graph : machines) {
+        const int n = graph.numQubits();
+        const auto snap = test::uniformSnapshot(graph);
+        const NoiseModel model(graph, snap);
+        Rng corpusRng(600 + static_cast<std::uint64_t>(n));
+        const Circuit c =
+            test::randomCliffordCircuit(graph, 8 * n, corpusRng);
+        const auto &gates = c.gates();
+        for (const double crosstalk : {0.0, 0.5}) {
+            PauliFrameOptions options;
+            options.trajectory.crosstalk = crosstalk;
+            const PauliFrameSim sim(c, model, options);
+            ASSERT_TRUE(sim.framePath());
+            const NoiseScript script =
+                NoiseScript::compile(c, model, options.trajectory);
+            EXPECT_EQ(script.crosstalk.empty(), crosstalk == 0.0);
+            for (std::size_t i = 0; i < script.ops.size(); ++i) {
+                const ScriptOp &op = script.ops[i];
+                std::vector<circuit::Qubit> slots = {op.q0};
+                if (op.q1 != circuit::kNoQubit)
+                    slots.push_back(op.q1);
+                for (std::size_t e = op.ctBegin; e < op.ctEnd; ++e)
+                    slots.push_back(script.crosstalk[e].spectator);
+                for (std::size_t slot = 0; slot < slots.size();
+                     ++slot) {
+                    for (const PauliKind kind :
+                         {PauliKind::X, PauliKind::Y, PauliKind::Z}) {
+                        PauliFrame fault;
+                        fault.inject(slots[slot], kind);
+                        for (std::size_t j = i + 1;
+                             j < script.ops.size(); ++j) {
+                            conjugateThrough(
+                                fault,
+                                gates[script.ops[j].gateIndex]);
+                        }
+                        ASSERT_EQ(sim.faultImage(i, slot, kind),
+                                  fault.x)
+                            << "width " << n << " crosstalk "
+                            << crosstalk << " op " << i << " slot "
+                            << slot << " kind "
+                            << static_cast<int>(kind);
+                    }
+                }
+                EXPECT_THROW(
+                    sim.faultImage(i, slots.size(), PauliKind::X),
+                    VaqError);
+            }
+        }
+    }
+}
+
+TEST(FaultTables, KernelMatchesReferenceLoopOnTableauPath)
+{
+    // Width 27 runs on the tableau reference. Link errors up to
+    // 0.15 plus crosstalk make faults fire in most trials.
+    const auto graph = topology::ibmFalcon27();
+    Rng calRng(2103);
+    const auto snap = test::randomSnapshot(graph, calRng);
+    const NoiseModel model(graph, snap);
+    Rng corpusRng(27);
+    const Circuit c = test::randomCliffordCircuit(graph, 216, corpusRng);
+    ASSERT_EQ(PauliFrameSim(c, model).reference(),
+              FrameReference::Tableau);
+
+    TrajectoryOptions trajectory;
+    trajectory.seed = 4242;
+    trajectory.crosstalk = 0.5;
+    const std::size_t trials = 100'000;
+    const std::size_t nonZero =
+        expectKernelMatchesReferenceLoop(c, model, trajectory, trials);
+    EXPECT_GT(nonZero, trials / 2);
+}
+
+TEST(FaultTables, CertainAndImpossibleFaultsDrawLikeBernoulli)
+{
+    // Two-qubit error 1 fires without a draw; one-qubit error 0 and
+    // coherence off draw nothing at all; crosstalk 0.5 stays a
+    // threshold compare. The kernel must consume the words the
+    // oracle loop's Rng::bernoulli calls do.
+    const auto graph = topology::ibmQ5Tenerife();
+    const auto snap = test::uniformSnapshot(graph, 1.0, 0.0);
+    const NoiseModel model(graph, snap, CoherenceMode::None);
+    Rng corpusRng(55);
+    const Circuit c = test::randomCliffordCircuit(graph, 60, corpusRng);
+
+    TrajectoryOptions trajectory;
+    trajectory.seed = 31;
+    for (const double crosstalk : {0.0, 0.5}) {
+        trajectory.crosstalk = crosstalk;
+        expectKernelMatchesReferenceLoop(c, model, trajectory, 5'000);
     }
 }
 
