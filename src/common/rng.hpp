@@ -114,8 +114,8 @@ class Rng
      * << 11. p < 1 keeps ceil(p * 2^53) <= 2^53 - 1, so the
      * threshold stays below 2^64. NaN and p <= 0 give 0 (never
      * fires). p >= 1 has no exact threshold: bernoulli fires
-     * without a draw there, so callers must handle it themselves;
-     * it returns max().
+     * without a draw there, so it returns max() and callers go
+     * through BernoulliDraw, which handles that case.
      */
     static std::uint64_t
     bernoulliThreshold(double p)
@@ -177,7 +177,9 @@ class Rng
  * Rng::bernoulli(p) compiled once for a fixed p. Calling the draw
  * consumes the same words and returns the same result as
  * bernoulli(p) on the same stream; only the float compare becomes
- * a raw-word compare against bernoulliThreshold(p).
+ * a raw-word compare against bernoulliThreshold(p). Both trial
+ * kernels (sim::detail::compileThresholds and the Pauli-frame fault
+ * draws) compile their probabilities through it.
  */
 struct BernoulliDraw
 {

@@ -124,12 +124,13 @@ compileThresholds(const std::vector<double> &probs)
     TrialThresholds compiled;
     compiled.thresholds.reserve(probs.size());
     for (double p : probs) {
-        if (p >= 1.0) {
+        const BernoulliDraw draw = BernoulliDraw::compile(p);
+        if (draw.mode == BernoulliDraw::Mode::Always) {
             compiled.certainFailure = true;
             break;
         }
-        if (p > 0.0)
-            compiled.thresholds.push_back(Rng::bernoulliThreshold(p));
+        if (draw.mode == BernoulliDraw::Mode::Compare)
+            compiled.thresholds.push_back(draw.threshold);
     }
     return compiled;
 }

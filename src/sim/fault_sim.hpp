@@ -107,9 +107,9 @@ struct TrialTally
  */
 struct TrialThresholds
 {
-    /** One threshold per op with 0 < p < 1, up to the first
-     *  p >= 1. Ops with p <= 0 are dropped: bernoulli(0) consumes
-     *  no draw. */
+    /** BernoulliDraw::compile(p).threshold of each op that draws
+     *  a word, up to the first op that fails without one. Ops
+     *  with p <= 0 are dropped: bernoulli(0) consumes no draw. */
     std::vector<std::uint64_t> thresholds;
     /** A p >= 1 op ended the list: it fails every trial that
      *  reaches it, without a draw. */

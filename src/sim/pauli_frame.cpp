@@ -643,8 +643,11 @@ namespace
 
 /** Second-operand coin of a two-qubit operational error:
  *  bernoulli(0.75) as a raw-word compare. */
-const std::uint64_t kSecondOperandThreshold =
-    Rng::bernoulliThreshold(0.75);
+constexpr std::uint64_t kSecondOperandThreshold = 0xC000000000000000ULL;
+// Rng::bernoulliThreshold(0.75): 0.75 * 2^53 is an integer, so its
+// ceil is itself.
+static_assert(kSecondOperandThreshold ==
+              static_cast<std::uint64_t>(0.75 * 0x1.0p53) << 11);
 
 /**
  * Pull end-of-circuit images back through one gate. On entry
@@ -689,60 +692,6 @@ pullBack(const Gate &gate, std::vector<std::uint64_t> &xImg,
         return;
     }
 }
-
-/**
- * StateVector::sample()'s walk over the ideal probabilities
- * XOR-permuted by a frame: visits the entries of a state-sorted list
- * in ascending `state ^ flip` order, subtracting each probability
- * from `r` until one exceeds it, and never compares against
- * `last` (the dense loop's dim - 1 fallback). A sorted range whose
- * states agree above some bit is an implicit binary trie: its
- * bit-clear entries come first. A set bit of `flip` swaps the two
- * halves, and below the lowest set bit the range is already in
- * order, so no per-trial sort is needed.
- */
-struct XorOrderWalk
-{
-    const std::vector<std::pair<std::uint64_t, double>> &ref;
-    std::uint64_t flip;
-    std::uint64_t last;
-    double r;
-
-    /** Walk ref[lo, hi), whose states agree above `bit`; true (and
-     *  `hit` set) once a sample lands. */
-    bool
-    visit(std::size_t lo, std::size_t hi, int bit, std::uint64_t &hit)
-    {
-        if (lo == hi)
-            return false;
-        if (bit < 0 || (flip & ((2ULL << bit) - 1)) == 0) {
-            for (std::size_t i = lo; i < hi; ++i) {
-                const std::uint64_t t = ref[i].first ^ flip;
-                if (t == last)
-                    continue;
-                if (r < ref[i].second) {
-                    hit = t;
-                    return true;
-                }
-                r -= ref[i].second;
-            }
-            return false;
-        }
-        const auto first = ref.begin();
-        const std::size_t mid = static_cast<std::size_t>(
-            std::partition_point(first + static_cast<std::ptrdiff_t>(lo),
-                                 first + static_cast<std::ptrdiff_t>(hi),
-                                 [bit](const auto &e) {
-                                     return ((e.first >> bit) & 1) == 0;
-                                 }) -
-            first);
-        if ((flip >> bit) & 1)
-            return visit(mid, hi, bit - 1, hit) ||
-                   visit(lo, mid, bit - 1, hit);
-        return visit(lo, mid, bit - 1, hit) ||
-               visit(mid, hi, bit - 1, hit);
-    }
-};
 
 } // namespace
 
@@ -893,12 +842,24 @@ PauliFrameSim::sampleIdeal(Rng &rng, std::uint64_t frameX) const
         // ideal probabilities: visit the shifted support ascending,
         // subtract the same doubles, keep the dim-1 fallback (the
         // dense loop never compares against the last index).
+        double r = rng.uniform();
         const std::uint64_t dim = 1ULL << _physical.numQubits();
-        XorOrderWalk walk{_denseRef, frameX, dim - 1, rng.uniform()};
-        std::uint64_t outcome = dim - 1;
-        walk.visit(0, _denseRef.size(), _physical.numQubits() - 1,
-                   outcome);
-        return outcome;
+        // Per-thread scratch: runShot() stays const and reentrant
+        // without an allocation per trial.
+        thread_local std::vector<std::pair<std::uint64_t, double>>
+            shifted;
+        shifted.clear();
+        for (const auto &[s, p] : _denseRef)
+            shifted.push_back({s ^ frameX, p});
+        std::sort(shifted.begin(), shifted.end());
+        for (const auto &[t, p] : shifted) {
+            if (t == dim - 1)
+                continue;
+            if (r < p)
+                return t;
+            r -= p;
+        }
+        return dim - 1;
     }
 
     // Tableau reference: outcomes are uniform over the shifted

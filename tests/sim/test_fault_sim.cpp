@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "common/error.hpp"
@@ -276,6 +277,8 @@ TEST(FaultSimKernel, ThresholdKernelMatchesBernoulliLoopBitForBit)
         {0.0, tiny, 0x1.0p-53, 0.5, 1.0, belowOne, 0.25, 0.0},
         {0.0, tiny, 0x1.0p-53, 0.5, 0.0, 0.01, 0.03},
         {0.02, belowOne, 0.1},
+        // NaN draws a word and never fires; negatives draw nothing.
+        {0.01, std::numeric_limits<double>::quiet_NaN(), -0.1, 0.03},
         {0.0, 0.0, 0.0},
         {},
         realistic,
