@@ -283,9 +283,11 @@ parseQasm(const std::string &text, const std::string &source)
                          "two-qubit gate '" + name +
                              "' needs two operands",
                          name);
-                circuit->append(Gate::twoQubit(
-                    kind, parseOperand(st, ops[0], "q"),
-                    parseOperand(st, ops[1], "q")));
+                // Named locals fix the order: a bad first operand
+                // is blamed before a bad second one.
+                const Qubit q0 = parseOperand(st, ops[0], "q");
+                const Qubit q1 = parseOperand(st, ops[1], "q");
+                circuit->append(Gate::twoQubit(kind, q0, q1));
             } else {
                 st.check(ops.size() == 1,
                          "one-qubit gate '" + name +

@@ -113,6 +113,18 @@ TEST(QasmErrors, TwoQubitGateArityIsChecked)
               std::string::npos);
 }
 
+TEST(QasmErrors, TwoBadOperandsBlameTheFirst)
+{
+    // Operands are parsed in source order, so the first bad one is
+    // reported whatever the compiler's argument evaluation order.
+    const std::string msg =
+        messageFor("two_bad_operands.qasm", "3:4");
+    EXPECT_NE(msg.find("malformed operand 'r[0]': expected q[<index>]"),
+              std::string::npos);
+    EXPECT_NE(msg.find("\n  cx r[0],s[1];\n     ^"),
+              std::string::npos);
+}
+
 TEST(QasmErrors, OutOfRangeOperandGainsTheSourceLine)
 {
     // Circuit::append's range error carries no location of its own;
