@@ -9,6 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_util.hpp"
+#include "circuit/qasm.hpp"
 #include "core/batch_compiler.hpp"
 #include "core/compile_cache.hpp"
 #include "core/compile_options.hpp"
@@ -372,6 +373,60 @@ BENCHMARK(BM_CompiledCircuitTrialRate)
     ->UseRealTime()
     ->MeasureProcessCPUTime()
     ->Unit(benchmark::kMillisecond);
+
+/** The Table 1 suite mapped with vqa+vqm, as circuits and as QASM. */
+struct MappedSuite
+{
+    std::vector<circuit::Circuit> circuits;
+    std::vector<std::string> texts;
+    std::size_t bytes = 0;
+};
+
+const MappedSuite &
+mappedSuite()
+{
+    static const MappedSuite suite = [] {
+        MappedSuite out;
+        const core::Mapper mapper = core::makeMapper({.name = "vqa+vqm"});
+        for (const auto &w : workloads::standardSuite(env().machine)) {
+            out.circuits.push_back(
+                mapper.map(w.circuit, env().machine, env().averaged)
+                    .physical);
+            out.texts.push_back(circuit::toQasm(out.circuits.back()));
+            out.bytes += out.texts.back().size();
+        }
+        return out;
+    }();
+    return suite;
+}
+
+/** The wire codec: parse every mapped Table 1 program once. */
+void
+BM_QasmParse(benchmark::State &state)
+{
+    const MappedSuite &suite = mappedSuite();
+    for (auto _ : state) {
+        for (const std::string &text : suite.texts)
+            benchmark::DoNotOptimize(circuit::parseQasm(text));
+    }
+    state.SetBytesProcessed(static_cast<std::int64_t>(
+        state.iterations() * suite.bytes));
+}
+BENCHMARK(BM_QasmParse);
+
+/** The wire codec: render every mapped Table 1 program once. */
+void
+BM_QasmWrite(benchmark::State &state)
+{
+    const MappedSuite &suite = mappedSuite();
+    for (auto _ : state) {
+        for (const circuit::Circuit &c : suite.circuits)
+            benchmark::DoNotOptimize(circuit::toQasm(c));
+    }
+    state.SetBytesProcessed(static_cast<std::int64_t>(
+        state.iterations() * suite.bytes));
+}
+BENCHMARK(BM_QasmWrite);
 
 void
 BM_StrongestSubgraph(benchmark::State &state)

@@ -13,11 +13,12 @@
 # analysis, store, router, obs, sim, fleet, ...). Next to the
 # examples smoke, two vaqc smokes run the views of the loss
 # decomposition end to end: `--explain` must print "PST estimate"
-# and `vaqc sens` must print "log-PST". Three perf_* benches
+# and `vaqc sens` must print "log-PST". Four perf_* benches
 # run as exit-0 smokes: perf_frame's frame-reference construction,
 # perf_frame's width-27 Pauli-frame trials (the fault-table trial
-# kernel) and perf_simulator's 1M-trial, 4-thread Bernoulli
-# fault-injection run (the threshold trial kernel). The TSan leg
+# kernel), perf_simulator's 1M-trial, 4-thread Bernoulli
+# fault-injection run (the threshold trial kernel) and
+# perf_compiler's QASM parse/write cases (the wire codec). The TSan leg
 # rebuilds into build-tsan/ and runs only
 # `-L "parallel|analysis|store|sim|service|fleet"`
 # — the tests that exercise the thread pool, the shared path caches,
@@ -156,6 +157,18 @@ grep -q 'BM_FrameTrials/27' <<<"$FRAME_OUT" || {
     exit 1
 }
 echo "ci: Pauli-frame trial kernel bench smoke passed"
+
+echo "== tier-1: QASM codec bench smoke (must exit 0) =="
+# Parse and render the mapped Table 1 suite, the wire codec vaqd runs
+# on every /v1/compile. Both cases must appear in the output.
+QASM_OUT="$(build/bench/perf_compiler --benchmark_filter='BM_Qasm')"
+for case in BM_QasmParse BM_QasmWrite; do
+    grep -q "$case" <<<"$QASM_OUT" || {
+        echo "ci: QASM codec bench did not run $case" >&2
+        exit 1
+    }
+done
+echo "ci: QASM codec bench smoke passed"
 
 echo "== tier-1: vaqd daemon smoke (compile + rollover over HTTP) =="
 # Start vaqd on an ephemeral port, parse the port it prints, then

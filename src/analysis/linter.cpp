@@ -23,12 +23,12 @@ Linter::Linter(LintOptions options) : _options(std::move(options))
 {
     const RuleRegistry &registry = RuleRegistry::global();
     for (const std::string &key : _options.disabled) {
-        require(registry.known(key),
-                "unknown lint rule to disable: '" + key + "'");
+        if (!registry.known(key))
+            throw VaqError("unknown lint rule to disable: '" + key + "'");
     }
     for (const std::string &key : _options.enabledOnly) {
-        require(registry.known(key),
-                "unknown lint rule to enable: '" + key + "'");
+        if (!registry.known(key))
+            throw VaqError("unknown lint rule to enable: '" + key + "'");
     }
 
     std::vector<std::unique_ptr<AnalysisRule>> all =

@@ -64,9 +64,10 @@ RuleRegistry::add(Factory factory)
     const std::string id = probe->id();
     const std::string name = probe->name();
     for (const Entry &entry : _entries) {
-        require(entry.id != id && entry.name != name,
-                "duplicate lint rule registration: " + id + " (" +
-                    name + ")");
+        if (entry.id == id || entry.name == name) {
+            throw VaqError("duplicate lint rule registration: " + id +
+                           " (" + name + ")");
+        }
     }
     _entries.push_back(
         Entry{id, name, std::move(factory)});

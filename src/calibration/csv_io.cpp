@@ -144,10 +144,11 @@ saveCsv(const std::string &path, const Snapshot &snapshot,
         const topology::CouplingGraph &graph)
 {
     std::ofstream out(path);
-    require(static_cast<bool>(out),
-            "cannot open for write: " + path);
+    if (!out)
+        throw VaqError("cannot open for write: " + path);
     out << toCsv(snapshot, graph);
-    require(static_cast<bool>(out), "write failed: " + path);
+    if (!out)
+        throw VaqError("write failed: " + path);
 }
 
 Snapshot
@@ -155,7 +156,8 @@ loadCsv(const std::string &path,
         const topology::CouplingGraph &graph)
 {
     std::ifstream in(path);
-    require(static_cast<bool>(in), "cannot open for read: " + path);
+    if (!in)
+        throw VaqError("cannot open for read: " + path);
     std::ostringstream buffer;
     buffer << in.rdbuf();
     return fromCsv(buffer.str(), graph, path);
@@ -241,10 +243,11 @@ saveCsvSeries(const std::string &path,
               const topology::CouplingGraph &graph)
 {
     std::ofstream out(path);
-    require(static_cast<bool>(out),
-            "cannot open for write: " + path);
+    if (!out)
+        throw VaqError("cannot open for write: " + path);
     out << toCsvSeries(series, graph);
-    require(static_cast<bool>(out), "write failed: " + path);
+    if (!out)
+        throw VaqError("write failed: " + path);
 }
 
 CalibrationSeries
@@ -252,7 +255,8 @@ loadCsvSeries(const std::string &path,
               const topology::CouplingGraph &graph)
 {
     std::ifstream in(path);
-    require(static_cast<bool>(in), "cannot open for read: " + path);
+    if (!in)
+        throw VaqError("cannot open for read: " + path);
     std::ostringstream buffer;
     buffer << in.rdbuf();
     return fromCsvSeries(buffer.str(), graph, path);

@@ -156,11 +156,11 @@ finiteProbability(double v)
 }
 
 void
-requireCalibration(bool cond, const std::string &msg,
+requireCalibration(bool cond, std::string_view msg,
                    int qubit = -1, long link = -1)
 {
     if (!cond)
-        throw CalibrationError(msg, qubit, link);
+        throw CalibrationError(std::string(msg), qubit, link);
 }
 
 } // namespace

@@ -46,6 +46,14 @@ class Circuit
     /** Append every gate of another circuit (widths must match). */
     Circuit &append(const Circuit &other);
 
+    /** Make room for `gates` gates, so appends up to it never
+     *  allocate. */
+    void reserve(std::size_t gates) { _gates.reserve(gates); }
+
+    /** Drop spare gate capacity (for circuits kept long after they
+     *  were built). */
+    void shrinkToFit() { _gates.shrink_to_fit(); }
+
     /// @name Builder shorthands
     /// @{
     Circuit &i(Qubit q);

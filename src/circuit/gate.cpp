@@ -125,7 +125,7 @@ gateArity(GateKind kind)
 }
 
 GateKind
-gateKindFromName(const std::string &name)
+gateKindFromName(std::string_view name)
 {
     static const struct { const char *name; GateKind kind; } table[] = {
         {"id", GateKind::I},       {"x", GateKind::X},
@@ -144,7 +144,7 @@ gateKindFromName(const std::string &name)
         if (name == entry.name)
             return entry.kind;
     }
-    throw VaqError("unknown gate mnemonic: '" + name + "'");
+    throw VaqError("unknown gate mnemonic: '" + std::string(name) + "'");
 }
 
 } // namespace vaq::circuit

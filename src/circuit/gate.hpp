@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace vaq::circuit
 {
@@ -100,7 +101,7 @@ std::string gateName(GateKind kind);
 int gateArity(GateKind kind);
 
 /** Parse a mnemonic back to a GateKind; throws VaqError if unknown. */
-GateKind gateKindFromName(const std::string &name);
+GateKind gateKindFromName(std::string_view name);
 
 } // namespace vaq::circuit
 

@@ -17,10 +17,11 @@ emitCx(Circuit &out, const topology::CnotDirections &directions,
         out.cx(control, target);
         return;
     }
-    require(directions.allowed(target, control),
-            "no native CX direction between " +
-                std::to_string(control) + " and " +
-                std::to_string(target));
+    if (!directions.allowed(target, control)) {
+        throw VaqError("no native CX direction between " +
+                       std::to_string(control) + " and " +
+                       std::to_string(target));
+    }
     ++stats.reversedCnots;
     out.h(control);
     out.h(target);

@@ -1,8 +1,11 @@
 #include "circuit/qasm.hpp"
 
+#include <algorithm>
+#include <cctype>
+#include <charconv>
 #include <cmath>
 #include <optional>
-#include <sstream>
+#include <string_view>
 
 #include "common/error.hpp"
 #include "common/strings.hpp"
@@ -13,43 +16,58 @@ namespace vaq::circuit
 namespace
 {
 
-/** Render one operand as q[i]. */
-std::string
-operand(Qubit q)
+using std::string_view;
+
+/** Append a non-negative integer in decimal. */
+void
+appendInt(std::string &out, long value)
 {
-    return "q[" + std::to_string(q) + "]";
+    char buffer[24];
+    const auto result =
+        std::to_chars(buffer, buffer + sizeof buffer, value);
+    out.append(buffer, result.ptr);
+}
+
+/** Append one operand as q[i]. */
+void
+appendOperand(std::string &out, Qubit q)
+{
+    out += "q[";
+    appendInt(out, q);
+    out += ']';
 }
 
 /**
  * Where the parser currently is. Errors compose the CSV-loader
  * location convention ("source:line:column: message") and append
- * the offending line with a caret under the blamed token.
+ * the offending line with a caret under the blamed token. Only
+ * fail() builds strings; the happy path holds views into the text.
  */
 struct ParseState
 {
     const std::string &source;
     int lineNo = 0;
-    std::string raw; ///< current line, untrimmed, comments intact
+    string_view raw; ///< current line, untrimmed, comments intact
 
     /** 1-based column of `token` in the raw line (1 if absent). */
-    std::size_t column(const std::string &token) const
+    std::size_t column(string_view token) const
     {
         if (!token.empty()) {
             const auto pos = raw.find(token);
-            if (pos != std::string::npos)
+            if (pos != string_view::npos)
                 return pos + 1;
         }
         const auto pos = raw.find_first_not_of(" \t");
-        return pos == std::string::npos ? 1 : pos + 1;
+        return pos == string_view::npos ? 1 : pos + 1;
     }
 
-    [[noreturn]] void fail(const std::string &message,
-                           const std::string &token = "") const
+    [[noreturn]] void fail(string_view message,
+                           string_view token = {}) const
     {
         const std::size_t col = column(token);
         std::string msg = source + ":" + std::to_string(lineNo) +
-                          ":" + std::to_string(col) + ": " +
-                          message;
+                          ":" + std::to_string(col) + ": ";
+        msg += message;
         if (!raw.empty()) {
             // Caret padding mirrors tabs so it lines up however
             // the excerpt is rendered.
@@ -58,13 +76,15 @@ struct ParseState
                  ++i) {
                 pad += raw[i] == '\t' ? '\t' : ' ';
             }
-            msg += "\n  " + raw + "\n  " + pad + "^";
+            msg += "\n  ";
+            msg += raw;
+            msg += "\n  " + pad + "^";
         }
         throw VaqError(msg);
     }
 
-    void check(bool ok, const std::string &message,
-               const std::string &token = "") const
+    void check(bool ok, string_view message,
+               string_view token = {}) const
     {
         if (!ok)
             fail(message, token);
@@ -73,21 +93,20 @@ struct ParseState
 
 /** Parse "q[i]" (whitespace-tolerant); returns the index. */
 Qubit
-parseOperand(const ParseState &st, const std::string &text,
-             const std::string &reg)
+parseOperand(const ParseState &st, string_view text)
 {
-    const std::string t = trim(text);
-    st.check(startsWith(t, reg + "[") && t.size() > reg.size() + 2 &&
-                 t.back() == ']',
-             "malformed operand '" + t + "': expected " + reg +
-                 "[<index>]",
-             t);
-    const std::string idx =
-        t.substr(reg.size() + 1, t.size() - reg.size() - 2);
+    const string_view t = trimView(text);
+    if (!(startsWith(t, "q[") && t.size() > 3 && t.back() == ']')) {
+        st.fail("malformed operand '" + std::string(t) +
+                    "': expected q[<index>]",
+                t);
+    }
+    const string_view idx = t.substr(2, t.size() - 3);
     try {
         return static_cast<Qubit>(parseSize(idx));
     } catch (const VaqError &e) {
-        st.fail("bad operand index '" + idx + "': " + e.message(),
+        st.fail("bad operand index '" + std::string(idx) +
+                    "': " + e.message(),
                 t);
     }
 }
@@ -97,29 +116,29 @@ parseOperand(const ParseState &st, const std::string &text,
  * a decimal literal, "pi", "-pi", "pi/k", "-pi/k", or "k*pi/m".
  */
 double
-parseAngle(const ParseState &st, const std::string &raw)
+parseAngle(const ParseState &st, string_view raw)
 {
-    std::string t = trim(raw);
+    string_view t = trimView(raw);
     st.check(!t.empty(), "empty angle expression");
     try {
         double sign = 1.0;
         if (t.front() == '-') {
             sign = -1.0;
-            t = trim(t.substr(1));
+            t = trimView(t.substr(1));
         }
-        if (t.find("pi") == std::string::npos)
+        if (t.find("pi") == string_view::npos)
             return sign * parseDouble(t);
 
         double numerator = 1.0;
         double denominator = 1.0;
         const auto star = t.find('*');
-        if (star != std::string::npos) {
+        if (star != string_view::npos) {
             numerator = parseDouble(t.substr(0, star));
-            t = trim(t.substr(star + 1));
+            t = trimView(t.substr(star + 1));
         }
         if (!startsWith(t, "pi"))
             throw VaqError("expected 'pi'");
-        t = trim(t.substr(2));
+        t = trimView(t.substr(2));
         if (!t.empty()) {
             if (t.front() != '/')
                 throw VaqError("expected '/' after 'pi'");
@@ -127,9 +146,10 @@ parseAngle(const ParseState &st, const std::string &raw)
         }
         return sign * numerator * M_PI / denominator;
     } catch (const VaqError &e) {
-        st.fail("malformed angle '" + trim(raw) +
+        const string_view expr = trimView(raw);
+        st.fail("malformed angle '" + std::string(expr) +
                     "': " + e.message(),
-                trim(raw));
+                expr);
     }
 }
 
@@ -138,36 +158,53 @@ parseAngle(const ParseState &st, const std::string &raw)
 std::string
 toQasm(const Circuit &circuit)
 {
-    std::ostringstream oss;
-    oss << "OPENQASM 2.0;\n";
-    oss << "include \"qelib1.inc\";\n";
-    oss << "qreg q[" << circuit.numQubits() << "];\n";
-    oss << "creg c[" << circuit.numQubits() << "];\n";
+    std::string out;
+    // About 20 bytes per gate line; one reallocation at most.
+    out.reserve(96 + 24 * circuit.size());
+    out += "OPENQASM 2.0;\n"
+           "include \"qelib1.inc\";\n"
+           "qreg q[";
+    appendInt(out, circuit.numQubits());
+    out += "];\ncreg c[";
+    appendInt(out, circuit.numQubits());
+    out += "];\n";
     for (const Gate &g : circuit.gates()) {
         switch (g.kind) {
           case GateKind::BARRIER:
-            oss << "barrier q;\n";
+            out += "barrier q;\n";
             break;
           case GateKind::MEASURE:
-            oss << "measure " << operand(g.q0) << " -> c["
-                << g.q0 << "];\n";
+            out += "measure ";
+            appendOperand(out, g.q0);
+            out += " -> c[";
+            appendInt(out, g.q0);
+            out += "];\n";
             break;
           default:
-            oss << gateName(g.kind);
+            out += gateName(g.kind);
             if (g.kind == GateKind::U3) {
-                oss << "(" << formatDouble(g.param, 12) << ","
-                    << formatDouble(g.param2, 12) << ","
-                    << formatDouble(g.param3, 12) << ")";
+                out += '(';
+                out += formatDouble(g.param, 12);
+                out += ',';
+                out += formatDouble(g.param2, 12);
+                out += ',';
+                out += formatDouble(g.param3, 12);
+                out += ')';
             } else if (g.isParameterized()) {
-                oss << "(" << formatDouble(g.param, 12) << ")";
+                out += '(';
+                out += formatDouble(g.param, 12);
+                out += ')';
             }
-            oss << " " << operand(g.q0);
-            if (g.isTwoQubit())
-                oss << "," << operand(g.q1);
-            oss << ";\n";
+            out += ' ';
+            appendOperand(out, g.q0);
+            if (g.isTwoQubit()) {
+                out += ',';
+                appendOperand(out, g.q1);
+            }
+            out += ";\n";
         }
     }
-    return oss.str();
+    return out;
 }
 
 ParsedQasm
@@ -175,28 +212,34 @@ parseQasm(const std::string &text, const std::string &source)
 {
     std::optional<Circuit> circuit;
     std::vector<int> gateLines;
-    std::istringstream in(text);
-    std::string line;
+    // Every gate takes a line, so the line count bounds both vectors.
+    const auto lineCount = static_cast<std::size_t>(
+        std::count(text.begin(), text.end(), '\n') + 1);
+    gateLines.reserve(lineCount);
     ParseState st{source, 0, {}};
 
     const auto record = [&gateLines, &st] {
         gateLines.push_back(st.lineNo);
     };
 
-    while (std::getline(in, line)) {
+    const string_view all(text);
+    std::size_t next = 0;
+    while (next < all.size()) {
+        const std::size_t newline = all.find('\n', next);
+        const std::size_t lineEnd =
+            newline == string_view::npos ? all.size() : newline;
+        st.raw = all.substr(next, lineEnd - next);
+        next = lineEnd + 1;
         ++st.lineNo;
-        st.raw = line;
         // Strip comments.
-        const auto comment = line.find("//");
-        if (comment != std::string::npos)
-            line = line.substr(0, comment);
-        line = trim(line);
+        string_view line = st.raw.substr(0, st.raw.find("//"));
+        line = trimView(line);
         if (line.empty())
             continue;
 
         st.check(line.back() == ';',
                  "missing ';' at end of statement");
-        line = trim(line.substr(0, line.size() - 1));
+        line = trimView(line.substr(0, line.size() - 1));
 
         if (startsWith(line, "OPENQASM") ||
             startsWith(line, "include") ||
@@ -209,8 +252,8 @@ parseQasm(const std::string &text, const std::string &source)
                      "qreg");
             const auto open = line.find('[');
             const auto close = line.find(']');
-            st.check(open != std::string::npos &&
-                         close != std::string::npos && close > open,
+            st.check(open != string_view::npos &&
+                         close != string_view::npos && close > open,
                      "malformed qreg: expected qreg q[<size>]");
             try {
                 const auto n = parseSize(
@@ -219,6 +262,7 @@ parseQasm(const std::string &text, const std::string &source)
             } catch (const VaqError &e) {
                 st.fail("bad qreg size: " + e.message());
             }
+            circuit->reserve(lineCount);
             continue;
         }
 
@@ -231,12 +275,12 @@ parseQasm(const std::string &text, const std::string &source)
         }
         if (startsWith(line, "measure")) {
             const auto arrow = line.find("->");
-            st.check(arrow != std::string::npos,
+            st.check(arrow != string_view::npos,
                      "malformed measure: expected "
                      "measure q[i] -> c[i]",
                      "measure");
-            const Qubit q = parseOperand(
-                st, line.substr(7, arrow - 7), "q");
+            const Qubit q =
+                parseOperand(st, line.substr(7, arrow - 7));
             try {
                 circuit->measure(q);
             } catch (const VaqError &e) {
@@ -253,67 +297,80 @@ parseQasm(const std::string &text, const std::string &source)
                    static_cast<unsigned char>(line[nameEnd])))) {
             ++nameEnd;
         }
-        const std::string name = line.substr(0, nameEnd);
+        const string_view name = line.substr(0, nameEnd);
         st.check(!name.empty(), "expected a gate name");
-        std::string rest = trim(line.substr(nameEnd));
+        string_view rest = trimView(line.substr(nameEnd));
 
-        std::vector<double> angles;
+        // Every listed angle is parsed (and may fail); u2/u3 use up
+        // to three, other gates the first.
+        double angles[3] = {0.0, 0.0, 0.0};
+        std::size_t angleCount = 0;
         if (!rest.empty() && rest.front() == '(') {
             const auto close = rest.find(')');
-            st.check(close != std::string::npos,
+            st.check(close != string_view::npos,
                      "unterminated angle list: missing ')'", "(");
-            for (const std::string &piece :
-                 split(rest.substr(1, close - 1), ',')) {
-                angles.push_back(parseAngle(st, piece));
+            const string_view list = rest.substr(1, close - 1);
+            std::size_t start = 0;
+            for (std::size_t i = 0; i <= list.size(); ++i) {
+                if (i < list.size() && list[i] != ',')
+                    continue;
+                const double angle =
+                    parseAngle(st, list.substr(start, i - start));
+                if (angleCount < 3)
+                    angles[angleCount] = angle;
+                ++angleCount;
+                start = i + 1;
             }
-            rest = trim(rest.substr(close + 1));
+            rest = trimView(rest.substr(close + 1));
         }
-        const double angle = angles.empty() ? 0.0 : angles[0];
 
         GateKind kind;
         try {
             kind = gateKindFromName(name);
         } catch (const VaqError &e) {
-            st.fail("unknown gate '" + name + "'", name);
+            st.fail("unknown gate '" + std::string(name) + "'", name);
         }
-        const auto ops = split(rest, ',');
+        const auto comma = rest.find(',');
+        const bool oneOperand = comma == string_view::npos;
         try {
             if (gateArity(kind) == 2) {
-                st.check(ops.size() == 2,
-                         "two-qubit gate '" + name +
-                             "' needs two operands",
-                         name);
+                if (oneOperand ||
+                    rest.find(',', comma + 1) != string_view::npos) {
+                    st.fail("two-qubit gate '" + std::string(name) +
+                                "' needs two operands",
+                            name);
+                }
                 // Named locals fix the order: a bad first operand
                 // is blamed before a bad second one.
-                const Qubit q0 = parseOperand(st, ops[0], "q");
-                const Qubit q1 = parseOperand(st, ops[1], "q");
+                const Qubit q0 = parseOperand(st, rest.substr(0, comma));
+                const Qubit q1 = parseOperand(st, rest.substr(comma + 1));
                 circuit->append(Gate::twoQubit(kind, q0, q1));
             } else {
-                st.check(ops.size() == 1,
-                         "one-qubit gate '" + name +
-                             "' needs one operand",
-                         name);
+                if (!oneOperand) {
+                    st.fail("one-qubit gate '" + std::string(name) +
+                                "' needs one operand",
+                            name);
+                }
                 if (kind == GateKind::U3 || name == "u2") {
                     const bool isU2 = name == "u2";
-                    st.check(angles.size() == (isU2 ? 2u : 3u),
-                             name + " takes " +
-                                 (isU2 ? std::string("2")
-                                       : std::string("3")) +
-                                 " angles, got " +
-                                 std::to_string(angles.size()),
-                             name);
+                    const std::size_t wanted = isU2 ? 2 : 3;
+                    if (angleCount != wanted) {
+                        st.fail(std::string(name) + " takes " +
+                                    std::to_string(wanted) +
+                                    " angles, got " +
+                                    std::to_string(angleCount),
+                                name);
+                    }
                     const double theta =
                         isU2 ? M_PI / 2.0 : angles[0];
                     const double phi = isU2 ? angles[0] : angles[1];
                     const double lambda =
                         isU2 ? angles[1] : angles[2];
-                    circuit->append(Gate::u3(
-                        parseOperand(st, ops[0], "q"), theta, phi,
-                        lambda));
+                    circuit->append(Gate::u3(parseOperand(st, rest),
+                                             theta, phi, lambda));
                 } else {
                     circuit->append(Gate::oneQubit(
-                        kind, parseOperand(st, ops[0], "q"),
-                        angle));
+                        kind, parseOperand(st, rest), angles[0]));
                 }
             }
         } catch (const VaqError &e) {
@@ -326,7 +383,7 @@ parseQasm(const std::string &text, const std::string &source)
         record();
     }
 
-    st.raw.clear();
+    st.raw = {};
     st.check(circuit.has_value(), "program has no qreg");
     return ParsedQasm{std::move(*circuit), std::move(gateLines)};
 }

@@ -27,6 +27,7 @@
 #include <cstddef>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace vaq
@@ -181,12 +182,24 @@ namespace detail
 /**
  * Throw VaqError with the given message when `cond` is false.
  * Use for validating caller-supplied arguments.
+ *
+ * Checks must not allocate when they pass, because they sit on the
+ * per-request path (QASM and JSON parsing, link lookups, routing):
+ *
+ *  - a fixed message goes to require() as a literal; the view costs
+ *    nothing until the check fails;
+ *  - a message built from values ("qubit " + std::to_string(q) ...)
+ *    is written `if (!cond) throw VaqError(...)`, so the string is
+ *    built only on failure. Passing a built message to require()
+ *    would pay the allocation on every call.
+ *
+ * VAQ_ASSERT already evaluates its message only on failure.
  */
 inline void
-require(bool cond, const std::string &msg)
+require(bool cond, std::string_view msg)
 {
     if (!cond)
-        throw VaqError(msg);
+        throw VaqError(std::string(msg));
 }
 
 } // namespace vaq

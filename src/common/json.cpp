@@ -91,27 +91,30 @@ Value::object()
 bool
 Value::asBool() const
 {
-    require(_kind == Kind::Bool,
-            std::string("JSON value is ") + kindName(_kind) +
-                ", not bool");
+    if (_kind != Kind::Bool) {
+        throw VaqError(std::string("JSON value is ") + kindName(_kind) +
+                       ", not bool");
+    }
     return _bool;
 }
 
 double
 Value::asNumber() const
 {
-    require(_kind == Kind::Number,
-            std::string("JSON value is ") + kindName(_kind) +
-                ", not number");
+    if (_kind != Kind::Number) {
+        throw VaqError(std::string("JSON value is ") + kindName(_kind) +
+                       ", not number");
+    }
     return _number;
 }
 
 const std::string &
 Value::asString() const
 {
-    require(_kind == Kind::String,
-            std::string("JSON value is ") + kindName(_kind) +
-                ", not string");
+    if (_kind != Kind::String) {
+        throw VaqError(std::string("JSON value is ") + kindName(_kind) +
+                       ", not string");
+    }
     return _string;
 }
 

@@ -13,7 +13,10 @@
 namespace vaq
 {
 
-/** Strip leading and trailing whitespace. */
+/** Strip leading and trailing whitespace (std::isspace). */
+std::string_view trimView(std::string_view s);
+
+/** trimView() copied into a string. */
 std::string trim(std::string_view s);
 
 /** Split on a delimiter character; empty fields are preserved. */
@@ -22,7 +25,10 @@ std::vector<std::string> split(std::string_view s, char delim);
 /** True when `s` starts with `prefix`. */
 bool startsWith(std::string_view s, std::string_view prefix);
 
-/** Fixed-precision decimal rendering (no scientific notation). */
+/**
+ * Fixed-precision decimal rendering (no scientific notation): the
+ * bytes of printf("%.*f") in the C locale, via std::to_chars.
+ */
 std::string formatDouble(double x, int precision);
 
 /**

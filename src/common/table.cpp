@@ -91,9 +91,11 @@ void
 writeFile(const std::string &path, const std::string &text)
 {
     std::ofstream out(path);
-    require(static_cast<bool>(out), "cannot open for write: " + path);
+    if (!out)
+        throw VaqError("cannot open for write: " + path);
     out << text;
-    require(static_cast<bool>(out), "write failed: " + path);
+    if (!out)
+        throw VaqError("write failed: " + path);
 }
 
 } // namespace vaq

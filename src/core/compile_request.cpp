@@ -390,6 +390,10 @@ compileCircuit(const circuit::Circuit &logical,
             }
             MappedCircuit mapped = compileAttempt(attemptMapper);
             result.analyticPst = scoreAttempt(mapped);
+            // Routing grows the gate vector by doubling; results
+            // outlive the compile (batches, the store), so keep
+            // only the gates.
+            mapped.physical.shrinkToFit();
             result.mapped = std::move(mapped);
             result.attempts = static_cast<int>(attempt) + 1;
             result.policyUsed = attemptMapper.name();

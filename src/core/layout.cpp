@@ -10,10 +10,11 @@ Layout::Layout(int num_prog, int num_phys)
       _physToProg(static_cast<std::size_t>(num_phys), kFreeQubit)
 {
     require(num_prog >= 1, "layout needs at least one program qubit");
-    require(num_prog <= num_phys,
-            "machine too small: " + std::to_string(num_prog) +
-                " program qubits, " + std::to_string(num_phys) +
-                " physical qubits");
+    if (num_prog > num_phys) {
+        throw VaqError("machine too small: " + std::to_string(num_prog) +
+                       " program qubits, " + std::to_string(num_phys) +
+                       " physical qubits");
+    }
 }
 
 Layout

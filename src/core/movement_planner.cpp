@@ -187,9 +187,11 @@ MovementPlanner::computePlan(topology::PhysQubit pa,
     scan(distA, pb, true);
     scan(distB, pa, false);
 
-    require(best.meetNode >= 0,
-            "no route within the hop budget between qubits " +
-                std::to_string(pa) + " and " + std::to_string(pb));
+    if (best.meetNode < 0) {
+        throw VaqError("no route within the hop budget between qubits " +
+                       std::to_string(pa) + " and " +
+                       std::to_string(pb));
+    }
 
     // Reconstruct the mover's path meetNode <- ... <- src.
     const auto &parent = best.moveFirst ? parentA : parentB;

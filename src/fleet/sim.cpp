@@ -76,12 +76,14 @@ FleetSim::FleetSim(std::vector<BackendSpec> specs,
             std::move(spec), _options.compilePolicy,
             _options.storeEntries, _options.breaker,
             _options.stalenessTol));
-    for (const FaultEvent &event : _plan.events)
-        require(event.machine < _backends.size(),
-                "fault plan references machine " +
-                    std::to_string(event.machine) +
-                    " but the fleet has " +
-                    std::to_string(_backends.size()));
+    for (const FaultEvent &event : _plan.events) {
+        if (event.machine >= _backends.size()) {
+            throw VaqError("fault plan references machine " +
+                           std::to_string(event.machine) +
+                           " but the fleet has " +
+                           std::to_string(_backends.size()));
+        }
+    }
     _assigned.resize(_backends.size());
     _downSinceUs.assign(_backends.size(), 0.0);
 }
@@ -623,12 +625,13 @@ FleetSim::run(const std::vector<FleetJob> &jobs)
     _jobs.clear();
     _jobs.reserve(jobs.size());
     for (const FleetJob &spec : jobs) {
-        require(spec.circuitIndex < _workload.size(),
-                "job " + std::to_string(spec.id) +
-                    " references workload " +
-                    std::to_string(spec.circuitIndex) +
-                    " but only " +
-                    std::to_string(_workload.size()) + " exist");
+        if (spec.circuitIndex >= _workload.size()) {
+            throw VaqError("job " + std::to_string(spec.id) +
+                           " references workload " +
+                           std::to_string(spec.circuitIndex) +
+                           " but only " +
+                           std::to_string(_workload.size()) + " exist");
+        }
         JobState state;
         state.spec = spec;
         state.rng = Rng(mixJobSeed(_options.seed, spec.id));

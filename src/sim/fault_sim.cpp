@@ -21,12 +21,13 @@ checkExecutable(const Circuit &physical, const NoiseModel &model)
             "circuit wider than machine");
     for (const Gate &g : physical.gates()) {
         if (g.isTwoQubit()) {
-            require(graph.coupled(g.q0, g.q1),
-                    "two-qubit gate on uncoupled pair " +
-                        std::to_string(g.q0) + "," +
-                        std::to_string(g.q1) +
-                        " -- circuit is not routed for " +
-                        graph.name());
+            if (!graph.coupled(g.q0, g.q1)) {
+                throw VaqError("two-qubit gate on uncoupled pair " +
+                               std::to_string(g.q0) + "," +
+                               std::to_string(g.q1) +
+                               " -- circuit is not routed for " +
+                               graph.name());
+            }
         }
     }
 }
@@ -37,14 +38,19 @@ namespace detail
 namespace
 {
 
-/** Reject NaN/inf/out-of-range probabilities from the model. */
+/** Reject NaN/inf/out-of-range probabilities from the model;
+ *  `qubit` >= 0 names the qubit an idle probability belongs to. */
 void
-requireProbability(double p, const std::string &what)
+requireProbability(double p, const char *what, int qubit = -1)
 {
-    require(std::isfinite(p) && p >= 0.0 && p <= 1.0,
-            "corrupt calibration data: " + what +
-                " error probability " + std::to_string(p) +
-                " is outside [0, 1]");
+    if (std::isfinite(p) && p >= 0.0 && p <= 1.0)
+        return;
+    std::string source = what;
+    if (qubit >= 0)
+        source += " (qubit " + std::to_string(qubit) + ")";
+    throw VaqError("corrupt calibration data: " + source +
+                   " error probability " + std::to_string(p) +
+                   " is outside [0, 1]");
 }
 
 } // namespace
@@ -78,8 +84,7 @@ collectErrorProbs(const Circuit &physical, const NoiseModel &model)
             const double idle = schedule.idleNs(physical, q);
             if (idle > 0.0) {
                 const double p = model.idleErrorProb(q, idle);
-                requireProbability(
-                    p, "idle (qubit " + std::to_string(q) + ")");
+                requireProbability(p, "idle", q);
                 probs.push_back(p);
             }
         }

@@ -200,9 +200,11 @@ ParallelFaultSim::runOutcomeChecked(const Circuit &physical,
             // An explicit frame request must not silently downgrade
             // to the (much slower, differently-scaling) dense path;
             // only Auto is allowed to fall back.
-            require(options.engine != SimEngine::PauliFrame,
-                    "frame engine requested but circuit does not "
-                    "qualify: " + frame->fallbackReason());
+            if (options.engine == SimEngine::PauliFrame) {
+                throw VaqError("frame engine requested but circuit "
+                               "does not qualify: " +
+                               frame->fallbackReason());
+            }
             result.fallbackReason = frame->fallbackReason();
         }
     } else {

@@ -245,9 +245,10 @@ StabilizerTableau::apply(const Gate &gate)
 {
     require(gate.isUnitary(),
             "cannot apply measure/barrier to a tableau");
-    require(isCliffordGate(gate.kind),
-            "tableau supports Clifford gates only, got " +
-                circuit::gateName(gate.kind));
+    if (!isCliffordGate(gate.kind)) {
+        throw VaqError("tableau supports Clifford gates only, got " +
+                       circuit::gateName(gate.kind));
+    }
 
     const auto h = [&](Qubit q) {
         const std::uint64_t bit = 1ULL << q;
@@ -622,9 +623,11 @@ sparseIdealProbabilities(const Circuit &circuit)
     for (const Gate &gate : circuit.gates()) {
         if (!gate.isUnitary())
             continue;
-        require(isCliffordGate(gate.kind),
-                "sparse ideal replay supports Clifford gates only, "
-                "got " + circuit::gateName(gate.kind));
+        if (!isCliffordGate(gate.kind)) {
+            throw VaqError("sparse ideal replay supports Clifford gates "
+                           "only, got " +
+                           circuit::gateName(gate.kind));
+        }
         replay.apply(gate);
     }
     const std::vector<SparseAmp> &amplitudes = replay.amplitudes();

@@ -72,9 +72,11 @@ CouplingGraph::linkIndex(PhysQubit a, PhysQubit b) const
     checkNode(a);
     checkNode(b);
     const auto it = _linkLookup.find(linkKey(_numQubits, a, b));
-    require(it != _linkLookup.end(),
-            "qubits " + std::to_string(a) + " and " +
-                std::to_string(b) + " are not coupled on " + _name);
+    if (it == _linkLookup.end()) {
+        throw VaqError("qubits " + std::to_string(a) + " and " +
+                       std::to_string(b) + " are not coupled on " +
+                       _name);
+    }
     return it->second;
 }
 

@@ -25,18 +25,20 @@ CnotDirections::CnotDirections(
     std::vector<bool> covered(graph.linkCount(), false);
     for (const auto &[control, target] : control_target) {
         const std::size_t link = graph.linkIndex(control, target);
-        require(!covered[link],
-                "link given two directions: " +
-                    std::to_string(control) + "->" +
-                    std::to_string(target));
+        if (covered[link]) {
+            throw VaqError("link given two directions: " +
+                           std::to_string(control) + "->" +
+                           std::to_string(target));
+        }
         covered[link] = true;
         _allowed.insert(key(_numQubits, control, target));
     }
     for (std::size_t l = 0; l < graph.linkCount(); ++l) {
-        require(covered[l],
-                "link " + std::to_string(graph.links()[l].a) +
-                    "-" + std::to_string(graph.links()[l].b) +
-                    " has no direction");
+        if (!covered[l]) {
+            throw VaqError("link " + std::to_string(graph.links()[l].a) +
+                           "-" + std::to_string(graph.links()[l].b) +
+                           " has no direction");
+        }
     }
 }
 

@@ -294,9 +294,10 @@ randomCnot(const topology::CouplingGraph &machine, int num_inst,
                 pairs.emplace_back(a, b);
         }
     }
-    require(!pairs.empty(),
-            "no qubit pair within the requested hop band on " +
-                machine.name());
+    if (pairs.empty()) {
+        throw VaqError("no qubit pair within the requested hop band on " +
+                       machine.name());
+    }
 
     // "Repeated randomized CNOTs" (Section 4.2): draw a small pool
     // of pairs once, then sample instructions from the pool, so

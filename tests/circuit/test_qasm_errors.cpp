@@ -28,7 +28,8 @@ fixture(const std::string &name)
     const std::string path = std::string(VAQ_TEST_DATA_DIR) +
                              "/circuit/malformed/" + name;
     std::ifstream in(path);
-    require(in.good(), "cannot open fixture: " + path);
+    if (!in.good())
+        throw VaqError("cannot open fixture: " + path);
     std::ostringstream oss;
     oss << in.rdbuf();
     return oss.str();

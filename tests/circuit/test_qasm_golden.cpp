@@ -40,7 +40,8 @@ std::string
 readFile(const std::string &path)
 {
     std::ifstream in(path);
-    require(in.good(), "cannot open fixture: " + path);
+    if (!in.good())
+        throw VaqError("cannot open fixture: " + path);
     std::ostringstream oss;
     oss << in.rdbuf();
     return oss.str();
@@ -57,7 +58,8 @@ expectMatchesGolden(const std::string &emitted,
     const std::string path = fixturePath(goldenName);
     if (std::getenv("VAQ_UPDATE_GOLDEN") != nullptr) {
         std::ofstream out(path);
-        require(out.good(), "cannot write golden: " + path);
+        if (!out.good())
+            throw VaqError("cannot write golden: " + path);
         out << emitted;
         GTEST_SKIP() << "rewrote " << goldenName;
     }

@@ -58,7 +58,8 @@ std::string
 readFile(const std::string &path)
 {
     std::ifstream in(path, std::ios::binary);
-    require(in.good(), "cannot open fixture: " + path);
+    if (!in.good())
+        throw VaqError("cannot open fixture: " + path);
     std::ostringstream oss;
     oss << in.rdbuf();
     return oss.str();
@@ -210,7 +211,8 @@ TEST(QasmMutation, EveryMutantParsesOrFailsLocatedAndOutcomesArePinned)
     const std::string path = std::string(VAQ_TEST_DATA_DIR) + kDigestFile;
     if (std::getenv("VAQ_UPDATE_GOLDEN") != nullptr) {
         std::ofstream out(path, std::ios::binary);
-        require(out.good(), "cannot write digests: " + path);
+        if (!out.good())
+            throw VaqError("cannot write digests: " + path);
         for (const std::string &line : actual)
             out << line << "\n";
         GTEST_SKIP() << "rewrote " << path;

@@ -268,8 +268,8 @@ parseArgs(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         auto next = [&](const char *flag) -> std::string {
-            require(i + 1 < argc,
-                    std::string(flag) + " needs a value");
+            if (i + 1 >= argc)
+                throw VaqError(std::string(flag) + " needs a value");
             return argv[++i];
         };
         if (arg == "lint" && i == 1)
@@ -514,7 +514,8 @@ circuit::ParsedQasm
 loadQasmWithLines(const std::string &path)
 {
     std::ifstream in(path);
-    require(static_cast<bool>(in), "cannot open " + path);
+    if (!in)
+        throw VaqError("cannot open " + path);
     std::ostringstream text;
     text << in.rdbuf();
     return circuit::parseQasm(text.str(), path);

@@ -135,8 +135,8 @@ parseArgs(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         auto next = [&](const char *flag) -> std::string {
-            require(i + 1 < argc,
-                    std::string(flag) + " needs a value");
+            if (i + 1 >= argc)
+                throw VaqError(std::string(flag) + " needs a value");
             return argv[++i];
         };
         if (arg == "--port")
