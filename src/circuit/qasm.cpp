@@ -18,7 +18,7 @@ namespace
 
 using std::string_view;
 
-/** Append a non-negative integer in decimal. */
+/** Append an integer in decimal. */
 void
 appendInt(std::string &out, long value)
 {
@@ -159,7 +159,7 @@ std::string
 toQasm(const Circuit &circuit)
 {
     std::string out;
-    // About 20 bytes per gate line; one reallocation at most.
+    // Header plus ~24 bytes per gate line (u3 lines run longer).
     out.reserve(96 + 24 * circuit.size());
     out += "OPENQASM 2.0;\n"
            "include \"qelib1.inc\";\n"

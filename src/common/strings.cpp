@@ -76,8 +76,8 @@ parseDouble(std::string_view s)
 {
     const std::string_view text = trimView(s);
     require(!text.empty(), "cannot parse empty string as double");
-    // strtod needs a terminated copy; numbers as long as the buffer
-    // are no numbers anyway and take the heap path.
+    // strtod needs a terminated copy; text as short as any number
+    // the writers emit stays on the stack.
     char buffer[64];
     std::string heap;
     const char *begin = buffer;

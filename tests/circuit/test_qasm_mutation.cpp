@@ -13,7 +13,9 @@
  * the rendering plus gate lines) is pinned by one FNV-1a digest per
  * mutant in circuit/mutation/qasm_mutants.digest, so a reader
  * rewrite has to reproduce the reader's exact behaviour on bad
- * bytes, not just its behaviour on good ones. Set
+ * bytes, not just its behaviour on good ones. The mapped fixtures
+ * come from the vqa+vqm mapper, so a change to its output (which the
+ * service goldens would also show) moves their digests too. Set
  * VAQ_UPDATE_GOLDEN=1 to rewrite the digest file (then inspect the
  * diff before committing).
  */
