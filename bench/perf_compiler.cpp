@@ -208,7 +208,7 @@ BM_SequentialCompile100x4_Seed(benchmark::State &state)
     for (auto _ : state) {
         for (const auto &snapshot : snapshots) {
             for (const auto &circuit : circuits) {
-                benchmark::DoNotOptimize(mapper.compile(
+                benchmark::DoNotOptimize(mapper.map(
                     circuit, env().machine, snapshot,
                     seedOptions));
             }

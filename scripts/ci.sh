@@ -28,9 +28,10 @@
 # are asserted under TSan) — because the full suite under TSan is
 # too slow for a gate. The ASan leg rebuilds into build-asan/ with
 # -DVAQ_SANITIZE=address,undefined and runs the full suite, then
-# re-selects the `store` and `sim` labels so the record parser's
-# corruption-tolerance sweeps and the simulator cross-validation are
-# provably part of that leg.
+# re-selects the `store`, `sim` and `mutation` labels so the record
+# parser's corruption-tolerance sweeps, the simulator
+# cross-validation and the seeded QASM / calibration-CSV mutation
+# corpora are provably part of that leg.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -220,6 +221,10 @@ if [ "$RUN_ASAN" -eq 1 ]; then
     echo "== asan leg: sim label smoke (must select tests) =="
     UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
         ctest --test-dir build-asan -L sim --output-on-failure \
+        -j "$JOBS"
+    echo "== asan leg: mutation label smoke (must select tests) =="
+    UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
+        ctest --test-dir build-asan -L mutation --output-on-failure \
         -j "$JOBS"
     echo "== asan leg: service label smoke (must select tests) =="
     UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \

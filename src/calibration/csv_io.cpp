@@ -99,11 +99,14 @@ fromCsv(const std::string &text,
                 cal.error1q = parseDouble(fields[6]);
                 cal.readoutError = parseDouble(fields[7]);
             } else if (section == "link") {
-                const auto a =
-                    static_cast<int>(parseSize(fields[2]));
-                const auto b =
-                    static_cast<int>(parseSize(fields[3]));
-                const std::size_t idx = graph.linkIndex(a, b);
+                const auto a = parseSize(fields[2]);
+                const auto b = parseSize(fields[3]);
+                const auto qubits =
+                    static_cast<std::size_t>(graph.numQubits());
+                require(a < qubits && b < qubits,
+                        "link endpoint out of range");
+                const std::size_t idx = graph.linkIndex(
+                    static_cast<int>(a), static_cast<int>(b));
                 require(!linkSeen[idx], "duplicate link row");
                 linkSeen[idx] = true;
                 snap.setLinkError(idx, parseDouble(fields[8]));
@@ -132,9 +135,9 @@ fromCsv(const std::string &text,
     }
     try {
         snap.validate();
-    } catch (CalibrationError &e) {
-        e.addContext(source);
-        throw;
+    } catch (const CalibrationError &e) {
+        throw CalibrationError(source + ": " + e.message(), e.qubit(),
+                               e.link());
     }
     return snap;
 }

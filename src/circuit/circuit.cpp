@@ -225,6 +225,7 @@ Circuit::remapped(const std::vector<Qubit> &permutation,
     }
 
     Circuit out(width);
+    out.reserve(_gates.size());
     for (Gate g : _gates) {
         if (g.kind != GateKind::BARRIER) {
             g.q0 = permutation[static_cast<std::size_t>(g.q0)];

@@ -52,9 +52,8 @@ BatchCompiler::compile(
     // the quarantine (jobs compile into the healthy region, marked
     // Degraded) or rejected (jobs fail with the report attached).
     const CalibrationHandling handling =
-        !_options.sanitizeCalibration || _options.failFast
-            ? CalibrationHandling::Validate
-            : CalibrationHandling::Sanitize;
+        _options.sanitizeCalibration ? CalibrationHandling::Sanitize
+                                     : CalibrationHandling::Validate;
     std::vector<std::optional<SnapshotHealth>> states(
         snapshots.size());
     for (std::size_t s : distinct) {
@@ -85,10 +84,8 @@ BatchCompiler::compile(
     // Build the fallback mappers once, outside the parallel section:
     // makeMapper is cheap but not worth repeating per job, and doing
     // it here keeps the workers allocation-light.
-    std::vector<Mapper> fallbacks;
-    if (!_options.failFast && _options.maxRetries > 0)
-        fallbacks = buildFallbackMappers(_mapper.name(),
-                                         _options.maxRetries);
+    const std::vector<Mapper> fallbacks =
+        buildFallbackMappers(_mapper.name(), _options.maxRetries);
 
     // The per-job knobs, expressed once as a CompileRequest
     // template; CompileContext injects the batch-shared pieces so
@@ -102,7 +99,6 @@ BatchCompiler::compile(
     proto.calibration = handling;
     proto.sanitize = _options.sanitize;
     proto.scoreResult = _options.scoreResults;
-    proto.failFast = _options.failFast;
 
     // Per-job result slots: workers never touch shared state, so
     // the output is a pure function of the job list — including the
@@ -142,23 +138,11 @@ BatchCompiler::compile(
             obs::ScopedTimer jobTimer("batch.job.seconds",
                                       telemetry);
             const BatchJob &job = jobs[i];
-            const SnapshotHealth &health = *states[job.snapshot];
-
-            // The unified pipeline throws a context-free message on
-            // rejection under failFast; the batch names the
-            // offending snapshot index, as it always has.
-            if (health.kind == SnapshotHealth::Kind::Rejected &&
-                _options.failFast) {
-                throw CalibrationError(
-                    "snapshot " + std::to_string(job.snapshot) +
-                    " rejected: " + health.note);
-            }
-
             CompileContext context;
             context.mapper = &_mapper;
             context.fallbacks = &fallbacks;
             context.linter = linter ? &*linter : nullptr;
-            context.health = &health;
+            context.health = &*states[job.snapshot];
             context.artifactCache = _options.artifactCache;
             finish(i, BatchResult(
                           job.circuit, job.snapshot,
@@ -168,22 +152,13 @@ BatchCompiler::compile(
                                          context)));
         });
 
-    if (_options.failFast) {
-        // Legacy semantics: surface the lowest-index failure. Every
-        // job still ran to completion (the pool is not poisoned).
-        for (const std::exception_ptr &error : errors) {
-            if (error)
-                std::rethrow_exception(error);
-        }
-    }
-
     // Deferred artifact-store writes: every fresh Ok compile of the
     // primary policy on a clean snapshot is recorded only now, after
     // all workers have drained. Recording mid-batch would let a
     // later job hit an artifact an earlier job just stored, making
     // results depend on scheduling order — this keeps a batch a pure
     // function of (jobs, store-state-at-entry) at any thread count.
-    if (_options.artifactCache && !_options.failFast) {
+    if (_options.artifactCache) {
         for (const std::optional<BatchResult> &slot : slots) {
             if (!slot.has_value())
                 continue;
@@ -207,8 +182,7 @@ BatchCompiler::compile(
     for (std::size_t i = 0; i < slots.size(); ++i) {
         if (slots[i].has_value() || !errors[i])
             continue;
-        BatchResult result(jobs[i].circuit, jobs[i].snapshot,
-                           MappedCircuit(1, 1), 0.0);
+        CompileResult result;
         result.status = JobStatus::Failed;
         try {
             std::rethrow_exception(errors[i]);
@@ -219,7 +193,8 @@ BatchCompiler::compile(
             result.errorCategory = ErrorCategory::Internal;
             result.error = "unknown exception";
         }
-        slots[i].emplace(std::move(result));
+        slots[i].emplace(jobs[i].circuit, jobs[i].snapshot,
+                         std::move(result));
     }
 
     std::vector<BatchResult> results;

@@ -32,9 +32,11 @@
  *    come back Degraded instead of Failed; jobs against an unusable
  *    snapshot fail with the quarantine report as the reason.
  *
- * BatchOptions::failFast disables all of the above and restores the
- * legacy semantics: no retries, no quarantine rescue, the
- * lowest-index job error is rethrown after the burst.
+ * Each job runs core::compileCircuit (core/compile_request.hpp), so a
+ * batch job and a single compile share one pipeline. A caller that
+ * wants to stop on the first failure reads the results in job order
+ * (status, errorCategory); maxRetries = 0 and sanitizeCalibration =
+ * false turn off the ladder and the quarantine.
  */
 #ifndef VAQ_CORE_BATCH_COMPILER_HPP
 #define VAQ_CORE_BATCH_COMPILER_HPP
@@ -73,9 +75,6 @@ struct BatchOptions
     CompileOptions compile;
     /** Fill BatchResult::analyticPst (skip to save scoring time). */
     bool scoreResults = true;
-    /** Legacy semantics: no retries, no quarantine rescue, the
-     *  lowest-index job exception is rethrown after the burst. */
-    bool failFast = false;
     /** Fallback attempts after the primary policy (ladder length is
      *  also capped by how far the policy can degrade). */
     int maxRetries = 2;
@@ -103,17 +102,14 @@ struct BatchOptions
      * passes: its lint counts are the ones recorded when the
      * artifact was stored — and every fresh
      * JobStatus::Ok result compiled with the primary policy is
-     * recorded after the batch completes. Ignored under failFast
-     * (legacy semantics stay byte-for-byte identical).
+     * recorded after the batch completes.
      */
     ArtifactCacheHook *artifactCache = nullptr;
 };
 
 /**
  * One compiled job: the unified CompileResult plus the job indices
- * that tie it back to the batch's circuit/snapshot lists. Deriving
- * keeps every historical field access (`result.mapped`,
- * `result.status`, `result.ok()`, ...) source-compatible.
+ * that tie it back to the batch's circuit/snapshot lists.
  */
 struct BatchResult : CompileResult
 {
@@ -126,15 +122,6 @@ struct BatchResult : CompileResult
           circuit(circuit_index),
           snapshot(snapshot_index)
     {}
-
-    BatchResult(std::size_t circuit_index,
-                std::size_t snapshot_index, MappedCircuit mapped_in,
-                double pst)
-        : circuit(circuit_index), snapshot(snapshot_index)
-    {
-        mapped = std::move(mapped_in);
-        analyticPst = pst;
-    }
 };
 
 /** Concurrent (circuit, snapshot) compiler over one mapper. */
@@ -164,8 +151,7 @@ class BatchCompiler
      * Compile every job and return results in job order. Shared
      * matrices are pre-built per distinct snapshot so workers start
      * from warm caches. Faults are contained per job (see the file
-     * comment); only usage errors in the job list itself — and any
-     * job error under failFast — throw.
+     * comment); only usage errors in the job list itself throw.
      */
     std::vector<BatchResult>
     compile(const std::vector<circuit::Circuit> &circuits,

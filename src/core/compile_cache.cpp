@@ -182,7 +182,6 @@ pathCacheStats()
     stats.matrixMisses = matrixCache().misses();
     stats.matrixEntries = matrixCache().size();
     stats.matrixEpoch = matrixCache().epoch();
-    stats.epoch = stats.matrixEpoch;
     PlanStore &store = planStore();
     const std::lock_guard<std::mutex> lock(store.mutex);
     stats.planHits = store.hits;

@@ -38,7 +38,7 @@ namespace vaq::core
 
 /**
  * Effective path-cache state on this thread: the PathCacheScope
- * override installed by Mapper::compileRaw when one is active,
+ * override installed by Mapper::map when one is active,
  * otherwise true. On, allocators read the cached reliability matrix
  * and mappers hand routers a shared plan table; off
  * (CompileOptions::cacheEnabled = false), every compile recomputes
@@ -104,9 +104,6 @@ struct PathCacheStats
      */
     std::uint64_t matrixEpoch = 0;
     std::uint64_t planEpoch = 0;
-    /** The shared calibration epoch (alias of matrixEpoch, kept
-     *  for existing callers). */
-    std::uint64_t epoch = 0;
 };
 
 /** Snapshot of the process-wide cache counters. */

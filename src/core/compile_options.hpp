@@ -1,7 +1,7 @@
 /**
  * @file
  * Per-compile options. A CompileOptions value travels with the call
- * — through Mapper::compile, BatchCompiler and the compile
+ * — through Mapper::map, BatchCompiler and the compile
  * requests — so switching the shared path caches off is scoped to
  * that one compile (or batch) and visible in its signature; vaqc's
  * `--no-path-cache` flag sets cacheEnabled = false. Default options
@@ -39,7 +39,7 @@ struct CompileOptions
 
 /**
  * RAII thread-local override of the path-cache state. Installed
- * by Mapper::compileRaw so the layers that read pathCacheEnabled()
+ * by Mapper::map so the layers that read pathCacheEnabled()
  * internally (allocators, the movement planner) honor the
  * per-compile CompileOptions::cacheEnabled without threading a flag
  * through every signature. Thread-local, so concurrent compiles

@@ -194,26 +194,18 @@ compileCircuit(const circuit::Circuit &logical,
     const Mapper &mapper =
         context.mapper ? *context.mapper : *ownedMapper;
 
-    // failFast keeps legacy semantics end to end: an invalid
-    // snapshot is rejected (and thrown), never quarantined.
-    const CalibrationHandling handling =
-        request.failFast &&
-                request.calibration == CalibrationHandling::Sanitize
-            ? CalibrationHandling::Validate
-            : request.calibration;
     std::optional<SnapshotHealth> ownedHealth;
     if (!context.health)
-        ownedHealth.emplace(inspectSnapshot(
-            snapshot, graph, handling, request.sanitize, telemetry));
+        ownedHealth.emplace(inspectSnapshot(snapshot, graph,
+                                            request.calibration,
+                                            request.sanitize,
+                                            telemetry));
     const SnapshotHealth &health =
         context.health ? *context.health : *ownedHealth;
 
     CompileResult result;
 
     if (health.kind == SnapshotHealth::Kind::Rejected) {
-        if (request.failFast)
-            throw CalibrationError("snapshot rejected: " +
-                                   health.note);
         result.status = JobStatus::Failed;
         result.errorCategory = ErrorCategory::Calibration;
         result.error = health.note;
@@ -240,12 +232,11 @@ compileCircuit(const circuit::Circuit &logical,
     // reuse) — replaces the whole attempt loop. Only clean
     // snapshots are eligible: a quarantined machine compiles
     // against a synthesized cleaned snapshot whose content the key
-    // does not describe. failFast keeps the legacy path untouched.
-    ArtifactCacheHook *artifacts =
-        request.failFast ? nullptr : context.artifactCache;
-    if (artifacts && health.kind == SnapshotHealth::Kind::Clean) {
-        std::optional<ArtifactHit> hit =
-            artifacts->lookup(logical, snapshot);
+    // does not describe.
+    if (context.artifactCache &&
+        health.kind == SnapshotHealth::Kind::Clean) {
+        std::optional<CompileResult> hit =
+            context.artifactCache->lookup(logical, snapshot);
         if (hit.has_value()) {
             if (telemetry) {
                 obs::count("store.hits");
@@ -254,26 +245,16 @@ compileCircuit(const circuit::Circuit &logical,
                 if (hit->boundReuse)
                     obs::count("store.bound_serves");
             }
-            result.viaDelta = hit->viaDelta;
-            result.boundReuse = hit->boundReuse;
-            result.stalenessBound = hit->stalenessBound;
-            result.mapped = std::move(hit->mapped);
             // Prefer the PST recorded at store time; an artifact
             // stored by a non-scoring batch carries 0 and is
             // re-scored (deterministic — the analytic model needs
             // no sampling).
-            result.analyticPst = !request.scoreResult ? 0.0
-                                 : hit->analyticPst != 0.0
-                                     ? hit->analyticPst
-                                     : scoreAttempt(result.mapped);
-            result.status = JobStatus::Ok;
-            result.attempts = 0;
-            result.fromStore = true;
-            result.policyUsed = std::move(hit->policyUsed);
-            result.mappedLintErrors = hit->mappedLintErrors;
-            result.mappedLintWarnings = hit->mappedLintWarnings;
-            result.compileMs = elapsedMs(start);
-            return result;
+            if (!request.scoreResult)
+                hit->analyticPst = 0.0;
+            else if (hit->analyticPst == 0.0)
+                hit->analyticPst = scoreAttempt(hit->mapped);
+            hit->compileMs = elapsedMs(start);
+            return std::move(*hit);
         }
         if (telemetry)
             obs::count("store.misses");
@@ -308,10 +289,6 @@ compileCircuit(const circuit::Circuit &logical,
                        d.category == analysis::RuleCategory::Usage;
             });
         const bool isFatal = fatal != pre.diagnostics.end();
-        if (isFatal && request.failFast) {
-            throw VaqError("lint rejected job: [" + fatal->ruleId +
-                           "] " + fatal->message);
-        }
         if (isFatal) {
             result.status = JobStatus::Failed;
             result.errorCategory = ErrorCategory::Usage;
@@ -329,9 +306,8 @@ compileCircuit(const circuit::Circuit &logical,
     std::vector<Mapper> ownedFallbacks;
     const std::vector<Mapper> *fallbacks = context.fallbacks;
     if (!fallbacks) {
-        if (!request.failFast)
-            ownedFallbacks = buildFallbackMappers(
-                mapper.name(), request.maxRetries);
+        ownedFallbacks =
+            buildFallbackMappers(mapper.name(), request.maxRetries);
         fallbacks = &ownedFallbacks;
     }
 
@@ -340,8 +316,8 @@ compileCircuit(const circuit::Circuit &logical,
     const auto compileAttempt =
         [&](const Mapper &attemptMapper) -> MappedCircuit {
         if (health.kind != SnapshotHealth::Kind::Degraded) {
-            return attemptMapper.compileRaw(logical, graph, snapshot,
-                                            request.options);
+            return attemptMapper.map(logical, graph, snapshot,
+                                     request.options);
         }
         const calibration::SanitizedCalibration &sanitized =
             *health.sanitized;
@@ -353,13 +329,12 @@ compileCircuit(const circuit::Circuit &logical,
                 " qubits) smaller than the program (" +
                 std::to_string(logical.numQubits()) + ")");
         }
-        return attemptMapper.mapInRegion(logical, graph,
-                                         sanitized.snapshot,
-                                         sanitized.healthyRegion);
+        return attemptMapper.mapInRegion(
+            logical, graph, sanitized.snapshot,
+            sanitized.healthyRegion, request.options);
     };
 
-    const std::size_t totalAttempts =
-        request.failFast ? 1 : 1 + fallbacks->size();
+    const std::size_t totalAttempts = 1 + fallbacks->size();
     for (std::size_t attempt = 0; attempt < totalAttempts;
          ++attempt) {
         const Mapper &attemptMapper =
@@ -370,12 +345,12 @@ compileCircuit(const circuit::Circuit &logical,
             // Install a deadline scope only when a deadline is
             // actually requested — a request without one must not
             // mask an ambient CancellationScope the caller set up
-            // (Mapper::compile historically ran under whatever
-            // token was current). The budget is per job, not per
-            // attempt: whatever a failed attempt burned is gone,
-            // so a retry after the deadline expires cancels at its
-            // first checkpoint instead of succeeding late as a
-            // deceptively healthy-looking Degraded result.
+            // (vaqc's single compile runs under one). The budget is
+            // per job, not per attempt: whatever a failed attempt
+            // burned is gone, so a retry after the deadline expires
+            // cancels at its first checkpoint instead of succeeding
+            // late as a deceptively healthy-looking Degraded
+            // result.
             std::optional<CancellationToken> token;
             std::optional<CancellationScope> deadline;
             if (request.deadlineMs > 0.0) {
@@ -388,13 +363,8 @@ compileCircuit(const circuit::Circuit &logical,
                     std::max(remainingMs, 1e-6)));
                 deadline.emplace(*token);
             }
-            MappedCircuit mapped = compileAttempt(attemptMapper);
-            result.analyticPst = scoreAttempt(mapped);
-            // Routing grows the gate vector by doubling; results
-            // outlive the compile (batches, the store), so keep
-            // only the gates.
-            mapped.physical.shrinkToFit();
-            result.mapped = std::move(mapped);
+            result.mapped = compileAttempt(attemptMapper);
+            result.analyticPst = scoreAttempt(result.mapped);
             result.attempts = static_cast<int>(attempt) + 1;
             result.policyUsed = attemptMapper.name();
             if (health.kind == SnapshotHealth::Kind::Degraded ||
@@ -416,8 +386,6 @@ compileCircuit(const circuit::Circuit &logical,
             result.error.clear();
             break;
         } catch (const std::exception &e) {
-            if (request.failFast)
-                throw;
             const ErrorCategory category = categorize(e);
             result.status = category == ErrorCategory::Timeout
                                 ? JobStatus::TimedOut

@@ -7,10 +7,9 @@
  * CompileOptions / lint / store knobs, and core::compile() runs the
  * one per-job pipeline (quarantine -> artifact lookup -> pre-lint ->
  * attempt ladder -> scoring -> post-lint). Every caller is a thin
- * adapter over it:
+ * adapter over it, and every compile attempt inside it is one
+ * Mapper::map (or Mapper::mapInRegion on a quarantined machine):
  *
- *  - Mapper::compile forwards a Trust-mode fail-fast request (no
- *    validation, no retries).
  *  - BatchCompiler builds one request template per batch plus a
  *    CompileContext of pre-built shared pieces (mapper, fallback
  *    ladder, linter, snapshot health, artifact hook) so the burst
@@ -47,7 +46,7 @@
 namespace vaq::core
 {
 
-/** Terminal state of one compile (historically "batch job"). */
+/** Terminal state of one compile. */
 enum class JobStatus
 {
     Ok,       ///< primary policy, full machine
@@ -65,11 +64,11 @@ JobStatus jobStatusFromName(const std::string &name);
 /** How a compile treats the calibration snapshot it is given. */
 enum class CalibrationHandling
 {
-    /** Use the snapshot as-is, no validate() — the legacy
-     *  Mapper::compile semantics. */
+    /** Use the snapshot as-is, no validate() — what Mapper::map
+     *  assumes. */
     Trust,
-    /** validate(); an invalid snapshot fails (or, under failFast,
-     *  throws) without attempting rescue. */
+    /** validate(); an invalid snapshot fails without attempting
+     *  rescue. */
     Validate,
     /** validate(); an invalid snapshot is routed through the
      *  calibration quarantine (calibration/sanitize.hpp) and the
@@ -158,19 +157,15 @@ struct CompileRequest
     calibration::SanitizeOptions sanitize;
     /** Fill CompileResult::analyticPst (skip to save scoring time). */
     bool scoreResult = true;
-    /** Legacy semantics: contain nothing — the first error is
-     *  rethrown to the caller, no retries, no quarantine rescue, no
-     *  artifact cache. In-process knob only; not serialized. */
-    bool failFast = false;
     /** Caller identity for service quotas and telemetry; empty for
      *  in-process callers. */
     std::string clientId;
 };
 
 /**
- * Outcome of one compile. The non-index fields of the old
- * BatchResult plus cache provenance, captured diagnostics and wall
- * timing; BatchResult now derives from this.
+ * Outcome of one compile: the mapping and its score, the status of
+ * the containment layer, cache provenance, captured diagnostics and
+ * wall timing. BatchResult adds the job indices.
  */
 struct CompileResult
 {
@@ -211,8 +206,8 @@ struct CompileResult
     bool viaDelta = false;
     /** True when the store hit was served on a certified staleness
      *  bound (store::StoreOptions::stalenessTol); analyticPst then
-     *  carries the exact analytic shift. In-process knob like
-     *  failFast: not serialized by toJson. */
+     *  carries the exact analytic shift. In-process only: not
+     *  serialized by toJson. */
     bool boundReuse = false;
     /** Certified |delta logPST| bound of a boundReuse serve. */
     double stalenessBound = 0.0;
@@ -225,36 +220,6 @@ struct CompileResult
         return status == JobStatus::Ok ||
                status == JobStatus::Degraded;
     }
-};
-
-/** A compile served out of an artifact cache instead of running
- *  the mapper (see ArtifactCacheHook). */
-struct ArtifactHit
-{
-    MappedCircuit mapped;
-    /** PST estimate recorded when the artifact was stored. */
-    double analyticPst = 0.0;
-    /** Mapped-circuit lint counts recorded at store time. */
-    std::size_t mappedLintErrors = 0;
-    std::size_t mappedLintWarnings = 0;
-    /** Policy that produced the stored mapping. */
-    std::string policyUsed;
-    /** True when the hit came through delta reuse (the stored
-     *  artifact's calibration dependencies survived a snapshot
-     *  change) rather than an exact key match. */
-    bool viaDelta = false;
-    /** True when the hit was served on a certified staleness bound;
-     *  analyticPst is then already shifted by the exact analytic
-     *  delta. */
-    bool boundReuse = false;
-    /** Certified |delta logPST| bound of a boundReuse serve. */
-    double stalenessBound = 0.0;
-    /** Exact analytic shift folded into analyticPst. */
-    double deltaLogPst = 0.0;
-
-    explicit ArtifactHit(MappedCircuit mapped_in)
-        : mapped(std::move(mapped_in))
-    {}
 };
 
 /**
@@ -279,9 +244,11 @@ class ArtifactCacheHook
     virtual ~ArtifactCacheHook() = default;
 
     /** Best stored artifact for (logical, snapshot) under the
-     *  machine and policy the cache was configured with, or
-     *  nullopt on a miss. */
-    virtual std::optional<ArtifactHit>
+     *  machine and policy the cache was configured with, as an Ok
+     *  result with fromStore set and attempts 0, or nullopt on a
+     *  miss. analyticPst is the PST recorded at store time (shifted
+     *  by the exact analytic delta on a boundReuse serve). */
+    virtual std::optional<CompileResult>
     lookup(const circuit::Circuit &logical,
            const calibration::Snapshot &snapshot) = 0;
 
@@ -312,9 +279,8 @@ struct CompileContext
      *  request.calibration). */
     const SnapshotHealth *health = nullptr;
     /** Artifact cache consulted before compiling on Clean
-     *  snapshots; never consulted under failFast. compile() only
-     *  looks up — recording stays with the caller (see the
-     *  ArtifactCacheHook threading contract). */
+     *  snapshots. compile() only looks up — recording stays with
+     *  the caller (see the ArtifactCacheHook threading contract). */
     ArtifactCacheHook *artifactCache = nullptr;
 };
 
@@ -322,8 +288,9 @@ struct CompileContext
  * The canonical compile pipeline: quarantine -> artifact lookup ->
  * pre-lint -> attempt ladder (policy degradation under optional
  * cooperative deadlines) -> scoring -> post-lint. Faults are
- * contained into the result (status/category/message) unless
- * request.failFast, which rethrows the first error unmodified.
+ * contained into the result (status/category/message); a caller
+ * that wants an exception throws VaqError(result.error,
+ * result.errorCategory) when !result.ok().
  */
 CompileResult compile(const CompileRequest &request,
                       const topology::CouplingGraph &graph,
@@ -333,7 +300,7 @@ CompileResult compile(const CompileRequest &request,
 /**
  * compile() on a caller-owned circuit: request.circuit is ignored,
  * `logical` is compiled instead. The zero-copy form the in-process
- * adapters (Mapper::compile, BatchCompiler) use.
+ * adapters (BatchCompiler, vaqc) use.
  */
 CompileResult compileCircuit(const circuit::Circuit &logical,
                              const CompileRequest &request,
@@ -359,9 +326,9 @@ buildFallbackMappers(const std::string &policy_name, int maxRetries);
 /// tests all share these forms. Writing is byte-stable (insertion
 /// order + shortest-round-trip numbers); parsing tolerates unknown
 /// fields and reports type/missing errors with the full field path.
-/// Limits: PolicySpec::seed round-trips exactly up to 2^53;
-/// CompileRequest::failFast and the sanitize/lint rule-parameter
-/// thresholds are in-process knobs and do not serialize.
+/// Limits: PolicySpec::seed round-trips exactly up to 2^53; the
+/// sanitize/lint rule-parameter thresholds are in-process knobs and
+/// do not serialize.
 /// @{
 
 json::Value toJson(const PolicySpec &spec);

@@ -7,7 +7,6 @@
 #include "common/cancellation.hpp"
 #include "common/error.hpp"
 #include "core/compile_cache.hpp"
-#include "core/compile_request.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/fault_sim.hpp"
@@ -86,33 +85,10 @@ Mapper::mapWithConfig(const PolicyConfig &config,
 }
 
 MappedCircuit
-Mapper::compile(const Circuit &logical,
-                const topology::CouplingGraph &graph,
-                const calibration::Snapshot &snapshot,
-                const CompileOptions &options) const
-{
-    // Thin adapter over the unified pipeline in Trust / fail-fast
-    // mode: no snapshot validation, no retries, no lint, no store,
-    // errors rethrown raw — the historical contract of this entry
-    // point, now expressed as a CompileRequest.
-    CompileRequest request;
-    request.options = options;
-    request.maxRetries = 0;
-    request.calibration = CalibrationHandling::Trust;
-    request.scoreResult = false;
-    request.failFast = true;
-    CompileContext context;
-    context.mapper = this;
-    return std::move(
-        compileCircuit(logical, request, graph, snapshot, context)
-            .mapped);
-}
-
-MappedCircuit
-Mapper::compileRaw(const Circuit &logical,
-                   const topology::CouplingGraph &graph,
-                   const calibration::Snapshot &snapshot,
-                   const CompileOptions &options) const
+Mapper::map(const Circuit &logical,
+            const topology::CouplingGraph &graph,
+            const calibration::Snapshot &snapshot,
+            const CompileOptions &options) const
 {
     require(logical.numQubits() <= graph.numQubits(),
             "program needs more qubits than the machine has");
@@ -157,22 +133,18 @@ Mapper::compileRaw(const Circuit &logical,
                    "\",config=\"" + winner->label + "\"}");
         obs::count("mapper.compiles");
     }
+    // Routing grows the gate vector by doubling; results outlive
+    // the compile (batches, the store), so keep only the gates.
+    best.physical.shrinkToFit();
     return best;
-}
-
-MappedCircuit
-Mapper::map(const Circuit &logical,
-            const topology::CouplingGraph &graph,
-            const calibration::Snapshot &snapshot) const
-{
-    return compile(logical, graph, snapshot, CompileOptions{});
 }
 
 MappedCircuit
 Mapper::mapInRegion(
     const Circuit &logical, const topology::CouplingGraph &graph,
     const calibration::Snapshot &snapshot,
-    const std::vector<topology::PhysQubit> &region) const
+    const std::vector<topology::PhysQubit> &region,
+    const CompileOptions &options) const
 {
     require(region.size() >=
                 static_cast<std::size_t>(logical.numQubits()),
@@ -198,7 +170,8 @@ Mapper::mapInRegion(
                    region[static_cast<std::size_t>(link.b)]));
     }
 
-    const MappedCircuit inner = map(logical, sub, subSnapshot);
+    const MappedCircuit inner =
+        map(logical, sub, subSnapshot, options);
 
     // Translate back to full-machine qubit ids.
     MappedCircuit mapped(logical.numQubits(), graph.numQubits());

@@ -75,41 +75,23 @@ class Mapper
 
     /**
      * Compile `logical` for the machine described by `graph` +
-     * `snapshot`. Every configuration is compiled; the result with
-     * the highest analytic PST under the compile-time error model
-     * is returned. The result's physical circuit is executable:
-     * every two-qubit gate acts on a coupled pair.
+     * `snapshot`: one walk over the configured policy portfolio.
+     * Every configuration is compiled; the result with the highest
+     * analytic PST under the compile-time error model is returned.
+     * The result's physical circuit is executable: every two-qubit
+     * gate acts on a coupled pair.
      *
-     * Since the CompileRequest redesign this is a one-line adapter
-     * over core::compile (core/compile_request.hpp) in Trust /
-     * fail-fast mode: no snapshot validation, no retries, no lint,
-     * errors thrown raw — byte-for-byte the historical semantics.
-     * New call sites should build a CompileRequest instead.
+     * No validation, no containment: errors are thrown raw.
+     * `options` scopes the shared path caches and telemetry to this
+     * one compile (a PathCacheScope makes the deeper layers that
+     * read pathCacheEnabled() honor options.cacheEnabled).
+     * Quarantine, retry ladder, artifact cache and lint live above
+     * this, in core::compile (core/compile_request.hpp).
      */
-    MappedCircuit compile(const circuit::Circuit &logical,
-                          const topology::CouplingGraph &graph,
-                          const calibration::Snapshot &snapshot,
-                          const CompileOptions &options = {}) const;
-
-    /**
-     * The raw single-pass portfolio compile underneath
-     * core::compile: no validation, no containment, exactly one
-     * walk over the configured policy portfolio. `options` scopes
-     * the shared path caches and telemetry to this one compile (a
-     * PathCacheScope makes the deeper layers that read
-     * pathCacheEnabled() honor options.cacheEnabled). Everything
-     * above this — quarantine, retry ladder, artifact cache,
-     * lint — lives in core::compile.
-     */
-    MappedCircuit compileRaw(const circuit::Circuit &logical,
-                             const topology::CouplingGraph &graph,
-                             const calibration::Snapshot &snapshot,
-                             const CompileOptions &options = {}) const;
-
-    /** compile() with default CompileOptions (path caches on). */
     MappedCircuit map(const circuit::Circuit &logical,
                       const topology::CouplingGraph &graph,
-                      const calibration::Snapshot &snapshot) const;
+                      const calibration::Snapshot &snapshot,
+                      const CompileOptions &options = {}) const;
 
     /**
      * Like map(), but place program qubits only onto the physical
@@ -121,7 +103,8 @@ class Mapper
         const circuit::Circuit &logical,
         const topology::CouplingGraph &graph,
         const calibration::Snapshot &snapshot,
-        const std::vector<topology::PhysQubit> &region) const;
+        const std::vector<topology::PhysQubit> &region,
+        const CompileOptions &options = {}) const;
 
   private:
     MappedCircuit mapWithConfig(

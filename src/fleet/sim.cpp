@@ -113,7 +113,7 @@ FleetSim::predict(std::size_t circuitIdx, std::size_t machineIdx)
         if (entry.calVersion == backend.calVersion())
             return entry.pred;
         // The calibration moved. Instead of discarding outright
-        // (the legacy calVersion rule), revalidate through the
+        // (the calVersion rule), revalidate through the
         // certified staleness bound: when the drift provably moved
         // this prediction's logPST by less than the tolerance,
         // shift the PST by the exact analytic delta and keep it.

@@ -123,8 +123,8 @@ struct FleetOptions
      * within tolerance survives a calVersion bump with its PST
      * shifted by the exact analytic delta, instead of forcing a
      * recompile; the per-backend artifact stores get the same
-     * tolerance. 0 (default) = invalidate on every calVersion bump
-     * (the legacy rule).
+     * tolerance. 0 (default) = invalidate on every calVersion
+     * bump.
      */
     double stalenessTol = 0.0;
     /** Compile policy every backend maps with. */

@@ -191,10 +191,8 @@ CompileService::admitClient(const std::string &clientId,
 void
 CompileService::sanitizeRequest(core::CompileRequest &request) const
 {
-    // Wire requests never get in-process-only powers: failFast
-    // would turn containment off and rethrow into the transport,
-    // and a per-request thread count is the batch layer's knob.
-    request.failFast = false;
+    // A per-request thread count is the batch layer's knob, not
+    // the client's.
     request.options.threads = _options.compile.threads;
     request.options.telemetryEnabled =
         _options.compile.telemetryEnabled;

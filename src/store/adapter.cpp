@@ -11,7 +11,7 @@ ArtifactCacheAdapter::ArtifactCacheAdapter(
     : _store(store), _graph(graph), _spec(std::move(spec))
 {}
 
-std::optional<core::ArtifactHit>
+std::optional<core::CompileResult>
 ArtifactCacheAdapter::lookup(const circuit::Circuit &logical,
                              const calibration::Snapshot &snapshot)
 {
@@ -22,15 +22,17 @@ ArtifactCacheAdapter::lookup(const circuit::Circuit &logical,
         _store.getOrDelta(key, snapshot, info);
     if (!artifact.has_value())
         return std::nullopt;
-    core::ArtifactHit hit(toMapped(*artifact));
+    core::CompileResult hit;
+    hit.mapped = toMapped(*artifact);
     hit.analyticPst = artifact->analyticPst;
+    hit.attempts = 0;
+    hit.policyUsed = artifact->policyUsed;
     hit.mappedLintErrors = artifact->mappedLintErrors;
     hit.mappedLintWarnings = artifact->mappedLintWarnings;
-    hit.policyUsed = artifact->policyUsed;
+    hit.fromStore = true;
     hit.viaDelta = info.viaDelta;
     hit.boundReuse = info.boundReuse;
     hit.stalenessBound = info.stalenessBound;
-    hit.deltaLogPst = info.deltaLogPst;
     return hit;
 }
 

@@ -28,7 +28,7 @@ class ArtifactCacheAdapter final : public core::ArtifactCacheHook
                          core::PolicySpec spec);
 
     /** Exact-or-delta store lookup (thread-safe; the store locks). */
-    std::optional<core::ArtifactHit>
+    std::optional<core::CompileResult>
     lookup(const circuit::Circuit &logical,
            const calibration::Snapshot &snapshot) override;
 

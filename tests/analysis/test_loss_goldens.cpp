@@ -78,7 +78,7 @@ renderCase(const std::string &program, const std::string &machine)
     const core::Mapper mapper = core::makeMapper(
         {.name = "vqa+vqm", .mah = core::kUnlimitedHops});
     const core::MappedCircuit mapped =
-        mapper.compile(logical, graph, snapshot);
+        mapper.map(logical, graph, snapshot);
 
     const DataflowAnalysis dataflow(mapped.physical,
                                     snapshot.durations);

@@ -173,6 +173,20 @@ TEST(CsvIo, MalformedRowsReportFileAndLine)
     }
 }
 
+TEST(CsvIo, OutOfRangeLinkEndpointsRejected)
+{
+    // 2^32 must not wrap to qubit 0 and pass as the 0-1 link.
+    const auto q5 = topology::ibmQ5Tenerife();
+    std::string csv = toCsv(test::uniformSnapshot(q5), q5);
+    const auto row = csv.find("link,0,0,1,");
+    ASSERT_NE(row, std::string::npos);
+    csv.replace(row, 11, "link,0,4294967296,1,");
+    const std::string msg = parseFailure(csv, q5, "<csv>");
+    // Header + 5 qubit rows, so the first link row is line 7.
+    EXPECT_EQ(msg.rfind("<csv>:7: ", 0), 0u) << msg;
+    EXPECT_NE(msg.find("out of range"), std::string::npos) << msg;
+}
+
 TEST(CsvIo, MissingRowsNameTheSource)
 {
     const auto q5 = topology::ibmQ5Tenerife();

@@ -24,6 +24,7 @@
 #include "core/batch_compiler.hpp"
 #include "core/compile_cache.hpp"
 #include "core/mapper.hpp"
+#include "obs/metrics.hpp"
 #include "test_support.hpp"
 #include "topology/layouts.hpp"
 
@@ -203,20 +204,6 @@ TEST(BatchRobustness, UsageErrorsAreNotRetried)
     EXPECT_EQ(results[0].attempts, 1);
 }
 
-TEST(BatchRobustness, FailFastRethrowsLowestIndexError)
-{
-    const topology::CouplingGraph q5 = topology::ibmQ5Tenerife();
-    const auto snapshot = vaq::test::uniformSnapshot(q5);
-    const auto circuits = batchCircuits(8, 3);
-    const core::Mapper mapper = throwingMapper();
-
-    BatchOptions options = optionsWithThreads(4);
-    options.failFast = true;
-    BatchCompiler compiler(mapper, q5, options);
-    EXPECT_THROW(compiler.compileAll(circuits, {snapshot}),
-                 CompileError);
-}
-
 TEST(BatchRobustness, NaNPoisonedSnapshotDegradesJobs)
 {
     const topology::CouplingGraph q5 = topology::ibmQ5Tenerife();
@@ -253,6 +240,36 @@ TEST(BatchRobustness, NaNPoisonedSnapshotDegradesJobs)
             }
         }
     }
+}
+
+TEST(BatchRobustness, DegradedCompileKeepsTheRequestOptions)
+{
+    // A quarantined snapshot compiles through mapInRegion; the
+    // request's CompileOptions must reach that path too, so telemetry
+    // switched off per request records no mapper samples.
+    const topology::CouplingGraph q5 = topology::ibmQ5Tenerife();
+    calibration::Snapshot poisoned = vaq::test::uniformSnapshot(q5);
+    poisoned.qubit(3).t1Us =
+        std::numeric_limits<double>::quiet_NaN();
+
+    core::CompileRequest request;
+    request.circuit = batchCircuits(1, 99)[0];
+    request.policy = {.name = "baseline"};
+    request.options.telemetryEnabled = false;
+
+    const bool previous = obs::enabled();
+    obs::setEnabled(true);
+    obs::Registry::global().reset();
+    const core::CompileResult result =
+        core::compile(request, q5, poisoned);
+    const obs::MetricsSnapshot metrics =
+        obs::Registry::global().snapshot();
+    obs::setEnabled(previous);
+
+    EXPECT_EQ(result.status, JobStatus::Degraded);
+    const auto it = metrics.histograms.find("mapper.compile.seconds");
+    EXPECT_TRUE(it == metrics.histograms.end() || it->second.count == 0)
+        << "degraded compile recorded mapper telemetry";
 }
 
 TEST(BatchRobustness, UnusableSnapshotFailsItsJobsOnly)
@@ -445,18 +462,16 @@ TEST(BatchRobustness, EpochsAdvanceTogether)
     // Regression: the matrix and plan stores keep separate epoch
     // counters; a reporting path once read them as one value while
     // they had drifted apart across invalidations. At rest they
-    // must be equal (and equal to the legacy `epoch` alias), and
-    // one invalidation bumps both by exactly one.
+    // must be equal, and one invalidation bumps both by exactly
+    // one.
     const core::PathCacheStats before = core::pathCacheStats();
     EXPECT_EQ(before.matrixEpoch, before.planEpoch);
-    EXPECT_EQ(before.epoch, before.matrixEpoch);
 
     core::invalidatePathCaches();
     const core::PathCacheStats after = core::pathCacheStats();
     EXPECT_EQ(after.matrixEpoch, before.matrixEpoch + 1);
     EXPECT_EQ(after.planEpoch, before.planEpoch + 1);
     EXPECT_EQ(after.matrixEpoch, after.planEpoch);
-    EXPECT_EQ(after.epoch, after.matrixEpoch);
     // Both stores were emptied.
     EXPECT_EQ(after.matrixEntries, 0u);
     EXPECT_EQ(after.planEntries, 0u);

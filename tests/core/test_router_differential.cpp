@@ -52,10 +52,10 @@ expectIdenticalCompile(const core::Mapper &mapper,
                        const topology::CouplingGraph &graph,
                        const calibration::Snapshot &snapshot)
 {
-    const core::MappedCircuit seed = mapper.compile(
+    const core::MappedCircuit seed = mapper.map(
         logical, graph, snapshot,
         core::CompileOptions{.cacheEnabled = false});
-    const core::MappedCircuit cached = mapper.compile(
+    const core::MappedCircuit cached = mapper.map(
         logical, graph, snapshot,
         core::CompileOptions{.cacheEnabled = true});
 
@@ -178,7 +178,7 @@ TEST(RouterDifferential, BatchAgreesAcrossThreadCounts)
     std::vector<core::MappedCircuit> reference;
     for (const auto &snapshot : snapshots) {
         for (const auto &circuit : circuits) {
-            reference.push_back(mapper.compile(
+            reference.push_back(mapper.map(
                 circuit, machine, snapshot,
                 core::CompileOptions{.cacheEnabled = false}));
         }
@@ -216,7 +216,7 @@ TEST(RouterDifferential, SharedMatrixIsReusedAndInvalidated)
     const calibration::Snapshot snapshot =
         test::randomSnapshot(machine, rng);
 
-    // The thread-local override Mapper::compile uses internally,
+    // The thread-local override Mapper::map uses internally,
     // exercised directly against the shared-cache entry points.
     const core::PathCacheScope on(true);
     const auto first =
@@ -226,9 +226,9 @@ TEST(RouterDifferential, SharedMatrixIsReusedAndInvalidated)
     EXPECT_EQ(first.get(), second.get());
 
     const std::uint64_t epochBefore =
-        core::pathCacheStats().epoch;
+        core::pathCacheStats().matrixEpoch;
     core::invalidatePathCaches();
-    EXPECT_GT(core::pathCacheStats().epoch, epochBefore);
+    EXPECT_GT(core::pathCacheStats().matrixEpoch, epochBefore);
 
     // Old handles stay valid; fresh lookups rebuild.
     const auto third =

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unified compile entry-point suite: every public way to compile a
- * circuit — Mapper::compile (deprecated shim), core::compile /
+ * circuit — Mapper::map (the portfolio compile), core::compile /
  * compileCircuit (the entry point), and BatchCompiler — must
  * produce bit-identical mappings for the same input, and must match
  * the golden outputs captured from the pre-redesign vaqc binary.
@@ -100,7 +100,7 @@ TEST(CompileApi, MatchesPreRedesignGoldensBitIdentically)
         const core::Mapper mapper = core::makeMapper(
             {.name = tc.policy, .mah = core::kUnlimitedHops});
         const core::MappedCircuit mapped =
-            mapper.compile(logical, machine, snapshot);
+            mapper.map(logical, machine, snapshot);
         const std::string golden = readFile(
             std::string(VAQ_TEST_DATA_DIR) + "/service/golden/" +
             tc.program + "." + tc.machine + "." + tc.policySlug +
@@ -117,19 +117,18 @@ TEST(CompileApi, AllEntryPointsAgreeBitIdentically)
     const core::PolicySpec spec{.name = "vqa+vqm"};
     const core::Mapper mapper = core::makeMapper(spec);
 
-    // 1. The deprecated Mapper::compile shim.
+    // 1. Mapper::map, the portfolio compile every path runs.
     const core::MappedCircuit viaMapper =
-        mapper.compile(logical, machine, snapshot);
+        mapper.map(logical, machine, snapshot);
 
-    // 2. core::compile, the unified entry point, in the shim's
-    //    Trust/fail-fast configuration.
+    // 2. core::compile, the unified entry point, in vaqc's
+    //    single-compile configuration (Trust, no retries).
     core::CompileRequest trusting;
     trusting.circuit = logical;
     trusting.policy = spec;
     trusting.maxRetries = 0;
     trusting.calibration = core::CalibrationHandling::Trust;
     trusting.scoreResult = false;
-    trusting.failFast = true;
     const core::CompileResult viaCompile =
         core::compile(trusting, machine, snapshot);
     ASSERT_TRUE(viaCompile.ok());
@@ -168,22 +167,7 @@ TEST(CompileApi, AllEntryPointsAgreeBitIdentically)
               viaMapper.initial.progToPhys());
 }
 
-TEST(CompileApi, LegacyBatchResultConstructorStillWorks)
-{
-    // Old call sites constructed BatchResult from (indices, mapped,
-    // pst); the CompileResult-derived type must keep that working.
-    core::MappedCircuit mapped(2, 5);
-    mapped.insertedSwaps = 3;
-    const core::BatchResult legacy(1, 2, std::move(mapped), 0.75);
-    EXPECT_EQ(legacy.circuit, 1u);
-    EXPECT_EQ(legacy.snapshot, 2u);
-    EXPECT_EQ(legacy.mapped.insertedSwaps, 3u);
-    EXPECT_DOUBLE_EQ(legacy.analyticPst, 0.75);
-    EXPECT_EQ(legacy.status, core::JobStatus::Ok);
-    EXPECT_TRUE(legacy.ok());
-}
-
-TEST(CompileApi, FailFastRejectionsThrowContainedOnesReport)
+TEST(CompileApi, RejectedSnapshotsAreContained)
 {
     const topology::CouplingGraph machine = topology::ibmQ5Tenerife();
     calibration::Snapshot poisoned = test::uniformSnapshot(machine);
@@ -193,18 +177,14 @@ TEST(CompileApi, FailFastRejectionsThrowContainedOnesReport)
     request.circuit = loadFixture("bv4");
     request.policy = {.name = "baseline"};
 
-    // Contained (service/batch semantics): Failed + Calibration.
+    // A snapshot that fails validate() is reported, not thrown:
+    // Failed + Calibration, with no compile attempt.
     request.calibration = core::CalibrationHandling::Validate;
     const core::CompileResult contained =
         core::compile(request, machine, poisoned);
     EXPECT_EQ(contained.status, core::JobStatus::Failed);
     EXPECT_EQ(contained.errorCategory, ErrorCategory::Calibration);
     EXPECT_EQ(contained.attempts, 0);
-
-    // failFast (legacy semantics): the same input throws.
-    request.failFast = true;
-    EXPECT_THROW(core::compile(request, machine, poisoned),
-                 CalibrationError);
 }
 
 } // namespace

@@ -665,6 +665,58 @@ TEST(VaqcTelemetry, FlushedOnFailureExitPaths)
     EXPECT_TRUE(std::ifstream(trace).good())
         << "trace not flushed on failure: " << trace;
 }
+
+struct VaqcRun
+{
+    int exitCode = -1;
+    std::string out;
+    std::string err;
+};
+
+/** Run vaqc with `args`, capturing stdout and stderr. */
+VaqcRun
+runVaqc(const std::string &args, const std::string &tag)
+{
+    const std::string dir = ::testing::TempDir();
+    const std::string out = dir + "vaqc_" + tag + ".out";
+    const std::string err = dir + "vaqc_" + tag + ".err";
+    const std::string command = std::string(VAQ_VAQC_BIN) + " " +
+                                args + " >" + out + " 2>" + err;
+    const int status = std::system(command.c_str());
+    VaqcRun run;
+    if (WIFEXITED(status))
+        run.exitCode = WEXITSTATUS(status);
+    run.out = readFile(out);
+    run.err = readFile(err);
+    return run;
+}
+
+TEST(VaqcBatch, FailFastExitsOnFirstFailedJobWithoutReport)
+{
+    // bv4 fits IBM-Q5; ghz6 needs six qubits, a usage error under
+    // every policy. One calibration cycle, so one job fails.
+    const std::string fixtures =
+        std::string(VAQ_TEST_DATA_DIR) + "/service/fixtures/";
+    const std::string batch = "--batch --machine q5 --batch-cycles 1"
+                              " --qasm " + fixtures + "bv4.qasm" +
+                              " --qasm " + fixtures + "ghz6.qasm";
+
+    const VaqcRun stopped =
+        runVaqc(batch + " --fail-fast", "fail_fast");
+    EXPECT_EQ(stopped.exitCode, 2);
+    EXPECT_NE(stopped.err.find("usage error"), std::string::npos)
+        << stopped.err;
+    EXPECT_EQ(stopped.out.find("analytic-pst"), std::string::npos)
+        << stopped.out;
+
+    const VaqcRun contained = runVaqc(batch, "contained");
+    EXPECT_EQ(contained.exitCode, 2);
+    EXPECT_NE(contained.out.find("analytic-pst"), std::string::npos)
+        << contained.out;
+    EXPECT_NE(contained.out.find("1 ok, 0 degraded, 1 failed"),
+              std::string::npos)
+        << contained.out;
+}
 #endif
 
 TEST(ServiceBatch, SharedPolicyIsEnforcedWith400)

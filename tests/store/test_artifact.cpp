@@ -32,15 +32,13 @@ struct Compiled
     core::MappedCircuit mapped;
 
     Compiled()
-        : mapped(core::makeMapper(spec).compile(logical, graph,
-                                                snapshot))
+        : mapped(core::makeMapper(spec).map(logical, graph, snapshot))
     {
         // Distinct per-qubit values so dependency comparisons can
         // tell qubits apart.
         for (int q = 0; q < graph.numQubits(); ++q)
             snapshot.qubit(q).readoutError = 0.01 + 0.001 * q;
-        mapped = core::makeMapper(spec).compile(logical, graph,
-                                                snapshot);
+        mapped = core::makeMapper(spec).map(logical, graph, snapshot);
     }
 
     ArtifactKey key() const

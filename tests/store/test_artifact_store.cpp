@@ -45,8 +45,7 @@ class ArtifactStoreTest : public ::testing::Test
     CompileArtifact compileArtifact() const
     {
         const core::MappedCircuit mapped =
-            core::makeMapper(spec).compile(logical, graph,
-                                           snapshot);
+            core::makeMapper(spec).map(logical, graph, snapshot);
         return makeArtifact(mapped, 0.9, 0, 0, graph, snapshot);
     }
 

@@ -109,12 +109,12 @@ struct Options
     std::size_t trials = 100000;
     std::size_t threads = 0;
     double targetStderr = 0.0;
-    /** --sim-engine value; empty = legacy Bernoulli report only. */
+    /** --sim-engine value; empty = the Bernoulli report only. */
     std::string simEngine;
     std::size_t batchCycles = 4;
     int maxRetries = 2;
     double jobDeadlineMs = 0.0;
-    bool failFast = false;
+    bool abortOnFailure = false; ///< --fail-fast
     bool batch = false;
     bool lintMode = false; ///< `vaqc lint ...` subcommand
     bool sensMode = false; ///< `vaqc sens ...` subcommand
@@ -157,10 +157,10 @@ printUsage()
         "batch report\n"
         "  --batch-cycles N     calibration cycles in the batch "
         "(default 4; synthetic only)\n"
-        "  --fail-fast          abort the batch on the first job "
-        "failure (legacy\n"
-        "                       behavior: no retries, no "
-        "calibration quarantine)\n"
+        "  --fail-fast          no retries, no calibration "
+        "quarantine, no store; exit\n"
+        "                       with the first failed job's error "
+        "before the report\n"
         "  --max-retries N      policy-degradation retries per "
         "failed job (default 2:\n"
         "                       vqa+vqm -> vqm -> baseline)\n"
@@ -311,7 +311,7 @@ parseArgs(int argc, char **argv)
             options.batchCycles =
                 parseSize(next("--batch-cycles"));
         else if (arg == "--fail-fast")
-            options.failFast = true;
+            options.abortOnFailure = true;
         else if (arg == "--max-retries")
             options.maxRetries = static_cast<int>(
                 parseSize(next("--max-retries")));
@@ -407,7 +407,7 @@ policySpecByName(const std::string &name, int mah)
 {
     // "vqm4" is CLI shorthand for the paper's hop-limited VQM;
     // everything else goes to the registry as-is ("native" maps to
-    // the registry's "random" alias with the historical seed).
+    // the registry's "random" alias with seed 1).
     if (name == "vqm4")
         return {.name = "vqm", .mah = 4};
     if (name == "native")
@@ -767,14 +767,15 @@ runBatch(const Options &options)
         policyByName(options.policy, options.mah);
     core::BatchOptions batchOptions;
     batchOptions.compile = compileOptionsFor(options);
-    batchOptions.failFast = options.failFast;
-    batchOptions.maxRetries = options.maxRetries;
+    batchOptions.maxRetries =
+        options.abortOnFailure ? 0 : options.maxRetries;
+    batchOptions.sanitizeCalibration = !options.abortOnFailure;
     batchOptions.jobDeadlineMs = options.jobDeadlineMs;
     batchOptions.lint = options.lint;
     if (options.lint)
         batchOptions.lintOptions = lintOptionsFor(options);
     const std::unique_ptr<store::ArtifactStore> artifacts =
-        openArtifactStore(options);
+        options.abortOnFailure ? nullptr : openArtifactStore(options);
     std::unique_ptr<store::ArtifactCacheAdapter> artifactCache;
     if (artifacts != nullptr) {
         artifactCache =
@@ -792,6 +793,14 @@ runBatch(const Options &options)
         std::chrono::duration<double>(
             std::chrono::steady_clock::now() - t0)
             .count();
+    if (options.abortOnFailure) {
+        // Stop on the first failed job in job order, category and
+        // message intact, as the single-compile path does.
+        for (const core::BatchResult &r : results) {
+            if (!r.ok())
+                throw VaqError(r.error, r.errorCategory);
+        }
+    }
 
     std::cout << "machine   : " << machine.name() << " ("
               << machine.numQubits() << " qubits, "
@@ -884,12 +893,8 @@ runBatch(const Options &options)
               << " hits / " << stats.planMisses << " misses"
               << (options.noPathCache ? " (disabled)" : "")
               << "\n";
-    if (artifacts != nullptr) {
+    if (artifacts != nullptr)
         printStoreStats(*artifacts);
-        if (options.failFast)
-            std::cout << "            (artifact store is ignored "
-                         "under --fail-fast)\n";
-    }
     // Contained job failures still signal through the exit code.
     return firstFailure.has_value() ? exitCodeFor(*firstFailure)
                                     : 0;
@@ -969,11 +974,10 @@ run(const Options &options)
     }
 
     // Single compiles go through the same unified entry point as
-    // the batch compiler and the vaqd daemon. Trust + no retries +
-    // no scoring is exactly the historical vaqc pipeline (the
-    // Monte-Carlo report below computes the analytic PST itself);
-    // the deadline stays with the ambient scope above so it also
-    // bounds the simulation.
+    // the batch compiler and the vaqd daemon: Trust, no retries and
+    // no scoring (the Monte-Carlo report below computes the
+    // analytic PST itself). The deadline stays with the ambient
+    // scope above so it also bounds the simulation.
     core::CompileRequest request;
     request.policy = policySpecByName(options.policy, options.mah);
     request.options = compileOptionsFor(options);
