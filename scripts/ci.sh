@@ -13,12 +13,13 @@
 # analysis, store, router, obs, sim, fleet, ...). Next to the
 # examples smoke, two vaqc smokes run the views of the loss
 # decomposition end to end: `--explain` must print "PST estimate"
-# and `vaqc sens` must print "log-PST". Four perf_* benches
+# and `vaqc sens` must print "log-PST". Five perf_* benches
 # run as exit-0 smokes: perf_frame's frame-reference construction,
 # perf_frame's width-27 Pauli-frame trials (the fault-table trial
 # kernel), perf_simulator's 1M-trial, 4-thread Bernoulli
-# fault-injection run (the threshold trial kernel) and
-# perf_compiler's QASM parse/write cases (the wire codec). The TSan leg
+# fault-injection run (the threshold trial kernel), perf_compiler's
+# QASM parse/write cases (the wire codec) and perf_compiler's
+# vqa+vqm portfolio compiles (placements x routes). The TSan leg
 # rebuilds into build-tsan/ and runs only
 # `-L "parallel|analysis|store|sim|service|fleet"`
 # — the tests that exercise the thread pool, the shared path caches,
@@ -170,6 +171,16 @@ for case in BM_QasmParse BM_QasmWrite; do
     }
 done
 echo "ci: QASM codec bench smoke passed"
+
+echo "== tier-1: portfolio compile bench smoke (must exit 0) =="
+# Compile Table 1 programs through the full vqa+vqm portfolio: every
+# placement allocates once and routes each of its routes.
+POLICY_OUT="$(build/bench/perf_compiler --benchmark_filter='BM_FullPolicy')"
+grep -q BM_FullPolicy <<<"$POLICY_OUT" || {
+    echo "ci: portfolio compile bench did not run BM_FullPolicy" >&2
+    exit 1
+}
+echo "ci: portfolio compile bench smoke passed"
 
 echo "== tier-1: vaqd daemon smoke (compile + rollover over HTTP) =="
 # Start vaqd on an ephemeral port, parse the port it prints, then

@@ -1,7 +1,5 @@
 #include "core/compile_cache.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <mutex>
 #include <unordered_map>
 #include <utility>
@@ -97,10 +95,9 @@ reliabilityCostGraph(const topology::CouplingGraph &graph,
     edges.reserve(graph.linkCount());
     for (std::size_t l = 0; l < graph.linkCount(); ++l) {
         const topology::Link &link = graph.links()[l];
-        const double e =
-            std::clamp(snapshot.linkError(l), floor, 1.0 - floor);
-        edges.push_back(graph::WeightedEdge{link.a, link.b,
-                                            -std::log(1.0 - e)});
+        edges.push_back(graph::WeightedEdge{
+            link.a, link.b,
+            linkReliabilityCost(snapshot.linkError(l), floor)});
     }
     return graph::WeightedGraph(graph.numQubits(), edges);
 }

@@ -48,10 +48,9 @@ bool pathCacheEnabled();
 
 /**
  * The -log success-probability cost graph over the machine's links:
- * weight(a, b) = -log(1 - clamp(e, floor, 1 - floor)). Shortest
- * paths on it are maximum-reliability SWAP routes (Section 5.3).
- * This is the exact formula the allocators and ReliabilityCost use,
- * kept in one place so cache keys and cached values stay aligned.
+ * weight(a, b) = linkReliabilityCost(e, floor). Shortest paths on
+ * it are maximum-reliability SWAP routes (Section 5.3); the
+ * allocators read it and ReliabilityCost prices links the same way.
  */
 graph::WeightedGraph
 reliabilityCostGraph(const topology::CouplingGraph &graph,

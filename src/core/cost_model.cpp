@@ -1,8 +1,5 @@
 #include "core/cost_model.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/error.hpp"
 #include "common/hashing.hpp"
 
@@ -40,9 +37,8 @@ ReliabilityCost::ReliabilityCost(
     require(floor > 0.0 && floor < 1.0, "bad error floor");
     _cnotCostPerLink.reserve(graph.linkCount());
     for (std::size_t l = 0; l < graph.linkCount(); ++l) {
-        const double e =
-            std::clamp(snapshot.linkError(l), floor, 1.0 - floor);
-        _cnotCostPerLink.push_back(-std::log(1.0 - e));
+        _cnotCostPerLink.push_back(
+            linkReliabilityCost(snapshot.linkError(l), floor));
     }
 }
 

@@ -12,6 +12,8 @@
 #ifndef VAQ_CORE_COST_MODEL_HPP
 #define VAQ_CORE_COST_MODEL_HPP
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -80,6 +82,18 @@ class SwapCountCost final : public CostModel
   private:
     const topology::CouplingGraph &_graph;
 };
+
+/**
+ * The reliability price of one CNOT on a link with error rate
+ * `error`: -log(1 - clamp(error, floor, 1 - floor)). ReliabilityCost
+ * and reliabilityCostGraph (core/compile_cache.hpp) both use it, so
+ * cache keys and cached values stay aligned.
+ */
+inline double
+linkReliabilityCost(double error, double floor)
+{
+    return -std::log(1.0 - std::clamp(error, floor, 1.0 - floor));
+}
 
 /**
  * Reliability cost: cnot = -log(1 - e), swap = 3x that (a SWAP is

@@ -1,6 +1,5 @@
 #include "core/mapper.hpp"
 
-#include <functional>
 #include <map>
 #include <sstream>
 
@@ -23,65 +22,31 @@ Mapper::Mapper(std::string name,
     : _name(std::move(name))
 {
     require(allocator != nullptr, "mapper needs an allocator");
-    PolicyConfig config;
-    config.allocator = std::move(allocator);
-    config.costKind = cost_kind;
-    config.routerOptions = router_options;
-    config.label = _name;
-    _configs.push_back(std::move(config));
+    Placement placement;
+    placement.allocator = std::move(allocator);
+    placement.routes.push_back({cost_kind, router_options, _name});
+    _placements.push_back(std::move(placement));
 }
 
-Mapper::Mapper(std::string name, std::vector<PolicyConfig> configs)
-    : _name(std::move(name)), _configs(std::move(configs))
+Mapper::Mapper(std::string name, std::vector<Placement> placements)
+    : _name(std::move(name)), _placements(std::move(placements))
 {
-    require(!_configs.empty(), "mapper needs a configuration");
-    for (const PolicyConfig &config : _configs) {
-        require(config.allocator != nullptr,
-                "configuration needs an allocator");
+    require(!_placements.empty(), "mapper needs a placement");
+    for (const Placement &placement : _placements) {
+        require(placement.allocator != nullptr,
+                "placement needs an allocator");
+        require(!placement.routes.empty(),
+                "placement needs a route");
     }
 }
 
-MappedCircuit
-Mapper::mapWithConfig(const PolicyConfig &config,
-                      const Circuit &logical,
-                      const topology::CouplingGraph &graph,
-                      const calibration::Snapshot &snapshot,
-                      bool telemetry) const
+std::size_t
+Mapper::routeCount() const
 {
-    Layout initial(logical.numQubits(), graph.numQubits());
-    {
-        obs::Span span("mapper.allocate", telemetry);
-        obs::ScopedTimer timer("mapper.allocate.seconds",
-                               telemetry);
-        initial =
-            config.allocator->allocate(logical, graph, snapshot);
-    }
-    const std::unique_ptr<CostModel> cost =
-        makeCostModel(config.costKind, graph, snapshot);
-    RouterOptions options = config.routerOptions;
-    if (pathCacheEnabled() && !options.planCache) {
-        // Hand the router the process-wide route table for this
-        // (machine, calibration, cost, MAH) tuple; concurrent
-        // compiles against the same snapshot then share every
-        // movement plan instead of re-searching it.
-        options.planCache = sharedPlanCache(
-            graph, snapshot, config.costKind, options.mah);
-    }
-    RouteResult routed(logical.numQubits(), graph.numQubits());
-    {
-        obs::Span span("mapper.route", telemetry);
-        obs::ScopedTimer timer("mapper.route.seconds", telemetry);
-        const Router router(graph, *cost, options);
-        routed = router.route(logical, initial);
-    }
-
-    MappedCircuit mapped(logical.numQubits(), graph.numQubits());
-    mapped.physical = std::move(routed.physical);
-    mapped.initial = initial;
-    mapped.final = routed.final;
-    mapped.insertedSwaps = routed.insertedSwaps;
-    mapped.policyName = _name;
-    return mapped;
+    std::size_t count = 0;
+    for (const Placement &placement : _placements)
+        count += placement.routes.size();
+    return count;
 }
 
 MappedCircuit
@@ -102,32 +67,66 @@ Mapper::map(const Circuit &logical,
     obs::ScopedTimer compileTimer("mapper.compile.seconds",
                                   telemetry);
 
-    // Score each configuration with the compile-time reliability
-    // estimate and keep the winner. Error rates are known at
-    // compile time (the premise of the whole paper), so the
-    // portfolio selection is itself a variation-aware step.
+    // Score each route with the compile-time reliability estimate
+    // and keep the winner. Error rates are known at compile time
+    // (the premise of the whole paper), so the portfolio selection
+    // is itself a variation-aware step.
     const sim::NoiseModel model(graph, snapshot,
                                 sim::CoherenceMode::PerOp);
     MappedCircuit best(logical.numQubits(), graph.numQubits());
     double bestScore = -1.0;
-    const PolicyConfig *winner = nullptr;
-    for (const PolicyConfig &config : _configs) {
-        checkCancellation("mapper.portfolio");
-        MappedCircuit candidate = mapWithConfig(
-            config, logical, graph, snapshot, telemetry);
-        double score = 0.0;
+    const Route *winner = nullptr;
+    for (const Placement &placement : _placements) {
+        Layout initial(logical.numQubits(), graph.numQubits());
         {
-            obs::Span span("mapper.score", telemetry);
-            obs::ScopedTimer timer("mapper.score.seconds",
+            obs::Span span("mapper.allocate", telemetry);
+            obs::ScopedTimer timer("mapper.allocate.seconds",
                                    telemetry);
-            score = sim::analyticPst(candidate.physical, model);
+            initial = placement.allocator->allocate(logical, graph,
+                                                    snapshot);
         }
-        if (score > bestScore) {
-            bestScore = score;
-            best = std::move(candidate);
-            winner = &config;
+        for (const Route &route : placement.routes) {
+            checkCancellation("mapper.portfolio");
+            const std::unique_ptr<CostModel> cost =
+                makeCostModel(route.costKind, graph, snapshot);
+            RouterOptions routerOptions = route.routerOptions;
+            if (pathCacheEnabled() && !routerOptions.planCache) {
+                // Hand the router the process-wide route table for
+                // this (machine, calibration, cost, MAH) tuple;
+                // concurrent compiles against the same snapshot
+                // then share every movement plan instead of
+                // re-searching it.
+                routerOptions.planCache =
+                    sharedPlanCache(graph, snapshot, route.costKind,
+                                    routerOptions.mah);
+            }
+            RouteResult routed(logical.numQubits(),
+                               graph.numQubits());
+            {
+                obs::Span span("mapper.route", telemetry);
+                obs::ScopedTimer timer("mapper.route.seconds",
+                                       telemetry);
+                const Router router(graph, *cost, routerOptions);
+                routed = router.route(logical, initial);
+            }
+            double score = 0.0;
+            {
+                obs::Span span("mapper.score", telemetry);
+                obs::ScopedTimer timer("mapper.score.seconds",
+                                       telemetry);
+                score = sim::analyticPst(routed.physical, model);
+            }
+            if (score > bestScore) {
+                bestScore = score;
+                best.physical = std::move(routed.physical);
+                best.initial = initial;
+                best.final = routed.final;
+                best.insertedSwaps = routed.insertedSwaps;
+                winner = &route;
+            }
         }
     }
+    best.policyName = _name;
     if (telemetry && winner != nullptr) {
         obs::count("mapper.portfolio.winner{policy=\"" + _name +
                    "\",config=\"" + winner->label + "\"}");
@@ -194,55 +193,39 @@ Mapper::mapInRegion(
 namespace
 {
 
-/** Baseline configuration (shared no-variation fallback). */
-PolicyConfig
-baselineConfig()
+/** One route: `cost` movement planned by `strategy` within `mah`. */
+Route
+route(std::string label, CostKind cost, RouteStrategy strategy,
+      int mah = kUnlimitedHops)
 {
-    PolicyConfig config;
-    config.allocator = std::make_unique<LocalityAllocator>();
-    config.costKind = CostKind::SwapCount;
-    config.routerOptions.strategy = RouteStrategy::LayerAstar;
-    config.label = "baseline";
-    return config;
+    RouterOptions options;
+    options.mah = mah;
+    options.strategy = strategy;
+    return {cost, options, std::move(label)};
 }
 
 /**
- * The VQM portfolio: movement-only variation awareness. Allocation
+ * The VQM placement: movement-only variation awareness. Allocation
  * stays the baseline's variation-blind locality embedding — placing
  * qubits by error rates is VQA's job (Section 6), so Fig. 12's
  * "VQM standalone" is exactly reliability-aware routing on the
  * baseline layout.
  */
-std::vector<PolicyConfig>
-vqmConfigs(int mah)
+Placement
+vqmPlacement(int mah)
 {
-    std::vector<PolicyConfig> configs;
-
-    // Baseline allocation + per-gate reliability routing
-    // (Algorithm 1 with single-mover planning).
-    {
-        PolicyConfig c;
-        c.allocator = std::make_unique<LocalityAllocator>();
-        c.costKind = CostKind::Reliability;
-        c.routerOptions.mah = mah;
-        c.routerOptions.strategy = RouteStrategy::PerGate;
-        c.label = "vqm-pergate";
-        configs.push_back(std::move(c));
-    }
-    // Same allocation, joint per-layer A* (Algorithm 1 step 5).
-    {
-        PolicyConfig c;
-        c.allocator = std::make_unique<LocalityAllocator>();
-        c.costKind = CostKind::Reliability;
-        c.routerOptions.mah = mah;
-        c.routerOptions.strategy = RouteStrategy::LayerAstar;
-        c.label = "vqm-astar";
-        configs.push_back(std::move(c));
-    }
-    // No-variation fallback (Section 5.3: with uniform error rates
-    // VQM is "identical as [the] baseline").
-    configs.push_back(baselineConfig());
-    return configs;
+    return {std::make_unique<LocalityAllocator>(),
+            {// Per-gate reliability routing (Algorithm 1 with
+             // single-mover planning).
+             route("vqm-pergate", CostKind::Reliability,
+                   RouteStrategy::PerGate, mah),
+             // Joint per-layer A* (Algorithm 1 step 5).
+             route("vqm-astar", CostKind::Reliability,
+                   RouteStrategy::LayerAstar, mah),
+             // No-variation fallback (Section 5.3: with uniform
+             // error rates VQM is "identical as [the] baseline").
+             route("baseline", CostKind::SwapCount,
+                   RouteStrategy::LayerAstar)}};
 }
 
 /** Registry builders, one per canonical policy name. */
@@ -275,89 +258,65 @@ buildVqm(const PolicySpec &spec)
         spec.mah == kUnlimitedHops
             ? "vqm"
             : "vqm-mah" + std::to_string(spec.mah);
-    return Mapper(name, vqmConfigs(spec.mah));
+    std::vector<Placement> placements;
+    placements.push_back(vqmPlacement(spec.mah));
+    return Mapper(name, std::move(placements));
 }
 
 Mapper
 buildVqa(const PolicySpec &)
 {
-    std::vector<PolicyConfig> configs;
-    {
-        PolicyConfig c;
-        c.allocator = std::make_unique<StrengthAllocator>(
-            graph::SubgraphScore::InducedWeight);
-        c.costKind = CostKind::SwapCount;
-        c.routerOptions.strategy = RouteStrategy::LayerAstar;
-        c.label = "vqa-strength";
-        configs.push_back(std::move(c));
-    }
-    configs.push_back(baselineConfig());
-    return Mapper("vqa", std::move(configs));
+    std::vector<Placement> placements;
+    placements.push_back({std::make_unique<StrengthAllocator>(
+                              graph::SubgraphScore::InducedWeight),
+                          {route("vqa-strength", CostKind::SwapCount,
+                                 RouteStrategy::LayerAstar)}});
+    placements.push_back({std::make_unique<LocalityAllocator>(),
+                          {route("baseline", CostKind::SwapCount,
+                                 RouteStrategy::LayerAstar)}});
+    return Mapper("vqa", std::move(placements));
 }
 
 Mapper
 buildVqaVqm(const PolicySpec &spec)
 {
     const int mah = spec.mah;
-    // VQA allocation variants (strongest-subgraph placement, plus
-    // the strength-weighted locality embedding of Algorithm 1 step
-    // 4) on top of the full VQM portfolio, so VQA+VQM is never
-    // worse than VQM (Section 6.3 reports exactly that ordering).
-    std::vector<PolicyConfig> configs;
-    for (graph::SubgraphScore score :
-         {graph::SubgraphScore::InducedWeight,
-          graph::SubgraphScore::FullStrength}) {
-        PolicyConfig c;
-        c.allocator = std::make_unique<StrengthAllocator>(score);
-        c.costKind = CostKind::Reliability;
-        c.routerOptions.mah = mah;
-        c.routerOptions.strategy = RouteStrategy::PerGate;
-        c.label = score == graph::SubgraphScore::InducedWeight
-                      ? "vqa-induced-pergate"
-                      : "vqa-strength-pergate";
-        configs.push_back(std::move(c));
-    }
-    {
-        PolicyConfig c;
-        c.allocator = std::make_unique<StrengthAllocator>(
-            graph::SubgraphScore::InducedWeight);
-        c.costKind = CostKind::Reliability;
-        c.routerOptions.mah = mah;
-        c.routerOptions.strategy = RouteStrategy::LayerAstar;
-        c.label = "vqa-induced-astar";
-        configs.push_back(std::move(c));
-    }
+    const auto reliable = [mah](std::string label,
+                                RouteStrategy strategy) {
+        return route(std::move(label), CostKind::Reliability,
+                     strategy, mah);
+    };
+    // VQA placements (strongest-subgraph allocation, plus the
+    // strength-weighted locality embedding of Algorithm 1 step 4)
+    // on top of the VQM placement, so VQA+VQM is never worse than
+    // VQM (Section 6.3 reports exactly that ordering).
+    std::vector<Placement> placements;
+    placements.push_back(
+        {std::make_unique<StrengthAllocator>(
+             graph::SubgraphScore::InducedWeight),
+         {reliable("vqa-induced-pergate", RouteStrategy::PerGate),
+          reliable("vqa-induced-astar", RouteStrategy::LayerAstar)}});
+    placements.push_back(
+        {std::make_unique<StrengthAllocator>(
+             graph::SubgraphScore::FullStrength),
+         {reliable("vqa-strength-pergate", RouteStrategy::PerGate)}});
     // Qubit-aware variant: readout/coherence quality feeds the
     // subgraph choice (matters on machines with skewed readout,
     // e.g. the Table 3 Tenerife profile).
-    {
-        PolicyConfig c;
-        c.allocator = std::make_unique<StrengthAllocator>(
-            graph::SubgraphScore::InducedWeight, 0, true);
-        c.costKind = CostKind::Reliability;
-        c.routerOptions.mah = mah;
-        c.routerOptions.strategy = RouteStrategy::PerGate;
-        c.label = "vqa-qubit-aware";
-        configs.push_back(std::move(c));
-    }
-    {
-        PolicyConfig c;
-        c.allocator = std::make_unique<LocalityAllocator>(
-            CostKind::Reliability);
-        c.costKind = CostKind::Reliability;
-        c.routerOptions.mah = mah;
-        c.routerOptions.strategy = RouteStrategy::PerGate;
-        c.label = "vqa-rel-locality";
-        configs.push_back(std::move(c));
-    }
-    for (PolicyConfig &c : vqmConfigs(mah))
-        configs.push_back(std::move(c));
+    placements.push_back(
+        {std::make_unique<StrengthAllocator>(
+             graph::SubgraphScore::InducedWeight, 0, true),
+         {reliable("vqa-qubit-aware", RouteStrategy::PerGate)}});
+    placements.push_back(
+        {std::make_unique<LocalityAllocator>(CostKind::Reliability),
+         {reliable("vqa-rel-locality", RouteStrategy::PerGate)}});
+    placements.push_back(vqmPlacement(mah));
 
     const std::string name =
         mah == kUnlimitedHops
             ? "vqa+vqm"
             : "vqa+vqm-mah" + std::to_string(mah);
-    return Mapper(name, std::move(configs));
+    return Mapper(name, std::move(placements));
 }
 
 using PolicyBuilder = Mapper (*)(const PolicySpec &);

@@ -3,28 +3,29 @@
  * Mapper facade: the public entry point of libvaq's compilation
  * pipeline.
  *
- * A Mapper bundles one or more policy configurations, each an
- * {allocation policy, cost model, routing strategy} triple — exactly
- * the {Qubit-Allocation, Qubit-Movement} decomposition the paper
- * studies. Multi-configuration mappers compile every configuration
- * and keep the one with the best estimated reliability (analytic
- * PST under the compile-time error model). This portfolio step is
- * how VQM realizes the paper's guarantee that it "leverages the
- * locality-preserving traits of baseline while using a
- * variation-aware heuristic" (Section 5.3): when variation cannot be
- * exploited, the baseline configuration wins the portfolio and VQM
- * degenerates to it.
+ * A Mapper is a portfolio of placements × routes: each placement
+ * is one allocation policy plus the movement strategies (cost
+ * model + routing strategy) tried on its layout — the paper's
+ * {Qubit-Allocation, Qubit-Movement} decomposition, kept in the
+ * type. map() allocates once per placement, routes every route on
+ * that layout and keeps the result with the best estimated
+ * reliability (analytic PST under the compile-time error model).
+ * This portfolio step is how VQM realizes the paper's guarantee
+ * that it "leverages the locality-preserving traits of baseline
+ * while using a variation-aware heuristic" (Section 5.3): when
+ * variation cannot be exploited, the baseline route wins the
+ * portfolio and VQM degenerates to it.
  *
  * Ready-made policies, all reachable through the PolicySpec
  * registry (makeMapper({.name = ...})):
  *
- * | name        | allocation        | movement cost  |
- * |-------------|-------------------|----------------|
- * | "random"    | random (IBM-like) | swap count     |
- * | "baseline"  | locality          | swap count     |
- * | "vqm"       | strength-locality | reliability(*) |
- * | "vqa"       | VQA strength      | swap count     |
- * | "vqa+vqm"   | VQA strength      | reliability(*) |
+ * | name        | placements × routes | allocation        | movement cost  |
+ * |-------------|---------------------|-------------------|----------------|
+ * | "random"    | 1 × 1               | random (IBM-like) | swap count     |
+ * | "baseline"  | 1 × 1               | locality          | swap count     |
+ * | "vqm"       | 1 × 3               | locality          | reliability(*) |
+ * | "vqa"       | 2 × 1               | VQA strength      | swap count     |
+ * | "vqa+vqm"   | 5 × {2,1,1,1,3}     | VQA strength      | reliability(*) |
  *
  * (*) portfolio over routing strategies with a baseline fallback.
  */
@@ -46,38 +47,51 @@
 namespace vaq::core
 {
 
-/** One compilation policy configuration. */
-struct PolicyConfig
+/** One movement strategy tried on a placement's layout. */
+struct Route
 {
-    std::unique_ptr<Allocator> allocator;
     CostKind costKind = CostKind::SwapCount;
     RouterOptions routerOptions;
     /** Short tag for telemetry (portfolio-winner counters). */
     std::string label;
 };
 
+/** One allocator and the routes tried on the layout it places. */
+struct Placement
+{
+    std::unique_ptr<Allocator> allocator;
+    std::vector<Route> routes;
+};
+
 /** Complete compilation policy (possibly a portfolio). */
 class Mapper
 {
   public:
-    /** Single-configuration mapper. */
+    /** One placement with one route, labelled `name`. */
     Mapper(std::string name, std::unique_ptr<Allocator> allocator,
            CostKind cost_kind, RouterOptions router_options = {});
 
-    /** Portfolio mapper: map() keeps the best-scoring result. */
-    Mapper(std::string name, std::vector<PolicyConfig> configs);
+    /** Portfolio mapper: map() keeps the best-scoring route. Every
+     *  placement needs an allocator and at least one route. */
+    Mapper(std::string name, std::vector<Placement> placements);
 
     /** Policy label. */
     const std::string &name() const { return _name; }
 
-    /** Number of configurations in the portfolio. */
-    std::size_t configCount() const { return _configs.size(); }
+    /** Number of placements (allocations per map()). */
+    std::size_t placementCount() const { return _placements.size(); }
+
+    /** Number of routes over all placements (candidates scored per
+     *  map()). */
+    std::size_t routeCount() const;
 
     /**
      * Compile `logical` for the machine described by `graph` +
-     * `snapshot`: one walk over the configured policy portfolio.
-     * Every configuration is compiled; the result with the highest
-     * analytic PST under the compile-time error model is returned.
+     * `snapshot`: one walk over the policy portfolio. Each placement
+     * allocates once and every one of its routes is routed on that
+     * layout; the result with the highest analytic PST under the
+     * compile-time error model is returned (the first on a tie, in
+     * placement-major order).
      * The result's physical circuit is executable: every two-qubit
      * gate acts on a coupled pair.
      *
@@ -107,14 +121,8 @@ class Mapper
         const CompileOptions &options = {}) const;
 
   private:
-    MappedCircuit mapWithConfig(
-        const PolicyConfig &config, const circuit::Circuit &logical,
-        const topology::CouplingGraph &graph,
-        const calibration::Snapshot &snapshot,
-        bool telemetry) const;
-
     std::string _name;
-    std::vector<PolicyConfig> _configs;
+    std::vector<Placement> _placements;
 };
 
 /**

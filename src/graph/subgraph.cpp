@@ -145,6 +145,36 @@ choose(std::size_t n, std::size_t k)
     return result;
 }
 
+/**
+ * Visit every candidate connected k-subset, unsorted, in
+ * enumeration order: all of them (exhaustive connected-subset
+ * enumeration) when tractable, else one greedy growth per seed. The
+ * enumeration visits only connected subsets, so the bound on
+ * C(n, k) is loose but cheap to compute.
+ */
+template <typename Visit>
+void
+forEachCandidate(const WeightedGraph &graph, std::size_t k,
+                 SubgraphScore score, Visit &&visit)
+{
+    const auto n = static_cast<std::size_t>(graph.numNodes());
+    if (choose(n, k) <= 2.5e5 || n <= 20) {
+        for (int root = 0; root < graph.numNodes(); ++root) {
+            if (k == 1)
+                visit(std::vector<int>{root});
+            else
+                enumerateFromRoot(graph, root, k, visit);
+        }
+        return;
+    }
+    for (int seed = 0; seed < graph.numNodes(); ++seed) {
+        const std::vector<int> grown =
+            greedyGrow(graph, seed, k, score);
+        if (!grown.empty())
+            visit(grown);
+    }
+}
+
 } // namespace
 
 double
@@ -223,25 +253,7 @@ bestConnectedSubgraph(const WeightedGraph &graph, std::size_t k,
         }
     };
 
-    // Exhaustive connected-subset enumeration when tractable. The
-    // enumeration visits only connected subsets, so the bound on
-    // C(n, k) is loose but cheap to compute.
-    if (choose(n, k) <= 2.5e5 || n <= 20) {
-        for (int root = 0; root < graph.numNodes(); ++root) {
-            if (k == 1) {
-                consider({root});
-                continue;
-            }
-            enumerateFromRoot(graph, root, k, consider);
-        }
-    } else {
-        for (int seed = 0; seed < graph.numNodes(); ++seed) {
-            const std::vector<int> grown =
-                greedyGrow(graph, seed, k, score);
-            if (!grown.empty())
-                consider(grown);
-        }
-    }
+    forEachCandidate(graph, k, score, consider);
 
     require(!best.empty(),
             "no connected subgraph of the requested size exists");
@@ -274,22 +286,7 @@ topConnectedSubgraphs(const WeightedGraph &graph, std::size_t k,
             ranked.resize(count);
     };
 
-    if (choose(n, k) <= 2.5e5 || n <= 20) {
-        for (int root = 0; root < graph.numNodes(); ++root) {
-            if (k == 1) {
-                consider({root});
-                continue;
-            }
-            enumerateFromRoot(graph, root, k, consider);
-        }
-    } else {
-        for (int seed = 0; seed < graph.numNodes(); ++seed) {
-            const std::vector<int> grown =
-                greedyGrow(graph, seed, k, score);
-            if (!grown.empty())
-                consider(grown);
-        }
-    }
+    forEachCandidate(graph, k, score, consider);
 
     // Drop duplicates (greedy growth can converge).
     std::vector<std::vector<int>> out;

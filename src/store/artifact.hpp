@@ -131,14 +131,6 @@ struct CompileArtifact
     /** Effective 2q gates (nCX + nCZ + 3*nSWAP) per touched link,
      *  aligned with touchedLinks. */
     std::vector<double> linkWeights;
-
-    /** Set on the copy a bound-based staleness serve returns:
-     *  the certified |delta logPST| bound and the exact analytic
-     *  shift already folded into analyticPst. In-process only;
-     *  never serialized (the stored record keeps its compile-time
-     *  baseline so bounds never accumulate across serves). */
-    double servedStalenessBound = 0.0;
-    double servedDeltaLogPst = 0.0;
 };
 
 /**

@@ -236,11 +236,8 @@ ArtifactStore::getOrDelta(const ArtifactKey &key,
                 if (artifact.analyticPst > 0.0)
                     artifact.analyticPst *=
                         std::exp(assess.deltaLogPst);
-                artifact.servedStalenessBound = assess.bound();
-                artifact.servedDeltaLogPst = assess.deltaLogPst;
                 info.boundReuse = true;
                 info.stalenessBound = assess.bound();
-                info.deltaLogPst = assess.deltaLogPst;
                 return artifact;
             }
         }

@@ -98,8 +98,6 @@ struct DeltaServeInfo
     bool boundReuse = false;
     /** The certified |delta logPST| bound of a boundReuse serve. */
     double stalenessBound = 0.0;
-    /** The exact analytic shift folded into the served PST. */
-    double deltaLogPst = 0.0;
 };
 
 /**

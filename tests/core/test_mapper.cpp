@@ -7,6 +7,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "obs/metrics.hpp"
 #include "sim/fault_sim.hpp"
 #include "test_support.hpp"
 #include "topology/layouts.hpp"
@@ -102,10 +103,87 @@ TEST_F(MapperTest, NativeAliasesResolveToRandom)
 
 TEST_F(MapperTest, PortfolioSizes)
 {
-    EXPECT_EQ(makeMapper({.name = "baseline"}).configCount(), 1u);
-    EXPECT_GE(makeMapper({.name = "vqm"}).configCount(), 3u);
-    EXPECT_GT(makeMapper({.name = "vqa+vqm"}).configCount(),
-              makeMapper({.name = "vqm"}).configCount());
+    EXPECT_EQ(makeMapper({.name = "baseline"}).routeCount(), 1u);
+    EXPECT_GE(makeMapper({.name = "vqm"}).routeCount(), 3u);
+    EXPECT_GT(makeMapper({.name = "vqa+vqm"}).routeCount(),
+              makeMapper({.name = "vqm"}).routeCount());
+    // One placement per distinct allocator: routes that start from
+    // the same layout share one allocation.
+    EXPECT_EQ(makeMapper({.name = "baseline"}).placementCount(), 1u);
+    EXPECT_EQ(makeMapper({.name = "vqm"}).placementCount(), 1u);
+    EXPECT_EQ(makeMapper({.name = "vqa"}).placementCount(), 2u);
+    EXPECT_EQ(makeMapper({.name = "vqa+vqm"}).placementCount(), 5u);
+    EXPECT_EQ(makeMapper({.name = "vqa+vqm"}).routeCount(), 8u);
+}
+
+/** Locality allocator that counts its allocate() calls. */
+class CountingAllocator final : public Allocator
+{
+  public:
+    explicit CountingAllocator(int &calls) : _calls(calls) {}
+
+    Layout allocate(const Circuit &logical,
+                    const topology::CouplingGraph &graph,
+                    const calibration::Snapshot &snapshot) const override
+    {
+        ++_calls;
+        return LocalityAllocator().allocate(logical, graph, snapshot);
+    }
+
+    std::string name() const override { return "counting"; }
+
+  private:
+    int &_calls;
+};
+
+TEST_F(MapperTest, PlacementAllocatesOncePerMap)
+{
+    int calls = 0;
+    RouterOptions astar;
+    astar.strategy = RouteStrategy::LayerAstar;
+    std::vector<Placement> placements;
+    placements.push_back(
+        {std::make_unique<CountingAllocator>(calls),
+         {{CostKind::Reliability, {}, "pergate"},
+          {CostKind::SwapCount, astar, "astar"}}});
+    const Mapper mapper("counting", std::move(placements));
+    EXPECT_EQ(mapper.routeCount(), 2u);
+
+    const auto bv = workloads::bernsteinVazirani(8);
+    const MappedCircuit mapped = mapper.map(bv, graph, snap);
+    EXPECT_EQ(calls, 1);
+    EXPECT_EQ(mapped.initial.progToPhys(),
+              LocalityAllocator().allocate(bv, graph, snap).progToPhys());
+    mapper.map(bv, graph, snap);
+    EXPECT_EQ(calls, 2);
+}
+
+TEST_F(MapperTest, PortfolioCompileRecordsOneAllocationPerPlacement)
+{
+    const auto bv = workloads::bernsteinVazirani(8);
+    const bool previous = obs::enabled();
+    obs::setEnabled(true);
+    for (const auto &[name, placements] :
+         {std::pair<std::string, std::uint64_t>{"vqa+vqm", 5},
+          {"vqm", 1},
+          {"vqa", 2},
+          {"baseline", 1}}) {
+        obs::Registry::global().reset();
+        makeMapper({.name = name}).map(bv, graph, snap);
+        const obs::MetricsSnapshot metrics =
+            obs::Registry::global().snapshot();
+        const auto allocate =
+            metrics.histograms.find("mapper.allocate.seconds");
+        const auto route =
+            metrics.histograms.find("mapper.route.seconds");
+        ASSERT_NE(allocate, metrics.histograms.end()) << name;
+        ASSERT_NE(route, metrics.histograms.end()) << name;
+        EXPECT_EQ(allocate->second.count, placements) << name;
+        EXPECT_EQ(route->second.count,
+                  makeMapper({.name = name}).routeCount())
+            << name;
+    }
+    obs::setEnabled(previous);
 }
 
 TEST_F(MapperTest, VqmAtLeastAsReliableAsBaseline)
@@ -276,8 +354,13 @@ TEST_F(MapperTest, MapperConstructionValidation)
 {
     EXPECT_THROW(Mapper("x", nullptr, CostKind::SwapCount),
                  VaqError);
-    EXPECT_THROW(Mapper("x", std::vector<PolicyConfig>{}),
-                 VaqError);
+    EXPECT_THROW(Mapper("x", std::vector<Placement>{}), VaqError);
+    std::vector<Placement> noAllocator;
+    noAllocator.push_back({nullptr, {Route{}}});
+    EXPECT_THROW(Mapper("x", std::move(noAllocator)), VaqError);
+    std::vector<Placement> noRoutes;
+    noRoutes.push_back({std::make_unique<LocalityAllocator>(), {}});
+    EXPECT_THROW(Mapper("x", std::move(noRoutes)), VaqError);
 }
 
 } // namespace

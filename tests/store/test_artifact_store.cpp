@@ -273,11 +273,12 @@ TEST_F(ArtifactStoreTest, BoundReuseServesCertifiedStaleness)
     EXPECT_GT(info.stalenessBound, 0.0);
     EXPECT_LE(info.stalenessBound, 1e-3);
     // The served PST carries the exact analytic shift.
+    const analysis::StalenessAssessment assess =
+        assessArtifactStaleness(artifact, drifted);
+    EXPECT_DOUBLE_EQ(info.stalenessBound, assess.bound());
     EXPECT_DOUBLE_EQ(hit->analyticPst,
                      artifact.analyticPst *
-                         std::exp(info.deltaLogPst));
-    EXPECT_DOUBLE_EQ(hit->servedStalenessBound,
-                     info.stalenessBound);
+                         std::exp(assess.deltaLogPst));
     EXPECT_EQ(store.stats().boundReuse, 1u);
     EXPECT_EQ(store.stats().hits, 1u);
 
@@ -317,7 +318,8 @@ TEST_F(ArtifactStoreTest, BoundReuseRespectsTheTolerance)
         ASSERT_TRUE(hit.has_value());
         EXPECT_TRUE(info.boundReuse);
         EXPECT_EQ(info.stalenessBound, 0.0);
-        EXPECT_EQ(info.deltaLogPst, 0.0);
+        EXPECT_EQ(assessArtifactStaleness(artifact, t2Only).deltaLogPst,
+                  0.0);
         EXPECT_DOUBLE_EQ(hit->analyticPst, artifact.analyticPst);
 
         EXPECT_FALSE(store
