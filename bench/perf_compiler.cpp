@@ -34,10 +34,10 @@ BM_AllocateLocality(benchmark::State &state)
 {
     const auto bv = workloads::bernsteinVazirani(16);
     const core::LocalityAllocator allocator;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(allocator.allocate(
-            bv, env().machine, env().averaged));
-    }
+    const core::CalibrationContext context(env().machine,
+                                           env().averaged);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(allocator.allocate(bv, context));
 }
 BENCHMARK(BM_AllocateLocality);
 
@@ -46,10 +46,10 @@ BM_AllocateStrength(benchmark::State &state)
 {
     const auto bv = workloads::bernsteinVazirani(16);
     const core::StrengthAllocator allocator;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(allocator.allocate(
-            bv, env().machine, env().averaged));
-    }
+    const core::CalibrationContext context(env().machine,
+                                           env().averaged);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(allocator.allocate(bv, context));
 }
 BENCHMARK(BM_AllocateStrength);
 
@@ -162,7 +162,6 @@ BM_BatchCompile100x4(benchmark::State &state)
         static_cast<std::size_t>(state.range(0));
     options.scoreResults = false;
     core::BatchCompiler compiler(mapper, env().machine, options);
-    core::invalidatePathCaches();
     const core::PathCacheStats before = core::pathCacheStats();
     for (auto _ : state) {
         benchmark::DoNotOptimize(
@@ -174,8 +173,9 @@ BM_BatchCompile100x4(benchmark::State &state)
             static_cast<double>(circuits.size()) *
             static_cast<double>(snapshots.size()),
         benchmark::Counter::kIsRate);
-    // Cache effectiveness over the whole run: hits / lookups across
-    // the shared reliability-matrix and movement-plan tables.
+    // Table reuse over the whole run: reads that reused a
+    // calibration context's matrix or plan table, over all reads
+    // and builds.
     const double hits = static_cast<double>(
         (after.matrixHits - before.matrixHits) +
         (after.planHits - before.planHits));
@@ -202,15 +202,14 @@ BM_SequentialCompile100x4_Seed(benchmark::State &state)
     const auto circuits = batchCircuits();
     const auto snapshots = batchSnapshots();
     const core::Mapper mapper = core::makeMapper({.name = "vqm"});
-    // The seed compiler: caches off, one compile at a time, every
-    // route and distance recomputed per job.
-    const core::CompileOptions seedOptions{.cacheEnabled = false};
+    // The sequential compiler: one compile at a time, each against
+    // a private calibration context, so every route and distance
+    // table is rebuilt per job.
     for (auto _ : state) {
         for (const auto &snapshot : snapshots) {
             for (const auto &circuit : circuits) {
-                benchmark::DoNotOptimize(mapper.map(
-                    circuit, env().machine, snapshot,
-                    seedOptions));
+                benchmark::DoNotOptimize(
+                    mapper.map(circuit, env().machine, snapshot));
             }
         }
     }

@@ -41,12 +41,11 @@ class FaultyAllocator final : public core::Allocator
 
     core::Layout allocate(
         const circuit::Circuit &logical,
-        const topology::CouplingGraph &graph,
-        const calibration::Snapshot &snapshot) const override
+        const core::CalibrationContext &context) const override
     {
         if (logical.numQubits() == _trigger)
             throw CompileError("injected bench fault");
-        return _inner.allocate(logical, graph, snapshot);
+        return _inner.allocate(logical, context);
     }
 
     std::string name() const override { return "faulty"; }

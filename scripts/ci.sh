@@ -13,7 +13,11 @@
 # analysis, store, router, obs, sim, fleet, ...). Next to the
 # examples smoke, two vaqc smokes run the views of the loss
 # decomposition end to end: `--explain` must print "PST estimate"
-# and `vaqc sens` must print "log-PST". Five perf_* benches
+# and `vaqc sens` must print "log-PST". A vaqc --batch differential
+# compiles the service fixtures once with shared calibration
+# contexts (the default) and once with a private context per compile
+# (--no-path-cache); the job tables must be byte-identical. Five
+# perf_* benches
 # run as exit-0 smokes: perf_frame's frame-reference construction,
 # perf_frame's width-27 Pauli-frame trials (the fault-table trial
 # kernel), perf_simulator's 1M-trial, 4-thread Bernoulli
@@ -22,7 +26,8 @@
 # vqa+vqm portfolio compiles (placements x routes). The TSan leg
 # rebuilds into build-tsan/ and runs only
 # `-L "parallel|analysis|store|sim|service|fleet"`
-# — the tests that exercise the thread pool, the shared path caches,
+# — the tests that exercise the thread pool, calibration contexts
+# shared across threads and rollovers,
 # the batch fault paths, the lint determinism checks, the shared
 # artifact store, and the Pauli-frame cross-validation suite (whose
 # per-trial frame-vs-dense bit-exactness and thread-count invariance
@@ -96,6 +101,29 @@ grep -q 'log-PST' <<<"$SENS_OUT" || {
     exit 1
 }
 echo "ci: vaqc explain/sens smokes passed"
+
+echo "== tier-1: vaqc --batch shared vs private context differential =="
+# One calibration context per snapshot must compile exactly what a
+# private context per compile does. Only the timing and table-counter
+# lines may differ.
+BATCH_ARGS=(--batch --machine q20 --batch-cycles 3)
+for program in tests/service/fixtures/*.qasm; do
+    BATCH_ARGS+=(--qasm "$program")
+done
+SHARED_OUT="$(build/tools/vaqc "${BATCH_ARGS[@]}" |
+    grep -v -e '^elapsed ' -e '^caches ')"
+PRIVATE_OUT="$(build/tools/vaqc "${BATCH_ARGS[@]}" --no-path-cache |
+    grep -v -e '^elapsed ' -e '^caches ')"
+grep -q '^jobs ' <<<"$SHARED_OUT" || {
+    echo "ci: vaqc --batch printed no job summary" >&2
+    exit 1
+}
+[ "$SHARED_OUT" = "$PRIVATE_OUT" ] || {
+    echo "ci: shared and private calibration contexts disagree:" >&2
+    diff <(echo "$SHARED_OUT") <(echo "$PRIVATE_OUT") >&2
+    exit 1
+}
+echo "ci: vaqc --batch context differential passed"
 
 echo "== tier-1: robustness label smoke (must select tests) =="
 ctest --test-dir build -L robustness --output-on-failure -j "$JOBS"

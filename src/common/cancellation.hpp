@@ -7,8 +7,8 @@
  * deep call tree (mapper -> allocator -> router -> A*) whose hot
  * loops predate cancellation, so instead of threading a token
  * through every signature, an attempt installs its token in a
- * thread-local slot (CancellationScope, same pattern as
- * core::PathCacheScope) and the loops call checkCancellation() —
+ * thread-local slot (CancellationScope, an RAII save-and-restore)
+ * and the loops call checkCancellation() —
  * one thread-local pointer load when no token is installed, one
  * steady_clock read when one is. On expiry the checkpoint throws
  * TimeoutError, which unwinds the attempt cleanly; no state is

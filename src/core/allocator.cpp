@@ -10,7 +10,6 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/compile_cache.hpp"
-#include "graph/shortest_path.hpp"
 #include "graph/weighted_graph.hpp"
 
 namespace vaq::core
@@ -86,10 +85,9 @@ RandomAllocator::RandomAllocator(std::uint64_t seed) : _seed(seed) {}
 
 Layout
 RandomAllocator::allocate(const Circuit &logical,
-                          const topology::CouplingGraph &graph,
-                          const calibration::Snapshot &snapshot) const
+                          const CalibrationContext &context) const
 {
-    (void)snapshot;
+    const topology::CouplingGraph &graph = context.graph();
     Rng rng(_seed);
     std::vector<PhysQubit> slots(
         static_cast<std::size_t>(graph.numQubits()));
@@ -243,38 +241,30 @@ LocalityAllocator::LocalityAllocator(CostKind kind) : _kind(kind) {}
 
 Layout
 LocalityAllocator::allocate(const Circuit &logical,
-                            const topology::CouplingGraph &graph,
-                            const calibration::Snapshot &snapshot)
-    const
+                            const CalibrationContext &context) const
 {
+    const topology::CouplingGraph &graph = context.graph();
     const InteractionSummary summary(logical);
 
-    std::vector<std::vector<double>> dist;
+    std::vector<std::vector<double>> hops;
     std::vector<double> preference(
         static_cast<std::size_t>(graph.numQubits()), 0.0);
 
     if (_kind == CostKind::SwapCount) {
         // Hop distances; prefer central qubits (low total distance)
         // so placements stay compact.
-        dist = hopMatrix(graph);
+        hops = hopMatrix(graph);
         for (int p = 0; p < graph.numQubits(); ++p) {
             for (int o = 0; o < graph.numQubits(); ++o) {
                 preference[static_cast<std::size_t>(p)] -=
-                    dist[static_cast<std::size_t>(p)]
+                    hops[static_cast<std::size_t>(p)]
                         [static_cast<std::size_t>(o)];
             }
         }
     } else {
         // Reliability distances; prefer high-node-strength qubits
-        // (Algorithm 1, steps 2 and 4). The shared matrix holds
-        // the same distances the per-query search computes.
-        if (pathCacheEnabled()) {
-            dist = sharedReliabilityMatrix(graph, snapshot)
-                       ->distances();
-        } else {
-            dist = graph::allPairsDistances(
-                reliabilityCostGraph(graph, snapshot));
-        }
+        // (Algorithm 1, steps 2 and 4).
+        const calibration::Snapshot &snapshot = context.snapshot();
         for (std::size_t l = 0; l < graph.linkCount(); ++l) {
             const topology::Link &link = graph.links()[l];
             const double strength = 1.0 - snapshot.linkError(l);
@@ -297,6 +287,10 @@ LocalityAllocator::allocate(const Circuit &logical,
                                     std::size_t>(b)];
                      });
 
+    const std::vector<std::vector<double>> &dist =
+        _kind == CostKind::SwapCount
+            ? hops
+            : context.reliability().distances();
     return greedyEmbed(logical, graph, summary,
                        summary.byActivity(), dist, candidates);
 }
@@ -312,12 +306,10 @@ StrengthAllocator::StrengthAllocator(graph::SubgraphScore score,
 
 Layout
 StrengthAllocator::allocate(const Circuit &logical,
-                            const topology::CouplingGraph &graph,
-                            const calibration::Snapshot &snapshot)
-    const
+                            const CalibrationContext &context) const
 {
-    require(snapshot.numLinks() == graph.linkCount(),
-            "snapshot does not match machine shape");
+    const topology::CouplingGraph &graph = context.graph();
+    const calibration::Snapshot &snapshot = context.snapshot();
 
     // Per-qubit quality factor for the qubit-aware extension:
     // readout success times a mild T1 preference (normalized so a
@@ -359,12 +351,6 @@ StrengthAllocator::allocate(const Circuit &logical,
     // weighting moves by reliability distance (-log success).
     const InteractionSummary summary(logical, _windowLayers);
 
-    const std::vector<std::vector<double>> dist =
-        pathCacheEnabled()
-            ? sharedReliabilityMatrix(graph, snapshot)->distances()
-            : graph::allPairsDistances(
-                  reliabilityCostGraph(graph, snapshot));
-
     // Candidates: region nodes, strongest first.
     std::vector<PhysQubit> candidates(region.begin(), region.end());
     std::stable_sort(candidates.begin(), candidates.end(),
@@ -374,7 +360,8 @@ StrengthAllocator::allocate(const Circuit &logical,
                      });
 
     return greedyEmbed(logical, graph, summary,
-                       summary.byActivity(), dist, candidates);
+                       summary.byActivity(),
+                       context.reliability().distances(), candidates);
 }
 
 } // namespace vaq::core

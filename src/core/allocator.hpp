@@ -30,6 +30,8 @@
 namespace vaq::core
 {
 
+class CalibrationContext;
+
 /**
  * Pairwise interaction statistics of a logical circuit, optionally
  * windowed to the first `window_layers` dependence layers (the
@@ -66,13 +68,12 @@ class Allocator
     virtual ~Allocator() = default;
 
     /**
-     * Produce a complete initial layout for `logical` on `graph`
-     * under calibration `snapshot`.
+     * Produce a complete initial layout for `logical` on the
+     * context's machine under its calibration snapshot.
      */
     virtual Layout allocate(
         const circuit::Circuit &logical,
-        const topology::CouplingGraph &graph,
-        const calibration::Snapshot &snapshot) const = 0;
+        const CalibrationContext &context) const = 0;
 
     /** Policy name for reports. */
     virtual std::string name() const = 0;
@@ -85,8 +86,7 @@ class RandomAllocator final : public Allocator
     explicit RandomAllocator(std::uint64_t seed);
 
     Layout allocate(const circuit::Circuit &logical,
-                    const topology::CouplingGraph &graph,
-                    const calibration::Snapshot &snapshot)
+                    const CalibrationContext &context)
         const override;
     std::string name() const override { return "random"; }
 
@@ -110,8 +110,7 @@ class LocalityAllocator final : public Allocator
     explicit LocalityAllocator(CostKind kind = CostKind::SwapCount);
 
     Layout allocate(const circuit::Circuit &logical,
-                    const topology::CouplingGraph &graph,
-                    const calibration::Snapshot &snapshot)
+                    const CalibrationContext &context)
         const override;
     std::string name() const override
     {
@@ -145,8 +144,7 @@ class StrengthAllocator final : public Allocator
         std::size_t window_layers = 0, bool qubit_aware = false);
 
     Layout allocate(const circuit::Circuit &logical,
-                    const topology::CouplingGraph &graph,
-                    const calibration::Snapshot &snapshot)
+                    const CalibrationContext &context)
         const override;
     std::string
     name() const override

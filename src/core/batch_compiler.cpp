@@ -1,12 +1,12 @@
 #include "core/batch_compiler.hpp"
 
 #include <atomic>
+#include <memory>
 #include <optional>
 #include <set>
 #include <utility>
 
 #include "common/error.hpp"
-#include "core/compile_cache.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -61,16 +61,14 @@ BatchCompiler::compile(
                                     _options.sanitize, telemetry);
     }
 
+    // One calibration context per distinct clean snapshot, shared
+    // by every job against it and dropped when the batch returns.
+    std::vector<std::shared_ptr<const CalibrationContext>>
+        calibrations(snapshots.size());
     if (_options.compile.cacheEnabled) {
-        // Build each healthy snapshot's matrix once up front;
-        // without this the first wave of workers would serialize on
-        // the cache mutex while one of them builds it. (Degraded
-        // snapshots compile on an induced subgraph with its own
-        // small tables, so there is nothing to pre-warm.)
-        const PathCacheScope cacheScope(true);
         for (std::size_t s : distinct) {
-            if (states[s]->kind == SnapshotHealth::Kind::Clean)
-                sharedReliabilityMatrix(_graph, snapshots[s]);
+            calibrations[s] = sharedCalibrationContext(
+                _graph, snapshots[s], *states[s]);
         }
     }
 
@@ -143,6 +141,7 @@ BatchCompiler::compile(
             context.fallbacks = &fallbacks;
             context.linter = linter ? &*linter : nullptr;
             context.health = &*states[job.snapshot];
+            context.calibration = calibrations[job.snapshot].get();
             context.artifactCache = _options.artifactCache;
             finish(i, BatchResult(
                           job.circuit, job.snapshot,

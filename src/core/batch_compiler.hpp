@@ -7,10 +7,11 @@
  * new calibration cycle is published (Section 3.3): a compile burst
  * of many circuits against few snapshots. Each job is independent,
  * and everything snapshot-derived — the reliability-path matrix,
- * the movement-plan tables — comes from the shared stores of
- * core/compile_cache.hpp, so a burst pays for each table once
- * instead of once per circuit. Jobs run on a reusable ThreadPool
- * and write results into per-job slots, so the output is identical
+ * the movement-plan tables — comes from one CalibrationContext per
+ * distinct snapshot (core/compile_cache.hpp), so a burst pays for
+ * each table once instead of once per circuit. Jobs run on a
+ * reusable ThreadPool and write results into per-job slots, so the
+ * output is identical
  * for any thread count (the differential tests check 1/4/8).
  *
  * Failure containment (the robustness layer):

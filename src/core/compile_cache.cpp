@@ -1,13 +1,8 @@
 #include "core/compile_cache.hpp"
 
-#include <mutex>
-#include <unordered_map>
-#include <utility>
-#include <vector>
+#include <atomic>
 
 #include "common/error.hpp"
-#include "common/hashing.hpp"
-#include "core/compile_options.hpp"
 #include "obs/metrics.hpp"
 
 namespace vaq::core
@@ -16,75 +11,31 @@ namespace vaq::core
 namespace
 {
 
-/** Per-thread path-cache state; PathCacheScope saves and restores
- *  it. On unless a scope on this thread turned it off. */
-thread_local bool t_pathCacheEnabled = true;
+std::atomic<std::size_t> g_matrixHits{0};
+std::atomic<std::size_t> g_matrixMisses{0};
+std::atomic<std::size_t> g_planHits{0};
+std::atomic<std::size_t> g_planMisses{0};
 
-/** Process-wide matrix store (epoch + LRU inside). */
-graph::ReliabilityMatrixCache &
-matrixCache()
+void
+bump(std::atomic<std::size_t> &counter, std::string_view name)
 {
-    static graph::ReliabilityMatrixCache cache;
-    return cache;
+    counter.fetch_add(1, std::memory_order_relaxed);
+    obs::count(name);
 }
 
-/** Plan-table store: few entries (one per kind/MAH/snapshot). */
-struct PlanStore
+/** reliabilityCostGraph, after checking the snapshot fits the
+ *  machine (the NoiseModel check and message). */
+graph::WeightedGraph
+shapedCostGraph(const topology::CouplingGraph &graph,
+                const calibration::Snapshot &snapshot)
 {
-    struct Entry
-    {
-        std::shared_ptr<const PlanCache> table;
-        std::uint64_t lastUsed = 0;
-    };
-
-    static constexpr std::size_t kCapacity = 64;
-
-    std::mutex mutex;
-    std::unordered_map<std::uint64_t, Entry> entries;
-    std::uint64_t useCounter = 0;
-    std::size_t hits = 0;
-    std::size_t misses = 0;
-    /** Bumped by invalidatePathCaches(), in lock-step with the
-     *  matrix cache's epoch (see PathCacheStats::planEpoch). */
-    std::uint64_t epoch = 0;
-};
-
-PlanStore &
-planStore()
-{
-    static PlanStore store;
-    return store;
-}
-
-/** Key a snapshot's link-error content on a machine. */
-std::uint64_t
-costGraphKey(const topology::CouplingGraph &graph,
-             const graph::WeightedGraph &costs)
-{
-    std::uint64_t h = hashCombine(kHashSeed, graph.topologyHash());
-    for (const auto &edge : costs.edges())
-        h = hashCombine(h, edge.weight);
-    return h;
+    require(snapshot.numQubits() == graph.numQubits() &&
+                snapshot.numLinks() == graph.linkCount(),
+            "snapshot does not match machine shape");
+    return reliabilityCostGraph(graph, snapshot);
 }
 
 } // namespace
-
-bool
-pathCacheEnabled()
-{
-    return t_pathCacheEnabled;
-}
-
-PathCacheScope::PathCacheScope(bool enabled)
-    : _previous(t_pathCacheEnabled)
-{
-    t_pathCacheEnabled = enabled;
-}
-
-PathCacheScope::~PathCacheScope()
-{
-    t_pathCacheEnabled = _previous;
-}
 
 graph::WeightedGraph
 reliabilityCostGraph(const topology::CouplingGraph &graph,
@@ -102,92 +53,57 @@ reliabilityCostGraph(const topology::CouplingGraph &graph,
     return graph::WeightedGraph(graph.numQubits(), edges);
 }
 
-std::shared_ptr<const graph::ReliabilityMatrix>
-sharedReliabilityMatrix(const topology::CouplingGraph &graph,
-                        const calibration::Snapshot &snapshot)
+CalibrationContext::CalibrationContext(
+    const topology::CouplingGraph &graph,
+    const calibration::Snapshot &snapshot)
+    : _graph(graph),
+      _snapshot(snapshot),
+      _reliability(shapedCostGraph(_graph, _snapshot),
+                   _snapshot.contentHash())
 {
-    const graph::WeightedGraph costs =
-        reliabilityCostGraph(graph, snapshot);
-    const std::uint64_t key = costGraphKey(graph, costs);
-    return matrixCache().obtain(key, [&] {
-        return std::make_shared<const graph::ReliabilityMatrix>(
-            costs, snapshot.contentHash());
-    });
+    bump(g_matrixMisses, "cache.matrix.misses");
 }
 
-std::shared_ptr<const PlanCache>
-sharedPlanCache(const topology::CouplingGraph &graph,
-                const calibration::Snapshot &snapshot, CostKind kind,
-                int mah)
+const graph::ReliabilityMatrix &
+CalibrationContext::reliability() const
 {
-    const std::unique_ptr<CostModel> cost =
-        makeCostModel(kind, graph, snapshot);
-    std::uint64_t key = hashCombine(kHashSeed, graph.topologyHash());
-    key = hashCombine(key, cost->contentHash());
-    key = hashCombine(key, static_cast<std::uint64_t>(
-                               static_cast<std::int64_t>(mah)));
+    bump(g_matrixHits, "cache.matrix.hits");
+    return _reliability;
+}
 
-    PlanStore &store = planStore();
-    const std::lock_guard<std::mutex> lock(store.mutex);
-    ++store.useCounter;
-    const auto it = store.entries.find(key);
-    if (it != store.entries.end()) {
-        ++store.hits;
-        it->second.lastUsed = store.useCounter;
-        obs::count("cache.plan.hits");
-        return it->second.table;
-    }
-    ++store.misses;
-    obs::count("cache.plan.misses");
-    if (store.entries.size() >= PlanStore::kCapacity) {
-        auto victim = store.entries.begin();
-        for (auto e = store.entries.begin();
-             e != store.entries.end(); ++e) {
-            if (e->second.lastUsed < victim->second.lastUsed)
-                victim = e;
+const PlanCache &
+CalibrationContext::plans(CostKind kind, int mah) const
+{
+    // A compile asks for at most a handful of (kind, MAH) pairs, so
+    // a short scan beats a map. The table is built under the lock;
+    // its cells fill lazily afterwards under their own once_flags.
+    const std::lock_guard<std::mutex> lock(_plansMutex);
+    for (const PlanTable &entry : _plans) {
+        if (entry.kind == kind && entry.mah == mah) {
+            bump(g_planHits, "cache.plan.hits");
+            return *entry.table;
         }
-        store.entries.erase(victim);
-        obs::count("cache.plan.evictions");
     }
-    auto table =
-        std::make_shared<const PlanCache>(graph, snapshot, kind, mah);
-    store.entries.emplace(key,
-                          PlanStore::Entry{table, store.useCounter});
-    return table;
+    bump(g_planMisses, "cache.plan.misses");
+    _plans.push_back(
+        {kind, mah,
+         std::make_unique<const PlanCache>(_graph, _snapshot, kind,
+                                           mah)});
+    return *_plans.back().table;
 }
 
 void
 invalidatePathCaches()
 {
-    // The matrix cache owns the only other epoch counter, and this
-    // is the only call site of either invalidate — so the two
-    // epochs cannot drift apart at rest. The plan store's epoch is
-    // bumped alongside its clear to keep that invariant observable
-    // (PathCacheStats reports both).
-    matrixCache().invalidate();
-    PlanStore &store = planStore();
-    const std::lock_guard<std::mutex> lock(store.mutex);
-    store.entries.clear();
-    ++store.epoch;
 }
 
 PathCacheStats
 pathCacheStats()
 {
-    PathCacheStats stats;
-    stats.matrixHits = matrixCache().hits();
-    stats.matrixMisses = matrixCache().misses();
-    stats.matrixEntries = matrixCache().size();
-    stats.matrixEpoch = matrixCache().epoch();
-    PlanStore &store = planStore();
-    const std::lock_guard<std::mutex> lock(store.mutex);
-    stats.planHits = store.hits;
-    stats.planMisses = store.misses;
-    stats.planEntries = store.entries.size();
-    stats.planEpoch = store.epoch;
-    VAQ_ASSERT(stats.planEpoch <= stats.matrixEpoch,
-               "plan-cache epoch ran ahead of the matrix epoch");
-    return stats;
+    return {g_matrixHits.load(std::memory_order_relaxed),
+            g_matrixMisses.load(std::memory_order_relaxed),
+            g_planHits.load(std::memory_order_relaxed),
+            g_planMisses.load(std::memory_order_relaxed)};
 }
 
 } // namespace vaq::core

@@ -1,30 +1,36 @@
 /**
  * @file
- * Process-wide compile caches shared across compiles and threads.
+ * CalibrationContext: everything the compile derives from one
+ * calibration snapshot on one machine, built once and shared.
  *
- * Everything the routing layers derive from one calibration
- * snapshot — the all-pairs reliability-path matrix the allocators
- * rank locations with, and the movement-plan tables the routers
- * draw SWAP routes from — is a pure function of (machine,
- * snapshot, cost kind, MAH). Recomputing it per compile dominates
- * batch workloads where many circuits target the same calibration
- * cycle. The stores here hand every such compile one shared,
- * immutable copy, keyed on content hashes (CouplingGraph::
- * topologyHash, Snapshot::contentHash, CostModel::contentHash), and
- * drop all entries when a new calibration cycle is pushed via
- * invalidatePathCaches().
+ * The paper compiles each program against one calibration snapshot,
+ * and VQA's strength graph and VQM's reliability routes (Sections
+ * 5-6) are pure functions of (machine, snapshot). A context owns
+ * copies of both plus the tables derived from them: the all-pairs
+ * reliability-path matrix the allocators rank locations with
+ * (built in the constructor) and one lazily filled movement-plan
+ * table per (cost kind, MAH) the routers draw SWAP routes from.
  *
- * The caches change how often results are computed, never what is
- * computed: with the toggle off, every consumer runs the original
- * per-query searches, and tests/core/test_router_differential.cpp
- * holds the two modes bit-identical.
+ * Contexts are immutable once built and held by
+ * std::shared_ptr<const CalibrationContext>; whoever owns the
+ * snapshot owns the context (a BatchCompiler call, a vaqd epoch, a
+ * fleet backend), so a new calibration cycle simply builds a new
+ * one and nothing is ever invalidated. No compile result holds a
+ * context.
+ *
+ * The tables change how often results are computed, never what is
+ * computed: graph::allPairsDistances and MovementPlanner's
+ * per-query search are the reference, and
+ * tests/core/test_calibration_context.cpp and
+ * tests/core/test_router_differential.cpp hold them bit-identical.
  */
 #ifndef VAQ_CORE_COMPILE_CACHE_HPP
 #define VAQ_CORE_COMPILE_CACHE_HPP
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
+#include <mutex>
+#include <vector>
 
 #include "calibration/snapshot.hpp"
 #include "core/cost_model.hpp"
@@ -37,16 +43,6 @@ namespace vaq::core
 {
 
 /**
- * Effective path-cache state on this thread: the PathCacheScope
- * override installed by Mapper::map when one is active,
- * otherwise true. On, allocators read the cached reliability matrix
- * and mappers hand routers a shared plan table; off
- * (CompileOptions::cacheEnabled = false), every compile recomputes
- * from scratch exactly as the original per-query code path does.
- */
-bool pathCacheEnabled();
-
-/**
  * The -log success-probability cost graph over the machine's links:
  * weight(a, b) = linkReliabilityCost(e, floor). Shortest paths on
  * it are maximum-reliability SWAP routes (Section 5.3); the
@@ -57,55 +53,70 @@ reliabilityCostGraph(const topology::CouplingGraph &graph,
                      const calibration::Snapshot &snapshot,
                      double floor = 1e-6);
 
-/**
- * The all-pairs most-reliable-path matrix for (graph, snapshot),
- * built on first use and shared by every later caller with the
- * same topology and link-error content. Thread-safe.
- */
-std::shared_ptr<const graph::ReliabilityMatrix>
-sharedReliabilityMatrix(const topology::CouplingGraph &graph,
-                        const calibration::Snapshot &snapshot);
+/** One immutable per-(machine, snapshot) compile context.
+ *  Thread-safe: any number of compiles may share one. */
+class CalibrationContext
+{
+  public:
+    /** Copy `graph` and `snapshot` and build the reliability
+     *  matrix. @throws VaqError when the snapshot's shape does not
+     *  match the machine. */
+    CalibrationContext(const topology::CouplingGraph &graph,
+                       const calibration::Snapshot &snapshot);
 
-/**
- * The movement-plan table for (graph, snapshot, kind, mah), built
- * lazily (per pair, on first query) and shared by every compile
- * whose cost model hashes identically. Thread-safe.
- */
-std::shared_ptr<const PlanCache>
-sharedPlanCache(const topology::CouplingGraph &graph,
-                const calibration::Snapshot &snapshot, CostKind kind,
-                int mah);
+    CalibrationContext(const CalibrationContext &) = delete;
+    CalibrationContext &operator=(const CalibrationContext &) = delete;
 
-/**
- * Drop every cached matrix and plan table and bump the epoch —
- * call when a new calibration cycle arrives. In-flight compiles
- * holding shared_ptrs finish safely on the snapshot they started
- * with.
- */
+    const topology::CouplingGraph &graph() const { return _graph; }
+    const calibration::Snapshot &snapshot() const { return _snapshot; }
+
+    /** The all-pairs most-reliable-path matrix over
+     *  reliabilityCostGraph(graph(), snapshot()); each call counts
+     *  one matrix hit in pathCacheStats(). */
+    const graph::ReliabilityMatrix &reliability() const;
+
+    /**
+     * The movement-plan table for (kind, mah), created on first
+     * request; every later request, from any thread, gets the same
+     * table.
+     */
+    const PlanCache &plans(CostKind kind, int mah) const;
+
+  private:
+    struct PlanTable
+    {
+        CostKind kind;
+        int mah;
+        std::unique_ptr<const PlanCache> table;
+    };
+
+    topology::CouplingGraph _graph;
+    calibration::Snapshot _snapshot;
+    graph::ReliabilityMatrix _reliability;
+    mutable std::mutex _plansMutex;
+    mutable std::vector<PlanTable> _plans;
+};
+
+/** A no-op kept for callers that still signal a calibration
+ *  push: contexts end with their owner, so there is nothing to
+ *  drop. */
 void invalidatePathCaches();
 
-/** Counters for reporting and tests. */
+/**
+ * Process-wide table counters for reporting. A miss is a matrix or
+ * plan table built inside a context; a hit is an allocator read of
+ * a context's matrix, or a route that reuses a context's existing
+ * plan table.
+ */
 struct PathCacheStats
 {
     std::size_t matrixHits = 0;
     std::size_t matrixMisses = 0;
-    std::size_t matrixEntries = 0;
     std::size_t planHits = 0;
     std::size_t planMisses = 0;
-    std::size_t planEntries = 0;
-    /**
-     * Calibration epoch as seen by each store. Both advance only
-     * inside invalidatePathCaches(), so at rest they are equal;
-     * they are bumped under separate locks, so a reader racing an
-     * invalidation may observe matrixEpoch == planEpoch + 1 for
-     * the duration of that call — never a larger gap, and never
-     * planEpoch ahead of matrixEpoch.
-     */
-    std::uint64_t matrixEpoch = 0;
-    std::uint64_t planEpoch = 0;
 };
 
-/** Snapshot of the process-wide cache counters. */
+/** The counters accumulated since process start. */
 PathCacheStats pathCacheStats();
 
 } // namespace vaq::core

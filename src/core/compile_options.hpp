@@ -1,11 +1,13 @@
 /**
  * @file
  * Per-compile options. A CompileOptions value travels with the call
- * — through Mapper::map, BatchCompiler and the compile
- * requests — so switching the shared path caches off is scoped to
- * that one compile (or batch) and visible in its signature; vaqc's
- * `--no-path-cache` flag sets cacheEnabled = false. Default options
- * keep the caches on and take telemetry from obs::enabled().
+ * — through Mapper::map, BatchCompiler and the compile requests —
+ * so its knobs are scoped to that one compile (or batch) and
+ * visible in its signature. vaqc's `--no-path-cache` flag sets
+ * cacheEnabled = false, which makes every compile build a private
+ * CalibrationContext (core/compile_cache.hpp) instead of sharing
+ * its snapshot's. Default options share contexts and take
+ * telemetry from obs::enabled().
  */
 #ifndef VAQ_CORE_COMPILE_OPTIONS_HPP
 #define VAQ_CORE_COMPILE_OPTIONS_HPP
@@ -21,8 +23,10 @@ namespace vaq::core
 /** Options for one compile (or one batch of compiles). */
 struct CompileOptions
 {
-    /** Consult the shared reliability-matrix / movement-plan
-     *  stores. */
+    /** Share one CalibrationContext (reliability matrix and
+     *  movement-plan tables) per snapshot across compiles; false
+     *  gives each compile a private one. Results are identical
+     *  either way. */
     bool cacheEnabled = true;
     /** Record metrics and tracing spans for this compile (only
      *  effective while obs::enabled() is also on). */
@@ -35,27 +39,6 @@ struct CompileOptions
      *  Pauli-frame fast path on Clifford-only circuits and the
      *  dense trajectory path otherwise. */
     sim::SimEngine simEngine = sim::SimEngine::Auto;
-};
-
-/**
- * RAII thread-local override of the path-cache state. Installed
- * by Mapper::map so the layers that read pathCacheEnabled()
- * internally (allocators, the movement planner) honor the
- * per-compile CompileOptions::cacheEnabled without threading a flag
- * through every signature. Thread-local, so concurrent compiles
- * with different options never observe each other's scope.
- */
-class PathCacheScope
-{
-  public:
-    explicit PathCacheScope(bool enabled);
-    ~PathCacheScope();
-
-    PathCacheScope(const PathCacheScope &) = delete;
-    PathCacheScope &operator=(const PathCacheScope &) = delete;
-
-  private:
-    bool _previous;
 };
 
 } // namespace vaq::core

@@ -114,6 +114,18 @@ inspectSnapshot(const calibration::Snapshot &snapshot,
     return health;
 }
 
+std::shared_ptr<const CalibrationContext>
+sharedCalibrationContext(const topology::CouplingGraph &graph,
+                         const calibration::Snapshot &snapshot,
+                         const SnapshotHealth &health)
+{
+    if (health.kind != SnapshotHealth::Kind::Clean ||
+        snapshot.numQubits() != graph.numQubits() ||
+        snapshot.numLinks() != graph.linkCount())
+        return nullptr;
+    return std::make_shared<const CalibrationContext>(graph, snapshot);
+}
+
 std::vector<std::string>
 fallbackLadder(const std::string &policy_name)
 {
@@ -202,6 +214,15 @@ compileCircuit(const circuit::Circuit &logical,
                                             telemetry));
     const SnapshotHealth &health =
         context.health ? *context.health : *ownedHealth;
+
+    if (context.calibration) {
+        require(context.calibration->graph().topologyHash() ==
+                        graph.topologyHash() &&
+                    context.calibration->snapshot().contentHash() ==
+                        snapshot.contentHash(),
+                "calibration context was built from another machine "
+                "or snapshot");
+    }
 
     CompileResult result;
 
@@ -311,12 +332,21 @@ compileCircuit(const circuit::Circuit &logical,
         fallbacks = &ownedFallbacks;
     }
 
-    // One compile attempt: clean snapshots map on the full machine,
-    // quarantined ones into the healthy region of the cleaned copy.
+    // One compile attempt: clean snapshots map on the full machine
+    // against the shared context (or a private one, built on first
+    // use), quarantined ones into the healthy region of the cleaned
+    // copy.
+    std::optional<CalibrationContext> ownedCalibration;
     const auto compileAttempt =
         [&](const Mapper &attemptMapper) -> MappedCircuit {
         if (health.kind != SnapshotHealth::Kind::Degraded) {
-            return attemptMapper.map(logical, graph, snapshot,
+            if (context.calibration && request.options.cacheEnabled) {
+                return attemptMapper.map(logical, *context.calibration,
+                                         request.options);
+            }
+            if (!ownedCalibration)
+                ownedCalibration.emplace(graph, snapshot);
+            return attemptMapper.map(logical, *ownedCalibration,
                                      request.options);
         }
         const calibration::SanitizedCalibration &sanitized =

@@ -12,8 +12,9 @@
  *
  *  - BatchCompiler builds one request template per batch plus a
  *    CompileContext of pre-built shared pieces (mapper, fallback
- *    ladder, linter, snapshot health, artifact hook) so the burst
- *    keeps its per-batch precomputation and bit-identity guarantees.
+ *    ladder, linter, snapshot health, calibration context, artifact
+ *    hook) so the burst keeps its per-batch precomputation and
+ *    bit-identity guarantees.
  *  - vaqc and the vaqd daemon construct requests directly; the
  *    daemon's wire format is exactly the JSON (de)serialization
  *    declared at the bottom of this header.
@@ -28,6 +29,7 @@
 #define VAQ_CORE_COMPILE_REQUEST_HPP
 
 #include <cstddef>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -38,6 +40,7 @@
 #include "circuit/circuit.hpp"
 #include "common/error.hpp"
 #include "common/json.hpp"
+#include "core/compile_cache.hpp"
 #include "core/compile_options.hpp"
 #include "core/mapped_circuit.hpp"
 #include "core/mapper.hpp"
@@ -119,6 +122,18 @@ inspectSnapshot(const calibration::Snapshot &snapshot,
                 CalibrationHandling handling,
                 const calibration::SanitizeOptions &options = {},
                 bool telemetry = false);
+
+/**
+ * The calibration context the full-machine compiles against
+ * `snapshot` share: built for a Clean snapshot shaped for `graph`,
+ * null otherwise (a Degraded snapshot compiles into a region with a
+ * private context; a snapshot of another machine fails each of its
+ * compiles on its own).
+ */
+std::shared_ptr<const CalibrationContext>
+sharedCalibrationContext(const topology::CouplingGraph &graph,
+                         const calibration::Snapshot &snapshot,
+                         const SnapshotHealth &health);
 
 /**
  * Everything one compile needs, in one value. Defaults reproduce a
@@ -278,6 +293,11 @@ struct CompileContext
     /** Pre-inspected snapshot health (else inspectSnapshot() under
      *  request.calibration). */
     const SnapshotHealth *health = nullptr;
+    /** Shared per-snapshot context for full-machine attempts on a
+     *  Clean snapshot (else, or when options.cacheEnabled is off,
+     *  a private one). Must have been built from the compile's
+     *  graph and snapshot. */
+    const CalibrationContext *calibration = nullptr;
     /** Artifact cache consulted before compiling on Clean
      *  snapshots. compile() only looks up — recording stays with
      *  the caller (see the ArtifactCacheHook threading contract). */

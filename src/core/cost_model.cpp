@@ -1,7 +1,6 @@
 #include "core/cost_model.hpp"
 
 #include "common/error.hpp"
-#include "common/hashing.hpp"
 
 namespace vaq::core
 {
@@ -54,24 +53,6 @@ ReliabilityCost::cnotCost(topology::PhysQubit a,
                           topology::PhysQubit b) const
 {
     return _cnotCostPerLink[_graph.linkIndex(a, b)];
-}
-
-std::uint64_t
-SwapCountCost::contentHash() const
-{
-    // Uniform costs carry no calibration data: every SwapCountCost
-    // on the same machine prices identically, so a fixed tag is a
-    // complete description.
-    return hashCombine(kHashSeed, std::uint64_t{1});
-}
-
-std::uint64_t
-ReliabilityCost::contentHash() const
-{
-    std::uint64_t h = hashCombine(kHashSeed, std::uint64_t{2});
-    for (double c : _cnotCostPerLink)
-        h = hashCombine(h, c);
-    return h;
 }
 
 std::unique_ptr<CostModel>

@@ -14,7 +14,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <memory>
 #include <string>
 
@@ -54,15 +53,6 @@ class CostModel
      * to skip pointless planning under uniform costs.
      */
     virtual bool relocationCanHelp() const = 0;
-
-    /**
-     * Content hash over everything the per-link costs depend on.
-     * Two models with equal hashes (on the same machine) price
-     * every SWAP/CNOT identically, so routing-plan caches can be
-     * keyed on (topology hash, cost hash, MAH budget); see
-     * core/compile_cache.hpp.
-     */
-    virtual std::uint64_t contentHash() const = 0;
 };
 
 /** Uniform cost: every SWAP is 1, every CNOT is 1. */
@@ -77,7 +67,6 @@ class SwapCountCost final : public CostModel
                     topology::PhysQubit b) const override;
     std::string name() const override { return "swap-count"; }
     bool relocationCanHelp() const override { return false; }
-    std::uint64_t contentHash() const override;
 
   private:
     const topology::CouplingGraph &_graph;
@@ -87,7 +76,7 @@ class SwapCountCost final : public CostModel
  * The reliability price of one CNOT on a link with error rate
  * `error`: -log(1 - clamp(error, floor, 1 - floor)). ReliabilityCost
  * and reliabilityCostGraph (core/compile_cache.hpp) both use it, so
- * cache keys and cached values stay aligned.
+ * the routers and the allocators price links identically.
  */
 inline double
 linkReliabilityCost(double error, double floor)
@@ -114,7 +103,6 @@ class ReliabilityCost final : public CostModel
                     topology::PhysQubit b) const override;
     std::string name() const override { return "reliability"; }
     bool relocationCanHelp() const override { return true; }
-    std::uint64_t contentHash() const override;
 
   private:
     const topology::CouplingGraph &_graph;

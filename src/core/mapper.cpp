@@ -5,7 +5,6 @@
 
 #include "common/cancellation.hpp"
 #include "common/error.hpp"
-#include "core/compile_cache.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/fault_sim.hpp"
@@ -55,12 +54,19 @@ Mapper::map(const Circuit &logical,
             const calibration::Snapshot &snapshot,
             const CompileOptions &options) const
 {
+    return map(logical, CalibrationContext(graph, snapshot), options);
+}
+
+MappedCircuit
+Mapper::map(const Circuit &logical, const CalibrationContext &context,
+            const CompileOptions &options) const
+{
+    const topology::CouplingGraph &graph = context.graph();
     require(logical.numQubits() <= graph.numQubits(),
             "program needs more qubits than the machine has");
     require(graph.isConnected(),
             "machine coupling graph must be connected");
 
-    const PathCacheScope cacheScope(options.cacheEnabled);
     const bool telemetry =
         options.telemetryEnabled && obs::enabled();
     obs::Span compileSpan("mapper.compile", telemetry);
@@ -71,7 +77,7 @@ Mapper::map(const Circuit &logical,
     // and keep the winner. Error rates are known at compile time
     // (the premise of the whole paper), so the portfolio selection
     // is itself a variation-aware step.
-    const sim::NoiseModel model(graph, snapshot,
+    const sim::NoiseModel model(graph, context.snapshot(),
                                 sim::CoherenceMode::PerOp);
     MappedCircuit best(logical.numQubits(), graph.numQubits());
     double bestScore = -1.0;
@@ -82,31 +88,24 @@ Mapper::map(const Circuit &logical,
             obs::Span span("mapper.allocate", telemetry);
             obs::ScopedTimer timer("mapper.allocate.seconds",
                                    telemetry);
-            initial = placement.allocator->allocate(logical, graph,
-                                                    snapshot);
+            initial = placement.allocator->allocate(logical, context);
         }
         for (const Route &route : placement.routes) {
             checkCancellation("mapper.portfolio");
-            const std::unique_ptr<CostModel> cost =
-                makeCostModel(route.costKind, graph, snapshot);
+            // Every compile against this context shares the route
+            // table for (cost kind, MAH) instead of re-searching
+            // each movement plan.
+            const PlanCache &plans =
+                context.plans(route.costKind, route.routerOptions.mah);
             RouterOptions routerOptions = route.routerOptions;
-            if (pathCacheEnabled() && !routerOptions.planCache) {
-                // Hand the router the process-wide route table for
-                // this (machine, calibration, cost, MAH) tuple;
-                // concurrent compiles against the same snapshot
-                // then share every movement plan instead of
-                // re-searching it.
-                routerOptions.planCache =
-                    sharedPlanCache(graph, snapshot, route.costKind,
-                                    routerOptions.mah);
-            }
+            routerOptions.planCache = &plans;
             RouteResult routed(logical.numQubits(),
                                graph.numQubits());
             {
                 obs::Span span("mapper.route", telemetry);
                 obs::ScopedTimer timer("mapper.route.seconds",
                                        telemetry);
-                const Router router(graph, *cost, routerOptions);
+                const Router router(graph, plans.cost(), routerOptions);
                 routed = router.route(logical, initial);
             }
             double score = 0.0;

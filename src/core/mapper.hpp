@@ -39,6 +39,7 @@
 #include "calibration/snapshot.hpp"
 #include "circuit/circuit.hpp"
 #include "core/allocator.hpp"
+#include "core/compile_cache.hpp"
 #include "core/compile_options.hpp"
 #include "core/cost_model.hpp"
 #include "core/mapped_circuit.hpp"
@@ -86,22 +87,26 @@ class Mapper
     std::size_t routeCount() const;
 
     /**
-     * Compile `logical` for the machine described by `graph` +
-     * `snapshot`: one walk over the policy portfolio. Each placement
-     * allocates once and every one of its routes is routed on that
-     * layout; the result with the highest analytic PST under the
-     * compile-time error model is returned (the first on a tie, in
-     * placement-major order).
+     * Compile `logical` for the context's machine under its
+     * calibration snapshot: one walk over the policy portfolio.
+     * Each placement allocates once and every one of its routes is
+     * routed on that layout, drawing SWAP routes from the context's
+     * plan tables; the result with the highest analytic PST under
+     * the compile-time error model is returned (the first on a tie,
+     * in placement-major order).
      * The result's physical circuit is executable: every two-qubit
      * gate acts on a coupled pair.
      *
      * No validation, no containment: errors are thrown raw.
-     * `options` scopes the shared path caches and telemetry to this
-     * one compile (a PathCacheScope makes the deeper layers that
-     * read pathCacheEnabled() honor options.cacheEnabled).
-     * Quarantine, retry ladder, artifact cache and lint live above
-     * this, in core::compile (core/compile_request.hpp).
+     * `options` scopes telemetry to this one compile. Quarantine,
+     * retry ladder, artifact cache and lint live above this, in
+     * core::compile (core/compile_request.hpp).
      */
+    MappedCircuit map(const circuit::Circuit &logical,
+                      const CalibrationContext &context,
+                      const CompileOptions &options = {}) const;
+
+    /** map() against a private context for (graph, snapshot). */
     MappedCircuit map(const circuit::Circuit &logical,
                       const topology::CouplingGraph &graph,
                       const calibration::Snapshot &snapshot,

@@ -5,7 +5,6 @@
 #include <queue>
 
 #include "common/error.hpp"
-#include "core/compile_cache.hpp"
 
 namespace vaq::core
 {
@@ -27,18 +26,14 @@ struct MovementPlanner::Candidate
 
 MovementPlanner::MovementPlanner(
     const topology::CouplingGraph &graph, const CostModel &cost,
-    int mah, std::shared_ptr<const PlanCache> shared)
-    : _graph(graph), _cost(cost), _mah(mah),
-      _shared(std::move(shared))
+    int mah, const PlanCache *shared)
+    : _graph(graph), _cost(cost), _mah(mah), _shared(shared)
 {
     require(mah >= 0 || mah == kUnlimitedHops,
             "MAH must be >= 0 or kUnlimitedHops");
     if (_shared) {
         require(_shared->numQubits() == graph.numQubits(),
                 "shared plan cache built for a different machine");
-    } else if (pathCacheEnabled()) {
-        const auto n = static_cast<std::size_t>(graph.numQubits());
-        _memo.resize(n * n);
     }
 }
 
@@ -87,30 +82,12 @@ MovementPlanner::cappedDijkstra(
     }
 }
 
-const MovementPlan *
-MovementPlanner::cachedPlan(topology::PhysQubit pa,
-                            topology::PhysQubit pb) const
-{
-    if (_shared)
-        return &_shared->plan(pa, pb);
-    if (_memo.empty())
-        return nullptr;
-    const auto idx =
-        static_cast<std::size_t>(pa) *
-            static_cast<std::size_t>(_graph.numQubits()) +
-        static_cast<std::size_t>(pb);
-    auto &slot = _memo[idx];
-    if (!slot)
-        slot = computePlan(pa, pb);
-    return &*slot;
-}
-
 MovementPlan
 MovementPlanner::plan(topology::PhysQubit pa,
                       topology::PhysQubit pb) const
 {
-    if (const MovementPlan *cached = cachedPlan(pa, pb))
-        return *cached;
+    if (_shared)
+        return _shared->plan(pa, pb);
     return computePlan(pa, pb);
 }
 
@@ -118,8 +95,8 @@ double
 MovementPlanner::planCost(topology::PhysQubit pa,
                           topology::PhysQubit pb) const
 {
-    if (const MovementPlan *cached = cachedPlan(pa, pb))
-        return cached->cost;
+    if (_shared)
+        return _shared->plan(pa, pb).cost;
     return computePlan(pa, pb).cost;
 }
 
@@ -229,10 +206,11 @@ MovementPlanner::adjacencyBound(topology::PhysQubit pa,
 {
     if (_graph.coupled(pa, pb))
         return 0.0;
-    if (const MovementPlan *cached = cachedPlan(pa, pb))
-        return cached->cost -
-               _cost.cnotCost(cached->gateA, cached->gateB);
-    MovementPlan p = computePlan(pa, pb);
+    if (_shared) {
+        const MovementPlan &p = _shared->plan(pa, pb);
+        return p.cost - _cost.cnotCost(p.gateA, p.gateB);
+    }
+    const MovementPlan p = computePlan(pa, pb);
     return p.cost - _cost.cnotCost(p.gateA, p.gateB);
 }
 
@@ -242,9 +220,8 @@ PlanCache::PlanCache(const topology::CouplingGraph &graph,
     : _graph(graph),
       _cost(makeCostModel(kind, _graph, snapshot)),
       // The inner planner is handed no shared cache and is used
-      // only through computePlan(), which touches no mutable
-      // state — concurrent first-use fills of distinct entries are
-      // safe.
+      // only through computePlan(), which is stateless —
+      // concurrent first-use fills of distinct entries are safe.
       _planner(_graph, *_cost, mah),
       _plans(static_cast<std::size_t>(graph.numQubits()) *
              static_cast<std::size_t>(graph.numQubits())),

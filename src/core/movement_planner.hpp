@@ -12,19 +12,18 @@
  * (MAH) budget of Section 5.3.
  *
  * A route is a pure function of (machine, cost model, MAH): it does
- * not depend on the layout or the circuit. The planner therefore
- * memoizes routes per qubit pair, and a PlanCache can share one
- * fully materialized route table across every compile that uses the
- * same calibration snapshot (see core/compile_cache.hpp). Both
- * layers return exactly what the uncached search computes — they
- * only skip recomputation.
+ * not depend on the layout or the circuit. A planner therefore
+ * either runs the per-query reference search or reads a PlanCache,
+ * one lazily filled route table that a CalibrationContext shares
+ * across every compile against its snapshot (see
+ * core/compile_cache.hpp). The table returns exactly what the
+ * per-query search computes — it only skips recomputation.
  */
 #ifndef VAQ_CORE_MOVEMENT_PLANNER_HPP
 #define VAQ_CORE_MOVEMENT_PLANNER_HPP
 
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -57,11 +56,8 @@ class PlanCache;
 
 /**
  * Route planner for one machine + cost model. The referenced graph
- * and model must outlive the planner.
- *
- * Not thread-safe: the per-instance route memo is filled without
- * locking (each compile builds its own planner). For cross-thread
- * sharing hand the planner a PlanCache instead.
+ * and model (and the shared table, when given) must outlive the
+ * planner. Stateless, so safe to share across threads.
  */
 class MovementPlanner
 {
@@ -73,13 +69,13 @@ class MovementPlanner
      *        route (kUnlimitedHops = unconstrained).
      * @param shared Optional shared route table (must have been
      *        built for the same machine, cost data and MAH); when
-     *        set, all lookups are served from it.
+     *        set, all lookups are served from it, otherwise every
+     *        lookup runs the per-query search.
      */
     MovementPlanner(const topology::CouplingGraph &graph,
                     const CostModel &cost,
                     int mah = kUnlimitedHops,
-                    std::shared_ptr<const PlanCache> shared =
-                        nullptr);
+                    const PlanCache *shared = nullptr);
 
     /**
      * Plan the SWAPs that make the qubits at `pa` and `pb`
@@ -118,10 +114,6 @@ class MovementPlanner
     MovementPlan computePlan(topology::PhysQubit pa,
                              topology::PhysQubit pb) const;
 
-    /** Memoized route, or nullptr when memoization is off. */
-    const MovementPlan *cachedPlan(topology::PhysQubit pa,
-                                   topology::PhysQubit pb) const;
-
     /** Hop-capped Dijkstra from src avoiding `blocked`. */
     void cappedDijkstra(topology::PhysQubit src,
                         topology::PhysQubit blocked, int hop_cap,
@@ -131,20 +123,16 @@ class MovementPlanner
     const topology::CouplingGraph &_graph;
     const CostModel &_cost;
     int _mah;
-    std::shared_ptr<const PlanCache> _shared;
-    /** Lazily filled pair -> route memo (pa * n + pb), active when
-     *  no shared cache is set and the path cache is enabled. */
-    mutable std::vector<std::optional<MovementPlan>> _memo;
+    const PlanCache *_shared;
 };
 
 /**
  * Thread-safe, lazily filled table of movement routes for one
- * (machine, calibration, cost kind, MAH) tuple. The cache owns
- * copies of the machine and cost data, so it can outlive the
- * compile that created it and be shared across snapshots' worth of
- * batch traffic (see core/batch_compiler.hpp). Entries are computed
- * at most once, under std::call_once, by the exact search the
- * uncached planner runs.
+ * (machine, calibration, cost kind, MAH) tuple; a
+ * CalibrationContext owns one per (kind, MAH). The table owns its
+ * cost model and borrows `graph`, which must outlive it. Entries
+ * are computed at most once, under std::call_once, by the exact
+ * search the per-query planner runs.
  */
 class PlanCache
 {
@@ -159,6 +147,9 @@ class PlanCache
     /** Machine width the table covers. */
     int numQubits() const { return _graph.numQubits(); }
 
+    /** The cost model the routes were planned under. */
+    const CostModel &cost() const { return *_cost; }
+
     /**
      * The route for (pa, pb), computing it on first use.
      * @throws VaqError exactly when the uncached planner would.
@@ -167,7 +158,7 @@ class PlanCache
                              topology::PhysQubit pb) const;
 
   private:
-    topology::CouplingGraph _graph;
+    const topology::CouplingGraph &_graph;
     std::unique_ptr<CostModel> _cost;
     MovementPlanner _planner;
     mutable std::vector<MovementPlan> _plans;

@@ -20,7 +20,6 @@
 #define VAQ_CORE_ROUTER_HPP
 
 #include <cstddef>
-#include <memory>
 
 #include "circuit/circuit.hpp"
 #include "core/cost_model.hpp"
@@ -53,11 +52,12 @@ struct RouterOptions
      */
     bool allowRelocation = true;
     /**
-     * Optional shared movement-plan table (core/compile_cache.hpp).
-     * Must match the router's machine, cost data and MAH; when
-     * unset the router plans routes itself.
+     * Optional shared movement-plan table, borrowed from a
+     * CalibrationContext (core/compile_cache.hpp). Must match the
+     * router's machine, cost data and MAH and outlive the router;
+     * when unset the router runs the per-query route search.
      */
-    std::shared_ptr<const PlanCache> planCache;
+    const PlanCache *planCache = nullptr;
 };
 
 /** Output of the routing pass. */

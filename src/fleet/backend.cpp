@@ -40,6 +40,8 @@ Backend::reinspect()
 {
     _health = core::inspectSnapshot(
         _snapshot, _spec.graph, core::CalibrationHandling::Sanitize);
+    _calibration =
+        core::sharedCalibrationContext(_spec.graph, _snapshot, _health);
 }
 
 void
@@ -152,6 +154,7 @@ Backend::compile(const circuit::Circuit &logical)
     context.mapper = &_mapper;
     context.fallbacks = &_fallbacks;
     context.health = &_health;
+    context.calibration = _calibration.get();
     context.artifactCache = _adapter.get();
     core::CompileResult result = core::compileCircuit(
         logical, request, _spec.graph, _snapshot, context);

@@ -20,6 +20,10 @@
  *    through core::inspectSnapshot, so the scheduler sees the same
  *    Clean/Degraded/Rejected verdicts organic bad data produces.
  *
+ * Every snapshot change also rebuilds the machine's calibration
+ * context (core/compile_cache.hpp), so each machine's compiles share
+ * tables derived from its own snapshot only.
+ *
  * Backends are identity objects (the adapter and compile context
  * hold references into them): non-copyable, non-movable.
  */
@@ -34,6 +38,7 @@
 #include "calibration/snapshot.hpp"
 #include "calibration/synthetic.hpp"
 #include "core/batch_compiler.hpp"
+#include "core/compile_cache.hpp"
 #include "core/compile_request.hpp"
 #include "core/mapper.hpp"
 #include "fleet/breaker.hpp"
@@ -154,6 +159,9 @@ class Backend
     /** What compiles actually see (may be fault-mutated). */
     calibration::Snapshot _snapshot;
     core::SnapshotHealth _health;
+    /** Shared by compile() while _snapshot is Clean, else null;
+     *  rebuilt whenever _snapshot changes. */
+    std::shared_ptr<const core::CalibrationContext> _calibration;
     core::Mapper _mapper;
     std::vector<core::Mapper> _fallbacks;
     store::ArtifactStore _store;

@@ -4,7 +4,6 @@
 
 #include "common/error.hpp"
 #include "graph/shortest_path.hpp"
-#include "obs/metrics.hpp"
 
 namespace vaq::graph
 {
@@ -109,85 +108,6 @@ ReliabilityMatrix::path(int a, int b) const
         nodes.push_back(a);
     }
     return nodes;
-}
-
-ReliabilityMatrixCache::ReliabilityMatrixCache(std::size_t capacity)
-    : _capacity(capacity)
-{
-    require(capacity > 0, "cache capacity must be positive");
-}
-
-std::shared_ptr<const ReliabilityMatrix>
-ReliabilityMatrixCache::obtain(std::uint64_t key,
-                               const Builder &build)
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    ++_clock;
-    const auto it = _entries.find(key);
-    if (it != _entries.end()) {
-        if (it->second.epoch == _epoch) {
-            _hits.fetch_add(1, std::memory_order_relaxed);
-            obs::count("cache.matrix.hits");
-            it->second.lastUsed = _clock;
-            return it->second.matrix;
-        }
-        _entries.erase(it); // stale epoch: rebuild below
-    }
-    _misses.fetch_add(1, std::memory_order_relaxed);
-    obs::count("cache.matrix.misses");
-    Entry entry;
-    entry.matrix = build();
-    require(entry.matrix != nullptr,
-            "matrix builder returned null");
-    entry.epoch = _epoch;
-    entry.lastUsed = _clock;
-
-    if (_entries.size() >= _capacity) {
-        auto victim = _entries.begin();
-        for (auto e = _entries.begin(); e != _entries.end(); ++e) {
-            if (e->second.lastUsed < victim->second.lastUsed)
-                victim = e;
-        }
-        _entries.erase(victim);
-        _evictions.fetch_add(1, std::memory_order_relaxed);
-        obs::count("cache.matrix.evictions");
-    }
-    auto matrix = entry.matrix;
-    _entries.emplace(key, std::move(entry));
-    return matrix;
-}
-
-void
-ReliabilityMatrixCache::invalidate()
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    ++_epoch;
-    _entries.clear();
-    _invalidations.fetch_add(1, std::memory_order_relaxed);
-    obs::count("cache.matrix.invalidations");
-}
-
-void
-ReliabilityMatrixCache::resetCounters()
-{
-    _hits.store(0, std::memory_order_relaxed);
-    _misses.store(0, std::memory_order_relaxed);
-    _evictions.store(0, std::memory_order_relaxed);
-    _invalidations.store(0, std::memory_order_relaxed);
-}
-
-std::uint64_t
-ReliabilityMatrixCache::epoch() const
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    return _epoch;
-}
-
-std::size_t
-ReliabilityMatrixCache::size() const
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    return _entries.size();
 }
 
 } // namespace vaq::graph

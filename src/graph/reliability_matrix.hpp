@@ -1,7 +1,6 @@
 /**
  * @file
- * All-pairs most-reliable-path table with next-hop reconstruction,
- * plus a hash-keyed, epoch-invalidated cache of such tables.
+ * All-pairs most-reliable-path table with next-hop reconstruction.
  *
  * The paper's reliability matrix (Section 5) is a fixed function of
  * one calibration snapshot: with edge weights set to -log(link
@@ -9,9 +8,9 @@
  * maximum-reliability SWAP route, and the whole table can be built
  * once per snapshot (Floyd-Warshall) instead of re-running Dijkstra
  * for every routing query. Noise-adaptive compilers recompile per
- * calibration cycle, so one table is shared by *every* circuit
- * compiled against that cycle — the ReliabilityMatrixCache makes
- * that sharing explicit and thread-safe.
+ * calibration cycle, so one table serves *every* circuit compiled
+ * against that cycle: core::CalibrationContext builds it once per
+ * snapshot and shares it.
  *
  * Bit-compatibility note: after the Floyd-Warshall sweep the final
  * distances are re-accumulated by walking each next-hop chain and
@@ -22,12 +21,7 @@
 #ifndef VAQ_GRAPH_RELIABILITY_MATRIX_HPP
 #define VAQ_GRAPH_RELIABILITY_MATRIX_HPP
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/weighted_graph.hpp"
@@ -46,7 +40,7 @@ class ReliabilityMatrix
      * Build the table from `costs` (all weights must be
      * non-negative). `snapshot_hash` identifies the calibration
      * data the weights were derived from; it is carried along so
-     * cache consumers can audit what they were served.
+     * consumers can audit what they were handed.
      */
     explicit ReliabilityMatrix(const WeightedGraph &costs,
                                std::uint64_t snapshot_hash = 0);
@@ -86,94 +80,6 @@ class ReliabilityMatrix
     std::uint64_t _snapshotHash;
     std::vector<std::vector<double>> _dist;
     std::vector<std::vector<int>> _next;
-};
-
-/**
- * Thread-safe cache of ReliabilityMatrix tables keyed on a
- * calibration-snapshot hash (callers fold machine identity and any
- * cost-model parameters into the key).
- *
- * Invalidation is epoch-based: every entry records the epoch it was
- * inserted under, and invalidate() bumps the epoch, making all
- * existing entries stale at once (a new calibration push obsoletes
- * every table derived from the old data). Stale entries are dropped
- * lazily on the next lookup.
- */
-class ReliabilityMatrixCache
-{
-  public:
-    /** Builds the matrix for a key on a cache miss. */
-    using Builder =
-        std::function<std::shared_ptr<const ReliabilityMatrix>()>;
-
-    /**
-     * @param capacity Maximum number of cached tables; the
-     *        least-recently-used entry is evicted beyond it.
-     */
-    explicit ReliabilityMatrixCache(std::size_t capacity = 64);
-
-    /**
-     * Return the cached table for `key`, or invoke `build` and
-     * cache its result. The builder runs under the cache lock so
-     * concurrent requests for the same key build exactly once.
-     */
-    std::shared_ptr<const ReliabilityMatrix>
-    obtain(std::uint64_t key, const Builder &build);
-
-    /** Drop every entry and start a new epoch. */
-    void invalidate();
-
-    /** Current epoch (starts at 0, +1 per invalidate()). */
-    std::uint64_t epoch() const;
-
-    /** Number of live entries. */
-    std::size_t size() const;
-
-    /**
-     * Lookup counters since construction or the last
-     * resetCounters() (not reset by invalidate()). Atomic, so
-     * readable without taking the cache lock; the obs registry
-     * mirrors them as cache.matrix.* when telemetry is on.
-     */
-    std::size_t hits() const
-    {
-        return _hits.load(std::memory_order_relaxed);
-    }
-    std::size_t misses() const
-    {
-        return _misses.load(std::memory_order_relaxed);
-    }
-    /** Capacity-pressure evictions (not epoch drops). */
-    std::size_t evictions() const
-    {
-        return _evictions.load(std::memory_order_relaxed);
-    }
-    /** invalidate() calls observed. */
-    std::size_t invalidations() const
-    {
-        return _invalidations.load(std::memory_order_relaxed);
-    }
-
-    /** Zero all four lookup counters (epoch is untouched). */
-    void resetCounters();
-
-  private:
-    struct Entry
-    {
-        std::shared_ptr<const ReliabilityMatrix> matrix;
-        std::uint64_t epoch = 0;
-        std::uint64_t lastUsed = 0;
-    };
-
-    mutable std::mutex _mutex;
-    std::unordered_map<std::uint64_t, Entry> _entries;
-    std::size_t _capacity;
-    std::uint64_t _epoch = 0;
-    std::uint64_t _clock = 0;
-    std::atomic<std::size_t> _hits{0};
-    std::atomic<std::size_t> _misses{0};
-    std::atomic<std::size_t> _evictions{0};
-    std::atomic<std::size_t> _invalidations{0};
 };
 
 } // namespace vaq::graph

@@ -269,21 +269,28 @@ topConnectedSubgraphs(const WeightedGraph &graph, std::size_t k,
             "subgraph size out of range for machine");
     require(count >= 1, "need at least one subgraph");
 
-    // (score, nodes) kept sorted descending, truncated to `count`.
-    std::vector<std::pair<double, std::vector<int>>> ranked;
+    // (score, nodes) kept sorted descending, bounded to `count`:
+    // each candidate is inserted after its equals and the worst
+    // entry dropped, which leaves exactly the top `count` a full
+    // sort of every candidate would.
+    using Entry = std::pair<double, std::vector<int>>;
+    const auto before = [](const Entry &x, const Entry &y) {
+        return x.first > y.first ||
+               (x.first == y.first && x.second < y.second);
+    };
+    std::vector<Entry> ranked;
     auto consider = [&](const std::vector<int> &candidate) {
         std::vector<int> nodes = candidate;
         std::sort(nodes.begin(), nodes.end());
-        const double s = scoreSubgraph(graph, nodes, score);
-        ranked.emplace_back(s, std::move(nodes));
-        std::sort(ranked.begin(), ranked.end(),
-                  [](const auto &x, const auto &y) {
-                      return x.first > y.first ||
-                             (x.first == y.first &&
-                              x.second < y.second);
-                  });
+        Entry entry(scoreSubgraph(graph, nodes, score),
+                    std::move(nodes));
+        const auto at = std::upper_bound(ranked.begin(), ranked.end(),
+                                         entry, before);
+        if (at == ranked.end() && ranked.size() == count)
+            return;
+        ranked.insert(at, std::move(entry));
         if (ranked.size() > count)
-            ranked.resize(count);
+            ranked.pop_back();
     };
 
     forEachCandidate(graph, k, score, consider);

@@ -10,7 +10,6 @@
 #include "calibration/synthetic.hpp"
 #include "circuit/qasm.hpp"
 #include "common/json.hpp"
-#include "core/compile_cache.hpp"
 #include "fleet/stats.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
@@ -84,8 +83,11 @@ CompileService::CompileService(
         throw CalibrationError("initial snapshot unusable: " +
                                health.note);
     }
+    std::shared_ptr<const core::CalibrationContext> calibration =
+        core::sharedCalibrationContext(graph, snapshot, health);
     _epoch = std::make_shared<const Epoch>(1, std::move(snapshot),
-                                           std::move(health));
+                                           std::move(health),
+                                           std::move(calibration));
 }
 
 std::uint64_t
@@ -112,20 +114,19 @@ CompileService::rollover(calibration::Snapshot snapshot)
         throw CalibrationError("rollover rejected: " + health.note);
     }
 
+    // Built outside the lock so readers never wait on the matrix.
+    // The artifact store is NOT invalidated: its delta scan is
+    // exactly what re-serves untouched circuits across the rollover.
+    std::shared_ptr<const core::CalibrationContext> calibration =
+        core::sharedCalibrationContext(_graph, snapshot, health);
     std::uint64_t id = 0;
     {
         const std::lock_guard<std::mutex> lock(_epochMutex);
         id = _epoch->id + 1;
         _epoch = std::make_shared<const Epoch>(
-            id, std::move(snapshot), std::move(health));
+            id, std::move(snapshot), std::move(health),
+            std::move(calibration));
     }
-    // Snapshot-derived tables (reliability matrices, movement
-    // plans) are keyed by content hash, but the LRU caches would
-    // keep serving dead epochs' tables from memory; dropping them
-    // here keeps the working set to the live epoch. The artifact
-    // store is NOT invalidated: its delta scan is exactly what
-    // re-serves untouched circuits across the rollover.
-    core::invalidatePathCaches();
     if (obs::enabled())
         obs::count("service.rollovers");
     return id;
@@ -369,6 +370,7 @@ CompileService::handleCompile(const HttpRequest &httpRequest)
         context.mapper = &entry.mapper;
         context.fallbacks = &entry.fallbacks;
         context.health = &epoch->health;
+        context.calibration = epoch->calibration.get();
         context.artifactCache = entry.artifacts.get();
         result = core::compile(request, _graph, epoch->snapshot,
                                context);

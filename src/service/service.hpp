@@ -15,11 +15,11 @@
  *    executed on BatchCompiler's ThreadPool; {"results": [...]}.
  *  - `POST /v1/calibration`  graceful epoch rollover: the new
  *    snapshot (CSV text, or JSON with "csv"/"syntheticSeed") is
- *    sanitized, swapped in as an immutable epoch, and the shared
- *    matrix/plan caches are invalidated. In-flight requests finish
- *    on the epoch they started with (shared_ptr pinning), and the
- *    artifact store's delta scan re-serves untouched circuits on
- *    the next compile (store.delta_reuse counts them).
+ *    sanitized and swapped in as an immutable epoch with its own
+ *    calibration context. In-flight requests finish on the epoch
+ *    they started with (shared_ptr pinning), and the artifact
+ *    store's delta scan re-serves untouched circuits on the next
+ *    compile (store.delta_reuse counts them).
  *  - `GET /metrics`      Prometheus text off the vaq_obs registry.
  *  - `GET /healthz`      liveness + current epoch + the epoch's
  *    quarantine summary (pruned qubits/links with reasons).
@@ -46,6 +46,7 @@
 
 #include "calibration/snapshot.hpp"
 #include "core/batch_compiler.hpp"
+#include "core/compile_cache.hpp"
 #include "core/compile_request.hpp"
 #include "service/http.hpp"
 #include "store/adapter.hpp"
@@ -79,23 +80,29 @@ struct ServiceOptions
 };
 
 /**
- * One calibration epoch: an immutable snapshot + its quarantine
- * verdict. Handlers pin the epoch with a shared_ptr for the length
- * of one request, so a rollover mid-request never mutates state
- * under a running compile — old epochs drain, new requests see the
- * new epoch.
+ * One calibration epoch: an immutable snapshot, its quarantine
+ * verdict and, on a clean snapshot, the calibration context every
+ * full-machine compile of the epoch shares. Handlers pin the epoch
+ * with a shared_ptr for the length of one request, so a rollover
+ * mid-request never mutates state under a running compile — old
+ * epochs drain with their context, new requests see the new epoch.
  */
 struct Epoch
 {
     std::uint64_t id = 0;
     calibration::Snapshot snapshot;
     core::SnapshotHealth health;
+    /** Null unless health is Clean. */
+    std::shared_ptr<const core::CalibrationContext> calibration;
 
     Epoch(std::uint64_t id_in, calibration::Snapshot snapshot_in,
-          core::SnapshotHealth health_in)
+          core::SnapshotHealth health_in,
+          std::shared_ptr<const core::CalibrationContext>
+              calibration_in)
         : id(id_in),
           snapshot(std::move(snapshot_in)),
-          health(std::move(health_in))
+          health(std::move(health_in)),
+          calibration(std::move(calibration_in))
     {}
 };
 
@@ -125,8 +132,8 @@ class CompileService
 
     /**
      * Programmatic rollover (the /v1/calibration POST body goes
-     * through this too): sanitize, swap the epoch, invalidate the
-     * shared path caches. Throws CalibrationError when the
+     * through this too): sanitize, build the epoch's calibration
+     * context, swap the epoch. Throws CalibrationError when the
      * snapshot's healthy region is unusable — the old epoch stays.
      */
     std::uint64_t rollover(calibration::Snapshot snapshot);

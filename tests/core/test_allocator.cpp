@@ -6,6 +6,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "core/compile_cache.hpp"
 #include "graph/subgraph.hpp"
 #include "graph/weighted_graph.hpp"
 #include "test_support.hpp"
@@ -72,22 +73,22 @@ expectValidLayout(const Layout &layout, int num_prog,
 TEST(RandomAllocator, ProducesValidLayouts)
 {
     const auto q20 = topology::ibmQ20Tokyo();
-    const auto snap = test::uniformSnapshot(q20);
+    const CalibrationContext context(q20, test::uniformSnapshot(q20));
     const auto bv = workloads::bernsteinVazirani(8);
     for (std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
         const RandomAllocator alloc(seed);
-        expectValidLayout(alloc.allocate(bv, q20, snap), 8, 20);
+        expectValidLayout(alloc.allocate(bv, context), 8, 20);
     }
 }
 
 TEST(RandomAllocator, SeedControlsPlacement)
 {
     const auto q20 = topology::ibmQ20Tokyo();
-    const auto snap = test::uniformSnapshot(q20);
+    const CalibrationContext context(q20, test::uniformSnapshot(q20));
     const auto bv = workloads::bernsteinVazirani(8);
-    const Layout a = RandomAllocator(5).allocate(bv, q20, snap);
-    const Layout b = RandomAllocator(5).allocate(bv, q20, snap);
-    const Layout c = RandomAllocator(6).allocate(bv, q20, snap);
+    const Layout a = RandomAllocator(5).allocate(bv, context);
+    const Layout b = RandomAllocator(5).allocate(bv, context);
+    const Layout c = RandomAllocator(6).allocate(bv, context);
     EXPECT_EQ(a, b);
     EXPECT_NE(a, c);
 }
@@ -100,7 +101,7 @@ TEST(LocalityAllocator, PlacesChattingQubitsAdjacent)
     for (int i = 0; i < 5; ++i)
         c.cx(0, 1);
     const Layout layout =
-        LocalityAllocator().allocate(c, q20, snap);
+        LocalityAllocator().allocate(c, CalibrationContext(q20, snap));
     EXPECT_TRUE(q20.coupled(layout.phys(0), layout.phys(1)));
 }
 
@@ -112,7 +113,7 @@ TEST(LocalityAllocator, KeepsStarTopologyCompact)
     const auto snap = test::uniformSnapshot(q20);
     const auto bv = workloads::bernsteinVazirani(6);
     const Layout layout =
-        LocalityAllocator().allocate(bv, q20, snap);
+        LocalityAllocator().allocate(bv, CalibrationContext(q20, snap));
     const auto &hops = q20.hopDistances();
     const int hub = layout.phys(5); // ancilla
     for (int q = 0; q < 5; ++q) {
@@ -136,7 +137,7 @@ TEST(LocalityAllocator, ReliabilityFlavorPrefersStrongRegion)
     c.cx(0, 1).cx(1, 2);
     const Layout layout =
         LocalityAllocator(CostKind::Reliability)
-            .allocate(c, line, snap);
+            .allocate(c, CalibrationContext(line, snap));
     std::set<int> where{layout.phys(0), layout.phys(1),
                         layout.phys(2)};
     EXPECT_EQ(where, (std::set<int>{3, 4, 5}));
@@ -152,7 +153,7 @@ TEST(StrengthAllocator, UsesStrongestSubgraph)
     c.cx(0, 1).cx(1, 2);
     const Layout layout =
         StrengthAllocator(graph::SubgraphScore::InducedWeight)
-            .allocate(c, line, snap);
+            .allocate(c, CalibrationContext(line, snap));
     std::set<int> where{layout.phys(0), layout.phys(1),
                         layout.phys(2)};
     EXPECT_EQ(where, (std::set<int>{0, 1, 2}));
@@ -166,7 +167,7 @@ TEST(StrengthAllocator, MostActiveQubitGetsStrongestSpot)
     Circuit c(5);
     c.cx(2, 0).cx(2, 1).cx(2, 3).cx(2, 4);
     const Layout layout =
-        StrengthAllocator().allocate(c, q5, snap);
+        StrengthAllocator().allocate(c, CalibrationContext(q5, snap));
     // Physical qubit 2 is the bowtie hub with degree 4.
     EXPECT_EQ(layout.phys(2), 2);
 }
@@ -175,13 +176,13 @@ TEST(StrengthAllocator, ValidLayoutsOnRandomCircuits)
 {
     const auto q20 = topology::ibmQ20Tokyo();
     Rng rng(13);
-    const auto snap = test::randomSnapshot(q20, rng);
+    const CalibrationContext context(q20, test::randomSnapshot(q20, rng));
     for (int n : {2, 5, 10, 16, 20}) {
         const Circuit c = test::randomCircuit(n, 30, rng);
-        expectValidLayout(
-            StrengthAllocator().allocate(c, q20, snap), n, 20);
-        expectValidLayout(
-            LocalityAllocator().allocate(c, q20, snap), n, 20);
+        expectValidLayout(StrengthAllocator().allocate(c, context), n,
+                          20);
+        expectValidLayout(LocalityAllocator().allocate(c, context), n,
+                          20);
     }
 }
 
@@ -203,7 +204,7 @@ TEST(StrengthAllocator, QubitAwareAvoidsBadReadout)
     const Layout aware =
         StrengthAllocator(graph::SubgraphScore::InducedWeight,
                           0, true)
-            .allocate(c, line, snap);
+            .allocate(c, CalibrationContext(line, snap));
     std::set<int> where{aware.phys(0), aware.phys(1),
                         aware.phys(2)};
     EXPECT_EQ(where, (std::set<int>{3, 4, 5}));
@@ -230,10 +231,10 @@ TEST(StrengthAllocator, WindowedActivityDiffers)
         c.cx(2, 3);
     const Layout windowed =
         StrengthAllocator(graph::SubgraphScore::InducedWeight, 1)
-            .allocate(c, q5, snap);
+            .allocate(c, CalibrationContext(q5, snap));
     const Layout whole =
         StrengthAllocator(graph::SubgraphScore::InducedWeight)
-            .allocate(c, q5, snap);
+            .allocate(c, CalibrationContext(q5, snap));
     // Whole-program analysis must give (2,3) the strong link.
     EXPECT_TRUE((whole.phys(2) == 2 && whole.phys(3) == 3) ||
                 (whole.phys(2) == 3 && whole.phys(3) == 2));

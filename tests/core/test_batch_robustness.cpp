@@ -8,7 +8,6 @@
  */
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -53,12 +52,11 @@ class ThrowingAllocator final : public core::Allocator
 
     core::Layout allocate(
         const circuit::Circuit &logical,
-        const topology::CouplingGraph &graph,
-        const calibration::Snapshot &snapshot) const override
+        const core::CalibrationContext &context) const override
     {
         if (logical.numQubits() == _trigger)
             throw CompileError("injected allocator fault");
-        return _inner.allocate(logical, graph, snapshot);
+        return _inner.allocate(logical, context);
     }
 
     std::string name() const override { return "throwing"; }
@@ -336,8 +334,7 @@ class SlowThrowingAllocator final : public core::Allocator
 
     core::Layout allocate(
         const circuit::Circuit &,
-        const topology::CouplingGraph &,
-        const calibration::Snapshot &) const override
+        const core::CalibrationContext &) const override
     {
         std::this_thread::sleep_for(
             std::chrono::duration<double, std::milli>(_burnMs));
@@ -454,73 +451,6 @@ TEST(BatchRobustness, InjectedFaultsLeaveOtherResultsBitIdentical)
             EXPECT_EQ(fingerprints, baselineFingerprints)
                 << "batch output depends on thread count ("
                 << threads << ")";
-    }
-}
-
-TEST(BatchRobustness, EpochsAdvanceTogether)
-{
-    // Regression: the matrix and plan stores keep separate epoch
-    // counters; a reporting path once read them as one value while
-    // they had drifted apart across invalidations. At rest they
-    // must be equal, and one invalidation bumps both by exactly
-    // one.
-    const core::PathCacheStats before = core::pathCacheStats();
-    EXPECT_EQ(before.matrixEpoch, before.planEpoch);
-
-    core::invalidatePathCaches();
-    const core::PathCacheStats after = core::pathCacheStats();
-    EXPECT_EQ(after.matrixEpoch, before.matrixEpoch + 1);
-    EXPECT_EQ(after.planEpoch, before.planEpoch + 1);
-    EXPECT_EQ(after.matrixEpoch, after.planEpoch);
-    // Both stores were emptied.
-    EXPECT_EQ(after.matrixEntries, 0u);
-    EXPECT_EQ(after.planEntries, 0u);
-}
-
-/**
- * Satellite regression for the cache-invalidation race: a
- * calibration push (invalidatePathCaches()) landing in the middle
- * of an in-flight batch must never change what the batch computes —
- * in-flight compiles finish on the shared tables they already hold,
- * and re-misses rebuild identical tables from the same snapshot.
- * Runs under the TSan `parallel` leg, where the old unsynchronized
- * epoch bump would also trip the race detector.
- */
-TEST(BatchRobustness, InvalidationRacingBatchKeepsResultsBitIdentical)
-{
-    const topology::CouplingGraph q5 = topology::ibmQ5Tenerife();
-    const auto snapshot = vaq::test::uniformSnapshot(q5);
-    const auto circuits = batchCircuits(30, 99); // no thrower
-    const core::Mapper mapper = referenceMapper();
-
-    // Quiet reference, single-threaded, no invalidations.
-    BatchCompiler refCompiler(mapper, q5, optionsWithThreads(1));
-    const auto reference =
-        refCompiler.compileAll(circuits, {snapshot});
-    std::vector<std::string> referenceFingerprints;
-    for (const BatchResult &r : reference)
-        referenceFingerprints.push_back(fingerprint(r));
-
-    for (int round = 0; round < 3; ++round) {
-        std::atomic<bool> done{false};
-        std::thread invalidator([&done] {
-            while (!done.load(std::memory_order_relaxed)) {
-                core::invalidatePathCaches();
-                std::this_thread::yield();
-            }
-        });
-
-        BatchCompiler compiler(mapper, q5, optionsWithThreads(4));
-        const auto results =
-            compiler.compileAll(circuits, {snapshot});
-        done.store(true, std::memory_order_relaxed);
-        invalidator.join();
-
-        std::vector<std::string> fingerprints;
-        for (const BatchResult &r : results)
-            fingerprints.push_back(fingerprint(r));
-        EXPECT_EQ(fingerprints, referenceFingerprints)
-            << "round " << round;
     }
 }
 

@@ -123,11 +123,10 @@ class CountingAllocator final : public Allocator
     explicit CountingAllocator(int &calls) : _calls(calls) {}
 
     Layout allocate(const Circuit &logical,
-                    const topology::CouplingGraph &graph,
-                    const calibration::Snapshot &snapshot) const override
+                    const CalibrationContext &context) const override
     {
         ++_calls;
-        return LocalityAllocator().allocate(logical, graph, snapshot);
+        return LocalityAllocator().allocate(logical, context);
     }
 
     std::string name() const override { return "counting"; }
@@ -153,7 +152,9 @@ TEST_F(MapperTest, PlacementAllocatesOncePerMap)
     const MappedCircuit mapped = mapper.map(bv, graph, snap);
     EXPECT_EQ(calls, 1);
     EXPECT_EQ(mapped.initial.progToPhys(),
-              LocalityAllocator().allocate(bv, graph, snap).progToPhys());
+              LocalityAllocator()
+                  .allocate(bv, CalibrationContext(graph, snap))
+                  .progToPhys());
     mapper.map(bv, graph, snap);
     EXPECT_EQ(calls, 2);
 }

@@ -1,12 +1,16 @@
 /**
  * @file
- * Differential harness for the shared path caches: with the caches
- * on, every compile must produce bit-identical output to the seed
- * per-query code path (caches off). The guarantee rests on the
- * reliability matrix re-accumulating each Floyd-Warshall distance
- * along its next-hop chain — the exact left-to-right sum Dijkstra
- * forms — and on the plan tables storing exactly what the uncached
- * planner computes; these tests are the enforcement.
+ * Differential harness for the per-snapshot calibration context:
+ * a compile against a shared context whose tables earlier compiles
+ * already filled (in their own query order) must produce
+ * bit-identical output to a compile against a fresh private one,
+ * and routing from a context's plan table must match the per-query
+ * route search. The guarantee rests on the reliability matrix
+ * re-accumulating each Floyd-Warshall distance along its next-hop
+ * chain — the exact left-to-right sum Dijkstra forms — and on the
+ * plan tables storing exactly what the per-query planner computes;
+ * these tests and tests/core/test_calibration_context.cpp are the
+ * enforcement.
  */
 #include <gtest/gtest.h>
 
@@ -17,8 +21,8 @@
 #include "common/rng.hpp"
 #include "core/batch_compiler.hpp"
 #include "core/compile_cache.hpp"
-#include "core/compile_options.hpp"
 #include "core/mapper.hpp"
+#include "core/router.hpp"
 #include "graph/reliability_matrix.hpp"
 #include "graph/shortest_path.hpp"
 #include "sim/fault_sim.hpp"
@@ -42,29 +46,27 @@ scoreOf(const core::MappedCircuit &mapped,
 }
 
 /**
- * Compile with caches off (the seed path) and on, and require the
- * outputs to agree bit for bit: same physical gate stream, same
- * layouts, same SWAP count, same analytic PST double.
+ * Compile against a fresh private context and against `shared`,
+ * and require the outputs to agree bit for bit: same physical gate
+ * stream, same layouts, same SWAP count, same analytic PST double.
  */
 void
 expectIdenticalCompile(const core::Mapper &mapper,
                        const circuit::Circuit &logical,
-                       const topology::CouplingGraph &graph,
-                       const calibration::Snapshot &snapshot)
+                       const core::CalibrationContext &shared)
 {
-    const core::MappedCircuit seed = mapper.map(
-        logical, graph, snapshot,
-        core::CompileOptions{.cacheEnabled = false});
-    const core::MappedCircuit cached = mapper.map(
-        logical, graph, snapshot,
-        core::CompileOptions{.cacheEnabled = true});
+    const topology::CouplingGraph &graph = shared.graph();
+    const calibration::Snapshot &snapshot = shared.snapshot();
+    const core::MappedCircuit fresh =
+        mapper.map(logical, graph, snapshot);
+    const core::MappedCircuit reused = mapper.map(logical, shared);
 
-    EXPECT_EQ(seed.physical, cached.physical);
-    EXPECT_EQ(seed.initial, cached.initial);
-    EXPECT_EQ(seed.final, cached.final);
-    EXPECT_EQ(seed.insertedSwaps, cached.insertedSwaps);
-    EXPECT_EQ(scoreOf(seed, graph, snapshot),
-              scoreOf(cached, graph, snapshot));
+    EXPECT_EQ(fresh.physical, reused.physical);
+    EXPECT_EQ(fresh.initial, reused.initial);
+    EXPECT_EQ(fresh.final, reused.final);
+    EXPECT_EQ(fresh.insertedSwaps, reused.insertedSwaps);
+    EXPECT_EQ(scoreOf(fresh, graph, snapshot),
+              scoreOf(reused, graph, snapshot));
 }
 
 /**
@@ -115,7 +117,10 @@ TEST(RouterDifferential, VqmMatchesSeedOn50RandomCircuits)
             qubits,
             10 + static_cast<int>(rng.uniformInt(std::uint64_t{20})),
             rng);
-        expectIdenticalCompile(mapper, logical, machine, snapshot);
+        // Warm the shared context with another program first.
+        const core::CalibrationContext shared(machine, snapshot);
+        mapper.map(test::randomCircuit(qubits, 20, rng), shared);
+        expectIdenticalCompile(mapper, logical, shared);
     }
 }
 
@@ -135,28 +140,30 @@ TEST(RouterDifferential, FullPortfoliosMatchSeed)
             test::randomSnapshot(machine, rng);
         const circuit::Circuit logical =
             test::randomCircuit(6, 24, rng);
-        expectIdenticalCompile(baseline, logical, machine,
-                               snapshot);
-        expectIdenticalCompile(vqaVqm, logical, machine, snapshot);
-        expectIdenticalCompile(vqmMah, logical, machine, snapshot);
+        // One context per snapshot: each mapper reuses the tables
+        // the mappers before it filled.
+        const core::CalibrationContext shared(machine, snapshot);
+        expectIdenticalCompile(baseline, logical, shared);
+        expectIdenticalCompile(vqaVqm, logical, shared);
+        expectIdenticalCompile(vqmMah, logical, shared);
     }
 }
 
 TEST(RouterDifferential, UniformCalibrationTiesResolveIdentically)
 {
-    // Uniform link errors make every route cost tie; the cached
-    // and per-query searches must still break every tie the same
-    // way.
+    // Uniform link errors make every route cost tie; tables filled
+    // by earlier compiles and fresh ones must still break every tie
+    // the same way.
     const topology::CouplingGraph machine =
         topology::ibmQ20Tokyo();
-    const calibration::Snapshot snapshot =
-        test::uniformSnapshot(machine);
+    const core::CalibrationContext shared(
+        machine, test::uniformSnapshot(machine));
     const core::Mapper mapper = core::makeMapper({.name = "vqm"});
     Rng rng(47);
     for (int trial = 0; trial < 10; ++trial) {
         const circuit::Circuit logical =
             test::randomCircuit(7, 30, rng);
-        expectIdenticalCompile(mapper, logical, machine, snapshot);
+        expectIdenticalCompile(mapper, logical, shared);
     }
 }
 
@@ -174,14 +181,11 @@ TEST(RouterDifferential, BatchAgreesAcrossThreadCounts)
     for (int s = 0; s < 3; ++s)
         snapshots.push_back(test::randomSnapshot(machine, rng));
 
-    // Sequential seed reference, caches off.
+    // Sequential reference, one private context per compile.
     std::vector<core::MappedCircuit> reference;
     for (const auto &snapshot : snapshots) {
-        for (const auto &circuit : circuits) {
-            reference.push_back(mapper.map(
-                circuit, machine, snapshot,
-                core::CompileOptions{.cacheEnabled = false}));
-        }
+        for (const auto &circuit : circuits)
+            reference.push_back(mapper.map(circuit, machine, snapshot));
     }
 
     for (const std::size_t threads : {1u, 4u, 8u}) {
@@ -209,32 +213,56 @@ TEST(RouterDifferential, BatchAgreesAcrossThreadCounts)
     }
 }
 
-TEST(RouterDifferential, SharedMatrixIsReusedAndInvalidated)
+/**
+ * Routing from a context's plan table matches the per-query route
+ * search the router runs without one, for both strategies, both
+ * cost kinds and a MAH budget, from scattered initial layouts.
+ */
+TEST(RouterDifferential, PlanTableRoutesMatchPerQuerySearch)
 {
-    const topology::CouplingGraph machine = topology::ibmQ5Tenerife();
-    Rng rng(71);
-    const calibration::Snapshot snapshot =
-        test::randomSnapshot(machine, rng);
+    const topology::CouplingGraph machine =
+        topology::ibmQ20Tokyo();
+    Rng rng(83);
+    for (int trial = 0; trial < 3; ++trial) {
+        const core::CalibrationContext context(
+            machine, test::randomSnapshot(machine, rng));
+        const circuit::Circuit logical =
+            test::randomCircuit(5, 16, rng);
+        std::vector<topology::PhysQubit> slots(20);
+        for (int p = 0; p < 20; ++p)
+            slots[static_cast<std::size_t>(p)] = p;
+        rng.shuffle(slots);
+        core::Layout initial(5, 20);
+        for (int q = 0; q < 5; ++q)
+            initial.assign(q, slots[static_cast<std::size_t>(q)]);
 
-    // The thread-local override Mapper::map uses internally,
-    // exercised directly against the shared-cache entry points.
-    const core::PathCacheScope on(true);
-    const auto first =
-        core::sharedReliabilityMatrix(machine, snapshot);
-    const auto second =
-        core::sharedReliabilityMatrix(machine, snapshot);
-    EXPECT_EQ(first.get(), second.get());
-
-    const std::uint64_t epochBefore =
-        core::pathCacheStats().matrixEpoch;
-    core::invalidatePathCaches();
-    EXPECT_GT(core::pathCacheStats().matrixEpoch, epochBefore);
-
-    // Old handles stay valid; fresh lookups rebuild.
-    const auto third =
-        core::sharedReliabilityMatrix(machine, snapshot);
-    EXPECT_NE(first.get(), third.get());
-    EXPECT_EQ(first->distance(0, 4), third->distance(0, 4));
+        for (const core::CostKind kind :
+             {core::CostKind::SwapCount, core::CostKind::Reliability}) {
+            for (const int mah : {core::kUnlimitedHops, 2}) {
+                for (const core::RouteStrategy strategy :
+                     {core::RouteStrategy::PerGate,
+                      core::RouteStrategy::LayerAstar}) {
+                    const core::PlanCache &table =
+                        context.plans(kind, mah);
+                    core::RouterOptions options;
+                    options.mah = mah;
+                    options.strategy = strategy;
+                    const core::RouteResult perQuery =
+                        core::Router(machine, table.cost(), options)
+                            .route(logical, initial);
+                    options.planCache = &table;
+                    const core::RouteResult tabled =
+                        core::Router(machine, table.cost(), options)
+                            .route(logical, initial);
+                    EXPECT_EQ(perQuery.physical, tabled.physical)
+                        << "trial " << trial << " mah " << mah;
+                    EXPECT_EQ(perQuery.final, tabled.final);
+                    EXPECT_EQ(perQuery.insertedSwaps,
+                              tabled.insertedSwaps);
+                }
+            }
+        }
+    }
 }
 
 } // namespace

@@ -1,11 +1,9 @@
 /**
  * @file
- * Unit tests for the all-pairs reliability-path table and its
- * epoch-invalidated cache.
+ * Unit tests for the all-pairs reliability-path table.
  */
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <vector>
 
 #include "common/error.hpp"
@@ -17,7 +15,6 @@ namespace
 
 using namespace vaq;
 using graph::ReliabilityMatrix;
-using graph::ReliabilityMatrixCache;
 using graph::WeightedEdge;
 using graph::WeightedGraph;
 
@@ -91,92 +88,6 @@ TEST(ReliabilityMatrix, MatchesDijkstraOnEveryPair)
                                [static_cast<std::size_t>(b)]);
         }
     }
-}
-
-TEST(ReliabilityMatrixCache, BuildsOncePerKeyAndCountsLookups)
-{
-    ReliabilityMatrixCache cache;
-    int builds = 0;
-    const auto builder = [&builds] {
-        ++builds;
-        return std::make_shared<const ReliabilityMatrix>(
-            lineWithShortcut());
-    };
-    const auto first = cache.obtain(42, builder);
-    const auto second = cache.obtain(42, builder);
-    EXPECT_EQ(builds, 1);
-    EXPECT_EQ(first.get(), second.get());
-    EXPECT_EQ(cache.hits(), 1u);
-    EXPECT_EQ(cache.misses(), 1u);
-    EXPECT_EQ(cache.size(), 1u);
-}
-
-TEST(ReliabilityMatrixCache, InvalidateStartsNewEpoch)
-{
-    ReliabilityMatrixCache cache;
-    const auto builder = [] {
-        return std::make_shared<const ReliabilityMatrix>(
-            lineWithShortcut());
-    };
-    const auto before = cache.obtain(7, builder);
-    EXPECT_EQ(cache.epoch(), 0u);
-    cache.invalidate();
-    EXPECT_EQ(cache.epoch(), 1u);
-    // Stale entry is dropped on the next lookup; the old handle
-    // stays usable.
-    const auto after = cache.obtain(7, builder);
-    EXPECT_NE(before.get(), after.get());
-    EXPECT_DOUBLE_EQ(before->distance(0, 3), 3.0);
-}
-
-TEST(ReliabilityMatrixCache, EvictsLeastRecentlyUsedAtCapacity)
-{
-    ReliabilityMatrixCache cache(2);
-    int builds = 0;
-    const auto builder = [&builds] {
-        ++builds;
-        return std::make_shared<const ReliabilityMatrix>(
-            lineWithShortcut());
-    };
-    cache.obtain(1, builder);
-    cache.obtain(2, builder);
-    cache.obtain(1, builder); // refresh key 1
-    cache.obtain(3, builder); // evicts key 2
-    EXPECT_EQ(cache.size(), 2u);
-    cache.obtain(1, builder); // still cached
-    EXPECT_EQ(builds, 3);
-    cache.obtain(2, builder); // was evicted: rebuild
-    EXPECT_EQ(builds, 4);
-    EXPECT_EQ(cache.evictions(), 2u); // keys 2 and 3 each evicted
-}
-
-TEST(ReliabilityMatrixCache, CountersAccumulateAndReset)
-{
-    ReliabilityMatrixCache cache(1);
-    const auto builder = [] {
-        return std::make_shared<const ReliabilityMatrix>(
-            lineWithShortcut());
-    };
-    cache.obtain(1, builder); // miss
-    cache.obtain(1, builder); // hit
-    cache.obtain(2, builder); // miss + evicts key 1
-    cache.invalidate();
-    EXPECT_EQ(cache.hits(), 1u);
-    EXPECT_EQ(cache.misses(), 2u);
-    EXPECT_EQ(cache.evictions(), 1u);
-    EXPECT_EQ(cache.invalidations(), 1u);
-
-    // resetCounters zeroes the lookup counters but not the epoch.
-    cache.resetCounters();
-    EXPECT_EQ(cache.hits(), 0u);
-    EXPECT_EQ(cache.misses(), 0u);
-    EXPECT_EQ(cache.evictions(), 0u);
-    EXPECT_EQ(cache.invalidations(), 0u);
-    EXPECT_EQ(cache.epoch(), 1u);
-
-    // And the counters keep working after a reset.
-    cache.obtain(2, builder); // invalidated above: counts a miss
-    EXPECT_EQ(cache.misses(), 1u);
 }
 
 } // namespace

@@ -186,5 +186,69 @@ TEST(Subgraph, TopSubgraphsAllConnected)
         EXPECT_TRUE(isConnectedSubset(g, nodes));
 }
 
+/**
+ * Full-sort reference for topConnectedSubgraphs: every connected
+ * k-subset (bitmask sweep), scored on its sorted node list, sorted
+ * by score descending then nodes, truncated to `count`.
+ */
+std::vector<std::vector<int>>
+fullSortTop(const WeightedGraph &g, std::size_t k, std::size_t count,
+            SubgraphScore score)
+{
+    std::vector<std::pair<double, std::vector<int>>> all;
+    const int n = g.numNodes();
+    for (unsigned mask = 1; mask < (1u << n); ++mask) {
+        std::vector<int> nodes;
+        for (int v = 0; v < n; ++v) {
+            if (mask & (1u << v))
+                nodes.push_back(v);
+        }
+        if (nodes.size() == k && isConnectedSubset(g, nodes))
+            all.emplace_back(scoreSubgraph(g, nodes, score), nodes);
+    }
+    std::sort(all.begin(), all.end(),
+              [](const auto &x, const auto &y) {
+                  return x.first > y.first ||
+                         (x.first == y.first && x.second < y.second);
+              });
+    std::vector<std::vector<int>> out;
+    for (std::size_t i = 0; i < std::min(count, all.size()); ++i)
+        out.push_back(all[i].second);
+    return out;
+}
+
+TEST(Subgraph, TopSubgraphsMatchFullSortReference)
+{
+    // A 3x4 grid: 12 nodes, k = 4 has 65 connected candidates, so
+    // count 100 exceeds them all.
+    std::vector<WeightedEdge> uniform;
+    for (int r = 0; r < 3; ++r) {
+        for (int c = 0; c < 4; ++c) {
+            const int v = r * 4 + c;
+            if (c + 1 < 4)
+                uniform.push_back({v, v + 1, 0.5});
+            if (r + 1 < 3)
+                uniform.push_back({v, v + 4, 0.5});
+        }
+    }
+    std::vector<WeightedEdge> random = uniform;
+    Rng rng(41);
+    for (WeightedEdge &e : random)
+        e.weight = rng.uniform(0.1, 1.0);
+
+    for (const auto &edges : {uniform, random}) {
+        const WeightedGraph g(12, edges);
+        for (const SubgraphScore score :
+             {SubgraphScore::FullStrength,
+              SubgraphScore::InducedWeight}) {
+            for (const std::size_t count : {1u, 3u, 100u}) {
+                EXPECT_EQ(topConnectedSubgraphs(g, 4, count, score),
+                          fullSortTop(g, 4, count, score))
+                    << "count " << count;
+            }
+        }
+    }
+}
+
 } // namespace
 } // namespace vaq::graph

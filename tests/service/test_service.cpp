@@ -24,6 +24,7 @@
 #include <fstream>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <sstream>
 #include <string>
@@ -456,6 +457,103 @@ TEST(ServiceRollover, MidFlightRequestsDrainCleanly)
     // The server kept serving afterwards.
     EXPECT_EQ(httpExchange(fx.port(), "GET", "/healthz").status,
               200);
+}
+
+/**
+ * Rollovers race /v1/compile handlers: each request pins one epoch
+ * (and that epoch's calibration context) for its whole compile, so
+ * every 200 must equal a quiet in-process compile against the
+ * snapshot of an epoch that was live while the request ran.
+ */
+TEST(ServiceRollover, RacingRolloversServeEachEpochsOwnCompile)
+{
+    ServiceFixture fx;
+    calibration::SyntheticSource source(
+        fx.graph, calibration::SyntheticParams{}, 31);
+    // Epoch e (1-based) compiles against snapshots[e - 1].
+    std::vector<calibration::Snapshot> snapshots{fx.snapshot};
+    for (int roll = 0; roll < 3; ++roll)
+        snapshots.push_back(source.nextCycle());
+    const std::vector<std::string> programs{"bv4", "qft5"};
+
+    struct Served
+    {
+        std::size_t program;
+        std::uint64_t firstEpoch;
+        std::uint64_t lastEpoch;
+        core::CompileResult result;
+    };
+    std::mutex servedMutex;
+    std::vector<Served> served;
+    std::atomic<bool> stop{false};
+    std::atomic<int> failures{0};
+    std::vector<std::thread> clients;
+    for (std::size_t c = 0; c < 4; ++c) {
+        clients.emplace_back([&, c]() {
+            for (std::size_t i = c; !stop.load(); ++i) {
+                const std::size_t program = i % programs.size();
+                const std::uint64_t first = fx.service.epoch();
+                try {
+                    const HttpResponse r = httpExchange(
+                        fx.port(), "POST", "/v1/compile",
+                        compileBody(programs[program]));
+                    const std::uint64_t last = fx.service.epoch();
+                    if (r.status != 200) {
+                        ++failures;
+                        continue;
+                    }
+                    const std::lock_guard<std::mutex> lock(
+                        servedMutex);
+                    served.push_back(
+                        {program, first, last,
+                         core::compileResultFromJson(
+                             json::Cursor(parseBody(r)))});
+                } catch (...) {
+                    ++failures;
+                }
+            }
+        });
+    }
+    for (std::size_t e = 1; e < snapshots.size(); ++e) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(40));
+        fx.service.rollover(snapshots[e]);
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(40));
+    stop.store(true);
+    for (std::thread &t : clients)
+        t.join();
+    ASSERT_EQ(failures.load(), 0);
+    ASSERT_FALSE(served.empty());
+
+    // Quiet reference per (program, epoch): a private-context
+    // compile of the same request, one at a time.
+    std::vector<std::vector<core::CompileResult>> quiet(
+        programs.size());
+    for (std::size_t p = 0; p < programs.size(); ++p) {
+        core::CompileRequest request;
+        request.circuit = circuit::fromQasm(fixtureQasm(programs[p]));
+        request.policy = {.name = "vqa+vqm"};
+        for (const calibration::Snapshot &snapshot : snapshots)
+            quiet[p].push_back(
+                core::compile(request, fx.graph, snapshot));
+    }
+    for (const Served &s : served) {
+        bool matched = false;
+        for (std::uint64_t e = s.firstEpoch; e <= s.lastEpoch; ++e) {
+            const core::CompileResult &ref =
+                quiet[s.program][static_cast<std::size_t>(e - 1)];
+            // The wire carries QASM text, so compare as text.
+            matched = matched ||
+                      (circuit::toQasm(s.result.mapped.physical) ==
+                           circuit::toQasm(ref.mapped.physical) &&
+                       s.result.mapped.initial == ref.mapped.initial &&
+                       s.result.analyticPst == ref.analyticPst);
+        }
+        EXPECT_TRUE(matched)
+            << programs[s.program] << " served between epochs "
+            << s.firstEpoch << " and " << s.lastEpoch;
+    }
+    EXPECT_EQ(fx.service.epoch(), snapshots.size());
 }
 
 TEST(ServiceRollover, UnusableSnapshotIsRefusedAndKeepsTheOldEpoch)

@@ -167,9 +167,9 @@ printUsage()
         "  --job-deadline-ms X  per-attempt compile deadline in "
         "milliseconds\n"
         "                       (default 0 = unbounded)\n"
-        "  --no-path-cache      disable the shared reliability-"
-        "path caches and recompute\n"
-        "                       all routes per compile\n"
+        "  --no-path-cache      give every compile a private "
+        "calibration context instead\n"
+        "                       of one shared per snapshot\n"
         "  --store-dir DIR      persistent compile-artifact store: "
         "reuse prior results\n"
         "                       keyed on (circuit, calibration, "
@@ -886,12 +886,15 @@ runBatch(const Options &options)
                      static_cast<double>(results.size()) /
                          seconds, 1)
               << " jobs/s)\n";
+    // Misses are tables built (one matrix per calibration
+    // context, one plan table per context and route kind); hits are
+    // reads that reused one.
     const core::PathCacheStats stats = core::pathCacheStats();
     std::cout << "caches    : matrix " << stats.matrixHits
-              << " hits / " << stats.matrixMisses
-              << " misses, plans " << stats.planHits
-              << " hits / " << stats.planMisses << " misses"
-              << (options.noPathCache ? " (disabled)" : "")
+              << " reads / " << stats.matrixMisses
+              << " builds, plans " << stats.planHits
+              << " reuses / " << stats.planMisses << " builds"
+              << (options.noPathCache ? " (private contexts)" : "")
               << "\n";
     if (artifacts != nullptr)
         printStoreStats(*artifacts);
