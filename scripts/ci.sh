@@ -16,7 +16,11 @@
 # and `vaqc sens` must print "log-PST". A vaqc --batch differential
 # compiles the service fixtures once with shared calibration
 # contexts (the default) and once with a private context per compile
-# (--no-path-cache); the job tables must be byte-identical. Five
+# (--no-path-cache); the job tables must be byte-identical. A fleet
+# golden runs `vaqfleet --fingerprint` under rate-5 chaos (seed 11,
+# 400 jobs), whose quarantine events send many compiles through the
+# healthy-region path, at 1 and at 4 threads; both outputs must equal
+# tests/fleet/golden/chaos_rate5_seed11.fingerprint. Five
 # perf_* benches
 # run as exit-0 smokes: perf_frame's frame-reference construction,
 # perf_frame's width-27 Pauli-frame trials (the fault-table trial
@@ -158,6 +162,22 @@ cmp "$CHAOS_A" "$CHAOS_B" || {
 }
 rm -f "$CHAOS_A" "$CHAOS_B"
 echo "ci: chaos smoke deterministic (threads 1 vs 8)"
+
+echo "== tier-1: fleet region-path golden (vaqfleet --fingerprint) =="
+# Rate-5 chaos on seed 11 quarantines links and corrupts calibration
+# on several machines, so many placements compile into a healthy
+# region. The fingerprint must equal the recorded golden at 1 and at
+# 4 prewarm threads.
+FLEET_GOLDEN=tests/fleet/golden/chaos_rate5_seed11.fingerprint
+for threads in 1 4; do
+    build/tools/vaqfleet --fingerprint --fault-rate 5 --seed 11 \
+        --jobs 400 --threads "$threads" | cmp - "$FLEET_GOLDEN" || {
+        echo "ci: vaqfleet fingerprint at --threads $threads" \
+            "differs from $FLEET_GOLDEN" >&2
+        exit 1
+    }
+done
+echo "ci: fleet region-path golden matched (threads 1 and 4)"
 
 echo "== tier-1: frame reference bench smoke (must exit 0) =="
 # Times PauliFrameSim construction (stabilizer tableau + sparse ideal
