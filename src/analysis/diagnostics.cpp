@@ -3,45 +3,13 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 
 namespace vaq::analysis
 {
 
 namespace
 {
-
-/** JSON string escaping (mirrors obs/export.cpp). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-        case '"':
-            out += "\\\"";
-            break;
-        case '\\':
-            out += "\\\\";
-            break;
-        case '\n':
-            out += "\\n";
-            break;
-        case '\t':
-            out += "\\t";
-            break;
-        default:
-            out += c;
-        }
-    }
-    return out;
-}
-
-std::string
-quoted(const std::string &s)
-{
-    return "\"" + jsonEscape(s) + "\"";
-}
 
 /** SARIF result level for a severity. */
 const char *
@@ -136,34 +104,34 @@ renderJson(const LintReport &report)
 {
     std::ostringstream oss;
     oss << "{\n";
-    oss << "  \"artifact\": " << quoted(report.artifact) << ",\n";
+    oss << "  \"artifact\": " << json::quoted(report.artifact) << ",\n";
     oss << "  \"errors\": " << report.errorCount() << ",\n";
     oss << "  \"warnings\": " << report.warningCount() << ",\n";
     oss << "  \"rules\": [\n";
     for (std::size_t i = 0; i < report.rules.size(); ++i) {
         const RuleInfo &rule = report.rules[i];
-        oss << "    {\"id\": " << quoted(rule.id)
-            << ", \"name\": " << quoted(rule.name)
+        oss << "    {\"id\": " << json::quoted(rule.id)
+            << ", \"name\": " << json::quoted(rule.name)
             << ", \"severity\": "
-            << quoted(severityName(rule.severity))
+            << json::quoted(severityName(rule.severity))
             << ", \"category\": "
-            << quoted(ruleCategoryName(rule.category)) << "}"
+            << json::quoted(ruleCategoryName(rule.category)) << "}"
             << (i + 1 < report.rules.size() ? "," : "") << "\n";
     }
     oss << "  ],\n";
     oss << "  \"diagnostics\": [\n";
     for (std::size_t i = 0; i < report.diagnostics.size(); ++i) {
         const Diagnostic &diag = report.diagnostics[i];
-        oss << "    {\"rule\": " << quoted(diag.ruleId)
+        oss << "    {\"rule\": " << json::quoted(diag.ruleId)
             << ", \"severity\": "
-            << quoted(severityName(diag.severity))
+            << json::quoted(severityName(diag.severity))
             << ", \"gate\": " << diag.gateIndex
             << ", \"qubit\": " << diag.qubit;
         if (diag.qubit2 >= 0)
             oss << ", \"qubit2\": " << diag.qubit2;
         if (diag.line > 0)
             oss << ", \"line\": " << diag.line;
-        oss << ", \"message\": " << quoted(diag.message) << "}"
+        oss << ", \"message\": " << json::quoted(diag.message) << "}"
             << (i + 1 < report.diagnostics.size() ? "," : "")
             << "\n";
     }
@@ -192,14 +160,14 @@ renderSarif(const LintReport &report)
     oss << "          \"rules\": [\n";
     for (std::size_t i = 0; i < report.rules.size(); ++i) {
         const RuleInfo &rule = report.rules[i];
-        oss << "            {\"id\": " << quoted(rule.id)
-            << ", \"name\": " << quoted(rule.name)
+        oss << "            {\"id\": " << json::quoted(rule.id)
+            << ", \"name\": " << json::quoted(rule.name)
             << ", \"shortDescription\": {\"text\": "
-            << quoted(rule.description) << "}"
+            << json::quoted(rule.description) << "}"
             << ", \"defaultConfiguration\": {\"level\": "
-            << quoted(sarifLevel(rule.severity)) << "}"
+            << json::quoted(sarifLevel(rule.severity)) << "}"
             << ", \"properties\": {\"category\": "
-            << quoted(ruleCategoryName(rule.category)) << "}}"
+            << json::quoted(ruleCategoryName(rule.category)) << "}}"
             << (i + 1 < report.rules.size() ? "," : "") << "\n";
     }
     oss << "          ]\n";
@@ -216,16 +184,16 @@ renderSarif(const LintReport &report)
                 break;
             }
         }
-        oss << "        {\"ruleId\": " << quoted(diag.ruleId);
+        oss << "        {\"ruleId\": " << json::quoted(diag.ruleId);
         if (ruleIndex >= 0)
             oss << ", \"ruleIndex\": " << ruleIndex;
         oss << ", \"level\": "
-            << quoted(sarifLevel(diag.severity))
+            << json::quoted(sarifLevel(diag.severity))
             << ", \"message\": {\"text\": "
-            << quoted(diag.message) << "},\n";
+            << json::quoted(diag.message) << "},\n";
         oss << "         \"locations\": [{\"physicalLocation\": "
                "{\"artifactLocation\": {\"uri\": "
-            << quoted(report.artifact)
+            << json::quoted(report.artifact)
             << "}, \"region\": {\"startLine\": "
             << (diag.line > 0 ? diag.line : 1) << "}}";
         if (diag.gateIndex >= 0) {

@@ -647,6 +647,14 @@ writePretty(const Value &value)
     return out;
 }
 
+std::string
+quoted(const std::string &text)
+{
+    std::string out;
+    writeEscaped(out, text);
+    return out;
+}
+
 // ---------------------------------------------------------------
 // Cursor.
 // ---------------------------------------------------------------

@@ -120,6 +120,11 @@ std::string write(const Value &value);
  *  newline (the golden-file format). */
 std::string writePretty(const Value &value);
 
+/** `text` as a JSON string literal: quoted, with '"', '\\' and
+ *  every byte below 0x20 escaped, exactly as write() renders a
+ *  string. For renderers that assemble JSON text by hand. */
+std::string quoted(const std::string &text);
+
 /**
  * Path-tracking reader over a parsed document. Every accessor
  * throws VaqError naming the full field path on a kind mismatch,

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <memory>
 #include <optional>
-#include <set>
 #include <utility>
 
 #include "common/error.hpp"
@@ -23,16 +22,66 @@ BatchCompiler::BatchCompiler(const Mapper &mapper,
 {
 }
 
+namespace
+{
+
+/** Every circuit on every snapshot, snapshot-major. */
+std::vector<BatchJob>
+crossProduct(std::size_t circuits, std::size_t snapshots)
+{
+    std::vector<BatchJob> jobs;
+    jobs.reserve(circuits * snapshots);
+    for (std::size_t s = 0; s < snapshots; ++s) {
+        for (std::size_t c = 0; c < circuits; ++c)
+            jobs.push_back(BatchJob{c, s});
+    }
+    return jobs;
+}
+
+} // namespace
+
 std::vector<BatchResult>
 BatchCompiler::compile(
     const std::vector<circuit::Circuit> &circuits,
     const std::vector<calibration::Snapshot> &snapshots,
     const std::vector<BatchJob> &jobs)
 {
+    // Inspect each distinct snapshot once, serially, before the
+    // burst: a snapshot that fails validate() is either rescued by
+    // the quarantine (jobs compile into the healthy region, marked
+    // Degraded) or rejected (jobs fail with the report attached).
+    // Each context is shared by every job against its snapshot and
+    // dropped when the batch returns; the overload below checks the
+    // job list.
+    std::vector<std::shared_ptr<const CalibrationContext>> calibrations(
+        snapshots.size());
+    for (const BatchJob &job : jobs) {
+        if (job.snapshot < snapshots.size() &&
+            !calibrations[job.snapshot]) {
+            calibrations[job.snapshot] = inspectCalibration(
+                _graph, snapshots[job.snapshot],
+                _options.sanitizeCalibration
+                    ? CalibrationHandling::Sanitize
+                    : CalibrationHandling::Validate,
+                _options.sanitize,
+                _options.compile.telemetryEnabled && obs::enabled());
+        }
+    }
+    return compile(circuits, calibrations, jobs);
+}
+
+std::vector<BatchResult>
+BatchCompiler::compile(
+    const std::vector<circuit::Circuit> &circuits,
+    const std::vector<std::shared_ptr<const CalibrationContext>>
+        &calibrations,
+    const std::vector<BatchJob> &jobs)
+{
     for (const BatchJob &job : jobs) {
         require(job.circuit < circuits.size(),
                 "batch job references a missing circuit");
-        require(job.snapshot < snapshots.size(),
+        require(job.snapshot < calibrations.size() &&
+                    calibrations[job.snapshot] != nullptr,
                 "batch job references a missing snapshot");
     }
 
@@ -42,35 +91,6 @@ BatchCompiler::compile(
     if (telemetry)
         obs::gaugeSet("batch.queue.depth",
                       static_cast<double>(jobs.size()));
-
-    std::set<std::size_t> distinct;
-    for (const BatchJob &job : jobs)
-        distinct.insert(job.snapshot);
-
-    // Inspect each distinct snapshot once, serially, before the
-    // burst: a snapshot that fails validate() is either rescued by
-    // the quarantine (jobs compile into the healthy region, marked
-    // Degraded) or rejected (jobs fail with the report attached).
-    const CalibrationHandling handling =
-        _options.sanitizeCalibration ? CalibrationHandling::Sanitize
-                                     : CalibrationHandling::Validate;
-    std::vector<std::optional<SnapshotHealth>> states(
-        snapshots.size());
-    for (std::size_t s : distinct) {
-        states[s] = inspectSnapshot(snapshots[s], _graph, handling,
-                                    _options.sanitize, telemetry);
-    }
-
-    // One calibration context per distinct clean snapshot, shared
-    // by every job against it and dropped when the batch returns.
-    std::vector<std::shared_ptr<const CalibrationContext>>
-        calibrations(snapshots.size());
-    if (_options.compile.cacheEnabled) {
-        for (std::size_t s : distinct) {
-            calibrations[s] = sharedCalibrationContext(
-                _graph, snapshots[s], *states[s]);
-        }
-    }
 
     // One shared linter for every job (rule objects are stateless
     // across run() calls); constructing it here surfaces unknown
@@ -94,8 +114,6 @@ BatchCompiler::compile(
     proto.lintOptions = _options.lintOptions;
     proto.deadlineMs = _options.jobDeadlineMs;
     proto.maxRetries = _options.maxRetries;
-    proto.calibration = handling;
-    proto.sanitize = _options.sanitize;
     proto.scoreResult = _options.scoreResults;
 
     // Per-job result slots: workers never touch shared state, so
@@ -140,38 +158,29 @@ BatchCompiler::compile(
             context.mapper = &_mapper;
             context.fallbacks = &fallbacks;
             context.linter = linter ? &*linter : nullptr;
-            context.health = &*states[job.snapshot];
             context.calibration = calibrations[job.snapshot].get();
             context.artifactCache = _options.artifactCache;
             finish(i, BatchResult(
                           job.circuit, job.snapshot,
-                          compileCircuit(circuits[job.circuit],
-                                         proto, _graph,
-                                         snapshots[job.snapshot],
+                          compileCircuit(circuits[job.circuit], proto,
+                                         _graph,
+                                         context.calibration->snapshot(),
                                          context)));
         });
 
-    // Deferred artifact-store writes: every fresh Ok compile of the
-    // primary policy on a clean snapshot is recorded only now, after
-    // all workers have drained. Recording mid-batch would let a
-    // later job hit an artifact an earlier job just stored, making
-    // results depend on scheduling order — this keeps a batch a pure
+    // Deferred artifact-store writes: results are offered to the
+    // store only now, after all workers have drained (the hook keeps
+    // the fresh Ok ones). Recording mid-batch would let a later job
+    // hit an artifact an earlier job just stored, making results
+    // depend on scheduling order — this keeps a batch a pure
     // function of (jobs, store-state-at-entry) at any thread count.
     if (_options.artifactCache) {
         for (const std::optional<BatchResult> &slot : slots) {
-            if (!slot.has_value())
-                continue;
-            const BatchResult &result = *slot;
-            if (result.fromStore ||
-                result.status != JobStatus::Ok ||
-                result.attempts != 1)
-                continue;
-            const SnapshotHealth &health = *states[result.snapshot];
-            if (health.kind != SnapshotHealth::Kind::Clean)
-                continue;
-            _options.artifactCache->record(
-                circuits[result.circuit],
-                snapshots[result.snapshot], result);
+            if (slot.has_value()) {
+                _options.artifactCache->record(
+                    circuits[slot->circuit],
+                    calibrations[slot->snapshot]->snapshot(), *slot);
+            }
         }
     }
 
@@ -210,13 +219,18 @@ BatchCompiler::compileAll(
     const std::vector<circuit::Circuit> &circuits,
     const std::vector<calibration::Snapshot> &snapshots)
 {
-    std::vector<BatchJob> jobs;
-    jobs.reserve(circuits.size() * snapshots.size());
-    for (std::size_t s = 0; s < snapshots.size(); ++s) {
-        for (std::size_t c = 0; c < circuits.size(); ++c)
-            jobs.push_back(BatchJob{c, s});
-    }
-    return compile(circuits, snapshots, jobs);
+    return compile(circuits, snapshots,
+                   crossProduct(circuits.size(), snapshots.size()));
+}
+
+std::vector<BatchResult>
+BatchCompiler::compileAll(
+    const std::vector<circuit::Circuit> &circuits,
+    const std::vector<std::shared_ptr<const CalibrationContext>>
+        &calibrations)
+{
+    return compile(circuits, calibrations,
+                   crossProduct(circuits.size(), calibrations.size()));
 }
 
 } // namespace vaq::core

@@ -6,13 +6,16 @@
  * The paper's setting recompiles every queued program whenever a
  * new calibration cycle is published (Section 3.3): a compile burst
  * of many circuits against few snapshots. Each job is independent,
- * and everything snapshot-derived — the reliability-path matrix,
- * the movement-plan tables — comes from one CalibrationContext per
- * distinct snapshot (core/compile_cache.hpp), so a burst pays for
- * each table once instead of once per circuit. Jobs run on a
- * reusable ThreadPool and write results into per-job slots, so the
- * output is identical
- * for any thread count (the differential tests check 1/4/8).
+ * and everything snapshot-derived — the quarantine verdict, the
+ * reliability-path matrix, the movement-plan tables — comes from one
+ * CalibrationContext per distinct snapshot (core/compile_cache.hpp),
+ * so a burst pays for each table once instead of once per circuit.
+ * A caller that already owns the contexts (a vaqd epoch, a fleet
+ * backend, a series replay) hands them in; otherwise the batch
+ * inspects each distinct snapshot itself. Jobs run on a reusable
+ * ThreadPool and write results into per-job slots, so the output is
+ * identical for any thread count (the differential tests check
+ * 1/4/8).
  *
  * Failure containment (the robustness layer):
  *
@@ -43,6 +46,7 @@
 #define VAQ_CORE_BATCH_COMPILER_HPP
 
 #include <cstddef>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -84,9 +88,12 @@ struct BatchOptions
      *  exhausted, the job reports JobStatus::TimedOut. */
     double jobDeadlineMs = 0.0;
     /** Route invalid snapshots through the calibration quarantine
-     *  instead of failing every job that references them. */
+     *  instead of failing every job that references them. Applies
+     *  only to snapshots the batch inspects itself: a handed-in
+     *  CalibrationContext already carries its verdict. */
     bool sanitizeCalibration = true;
-    /** Quarantine thresholds (see calibration/sanitize.hpp). */
+    /** Quarantine thresholds (see calibration/sanitize.hpp); like
+     *  sanitizeCalibration, only for snapshots the batch inspects. */
     calibration::SanitizeOptions sanitize;
     /** Run the static analysis rules around each job: pre-compile on
      *  the logical circuit (error-severity Usage findings fail the
@@ -101,9 +108,8 @@ struct BatchOptions
      * consults the cache — a hit skips the compile entirely
      * (BatchResult::fromStore, attempts == 0), including both lint
      * passes: its lint counts are the ones recorded when the
-     * artifact was stored — and every fresh
-     * JobStatus::Ok result compiled with the primary policy is
-     * recorded after the batch completes.
+     * artifact was stored — and every result is offered to the
+     * cache after the batch completes (it keeps the fresh Ok ones).
      */
     ArtifactCacheHook *artifactCache = nullptr;
 };
@@ -149,14 +155,28 @@ class BatchCompiler
     std::size_t threadCount() const { return _pool.threadCount(); }
 
     /**
-     * Compile every job and return results in job order. Shared
-     * matrices are pre-built per distinct snapshot so workers start
-     * from warm caches. Faults are contained per job (see the file
-     * comment); only usage errors in the job list itself throw.
+     * Compile every job and return results in job order. Each
+     * distinct snapshot a job references is inspected once
+     * (BatchOptions::sanitizeCalibration) and its context built
+     * before the burst, so workers start from warm tables. Faults
+     * are contained per job (see the file comment); only usage
+     * errors in the job list itself throw.
      */
     std::vector<BatchResult>
     compile(const std::vector<circuit::Circuit> &circuits,
             const std::vector<calibration::Snapshot> &snapshots,
+            const std::vector<BatchJob> &jobs);
+
+    /**
+     * compile() against contexts the caller already built: a job's
+     * `snapshot` index selects calibrations[snapshot], which must
+     * be non-null and built for this compiler's machine. Nothing is
+     * inspected again.
+     */
+    std::vector<BatchResult>
+    compile(const std::vector<circuit::Circuit> &circuits,
+            const std::vector<std::shared_ptr<const CalibrationContext>>
+                &calibrations,
             const std::vector<BatchJob> &jobs);
 
     /**
@@ -166,6 +186,12 @@ class BatchCompiler
     std::vector<BatchResult>
     compileAll(const std::vector<circuit::Circuit> &circuits,
                const std::vector<calibration::Snapshot> &snapshots);
+
+    /** compileAll() against caller-built contexts. */
+    std::vector<BatchResult>
+    compileAll(const std::vector<circuit::Circuit> &circuits,
+               const std::vector<std::shared_ptr<const CalibrationContext>>
+                   &calibrations);
 
   private:
     const Mapper &_mapper;

@@ -1,9 +1,11 @@
 #include "core/compile_cache.hpp"
 
 #include <atomic>
+#include <utility>
 
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 namespace vaq::core
 {
@@ -21,18 +23,6 @@ bump(std::atomic<std::size_t> &counter, std::string_view name)
 {
     counter.fetch_add(1, std::memory_order_relaxed);
     obs::count(name);
-}
-
-/** reliabilityCostGraph, after checking the snapshot fits the
- *  machine (the NoiseModel check and message). */
-graph::WeightedGraph
-shapedCostGraph(const topology::CouplingGraph &graph,
-                const calibration::Snapshot &snapshot)
-{
-    require(snapshot.numQubits() == graph.numQubits() &&
-                snapshot.numLinks() == graph.linkCount(),
-            "snapshot does not match machine shape");
-    return reliabilityCostGraph(graph, snapshot);
 }
 
 } // namespace
@@ -53,22 +43,124 @@ reliabilityCostGraph(const topology::CouplingGraph &graph,
     return graph::WeightedGraph(graph.numQubits(), edges);
 }
 
+SnapshotHealth
+inspectSnapshot(const calibration::Snapshot &snapshot,
+                const topology::CouplingGraph &graph,
+                CalibrationHandling handling,
+                const calibration::SanitizeOptions &options,
+                bool telemetry)
+{
+    SnapshotHealth health;
+    if (handling == CalibrationHandling::Trust)
+        return health;
+    try {
+        snapshot.validate();
+    } catch (const VaqError &e) {
+        if (handling == CalibrationHandling::Validate) {
+            health.kind = SnapshotHealth::Kind::Rejected;
+            health.note = e.message();
+            return health;
+        }
+        obs::Span sanitizeSpan("batch.sanitize", telemetry);
+        calibration::SanitizedCalibration sanitized =
+            calibration::sanitize(snapshot, graph, options);
+        health.note = sanitized.report.summary();
+        if (telemetry) {
+            obs::count("calibration.quarantine.snapshots");
+            obs::count("calibration.quarantine.qubits",
+                       sanitized.report.qubits.size());
+            obs::count("calibration.quarantine.links",
+                       sanitized.report.links.size());
+        }
+        if (sanitized.usable) {
+            health.kind = SnapshotHealth::Kind::Degraded;
+            health.sanitized = std::move(sanitized);
+        } else {
+            health.kind = SnapshotHealth::Kind::Rejected;
+            health.note +=
+                "; healthy region too small to compile for";
+            if (telemetry)
+                obs::count("calibration.quarantine.rejected");
+        }
+    }
+    return health;
+}
+
 CalibrationContext::CalibrationContext(
     const topology::CouplingGraph &graph,
-    const calibration::Snapshot &snapshot)
-    : _graph(graph),
-      _snapshot(snapshot),
-      _reliability(shapedCostGraph(_graph, _snapshot),
-                   _snapshot.contentHash())
+    const calibration::Snapshot &snapshot,
+    const std::vector<topology::PhysQubit> &region)
+    : _graph(graph), _snapshot(snapshot)
 {
-    bump(g_matrixMisses, "cache.matrix.misses");
+    buildRegion(_snapshot, region);
+}
+
+CalibrationContext::CalibrationContext(
+    const topology::CouplingGraph &graph,
+    const calibration::Snapshot &snapshot, SnapshotHealth health)
+    : _graph(graph), _snapshot(snapshot), _health(std::move(health))
+{
+    switch (_health.kind) {
+    case SnapshotHealth::Kind::Clean:
+        // A snapshot of another machine keeps no tables, so each
+        // compile against it fails on its own (requireTables).
+        if (_snapshot.numQubits() == _graph.numQubits() &&
+            _snapshot.numLinks() == _graph.linkCount()) {
+            _reliability.emplace(reliabilityCostGraph(_graph, _snapshot),
+                                 _snapshot.contentHash());
+            bump(g_matrixMisses, "cache.matrix.misses");
+        }
+        break;
+    case SnapshotHealth::Kind::Degraded:
+        buildRegion(_health.sanitized->snapshot,
+                    _health.sanitized->healthyRegion);
+        break;
+    case SnapshotHealth::Kind::Rejected:
+        break;
+    }
+}
+
+void
+CalibrationContext::buildRegion(
+    const calibration::Snapshot &source,
+    const std::vector<topology::PhysQubit> &region)
+{
+    // The region-restricted machine and its calibration view.
+    const topology::CouplingGraph sub = _graph.inducedSubgraph(region);
+    require(sub.isConnected(), "partition region is disconnected");
+
+    calibration::Snapshot subSnapshot(sub);
+    subSnapshot.durations = source.durations;
+    for (std::size_t i = 0; i < region.size(); ++i) {
+        subSnapshot.qubit(static_cast<int>(i)) =
+            source.qubit(region[i]);
+    }
+    for (std::size_t l = 0; l < sub.linkCount(); ++l) {
+        const topology::Link &link = sub.links()[l];
+        subSnapshot.setLinkError(
+            l, source.linkError(
+                   _graph, region[static_cast<std::size_t>(link.a)],
+                   region[static_cast<std::size_t>(link.b)]));
+    }
+    _region = std::make_unique<const CalibrationContext>(sub, subSnapshot);
+    _regionQubits = region;
+}
+
+void
+CalibrationContext::requireTables() const
+{
+    if (_health.kind == SnapshotHealth::Kind::Rejected)
+        throw CalibrationError(_health.note);
+    require(_reliability.has_value(),
+            "snapshot does not match machine shape");
 }
 
 const graph::ReliabilityMatrix &
 CalibrationContext::reliability() const
 {
+    requireTables();
     bump(g_matrixHits, "cache.matrix.hits");
-    return _reliability;
+    return *_reliability;
 }
 
 const PlanCache &
@@ -90,6 +182,19 @@ CalibrationContext::plans(CostKind kind, int mah) const
          std::make_unique<const PlanCache>(_graph, _snapshot, kind,
                                            mah)});
     return *_plans.back().table;
+}
+
+std::shared_ptr<const CalibrationContext>
+inspectCalibration(const topology::CouplingGraph &graph,
+                   const calibration::Snapshot &snapshot,
+                   CalibrationHandling handling,
+                   const calibration::SanitizeOptions &sanitize,
+                   bool telemetry)
+{
+    return std::make_shared<const CalibrationContext>(
+        graph, snapshot,
+        inspectSnapshot(snapshot, graph, handling, sanitize,
+                        telemetry));
 }
 
 void

@@ -1,22 +1,25 @@
 /**
  * @file
- * CalibrationContext: everything the compile derives from one
- * calibration snapshot on one machine, built once and shared.
+ * CalibrationContext: the compile view of one inspected calibration
+ * snapshot on one machine, built once and shared.
  *
  * The paper compiles each program against one calibration snapshot,
  * and VQA's strength graph and VQM's reliability routes (Sections
  * 5-6) are pure functions of (machine, snapshot). A context owns
- * copies of both plus the tables derived from them: the all-pairs
- * reliability-path matrix the allocators rank locations with
- * (built in the constructor) and one lazily filled movement-plan
- * table per (cost kind, MAH) the routers draw SWAP routes from.
+ * copies of both, the snapshot's quarantine verdict (SnapshotHealth)
+ * and the tables of what compiles map onto — the full machine for a
+ * Clean snapshot, a nested context over the sanitized healthy region
+ * for a Degraded one, nothing for a Rejected one: the all-pairs
+ * reliability-path matrix the allocators rank locations with (built
+ * in the constructor) and one lazily filled movement-plan table per
+ * (cost kind, MAH) the routers draw SWAP routes from.
  *
  * Contexts are immutable once built and held by
  * std::shared_ptr<const CalibrationContext>; whoever owns the
- * snapshot owns the context (a BatchCompiler call, a vaqd epoch, a
- * fleet backend), so a new calibration cycle simply builds a new
- * one and nothing is ever invalidated. No compile result holds a
- * context.
+ * snapshot inspects it once and owns the context (a BatchCompiler
+ * call, a vaqd epoch, a fleet backend, a series-replay cycle), so a
+ * new calibration cycle simply builds a new one and nothing is ever
+ * invalidated. No compile result holds a context.
  *
  * The tables change how often results are computed, never what is
  * computed: graph::allPairsDistances and MovementPlanner's
@@ -30,8 +33,11 @@
 #include <cstddef>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <string>
 #include <vector>
 
+#include "calibration/sanitize.hpp"
 #include "calibration/snapshot.hpp"
 #include "core/cost_model.hpp"
 #include "core/movement_planner.hpp"
@@ -53,22 +59,94 @@ reliabilityCostGraph(const topology::CouplingGraph &graph,
                      const calibration::Snapshot &snapshot,
                      double floor = 1e-6);
 
+/** How a compile treats the calibration snapshot it is given. */
+enum class CalibrationHandling
+{
+    /** Use the snapshot as-is, no validate() — what Mapper::map
+     *  assumes. */
+    Trust,
+    /** validate(); an invalid snapshot fails without attempting
+     *  rescue. */
+    Validate,
+    /** validate(); an invalid snapshot is routed through the
+     *  calibration quarantine (calibration/sanitize.hpp) and the
+     *  compile lands in the healthy region, marked Degraded. */
+    Sanitize,
+};
+
+/** What a snapshot turned out to be once inspected: the quarantine
+ *  verdict every CalibrationContext carries. */
+struct SnapshotHealth
+{
+    enum class Kind
+    {
+        Clean,    ///< passed validate() (or Trust), use as-is
+        Degraded, ///< quarantined but usable (compile into region)
+        Rejected, ///< unusable; every compile against it fails
+    };
+
+    Kind kind = Kind::Clean;
+    /** Present iff kind == Degraded. */
+    std::optional<calibration::SanitizedCalibration> sanitized;
+    /** Quarantine summary or rejection reason. */
+    std::string note;
+};
+
+/**
+ * Inspect one snapshot under a calibration-handling mode. Trust
+ * never validates (always Clean); Validate rejects invalid
+ * snapshots with the validation message; Sanitize routes them
+ * through the quarantine (telemetry emits the
+ * calibration.quarantine.* counters).
+ */
+SnapshotHealth
+inspectSnapshot(const calibration::Snapshot &snapshot,
+                const topology::CouplingGraph &graph,
+                CalibrationHandling handling,
+                const calibration::SanitizeOptions &options = {},
+                bool telemetry = false);
+
 /** One immutable per-(machine, snapshot) compile context.
  *  Thread-safe: any number of compiles may share one. */
 class CalibrationContext
 {
   public:
-    /** Copy `graph` and `snapshot` and build the reliability
-     *  matrix. @throws VaqError when the snapshot's shape does not
-     *  match the machine. */
+    /** Copy `graph` and `snapshot` and build the tables `health`
+     *  calls for. A Clean snapshot of another machine gets none:
+     *  compiles against it fail with the shape error. */
     CalibrationContext(const topology::CouplingGraph &graph,
-                       const calibration::Snapshot &snapshot);
+                       const calibration::Snapshot &snapshot,
+                       SnapshotHealth health = {});
+
+    /** A Clean context whose compiles map onto `region` of `graph`.
+     *  @throws VaqError when the region is disconnected. */
+    CalibrationContext(const topology::CouplingGraph &graph,
+                       const calibration::Snapshot &snapshot,
+                       const std::vector<topology::PhysQubit> &region);
 
     CalibrationContext(const CalibrationContext &) = delete;
     CalibrationContext &operator=(const CalibrationContext &) = delete;
 
+    /** The machine, as given. */
     const topology::CouplingGraph &graph() const { return _graph; }
+    /** The snapshot exactly as published (before any quarantine). */
     const calibration::Snapshot &snapshot() const { return _snapshot; }
+    /** The quarantine verdict. */
+    const SnapshotHealth &health() const { return _health; }
+
+    /** The context over the region compiles map onto (qubit i of
+     *  its graph is machine qubit regionQubits()[i]), or null when
+     *  they map onto the full machine. */
+    const CalibrationContext *region() const { return _region.get(); }
+    const std::vector<topology::PhysQubit> &regionQubits() const
+    {
+        return _regionQubits;
+    }
+
+    /** Throws unless this context has tables of its own: the
+     *  verdict's note (CalibrationError) when Rejected, else the
+     *  shape error. */
+    void requireTables() const;
 
     /** The all-pairs most-reliable-path matrix over
      *  reliabilityCostGraph(graph(), snapshot()); each call counts
@@ -90,12 +168,26 @@ class CalibrationContext
         std::unique_ptr<const PlanCache> table;
     };
 
+    void buildRegion(const calibration::Snapshot &source,
+                     const std::vector<topology::PhysQubit> &region);
+
     topology::CouplingGraph _graph;
     calibration::Snapshot _snapshot;
-    graph::ReliabilityMatrix _reliability;
+    SnapshotHealth _health;
+    std::optional<graph::ReliabilityMatrix> _reliability;
+    std::unique_ptr<const CalibrationContext> _region;
+    std::vector<topology::PhysQubit> _regionQubits;
     mutable std::mutex _plansMutex;
     mutable std::vector<PlanTable> _plans;
 };
+
+/** inspectSnapshot() once, then the context for its verdict. */
+std::shared_ptr<const CalibrationContext>
+inspectCalibration(const topology::CouplingGraph &graph,
+                   const calibration::Snapshot &snapshot,
+                   CalibrationHandling handling,
+                   const calibration::SanitizeOptions &sanitize = {},
+                   bool telemetry = false);
 
 /** A no-op kept for callers that still signal a calibration
  *  push: contexts end with their owner, so there is nothing to

@@ -71,61 +71,6 @@ calibrationHandlingFromName(const std::string &name)
                    "' (trust | validate | sanitize)");
 }
 
-SnapshotHealth
-inspectSnapshot(const calibration::Snapshot &snapshot,
-                const topology::CouplingGraph &graph,
-                CalibrationHandling handling,
-                const calibration::SanitizeOptions &options,
-                bool telemetry)
-{
-    SnapshotHealth health;
-    if (handling == CalibrationHandling::Trust)
-        return health;
-    try {
-        snapshot.validate();
-    } catch (const VaqError &e) {
-        if (handling == CalibrationHandling::Validate) {
-            health.kind = SnapshotHealth::Kind::Rejected;
-            health.note = e.message();
-            return health;
-        }
-        obs::Span sanitizeSpan("batch.sanitize", telemetry);
-        calibration::SanitizedCalibration sanitized =
-            calibration::sanitize(snapshot, graph, options);
-        health.note = sanitized.report.summary();
-        if (telemetry) {
-            obs::count("calibration.quarantine.snapshots");
-            obs::count("calibration.quarantine.qubits",
-                       sanitized.report.qubits.size());
-            obs::count("calibration.quarantine.links",
-                       sanitized.report.links.size());
-        }
-        if (sanitized.usable) {
-            health.kind = SnapshotHealth::Kind::Degraded;
-            health.sanitized = std::move(sanitized);
-        } else {
-            health.kind = SnapshotHealth::Kind::Rejected;
-            health.note +=
-                "; healthy region too small to compile for";
-            if (telemetry)
-                obs::count("calibration.quarantine.rejected");
-        }
-    }
-    return health;
-}
-
-std::shared_ptr<const CalibrationContext>
-sharedCalibrationContext(const topology::CouplingGraph &graph,
-                         const calibration::Snapshot &snapshot,
-                         const SnapshotHealth &health)
-{
-    if (health.kind != SnapshotHealth::Kind::Clean ||
-        snapshot.numQubits() != graph.numQubits() ||
-        snapshot.numLinks() != graph.linkCount())
-        return nullptr;
-    return std::make_shared<const CalibrationContext>(graph, snapshot);
-}
-
 std::vector<std::string>
 fallbackLadder(const std::string &policy_name)
 {
@@ -206,23 +151,29 @@ compileCircuit(const circuit::Circuit &logical,
     const Mapper &mapper =
         context.mapper ? *context.mapper : *ownedMapper;
 
-    std::optional<SnapshotHealth> ownedHealth;
-    if (!context.health)
-        ownedHealth.emplace(inspectSnapshot(snapshot, graph,
-                                            request.calibration,
-                                            request.sanitize,
-                                            telemetry));
-    const SnapshotHealth &health =
-        context.health ? *context.health : *ownedHealth;
-
-    if (context.calibration) {
+    // The snapshot's context carries its verdict and the tables the
+    // attempts map onto. Without an injected one, inspect here; a
+    // compile that opts out of sharing copies the injected verdict
+    // into a private context.
+    std::shared_ptr<const CalibrationContext> owned;
+    if (!context.calibration) {
+        owned = inspectCalibration(graph, snapshot, request.calibration,
+                                   request.sanitize, telemetry);
+    } else {
         require(context.calibration->graph().topologyHash() ==
                         graph.topologyHash() &&
                     context.calibration->snapshot().contentHash() ==
                         snapshot.contentHash(),
                 "calibration context was built from another machine "
                 "or snapshot");
+        if (!request.options.cacheEnabled) {
+            owned = std::make_shared<const CalibrationContext>(
+                graph, snapshot, context.calibration->health());
+        }
     }
+    const CalibrationContext &calibration =
+        owned ? *owned : *context.calibration;
+    const SnapshotHealth &health = calibration.health();
 
     CompileResult result;
 
@@ -235,13 +186,16 @@ compileCircuit(const circuit::Circuit &logical,
         return result;
     }
 
+    // Scoring and lint read the quarantined copy of a Degraded
+    // snapshot, whose dead entries are pinned to worst-case values.
+    const calibration::Snapshot &effective =
+        health.kind == SnapshotHealth::Kind::Degraded
+            ? health.sanitized->snapshot
+            : snapshot;
+
     const auto scoreAttempt = [&](const MappedCircuit &mapped) {
         if (!request.scoreResult)
             return 0.0;
-        const calibration::Snapshot &effective =
-            health.kind == SnapshotHealth::Kind::Degraded
-                ? health.sanitized->snapshot
-                : snapshot;
         const sim::NoiseModel model(graph, effective,
                                     sim::CoherenceMode::PerOp);
         return sim::analyticPst(mapped.physical, model);
@@ -280,11 +234,6 @@ compileCircuit(const circuit::Circuit &logical,
         if (telemetry)
             obs::count("store.misses");
     }
-
-    const calibration::Snapshot &effective =
-        health.kind == SnapshotHealth::Kind::Degraded
-            ? health.sanitized->snapshot
-            : snapshot;
 
     std::optional<analysis::Linter> ownedLinter;
     const analysis::Linter *linter = context.linter;
@@ -332,38 +281,6 @@ compileCircuit(const circuit::Circuit &logical,
         fallbacks = &ownedFallbacks;
     }
 
-    // One compile attempt: clean snapshots map on the full machine
-    // against the shared context (or a private one, built on first
-    // use), quarantined ones into the healthy region of the cleaned
-    // copy.
-    std::optional<CalibrationContext> ownedCalibration;
-    const auto compileAttempt =
-        [&](const Mapper &attemptMapper) -> MappedCircuit {
-        if (health.kind != SnapshotHealth::Kind::Degraded) {
-            if (context.calibration && request.options.cacheEnabled) {
-                return attemptMapper.map(logical, *context.calibration,
-                                         request.options);
-            }
-            if (!ownedCalibration)
-                ownedCalibration.emplace(graph, snapshot);
-            return attemptMapper.map(logical, *ownedCalibration,
-                                     request.options);
-        }
-        const calibration::SanitizedCalibration &sanitized =
-            *health.sanitized;
-        if (sanitized.healthyRegion.size() <
-            static_cast<std::size_t>(logical.numQubits())) {
-            throw CalibrationError(
-                "healthy region (" +
-                std::to_string(sanitized.healthyRegion.size()) +
-                " qubits) smaller than the program (" +
-                std::to_string(logical.numQubits()) + ")");
-        }
-        return attemptMapper.mapInRegion(
-            logical, graph, sanitized.snapshot,
-            sanitized.healthyRegion, request.options);
-    };
-
     const std::size_t totalAttempts = 1 + fallbacks->size();
     for (std::size_t attempt = 0; attempt < totalAttempts;
          ++attempt) {
@@ -393,7 +310,11 @@ compileCircuit(const circuit::Circuit &logical,
                     std::max(remainingMs, 1e-6)));
                 deadline.emplace(*token);
             }
-            result.mapped = compileAttempt(attemptMapper);
+            // One attempt maps onto the context's view: the full
+            // machine, or the healthy region of a quarantined
+            // snapshot.
+            result.mapped =
+                attemptMapper.map(logical, calibration, request.options);
             result.analyticPst = scoreAttempt(result.mapped);
             result.attempts = static_cast<int>(attempt) + 1;
             result.policyUsed = attemptMapper.name();

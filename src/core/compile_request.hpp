@@ -8,13 +8,15 @@
  * one per-job pipeline (quarantine -> artifact lookup -> pre-lint ->
  * attempt ladder -> scoring -> post-lint). Every caller is a thin
  * adapter over it, and every compile attempt inside it is one
- * Mapper::map (or Mapper::mapInRegion on a quarantined machine):
+ * Mapper::map onto the snapshot's CalibrationContext (the full
+ * machine on a Clean snapshot, the healthy region on a quarantined
+ * one; core/compile_cache.hpp):
  *
  *  - BatchCompiler builds one request template per batch plus a
  *    CompileContext of pre-built shared pieces (mapper, fallback
- *    ladder, linter, snapshot health, calibration context, artifact
- *    hook) so the burst keeps its per-batch precomputation and
- *    bit-identity guarantees.
+ *    ladder, linter, calibration context, artifact hook) so the
+ *    burst keeps its per-batch precomputation and bit-identity
+ *    guarantees.
  *  - vaqc and the vaqd daemon construct requests directly; the
  *    daemon's wire format is exactly the JSON (de)serialization
  *    declared at the bottom of this header.
@@ -64,76 +66,12 @@ const char *jobStatusName(JobStatus status);
 /** Parse a jobStatusName spelling; throws VaqError if unknown. */
 JobStatus jobStatusFromName(const std::string &name);
 
-/** How a compile treats the calibration snapshot it is given. */
-enum class CalibrationHandling
-{
-    /** Use the snapshot as-is, no validate() — what Mapper::map
-     *  assumes. */
-    Trust,
-    /** validate(); an invalid snapshot fails without attempting
-     *  rescue. */
-    Validate,
-    /** validate(); an invalid snapshot is routed through the
-     *  calibration quarantine (calibration/sanitize.hpp) and the
-     *  compile lands in the healthy region, marked Degraded. */
-    Sanitize,
-};
-
 /** Stable lowercase name ("trust", "validate", "sanitize"). */
 const char *calibrationHandlingName(CalibrationHandling handling);
 
 /** Parse a calibrationHandlingName spelling; throws if unknown. */
 CalibrationHandling
 calibrationHandlingFromName(const std::string &name);
-
-/**
- * What a snapshot turned out to be once inspected — the shared
- * quarantine step. BatchCompiler inspects each distinct snapshot
- * once per burst and hands the result to every job through
- * CompileContext; standalone compile() calls inspect on demand.
- */
-struct SnapshotHealth
-{
-    enum class Kind
-    {
-        Clean,    ///< passed validate() (or Trust), use as-is
-        Degraded, ///< quarantined but usable (compile into region)
-        Rejected, ///< unusable; every compile against it fails
-    };
-
-    Kind kind = Kind::Clean;
-    /** Present iff kind == Degraded. */
-    std::optional<calibration::SanitizedCalibration> sanitized;
-    /** Quarantine summary or rejection reason. */
-    std::string note;
-};
-
-/**
- * Inspect one snapshot under a calibration-handling mode. Trust
- * never validates (always Clean); Validate rejects invalid
- * snapshots with the validation message; Sanitize routes them
- * through the quarantine (telemetry emits the
- * calibration.quarantine.* counters exactly as the batch compiler
- * always has).
- */
-SnapshotHealth
-inspectSnapshot(const calibration::Snapshot &snapshot,
-                const topology::CouplingGraph &graph,
-                CalibrationHandling handling,
-                const calibration::SanitizeOptions &options = {},
-                bool telemetry = false);
-
-/**
- * The calibration context the full-machine compiles against
- * `snapshot` share: built for a Clean snapshot shaped for `graph`,
- * null otherwise (a Degraded snapshot compiles into a region with a
- * private context; a snapshot of another machine fails each of its
- * compiles on its own).
- */
-std::shared_ptr<const CalibrationContext>
-sharedCalibrationContext(const topology::CouplingGraph &graph,
-                         const calibration::Snapshot &snapshot,
-                         const SnapshotHealth &health);
 
 /**
  * Everything one compile needs, in one value. Defaults reproduce a
@@ -267,7 +205,9 @@ class ArtifactCacheHook
     lookup(const circuit::Circuit &logical,
            const calibration::Snapshot &snapshot) = 0;
 
-    /** Persist one freshly compiled Ok result. */
+    /** Offer any compile result; only a fresh Ok one (not
+     *  fromStore) is kept. Ok implies a Clean snapshot, the primary
+     *  policy and one attempt. */
     virtual void record(const circuit::Circuit &logical,
                         const calibration::Snapshot &snapshot,
                         const CompileResult &result) = 0;
@@ -290,13 +230,10 @@ struct CompileContext
     /** Shared linter (else built from request.lintOptions when
      *  request.lint is set). */
     const analysis::Linter *linter = nullptr;
-    /** Pre-inspected snapshot health (else inspectSnapshot() under
-     *  request.calibration). */
-    const SnapshotHealth *health = nullptr;
-    /** Shared per-snapshot context for full-machine attempts on a
-     *  Clean snapshot (else, or when options.cacheEnabled is off,
-     *  a private one). Must have been built from the compile's
-     *  graph and snapshot. */
+    /** The inspected snapshot's context (else inspectCalibration()
+     *  under request.calibration). Must have been built from the
+     *  compile's graph and snapshot; with options.cacheEnabled off
+     *  only its verdict is used, by a private context. */
     const CalibrationContext *calibration = nullptr;
     /** Artifact cache consulted before compiling on Clean
      *  snapshots. compile() only looks up — recording stays with

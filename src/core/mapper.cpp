@@ -61,6 +61,33 @@ MappedCircuit
 Mapper::map(const Circuit &logical, const CalibrationContext &context,
             const CompileOptions &options) const
 {
+    if (const CalibrationContext *region = context.region()) {
+        const int regionQubits = region->graph().numQubits();
+        if (regionQubits < logical.numQubits()) {
+            throw CalibrationError(
+                "healthy region (" + std::to_string(regionQubits) +
+                " qubits) smaller than the program (" +
+                std::to_string(logical.numQubits()) + ")");
+        }
+        const MappedCircuit inner = map(logical, *region, options);
+
+        // Translate back to machine qubit ids.
+        const std::vector<topology::PhysQubit> &toMachine =
+            context.regionQubits();
+        const int machineQubits = context.graph().numQubits();
+        MappedCircuit mapped(logical.numQubits(), machineQubits);
+        mapped.physical = inner.physical.remapped(toMachine, machineQubits);
+        for (int q = 0; q < logical.numQubits(); ++q) {
+            mapped.initial.assign(q, toMachine[static_cast<std::size_t>(
+                                         inner.initial.phys(q))]);
+            mapped.final.assign(q, toMachine[static_cast<std::size_t>(
+                                       inner.final.phys(q))]);
+        }
+        mapped.insertedSwaps = inner.insertedSwaps;
+        mapped.policyName = _name + "@region";
+        return mapped;
+    }
+    context.requireTables();
     const topology::CouplingGraph &graph = context.graph();
     require(logical.numQubits() <= graph.numQubits(),
             "program needs more qubits than the machine has");
@@ -147,46 +174,8 @@ Mapper::mapInRegion(
     require(region.size() >=
                 static_cast<std::size_t>(logical.numQubits()),
             "region smaller than the program");
-
-    // Build the region-restricted machine and its calibration view.
-    const topology::CouplingGraph sub =
-        graph.inducedSubgraph(region);
-    require(sub.isConnected(), "partition region is disconnected");
-
-    calibration::Snapshot subSnapshot(sub);
-    subSnapshot.durations = snapshot.durations;
-    for (std::size_t i = 0; i < region.size(); ++i) {
-        subSnapshot.qubit(static_cast<int>(i)) =
-            snapshot.qubit(region[i]);
-    }
-    for (std::size_t l = 0; l < sub.linkCount(); ++l) {
-        const topology::Link &link = sub.links()[l];
-        subSnapshot.setLinkError(
-            l, snapshot.linkError(
-                   graph,
-                   region[static_cast<std::size_t>(link.a)],
-                   region[static_cast<std::size_t>(link.b)]));
-    }
-
-    const MappedCircuit inner =
-        map(logical, sub, subSnapshot, options);
-
-    // Translate back to full-machine qubit ids.
-    MappedCircuit mapped(logical.numQubits(), graph.numQubits());
-    std::vector<int> toFull(region.begin(), region.end());
-    mapped.physical =
-        inner.physical.remapped(toFull, graph.numQubits());
-    for (int q = 0; q < logical.numQubits(); ++q) {
-        mapped.initial.assign(
-            q, region[static_cast<std::size_t>(
-                   inner.initial.phys(q))]);
-        mapped.final.assign(
-            q, region[static_cast<std::size_t>(
-                   inner.final.phys(q))]);
-    }
-    mapped.insertedSwaps = inner.insertedSwaps;
-    mapped.policyName = _name + "@region";
-    return mapped;
+    return map(logical, CalibrationContext(graph, snapshot, region),
+               options);
 }
 
 namespace

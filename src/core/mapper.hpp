@@ -87,8 +87,9 @@ class Mapper
     std::size_t routeCount() const;
 
     /**
-     * Compile `logical` for the context's machine under its
-     * calibration snapshot: one walk over the policy portfolio.
+     * Compile `logical` onto the context's machine (or its region,
+     * translated back to machine ids and named "<name>@region")
+     * under its calibration: one walk over the policy portfolio.
      * Each placement allocates once and every one of its routes is
      * routed on that layout, drawing SWAP routes from the context's
      * plan tables; the result with the highest analytic PST under
@@ -115,8 +116,8 @@ class Mapper
     /**
      * Like map(), but place program qubits only onto the physical
      * qubits listed in `region` (used by the partitioning study of
-     * Section 8). The region must be large enough and connected;
-     * routing stays inside it.
+     * Section 8): map() on a region context. The region must be
+     * large enough and connected; routing stays inside it.
      */
     MappedCircuit mapInRegion(
         const circuit::Circuit &logical,

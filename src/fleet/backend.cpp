@@ -38,10 +38,8 @@ Backend::Backend(BackendSpec spec, const core::PolicySpec &policy,
 void
 Backend::reinspect()
 {
-    _health = core::inspectSnapshot(
-        _snapshot, _spec.graph, core::CalibrationHandling::Sanitize);
-    _calibration =
-        core::sharedCalibrationContext(_spec.graph, _snapshot, _health);
+    _calibration = core::inspectCalibration(
+        _spec.graph, _snapshot, core::CalibrationHandling::Sanitize);
 }
 
 void
@@ -153,16 +151,13 @@ Backend::compile(const circuit::Circuit &logical)
     core::CompileContext context;
     context.mapper = &_mapper;
     context.fallbacks = &_fallbacks;
-    context.health = &_health;
     context.calibration = _calibration.get();
     context.artifactCache = _adapter.get();
     core::CompileResult result = core::compileCircuit(
         logical, request, _spec.graph, _snapshot, context);
-    // The service recording rule: persist fresh primary-policy Ok
-    // results so the next epoch's lookups can reuse them.
-    if (!result.fromStore && result.status == core::JobStatus::Ok &&
-        result.attempts == 1)
-        _adapter->record(logical, _snapshot, result);
+    // Fresh Ok results go back to the store so the next epoch's
+    // lookups can reuse them.
+    _adapter->record(logical, _snapshot, result);
     return result;
 }
 
@@ -171,14 +166,14 @@ Backend::prewarm(const std::vector<circuit::Circuit> &circuits,
                  std::size_t threads)
 {
     if (circuits.empty() ||
-        _health.kind == core::SnapshotHealth::Kind::Rejected)
+        health().kind == core::SnapshotHealth::Kind::Rejected)
         return;
     core::BatchOptions options;
     options.compile.threads = threads == 0 ? 1 : threads;
     options.compile.telemetryEnabled = false;
     options.artifactCache = _adapter.get();
     core::BatchCompiler compiler(_mapper, _spec.graph, options);
-    compiler.compileAll(circuits, {_snapshot});
+    compiler.compileAll(circuits, {_calibration});
 }
 
 double

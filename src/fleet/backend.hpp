@@ -17,12 +17,12 @@
  *    rollovers republish from the pristine series.
  *  - fault mutation: corruptCalibration() punches non-finite holes,
  *    quarantineLinks() pins links dead. Both re-inspect the snapshot
- *    through core::inspectSnapshot, so the scheduler sees the same
- *    Clean/Degraded/Rejected verdicts organic bad data produces.
+ *    once (core::inspectCalibration), so the scheduler sees the
+ *    verdicts organic bad data produces.
  *
- * Every snapshot change also rebuilds the machine's calibration
- * context (core/compile_cache.hpp), so each machine's compiles share
- * tables derived from its own snapshot only.
+ * Every snapshot change rebuilds the machine's calibration context
+ * (core/compile_cache.hpp), whose verdict and tables compile() and
+ * prewarm() share, derived from its own snapshot only.
  *
  * Backends are identity objects (the adapter and compile context
  * hold references into them): non-copyable, non-movable.
@@ -89,7 +89,10 @@ class Backend
     {
         return _snapshot;
     }
-    const core::SnapshotHealth &health() const { return _health; }
+    const core::SnapshotHealth &health() const
+    {
+        return _calibration->health();
+    }
 
     /** Calibration epoch counter (1 after construction). */
     std::uint64_t epoch() const { return _epoch; }
@@ -126,8 +129,8 @@ class Backend
     /**
      * Compile `logical` against the current snapshot through the
      * canonical core::compile pipeline, consulting this machine's
-     * artifact store. Fresh primary-policy Ok results are recorded
-     * back into the store (the service recording rule).
+     * artifact store. The result is offered back to the store,
+     * which keeps fresh Ok compiles.
      */
     core::CompileResult compile(const circuit::Circuit &logical);
 
@@ -158,9 +161,7 @@ class Backend
     calibration::Snapshot _pristine;
     /** What compiles actually see (may be fault-mutated). */
     calibration::Snapshot _snapshot;
-    core::SnapshotHealth _health;
-    /** Shared by compile() while _snapshot is Clean, else null;
-     *  rebuilt whenever _snapshot changes. */
+    /** _snapshot inspected; rebuilt whenever _snapshot changes. */
     std::shared_ptr<const core::CalibrationContext> _calibration;
     core::Mapper _mapper;
     std::vector<core::Mapper> _fallbacks;

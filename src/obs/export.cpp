@@ -3,6 +3,7 @@
 #include <iomanip>
 #include <sstream>
 
+#include "common/json.hpp"
 #include "common/table.hpp"
 
 namespace vaq::obs
@@ -18,32 +19,6 @@ num(double x)
     std::ostringstream out;
     out << std::setprecision(12) << x;
     return out.str();
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-        case '"':
-            out += "\\\"";
-            break;
-        case '\\':
-            out += "\\\\";
-            break;
-        case '\n':
-            out += "\\n";
-            break;
-        case '\t':
-            out += "\\t";
-            break;
-        default:
-            out += c;
-        }
-    }
-    return out;
 }
 
 /** Split `base{label="x"}` into {base, `label="x"`} ("" if none). */
@@ -96,22 +71,22 @@ exportJson(const MetricsSnapshot &snapshot)
     out << "{\n  \"counters\": {";
     bool first = true;
     for (const auto &[name, value] : snapshot.counters) {
-        out << (first ? "" : ",") << "\n    \""
-            << jsonEscape(name) << "\": " << value;
+        out << (first ? "" : ",") << "\n    "
+            << json::quoted(name) << ": " << value;
         first = false;
     }
     out << (first ? "" : "\n  ") << "},\n  \"gauges\": {";
     first = true;
     for (const auto &[name, value] : snapshot.gauges) {
-        out << (first ? "" : ",") << "\n    \""
-            << jsonEscape(name) << "\": " << num(value);
+        out << (first ? "" : ",") << "\n    "
+            << json::quoted(name) << ": " << num(value);
         first = false;
     }
     out << (first ? "" : "\n  ") << "},\n  \"histograms\": {";
     first = true;
     for (const auto &[name, h] : snapshot.histograms) {
-        out << (first ? "" : ",") << "\n    \""
-            << jsonEscape(name) << "\": {\n"
+        out << (first ? "" : ",") << "\n    " << json::quoted(name)
+            << ": {\n"
             << "      \"count\": " << h.count << ",\n"
             << "      \"sum\": " << num(h.sum) << ",\n"
             << "      \"mean\": " << num(h.mean) << ",\n"
@@ -200,8 +175,8 @@ exportTraceJson(const std::vector<SpanRecord> &spans)
     out << "[";
     for (std::size_t i = 0; i < spans.size(); ++i) {
         const SpanRecord &s = spans[i];
-        out << (i ? "," : "") << "\n  {\"name\": \""
-            << jsonEscape(s.name) << "\", \"id\": " << s.id
+        out << (i ? "," : "") << "\n  {\"name\": "
+            << json::quoted(s.name) << ", \"id\": " << s.id
             << ", \"parent\": " << s.parentId
             << ", \"thread\": " << s.threadIndex
             << ", \"start_ns\": " << s.startNs

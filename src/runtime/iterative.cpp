@@ -1,6 +1,5 @@
 #include "runtime/iterative.hpp"
 
-#include "calibration/sanitize.hpp"
 #include "common/error.hpp"
 #include "core/batch_compiler.hpp"
 #include "obs/metrics.hpp"
@@ -66,6 +65,21 @@ checkMachineTrials(const sim::ShotCounts &counts,
     require(counts.shots > 0, "machine ran no trials");
     require(counts.shots <= requested,
             "machine returned more trials than requested");
+}
+
+/** Inspect one snapshot under a batch's quarantine knobs. */
+std::shared_ptr<const core::CalibrationContext>
+inspect(const topology::CouplingGraph &graph,
+        const calibration::Snapshot &snapshot,
+        const core::BatchOptions &options)
+{
+    return core::inspectCalibration(
+        graph, snapshot,
+        options.sanitizeCalibration
+            ? core::CalibrationHandling::Sanitize
+            : core::CalibrationHandling::Validate,
+        options.sanitize,
+        options.compile.telemetryEnabled && obs::enabled());
 }
 
 } // namespace
@@ -150,6 +164,17 @@ IterativeRunner::runBatch(
     const calibration::Snapshot &calibration, std::size_t trials,
     const core::BatchOptions &options) const
 {
+    return runBatch(logicals, mapper, inspect(_graph, calibration, options),
+                    trials, options);
+}
+
+std::vector<JobResult>
+IterativeRunner::runBatch(
+    const std::vector<circuit::Circuit> &logicals,
+    const core::Mapper &mapper,
+    std::shared_ptr<const core::CalibrationContext> calibration,
+    std::size_t trials, const core::BatchOptions &options) const
+{
     require(trials > 0, "need at least one trial");
 
     const bool telemetry =
@@ -159,8 +184,8 @@ IterativeRunner::runBatch(
     core::BatchOptions batchOptions = options;
     batchOptions.scoreResults = false;
     core::BatchCompiler compiler(mapper, _graph, batchOptions);
-    std::vector<core::BatchResult> compiled = compiler.compileAll(
-        logicals, std::vector<calibration::Snapshot>{calibration});
+    std::vector<core::BatchResult> compiled =
+        compiler.compileAll(logicals, {std::move(calibration)});
 
     std::vector<JobResult> results;
     results.reserve(logicals.size());
@@ -215,36 +240,22 @@ IterativeRunner::runBatchSeries(
 
         // A stale cycle must not abort the replay: a snapshot that
         // fails validation and cannot be rescued by the quarantine
-        // is skipped with the report as the reason.
-        const calibration::Snapshot &snapshot = series.at(c);
-        bool usable = true;
-        try {
-            snapshot.validate();
-        } catch (const VaqError &e) {
-            if (!options.sanitizeCalibration) {
-                usable = false;
-                cycleResult.skipReason = e.message();
-            } else {
-                const calibration::SanitizedCalibration sanitized =
-                    calibration::sanitize(snapshot, _graph,
-                                          options.sanitize);
-                if (!sanitized.usable) {
-                    usable = false;
-                    cycleResult.skipReason =
-                        sanitized.report.summary();
-                }
-            }
-        }
-        if (!usable) {
+        // is skipped with the verdict's note as the reason.
+        std::shared_ptr<const core::CalibrationContext> calibration =
+            inspect(_graph, series.at(c), options);
+        if (calibration->health().kind ==
+            core::SnapshotHealth::Kind::Rejected) {
             cycleResult.skipped = true;
+            cycleResult.skipReason = calibration->health().note;
             if (telemetry)
                 obs::count("runtime.cycles.skipped");
             cycles.push_back(std::move(cycleResult));
             continue;
         }
 
-        cycleResult.jobs = runBatch(logicals, mapper, snapshot,
-                                    trials, options);
+        cycleResult.jobs = runBatch(logicals, mapper,
+                                    std::move(calibration), trials,
+                                    options);
         cycles.push_back(std::move(cycleResult));
     }
     return cycles;

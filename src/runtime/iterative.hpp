@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include <string>
@@ -102,7 +103,8 @@ struct SeriesCycleResult
     std::size_t cycle = 0;
     /** The cycle's snapshot was unusable; no jobs ran. */
     bool skipped = false;
-    /** Why the cycle was skipped (quarantine summary). */
+    /** Why the cycle was skipped: the verdict's note (quarantine
+     *  summary or validation message). */
     std::string skipReason;
     /** Per-job results, queue order; empty when skipped. */
     std::vector<JobResult> jobs;
@@ -162,9 +164,11 @@ class IterativeRunner
 
     /**
      * Replay the queue against every cycle of a calibration series
-     * (the paper's 52-day archive). A cycle whose snapshot is
-     * invalid and cannot be rescued by the quarantine
-     * (calibration/sanitize.hpp) is skipped with a reason instead
+     * (the paper's 52-day archive). Each cycle's snapshot is
+     * inspected once and its context handed to the batch. A cycle
+     * whose snapshot is invalid and cannot be rescued by the
+     * quarantine (calibration/sanitize.hpp) is skipped with the
+     * verdict's note (the error text its jobs would carry) instead
      * of aborting the replay; usable-but-dirty cycles run with
      * degraded jobs. Results are in cycle order.
      */
@@ -176,6 +180,13 @@ class IterativeRunner
                    const core::BatchOptions &options = {}) const;
 
   private:
+    /** runBatch() against an inspected snapshot's context. */
+    std::vector<JobResult>
+    runBatch(const std::vector<circuit::Circuit> &logicals,
+             const core::Mapper &mapper,
+             std::shared_ptr<const core::CalibrationContext> calibration,
+             std::size_t trials, const core::BatchOptions &options) const;
+
     const topology::CouplingGraph &_graph;
     Machine _machine;
 };

@@ -75,19 +75,24 @@ CompileService::CompileService(
     store::ArtifactStore *artifacts)
     : _graph(graph), _options(options), _store(artifacts)
 {
-    core::SnapshotHealth health = core::inspectSnapshot(
-        snapshot, graph, core::CalibrationHandling::Sanitize,
-        calibration::SanitizeOptions{},
-        _options.compile.telemetryEnabled && obs::enabled());
-    if (health.kind == core::SnapshotHealth::Kind::Rejected) {
-        throw CalibrationError("initial snapshot unusable: " +
-                               health.note);
-    }
+    _epoch = std::make_shared<const Epoch>(
+        Epoch{1, epochContext(snapshot, "initial snapshot unusable")});
+}
+
+std::shared_ptr<const core::CalibrationContext>
+CompileService::epochContext(const calibration::Snapshot &snapshot,
+                             const std::string &rejected) const
+{
     std::shared_ptr<const core::CalibrationContext> calibration =
-        core::sharedCalibrationContext(graph, snapshot, health);
-    _epoch = std::make_shared<const Epoch>(1, std::move(snapshot),
-                                           std::move(health),
-                                           std::move(calibration));
+        core::inspectCalibration(
+            _graph, snapshot, core::CalibrationHandling::Sanitize, {},
+            _options.compile.telemetryEnabled && obs::enabled());
+    if (calibration->health().kind ==
+        core::SnapshotHealth::Kind::Rejected) {
+        throw CalibrationError(rejected + ": " +
+                               calibration->health().note);
+    }
+    return calibration;
 }
 
 std::uint64_t
@@ -106,26 +111,18 @@ CompileService::currentEpoch() const
 std::uint64_t
 CompileService::rollover(calibration::Snapshot snapshot)
 {
-    core::SnapshotHealth health = core::inspectSnapshot(
-        snapshot, _graph, core::CalibrationHandling::Sanitize,
-        calibration::SanitizeOptions{},
-        _options.compile.telemetryEnabled && obs::enabled());
-    if (health.kind == core::SnapshotHealth::Kind::Rejected) {
-        throw CalibrationError("rollover rejected: " + health.note);
-    }
-
-    // Built outside the lock so readers never wait on the matrix.
-    // The artifact store is NOT invalidated: its delta scan is
-    // exactly what re-serves untouched circuits across the rollover.
+    // Inspected and built outside the lock so readers never wait on
+    // the tables. The artifact store is NOT invalidated: its delta
+    // scan is exactly what re-serves untouched circuits across the
+    // rollover.
     std::shared_ptr<const core::CalibrationContext> calibration =
-        core::sharedCalibrationContext(_graph, snapshot, health);
+        epochContext(snapshot, "rollover rejected");
     std::uint64_t id = 0;
     {
         const std::lock_guard<std::mutex> lock(_epochMutex);
         id = _epoch->id + 1;
         _epoch = std::make_shared<const Epoch>(
-            id, std::move(snapshot), std::move(health),
-            std::move(calibration));
+            Epoch{id, std::move(calibration)});
     }
     if (obs::enabled())
         obs::count("service.rollovers");
@@ -259,6 +256,7 @@ HttpResponse
 CompileService::handleHealth() const
 {
     const std::shared_ptr<const Epoch> epoch = currentEpoch();
+    const core::SnapshotHealth &health = epoch->calibration->health();
     json::Value body = json::Value::object();
     body.set("status", json::Value::string("ok"));
     body.set("epoch", json::Value::number(epoch->id));
@@ -267,8 +265,7 @@ CompileService::handleHealth() const
                  _graph.numQubits())));
     body.set("calibration",
              json::Value::string(
-                 epoch->health.kind ==
-                         core::SnapshotHealth::Kind::Degraded
+                 health.kind == core::SnapshotHealth::Kind::Degraded
                      ? "degraded"
                      : "clean"));
     // The quarantine summary: which qubits/links this epoch's
@@ -276,9 +273,9 @@ CompileService::handleHealth() const
     json::Value quarantine = json::Value::object();
     json::Value qubits = json::Value::array();
     json::Value links = json::Value::array();
-    if (epoch->health.sanitized.has_value()) {
+    if (health.sanitized.has_value()) {
         const calibration::QuarantineReport &report =
-            epoch->health.sanitized->report;
+            health.sanitized->report;
         for (const calibration::QuarantinedQubit &q :
              report.qubits) {
             json::Value entry = json::Value::object();
@@ -300,7 +297,7 @@ CompileService::handleHealth() const
         quarantine.set(
             "healthyQubits",
             json::Value::number(static_cast<std::int64_t>(
-                epoch->health.sanitized->healthyRegion.size())));
+                health.sanitized->healthyRegion.size())));
     }
     quarantine.set("qubits", std::move(qubits));
     quarantine.set("links", std::move(links));
@@ -369,23 +366,20 @@ CompileService::handleCompile(const HttpRequest &httpRequest)
         core::CompileContext context;
         context.mapper = &entry.mapper;
         context.fallbacks = &entry.fallbacks;
-        context.health = &epoch->health;
         context.calibration = epoch->calibration.get();
         context.artifactCache = entry.artifacts.get();
-        result = core::compile(request, _graph, epoch->snapshot,
-                               context);
-        // Persist fresh primary-policy compiles so the next epoch's
-        // delta scan (and identical re-requests) can skip the
-        // mapper. The store locks internally, so concurrent worker
-        // records are safe; service responses never depend on what
-        // other in-flight requests stored (lookups happened above).
-        if (entry.artifacts && !result.fromStore &&
-            result.status == core::JobStatus::Ok &&
-            result.attempts == 1 &&
-            epoch->health.kind ==
-                core::SnapshotHealth::Kind::Clean) {
+        result = core::compile(request, _graph,
+                               epoch->calibration->snapshot(), context);
+        // Offer the result to the store so the next epoch's delta
+        // scan (and identical re-requests) can skip the mapper; the
+        // adapter keeps fresh Ok compiles only. The store locks
+        // internally, so concurrent worker records are safe; service
+        // responses never depend on what other in-flight requests
+        // stored (lookups happened above).
+        if (entry.artifacts) {
             entry.artifacts->record(request.circuit,
-                                    epoch->snapshot, result);
+                                    epoch->calibration->snapshot(),
+                                    result);
         }
     } catch (const VaqError &e) {
         return errorJson(statusForCategory(e.category()),
@@ -401,15 +395,16 @@ CompileService::handleCompile(const HttpRequest &httpRequest)
     // first-order coefficients, and (for staleness-bound serves)
     // the certified bound. Clients decide recompile cadence from
     // this without a second round trip.
-    if (result.ok() &&
-        epoch->health.kind == core::SnapshotHealth::Kind::Clean) {
+    const core::CalibrationContext &calibration = *epoch->calibration;
+    if (result.ok() && calibration.health().kind ==
+                           core::SnapshotHealth::Kind::Clean) {
         try {
             const analysis::DataflowAnalysis dataflow(
                 result.mapped.physical,
-                epoch->snapshot.durations);
+                calibration.snapshot().durations);
             const analysis::SensitivityProfile profile =
                 analysis::analyzeSensitivity(dataflow, _graph,
-                                             epoch->snapshot);
+                                             calibration.snapshot());
             json::Value block = analysis::sensitivityJson(profile);
             if (result.boundReuse) {
                 block.set("servedOnBound",
@@ -489,7 +484,7 @@ CompileService::handleBatch(const HttpRequest &httpRequest)
             circuits.push_back(request.circuit);
         core::BatchCompiler compiler(entry.mapper, _graph,
                                      options);
-        results = compiler.compileAll(circuits, {epoch->snapshot});
+        results = compiler.compileAll(circuits, {epoch->calibration});
     } catch (const VaqError &e) {
         return errorJson(statusForCategory(e.category()),
                          e.message(), e.category());
@@ -548,13 +543,14 @@ CompileService::handleCalibration(const HttpRequest &httpRequest)
         const std::shared_ptr<const Epoch> epoch = currentEpoch();
         json::Value body = json::Value::object();
         body.set("epoch", json::Value::number(id));
+        const core::SnapshotHealth &health =
+            epoch->calibration->health();
         body.set("calibration",
                  json::Value::string(
-                     epoch->health.kind ==
-                             core::SnapshotHealth::Kind::Degraded
+                     health.kind == core::SnapshotHealth::Kind::Degraded
                          ? "degraded"
                          : "clean"));
-        body.set("note", json::Value::string(epoch->health.note));
+        body.set("note", json::Value::string(health.note));
         return jsonResponse(200, std::move(body));
     } catch (const VaqError &e) {
         return errorJson(statusForCategory(e.category()),

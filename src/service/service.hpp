@@ -15,8 +15,9 @@
  *    executed on BatchCompiler's ThreadPool; {"results": [...]}.
  *  - `POST /v1/calibration`  graceful epoch rollover: the new
  *    snapshot (CSV text, or JSON with "csv"/"syntheticSeed") is
- *    sanitized and swapped in as an immutable epoch with its own
- *    calibration context. In-flight requests finish on the epoch
+ *    inspected once and swapped in as an immutable epoch with its
+ *    own calibration context, which /v1/compile and /v1/batch both
+ *    compile against. In-flight requests finish on the epoch
  *    they started with (shared_ptr pinning), and the artifact
  *    store's delta scan re-serves untouched circuits on the next
  *    compile (store.delta_reuse counts them).
@@ -80,9 +81,9 @@ struct ServiceOptions
 };
 
 /**
- * One calibration epoch: an immutable snapshot, its quarantine
- * verdict and, on a clean snapshot, the calibration context every
- * full-machine compile of the epoch shares. Handlers pin the epoch
+ * One calibration epoch: an id plus the context of its inspected
+ * snapshot (the published snapshot, its quarantine verdict and the
+ * tables every compile of the epoch shares). Handlers pin the epoch
  * with a shared_ptr for the length of one request, so a rollover
  * mid-request never mutates state under a running compile — old
  * epochs drain with their context, new requests see the new epoch.
@@ -90,20 +91,7 @@ struct ServiceOptions
 struct Epoch
 {
     std::uint64_t id = 0;
-    calibration::Snapshot snapshot;
-    core::SnapshotHealth health;
-    /** Null unless health is Clean. */
     std::shared_ptr<const core::CalibrationContext> calibration;
-
-    Epoch(std::uint64_t id_in, calibration::Snapshot snapshot_in,
-          core::SnapshotHealth health_in,
-          std::shared_ptr<const core::CalibrationContext>
-              calibration_in)
-        : id(id_in),
-          snapshot(std::move(snapshot_in)),
-          health(std::move(health_in)),
-          calibration(std::move(calibration_in))
-    {}
 };
 
 /**
@@ -166,6 +154,11 @@ class CompileService
     HttpResponse handleFleetStats() const;
 
     std::shared_ptr<const Epoch> currentEpoch() const;
+    /** Inspect a snapshot for a new epoch; a Rejected one throws
+     *  CalibrationError("<rejected>: <note>"). */
+    std::shared_ptr<const core::CalibrationContext>
+    epochContext(const calibration::Snapshot &snapshot,
+                 const std::string &rejected) const;
     const PolicyEntry &policyEntry(const core::PolicySpec &spec);
     /** True when the client has a token. On rejection fills
      *  `retryAfterSeconds` with the bucket's refill time. */

@@ -41,24 +41,15 @@ ArtifactCacheAdapter::record(const circuit::Circuit &logical,
                              const calibration::Snapshot &snapshot,
                              const core::CompileResult &result)
 {
-    recordMapped(logical, snapshot, result.mapped,
-                 result.analyticPst, result.mappedLintErrors,
-                 result.mappedLintWarnings);
-}
-
-void
-ArtifactCacheAdapter::recordMapped(
-    const circuit::Circuit &logical,
-    const calibration::Snapshot &snapshot,
-    const core::MappedCircuit &mapped, double analytic_pst,
-    std::size_t mapped_lint_errors,
-    std::size_t mapped_lint_warnings)
-{
+    // Ok already implies a Clean snapshot, the primary policy and a
+    // single attempt; a store hit is already stored.
+    if (result.status != core::JobStatus::Ok || result.fromStore)
+        return;
     const ArtifactKey key =
         makeArtifactKey(logical, _graph, snapshot, _spec);
-    _store.put(key, makeArtifact(mapped, analytic_pst,
-                                 mapped_lint_errors,
-                                 mapped_lint_warnings, _graph,
+    _store.put(key, makeArtifact(result.mapped, result.analyticPst,
+                                 result.mappedLintErrors,
+                                 result.mappedLintWarnings, _graph,
                                  snapshot));
 }
 

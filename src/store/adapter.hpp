@@ -1,15 +1,16 @@
 /**
  * @file
- * Adapter wiring an ArtifactStore into BatchCompiler's
- * core::ArtifactCacheHook seam (and into vaqc's single-compile
- * path via recordMapped). The adapter owns the key derivation: it
- * is configured with the machine and the PolicySpec a compile run
- * uses, so core never learns about content addressing.
+ * Adapter wiring an ArtifactStore into the core::ArtifactCacheHook
+ * seam that core::compile, BatchCompiler, vaqd, the fleet backends
+ * and vaqc's single-compile path share. The adapter owns the key
+ * derivation and the recording rule: it is configured with the
+ * machine and the PolicySpec a compile run uses, so core never
+ * learns about content addressing, and it keeps only fresh Ok
+ * compiles, so callers offer every result.
  */
 #ifndef VAQ_STORE_ADAPTER_HPP
 #define VAQ_STORE_ADAPTER_HPP
 
-#include <cstddef>
 #include <optional>
 
 #include "core/batch_compiler.hpp"
@@ -32,18 +33,11 @@ class ArtifactCacheAdapter final : public core::ArtifactCacheHook
     lookup(const circuit::Circuit &logical,
            const calibration::Snapshot &snapshot) override;
 
-    /** Persist one fresh JobStatus::Ok compile result. */
+    /** Persist `result` when it is a fresh compile (status Ok, not
+     *  fromStore); ignore any other result. */
     void record(const circuit::Circuit &logical,
                 const calibration::Snapshot &snapshot,
                 const core::CompileResult &result) override;
-
-    /** Persist one mapped result directly (vaqc single-compile). */
-    void recordMapped(const circuit::Circuit &logical,
-                      const calibration::Snapshot &snapshot,
-                      const core::MappedCircuit &mapped,
-                      double analytic_pst,
-                      std::size_t mapped_lint_errors = 0,
-                      std::size_t mapped_lint_warnings = 0);
 
   private:
     ArtifactStore &_store;

@@ -46,6 +46,27 @@ CouplingGraph::CouplingGraph(std::string name, int num_qubits,
     }
     for (auto &neighbors : _adjacency)
         std::sort(neighbors.begin(), neighbors.end());
+
+    // All-pairs hop counts, one BFS per source.
+    const auto n = static_cast<std::size_t>(_numQubits);
+    _hops.assign(n, std::vector<int>(n, -1));
+    for (std::size_t src = 0; src < n; ++src) {
+        auto &dist = _hops[src];
+        dist[src] = 0;
+        std::queue<PhysQubit> frontier;
+        frontier.push(static_cast<PhysQubit>(src));
+        while (!frontier.empty()) {
+            const PhysQubit u = frontier.front();
+            frontier.pop();
+            for (PhysQubit v : _adjacency[static_cast<std::size_t>(u)]) {
+                auto &dv = dist[static_cast<std::size_t>(v)];
+                if (dv < 0) {
+                    dv = dist[static_cast<std::size_t>(u)] + 1;
+                    frontier.push(v);
+                }
+            }
+        }
+    }
 }
 
 void
@@ -93,66 +114,10 @@ CouplingGraph::degree(PhysQubit q) const
     return neighbors(q).size();
 }
 
-CouplingGraph::CouplingGraph(const CouplingGraph &other)
-    : _name(other._name),
-      _numQubits(other._numQubits),
-      _links(other._links),
-      _adjacency(other._adjacency),
-      _linkLookup(other._linkLookup)
-{
-    const std::lock_guard<std::mutex> lock(other._hopMutex);
-    _hopCache = other._hopCache;
-}
-
-CouplingGraph &
-CouplingGraph::operator=(const CouplingGraph &other)
-{
-    if (this == &other)
-        return *this;
-    _name = other._name;
-    _numQubits = other._numQubits;
-    _links = other._links;
-    _adjacency = other._adjacency;
-    _linkLookup = other._linkLookup;
-    const std::scoped_lock lock(_hopMutex, other._hopMutex);
-    _hopCache = other._hopCache;
-    return *this;
-}
-
-const std::vector<std::vector<int>> &
-CouplingGraph::hopDistances() const
-{
-    const std::lock_guard<std::mutex> lock(_hopMutex);
-    if (!_hopCache.empty())
-        return _hopCache;
-
-    const auto n = static_cast<std::size_t>(_numQubits);
-    _hopCache.assign(n, std::vector<int>(n, -1));
-    for (std::size_t src = 0; src < n; ++src) {
-        auto &dist = _hopCache[src];
-        dist[src] = 0;
-        std::queue<PhysQubit> frontier;
-        frontier.push(static_cast<PhysQubit>(src));
-        while (!frontier.empty()) {
-            const PhysQubit u = frontier.front();
-            frontier.pop();
-            for (PhysQubit v : neighbors(u)) {
-                auto &dv = dist[static_cast<std::size_t>(v)];
-                if (dv < 0) {
-                    dv = dist[static_cast<std::size_t>(u)] + 1;
-                    frontier.push(v);
-                }
-            }
-        }
-    }
-    return _hopCache;
-}
-
 bool
 CouplingGraph::isConnected() const
 {
-    const auto &dist = hopDistances();
-    for (int d : dist[0]) {
+    for (int d : _hops[0]) {
         if (d < 0)
             return false;
     }

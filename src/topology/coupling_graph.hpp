@@ -12,7 +12,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -46,11 +45,6 @@ class CouplingGraph
     CouplingGraph(std::string name, int num_qubits,
                   const std::vector<Link> &links);
 
-    // Copyable despite the mutex guarding the lazy hop cache (the
-    // batch compiler shares one const graph across threads).
-    CouplingGraph(const CouplingGraph &other);
-    CouplingGraph &operator=(const CouplingGraph &other);
-
     /** Machine name. */
     const std::string &name() const { return _name; }
 
@@ -81,10 +75,13 @@ class CouplingGraph
     /**
      * Hop-count distance matrix (BFS). distance[a][b] is the minimum
      * number of links on any a-b path; unreachable pairs get -1.
-     * Computed lazily under a lock, so concurrent callers (batch
-     * compilation shares one const graph) are safe.
+     * Computed once in the constructor, so concurrent readers (the
+     * workers sharing one calibration context's graph) never wait.
      */
-    const std::vector<std::vector<int>> &hopDistances() const;
+    const std::vector<std::vector<int>> &hopDistances() const
+    {
+        return _hops;
+    }
 
     /** True when every qubit can reach every other qubit. */
     bool isConnected() const;
@@ -112,8 +109,7 @@ class CouplingGraph
     std::vector<Link> _links;
     std::vector<std::vector<PhysQubit>> _adjacency;
     std::unordered_map<long, std::size_t> _linkLookup;
-    mutable std::mutex _hopMutex; ///< guards the lazy fill below
-    mutable std::vector<std::vector<int>> _hopCache;
+    std::vector<std::vector<int>> _hops;
 };
 
 } // namespace vaq::topology

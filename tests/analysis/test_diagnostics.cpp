@@ -8,6 +8,7 @@
 #include "analysis/linter.hpp"
 #include "circuit/circuit.hpp"
 #include "common/error.hpp"
+#include "common/json.hpp"
 
 namespace vaq::analysis
 {
@@ -218,6 +219,53 @@ TEST(Diagnostics, SourceLinesFlowIntoRenderings)
               std::string::npos);
     EXPECT_NE(renderSarif(report).find("\"startLine\": 7"),
               std::string::npos);
+}
+
+/** A report whose artifact path and finding carry control bytes a
+ *  JSON string may not hold raw. */
+LintReport
+controlCharacterReport()
+{
+    LintReport report;
+    report.artifact = "bad\rname\x01.qasm";
+    Diagnostic diag;
+    diag.ruleId = "VL005";
+    diag.ruleName = "uncoupled-cx";
+    diag.severity = Severity::Error;
+    diag.message = "tab\there\fform\bfeed\x1f";
+    diag.gateIndex = 0;
+    diag.qubit = 0;
+    report.diagnostics.push_back(diag);
+    report.rules.push_back({"VL005", "uncoupled-cx", Severity::Error,
+                            RuleCategory::Correctness,
+                            "cx on an uncoupled pair"});
+    return report;
+}
+
+TEST(Diagnostics, JsonEscapesControlCharacters)
+{
+    const LintReport report = controlCharacterReport();
+    const json::Value doc = json::parse(renderJson(report), "lint");
+    EXPECT_EQ(doc.find("artifact")->asString(), report.artifact);
+    EXPECT_EQ(doc.find("diagnostics")->item(0).find("message")->asString(),
+              report.diagnostics[0].message);
+}
+
+TEST(Diagnostics, SarifEscapesControlCharacters)
+{
+    const LintReport report = controlCharacterReport();
+    const json::Value doc = json::parse(renderSarif(report), "sarif");
+    const json::Value &result =
+        doc.find("runs")->item(0).find("results")->item(0);
+    EXPECT_EQ(result.find("message")->find("text")->asString(),
+              report.diagnostics[0].message);
+    EXPECT_EQ(result.find("locations")
+                  ->item(0)
+                  .find("physicalLocation")
+                  ->find("artifactLocation")
+                  ->find("uri")
+                  ->asString(),
+              report.artifact);
 }
 
 } // namespace

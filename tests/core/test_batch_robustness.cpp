@@ -270,6 +270,55 @@ TEST(BatchRobustness, DegradedCompileKeepsTheRequestOptions)
         << "degraded compile recorded mapper telemetry";
 }
 
+TEST(BatchRobustness, DegradedSnapshotBuildsOneRegionMatrixPerBatch)
+{
+    // The quarantined snapshot is inspected once per batch and every
+    // job, at every thread, maps onto the one healthy-region context
+    // built from it: one reliability matrix for the whole burst.
+    const topology::CouplingGraph q5 = topology::ibmQ5Tenerife();
+    calibration::Snapshot poisoned = vaq::test::uniformSnapshot(q5);
+    poisoned.qubit(3).t1Us =
+        std::numeric_limits<double>::quiet_NaN();
+
+    const auto circuits = batchCircuits(8, 99);
+    const core::Mapper mapper = core::makeMapper({.name = "vqa+vqm"});
+    BatchCompiler compiler(mapper, q5, optionsWithThreads(4));
+    const core::PathCacheStats before = core::pathCacheStats();
+    const auto results = compiler.compileAll(circuits, {poisoned});
+    const core::PathCacheStats after = core::pathCacheStats();
+
+    for (const BatchResult &r : results)
+        EXPECT_EQ(r.status, JobStatus::Degraded) << r.error;
+    EXPECT_EQ(after.matrixMisses - before.matrixMisses, 1u);
+}
+
+TEST(BatchRobustness, SnapshotOfAnotherMachineFailsItsJobsOnly)
+{
+    // A snapshot shaped for another machine cannot build tables; its
+    // jobs fail one by one with the shape error, the batch does not
+    // throw, and the other snapshot's jobs compile.
+    const topology::CouplingGraph q5 = topology::ibmQ5Tenerife();
+    const topology::CouplingGraph line = topology::linear(7);
+    const auto circuits = batchCircuits(3, 99);
+    const core::Mapper mapper = referenceMapper();
+    BatchCompiler compiler(mapper, q5, optionsWithThreads(2));
+    const auto results = compiler.compileAll(
+        circuits, {vaq::test::uniformSnapshot(q5),
+                   vaq::test::uniformSnapshot(line)});
+
+    ASSERT_EQ(results.size(), circuits.size() * 2);
+    for (const BatchResult &r : results) {
+        if (r.snapshot == 0) {
+            EXPECT_EQ(r.status, JobStatus::Ok);
+            continue;
+        }
+        EXPECT_EQ(r.status, JobStatus::Failed);
+        EXPECT_EQ(r.errorCategory, ErrorCategory::Usage);
+        EXPECT_EQ(r.error, "snapshot does not match machine shape");
+        EXPECT_EQ(r.attempts, 1);
+    }
+}
+
 TEST(BatchRobustness, UnusableSnapshotFailsItsJobsOnly)
 {
     const topology::CouplingGraph q5 = topology::ibmQ5Tenerife();

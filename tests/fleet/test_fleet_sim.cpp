@@ -87,6 +87,32 @@ preferredMachine(const FleetOptions &options,
     return best;
 }
 
+TEST(FleetBackend, PrewarmCompilesAgainstTheBackendsContext)
+{
+    // prewarm() hands the backend's context to the batch compiler,
+    // clean or quarantined: no snapshot is inspected again and no
+    // table is rebuilt.
+    Backend backend(standardFleet(7)[1], {.name = "vqm"}, 64,
+                    BreakerOptions{});
+    std::vector<circuit::Circuit> circuits;
+    for (const workloads::Workload &w : workloads::q5Suite())
+        circuits.push_back(w.circuit);
+
+    core::PathCacheStats before = core::pathCacheStats();
+    backend.prewarm(circuits, 2);
+    core::PathCacheStats after = core::pathCacheStats();
+    EXPECT_EQ(after.matrixMisses - before.matrixMisses, 0u);
+    EXPECT_EQ(backend.storeStats().writes, circuits.size());
+
+    backend.quarantineLinks(0.1, 3);
+    ASSERT_EQ(backend.health().kind,
+              core::SnapshotHealth::Kind::Degraded);
+    before = core::pathCacheStats();
+    backend.prewarm(circuits, 2);
+    after = core::pathCacheStats();
+    EXPECT_EQ(after.matrixMisses - before.matrixMisses, 0u);
+}
+
 TEST(FleetSim, CleanRunCompletesEverythingDeterministically)
 {
     FleetOptions options;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/json.hpp"
 #include "obs/export.hpp"
 
 namespace vaq::obs
@@ -66,6 +67,20 @@ TEST(ObsExport, JsonEmptySnapshot)
 }
 )";
     EXPECT_EQ(exportJson(MetricsSnapshot{}), expected);
+}
+
+TEST(ObsExport, JsonEscapesControlCharactersInNames)
+{
+    Registry registry;
+    registry.counter("bad\rcounter\x01").add(2);
+    registry.gauge("gauge\bname").set(1.0);
+    registry.histogram("hist\fname").record(0.5);
+    const json::Value doc =
+        json::parse(exportJson(registry.snapshot()), "metrics");
+    EXPECT_EQ(doc.find("counters")->find("bad\rcounter\x01")->asNumber(),
+              2.0);
+    EXPECT_NE(doc.find("gauges")->find("gauge\bname"), nullptr);
+    EXPECT_NE(doc.find("histograms")->find("hist\fname"), nullptr);
 }
 
 TEST(ObsExport, PrometheusGolden)

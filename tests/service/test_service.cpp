@@ -817,6 +817,25 @@ TEST(VaqcBatch, FailFastExitsOnFirstFailedJobWithoutReport)
 }
 #endif
 
+TEST(ServiceBatch, BatchCompilesAgainstTheEpochsContext)
+{
+    // /v1/batch hands the epoch's context to the batch compiler: the
+    // snapshot is not inspected again and no table is rebuilt.
+    ServiceFixture fx;
+    json::Value batch = json::Value::object();
+    json::Value requests = json::Value::array();
+    for (const char *program : {"bv4", "ghz6", "qft5"})
+        requests.push(json::parse(compileBody(program)));
+    batch.set("requests", std::move(requests));
+    const core::PathCacheStats before = core::pathCacheStats();
+    const HttpResponse response = httpExchange(
+        fx.port(), "POST", "/v1/batch", json::write(batch));
+    const core::PathCacheStats after = core::pathCacheStats();
+    ASSERT_EQ(response.status, 200) << response.body;
+    EXPECT_EQ(parseBody(response).find("results")->size(), 3u);
+    EXPECT_EQ(after.matrixMisses - before.matrixMisses, 0u);
+}
+
 TEST(ServiceBatch, SharedPolicyIsEnforcedWith400)
 {
     ServiceFixture fx;

@@ -159,6 +159,33 @@ TEST_F(BatchStoreTest, WarmedBatchIsServedFromStoreBitIdentically)
     }
 }
 
+TEST_F(BatchStoreTest, AdapterRecordsOnlyFreshOkCompiles)
+{
+    ArtifactStore store(StoreOptions{}); // memory-only
+    ArtifactCacheAdapter cache(store, graph, spec);
+    const std::vector<BatchResult> fresh =
+        runCycle(snapshots[0], nullptr);
+    ASSERT_EQ(fresh[0].status, JobStatus::Ok);
+
+    // A store hit, a Degraded result and a Failed one are each
+    // offered to the adapter and ignored.
+    core::CompileResult hit = fresh[0];
+    hit.fromStore = true;
+    hit.attempts = 0;
+    core::CompileResult degraded = fresh[0];
+    degraded.status = JobStatus::Degraded;
+    degraded.note = "fell back to policy 'vqm'";
+    core::CompileResult failed;
+    failed.status = JobStatus::Failed;
+    failed.error = "boom";
+    for (const core::CompileResult *result : {&hit, &degraded, &failed})
+        cache.record(circuits[0], snapshots[0], *result);
+    EXPECT_EQ(store.stats().writes, 0u);
+
+    cache.record(circuits[0], snapshots[0], fresh[0]);
+    EXPECT_EQ(store.stats().writes, 1u);
+}
+
 TEST_F(BatchStoreTest, ResultsIdenticalAcrossThreadCounts)
 {
     // Duplicate jobs in one batch are the sharp edge: lookups must

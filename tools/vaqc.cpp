@@ -997,7 +997,7 @@ run(const Options &options)
     // the exception exit path, category and message intact.
     if (!compiled.ok())
         throw VaqError(compiled.error, compiled.errorCategory);
-    if (artifactCache != nullptr && !compiled.fromStore)
+    if (artifactCache != nullptr)
         artifactCache->record(logical, snapshot, compiled);
     core::MappedCircuit mapped = std::move(compiled.mapped);
 
