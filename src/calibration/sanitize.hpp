@@ -19,13 +19,14 @@
  *    arithmetic never sees NaN,
  *  - the largest connected component of healthy qubits over healthy
  *    links becomes the degraded machine view (healthyRegion /
- *    healthyGraph), ready for Mapper::mapInRegion,
+ *    healthyGraph), the region a Degraded snapshot's compiles map onto,
  *  - `usable` says whether enough of the machine survived to be
  *    worth compiling for at all.
  *
- * The batch compiler consumes this to mark jobs degraded instead of
- * failed, and IterativeRunner::runBatchSeries to skip unusable
- * cycles in a series.
+ * core::inspectCalibration consumes this: a usable result becomes a
+ * Degraded CalibrationContext over the healthy region (jobs come
+ * back degraded instead of failed), an unusable one a Rejected
+ * verdict (IterativeRunner::runBatchSeries skips such cycles).
  */
 #ifndef VAQ_CALIBRATION_SANITIZE_HPP
 #define VAQ_CALIBRATION_SANITIZE_HPP

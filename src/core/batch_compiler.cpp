@@ -40,6 +40,19 @@ crossProduct(std::size_t circuits, std::size_t snapshots)
 
 } // namespace
 
+std::shared_ptr<const CalibrationContext>
+inspectForBatch(const topology::CouplingGraph &graph,
+                const calibration::Snapshot &snapshot,
+                const BatchOptions &options)
+{
+    return inspectCalibration(
+        graph, snapshot,
+        options.sanitizeCalibration ? CalibrationHandling::Sanitize
+                                    : CalibrationHandling::Validate,
+        options.sanitize,
+        options.compile.telemetryEnabled && obs::enabled());
+}
+
 std::vector<BatchResult>
 BatchCompiler::compile(
     const std::vector<circuit::Circuit> &circuits,
@@ -58,13 +71,8 @@ BatchCompiler::compile(
     for (const BatchJob &job : jobs) {
         if (job.snapshot < snapshots.size() &&
             !calibrations[job.snapshot]) {
-            calibrations[job.snapshot] = inspectCalibration(
-                _graph, snapshots[job.snapshot],
-                _options.sanitizeCalibration
-                    ? CalibrationHandling::Sanitize
-                    : CalibrationHandling::Validate,
-                _options.sanitize,
-                _options.compile.telemetryEnabled && obs::enabled());
+            calibrations[job.snapshot] =
+                inspectForBatch(_graph, snapshots[job.snapshot], _options);
         }
     }
     return compile(circuits, calibrations, jobs);

@@ -131,6 +131,13 @@ struct BatchResult : CompileResult
     {}
 };
 
+/** Inspect `snapshot` the way a batch under `options` does
+ *  (sanitizeCalibration, sanitize, compile.telemetryEnabled). */
+std::shared_ptr<const CalibrationContext>
+inspectForBatch(const topology::CouplingGraph &graph,
+                const calibration::Snapshot &snapshot,
+                const BatchOptions &options);
+
 /** Concurrent (circuit, snapshot) compiler over one mapper. */
 class BatchCompiler
 {

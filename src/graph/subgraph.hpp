@@ -44,7 +44,7 @@ bool isConnectedSubset(const WeightedGraph &graph,
  *
  * Uses exhaustive enumeration of connected k-subsets when the
  * combination count is small enough (the IBM-Q20 cases all are), and
- * falls back to greedy seeded growth plus 1-swap local search on
+ * falls back to one greedy growth per seed node (no local search) on
  * larger machines. Returns node ids in ascending order.
  *
  * @throws VaqError when k is out of range or no connected k-subset

@@ -67,21 +67,6 @@ checkMachineTrials(const sim::ShotCounts &counts,
             "machine returned more trials than requested");
 }
 
-/** Inspect one snapshot under a batch's quarantine knobs. */
-std::shared_ptr<const core::CalibrationContext>
-inspect(const topology::CouplingGraph &graph,
-        const calibration::Snapshot &snapshot,
-        const core::BatchOptions &options)
-{
-    return core::inspectCalibration(
-        graph, snapshot,
-        options.sanitizeCalibration
-            ? core::CalibrationHandling::Sanitize
-            : core::CalibrationHandling::Validate,
-        options.sanitize,
-        options.compile.telemetryEnabled && obs::enabled());
-}
-
 } // namespace
 
 std::uint64_t
@@ -164,7 +149,8 @@ IterativeRunner::runBatch(
     const calibration::Snapshot &calibration, std::size_t trials,
     const core::BatchOptions &options) const
 {
-    return runBatch(logicals, mapper, inspect(_graph, calibration, options),
+    return runBatch(logicals, mapper,
+                    core::inspectForBatch(_graph, calibration, options),
                     trials, options);
 }
 
@@ -242,7 +228,7 @@ IterativeRunner::runBatchSeries(
         // fails validation and cannot be rescued by the quarantine
         // is skipped with the verdict's note as the reason.
         std::shared_ptr<const core::CalibrationContext> calibration =
-            inspect(_graph, series.at(c), options);
+            core::inspectForBatch(_graph, series.at(c), options);
         if (calibration->health().kind ==
             core::SnapshotHealth::Kind::Rejected) {
             cycleResult.skipped = true;

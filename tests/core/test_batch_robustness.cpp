@@ -242,7 +242,7 @@ TEST(BatchRobustness, NaNPoisonedSnapshotDegradesJobs)
 
 TEST(BatchRobustness, DegradedCompileKeepsTheRequestOptions)
 {
-    // A quarantined snapshot compiles through mapInRegion; the
+    // A quarantined snapshot compiles into its healthy region; the
     // request's CompileOptions must reach that path too, so telemetry
     // switched off per request records no mapper samples.
     const topology::CouplingGraph q5 = topology::ibmQ5Tenerife();
