@@ -1,23 +1,29 @@
 /**
  * @file
  * Certified-staleness store bench: warm-replay hit rate and serve
- * latency of the artifact store under a --staleness-tol sweep,
- * against the PR-6 touched-set rule (tol = 0).
+ * latency of the artifact store under a --staleness-tol sweep. Every
+ * row runs the store's one certificate (analysis::assessStaleness
+ * over each artifact's stored sensitivity profile); tol = 0 serves
+ * only zero-bound candidates (delta serves), a positive tol also
+ * serves bounds within it, PST shifted by the exact analytic delta.
  *
  * Scenario: a Q20 machine republishes calibration every cycle. Every
- * cycle re-measures T2 on every qubit (so the byte-exact touched-set
- * rule almost never fires), most other parameters drift by fractions
- * of a percent on part of the machine, and occasionally a link takes
- * a real jump. The certified bound (analysis/staleness.hpp) proves
- * T2-only and small-drift cycles harmless — |delta logPST| within
- * tolerance — and serves the stored mapping with the exact analytic
- * PST shift, where the touched-set rule recompiles.
+ * cycle re-measures T2 on every qubit (bound-neutral: the PerOp
+ * closed form never reads T2), drifts the 1q error, readout and T1
+ * of about a third of the qubits and the error of about a third of
+ * the links by fractions of a percent, and occasionally jumps a link
+ * hard. Every program's touched set sees some of that small drift
+ * nearly every cycle, so zero-bound serves are rare; the certified
+ * bound proves most of those cycles within tolerance and serves the
+ * stored mapping where tol = 0 recompiles.
  *
  *   perf_sens                  # the sweep table + acceptance verdict
  *   perf_sens --epochs 24 --seed 11
  *
  * Exit status 1 when the acceptance gate fails (hit rate under
- * --staleness-tol=1e-3 must strictly beat the touched-set rule).
+ * --staleness-tol=1e-3 must strictly beat tol = 0). scripts/ci.sh
+ * runs it at seed 7 and compares the count columns with
+ * tests/store/golden/perf_sens_seed7.counts.
  */
 #include <chrono>
 #include <cstdint>
@@ -232,7 +238,7 @@ main(int argc, char **argv)
     bench::printHeader(
         "perf_sens", "certified staleness bounds (vaq_sens)",
         "Store warm-replay hit rate under a --staleness-tol sweep "
-        "vs the touched-set rule");
+        "vs zero-bound serving (tol = 0)");
 
     const topology::CouplingGraph machine =
         topology::ibmQ20Tokyo();
@@ -248,7 +254,7 @@ main(int argc, char **argv)
                 "recompile", "hit-rate", "serve-ms", "compile-ms");
 
     const double tols[] = {0.0, 1e-4, 1e-3, 1e-2};
-    SweepRow touchedSet;
+    SweepRow zeroBound;
     SweepRow certified;
     for (double tol : tols) {
         const SweepRow row = replay(machine, circuits, epochs, tol);
@@ -265,16 +271,16 @@ main(int argc, char **argv)
                               static_cast<double>(row.recompiles)
                         : 0.0);
         if (row.tol == 0.0)
-            touchedSet = row;
+            zeroBound = row;
         if (row.tol == 1e-3)
             certified = row;
     }
 
-    const bool pass = certified.hitRate() > touchedSet.hitRate();
+    const bool pass = certified.hitRate() > zeroBound.hitRate();
     std::printf("\n# acceptance: hit-rate(tol=1e-3) %.1f%% %s "
-                "touched-set %.1f%% -> %s\n",
+                "tol=0 %.1f%% -> %s\n",
                 100.0 * certified.hitRate(),
-                pass ? ">" : "<=", 100.0 * touchedSet.hitRate(),
+                pass ? ">" : "<=", 100.0 * zeroBound.hitRate(),
                 pass ? "PASS" : "FAIL");
     return pass ? 0 : 1;
 }

@@ -20,9 +20,12 @@
 # golden runs `vaqfleet --fingerprint` under rate-5 chaos (seed 11,
 # 400 jobs), whose quarantine events send many compiles through the
 # healthy-region path, at 1 and at 4 threads; both outputs must equal
-# tests/fleet/golden/chaos_rate5_seed11.fingerprint. Five
-# perf_* benches
-# run as exit-0 smokes: perf_frame's frame-reference construction,
+# tests/fleet/golden/chaos_rate5_seed11.fingerprint. perf_sens
+# replays the artifact store under its --staleness-tol sweep at seed
+# 7: its exit code is its acceptance gate, and its count columns
+# (tol, lookups, exact, delta, bound, recompile, hit-rate; no
+# timings) must equal tests/store/golden/perf_sens_seed7.counts.
+# Five perf_* benches run as exit-0 smokes: perf_frame's frame-reference construction,
 # perf_frame's width-27 Pauli-frame trials (the fault-table trial
 # kernel), perf_simulator's 1M-trial, 4-thread Bernoulli
 # fault-injection run (the threshold trial kernel), perf_compiler's
@@ -178,6 +181,24 @@ for threads in 1 4; do
     }
 done
 echo "ci: fleet region-path golden matched (threads 1 and 4)"
+
+echo "== tier-1: store staleness sweep (perf_sens, seed 7) =="
+# The artifact store's warm-replay sweep over --staleness-tol. Its
+# own exit code is its acceptance gate (tol=1e-3 must out-serve
+# tol=0), and its count columns (no timings) must equal the golden.
+SENS_GOLDEN=tests/store/golden/perf_sens_seed7.counts
+SENS_OUT="$(build/bench/perf_sens --seed 7)" || {
+    echo "ci: perf_sens acceptance gate failed" >&2
+    echo "$SENS_OUT" >&2
+    exit 1
+}
+awk '$1 == "tol" { table = 1 } table && NF == 0 { exit }
+    table { print $1, $2, $3, $4, $5, $6, $7 }' <<<"$SENS_OUT" |
+    cmp - "$SENS_GOLDEN" || {
+    echo "ci: perf_sens counts differ from $SENS_GOLDEN" >&2
+    exit 1
+}
+echo "ci: perf_sens gate passed and counts matched"
 
 echo "== tier-1: frame reference bench smoke (must exit 0) =="
 # Times PauliFrameSim construction (stabilizer tableau + sparse ideal

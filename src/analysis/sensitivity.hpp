@@ -77,6 +77,8 @@ struct QubitSensitivity
     double t1Mass() const;
     /** |logPST| mass this qubit contributes (all three terms). */
     double contribution() const;
+
+    bool operator==(const QubitSensitivity &) const = default;
 };
 
 /** Usage counts, baseline value and first-order coefficient for one
@@ -96,6 +98,8 @@ struct LinkSensitivity
     double dError2q() const;
     /** |logPST| mass this link contributes. */
     double contribution() const;
+
+    bool operator==(const LinkSensitivity &) const = default;
 };
 
 /** Which calibration parameter a term charges. The enumerator order
@@ -164,6 +168,8 @@ struct SensitivityProfile
     /** terms() by mass descending, ties broken by kind, then index.
      *  `vaqc sens`, the vaqd block and VL013 all read this order. */
     std::vector<SensitivityTerm> rankedTerms() const;
+
+    bool operator==(const SensitivityProfile &) const = default;
 };
 
 /**

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <limits>
 
 namespace vaq::analysis
@@ -30,15 +31,28 @@ validT1(double t1_us)
     return std::isfinite(t1_us) && t1_us > 0.0;
 }
 
-} // namespace
-
-double
-StalenessAssessment::bound() const
+/** Accumulates per-parameter deltas into an assessment. */
+class StalenessAccumulator
 {
-    if (!certifiable)
-        return std::numeric_limits<double>::infinity();
-    return firstOrder + secondOrder + fpSlack;
-}
+  public:
+    /** An error-rate parameter (1q, readout or 2q link error) used
+     *  `count` times, moving old_e -> new_e. */
+    void errorParam(double count, double old_e, double new_e);
+
+    /** A coherence parameter: `busy_ns` of exposure on a qubit
+     *  whose T1 moved old_t1_us -> new_t1_us. */
+    void coherenceParam(double busy_ns, double old_t1_us,
+                        double new_t1_us);
+
+    /** Void the certificate (premise violation). */
+    void uncertifiable();
+
+    /** Final assessment; `op_count` sizes the fp headroom. */
+    StalenessAssessment finish(std::size_t op_count) const;
+
+  private:
+    StalenessAssessment _result;
+};
 
 void
 StalenessAccumulator::errorParam(double count, double old_e,
@@ -99,6 +113,16 @@ StalenessAccumulator::finish(std::size_t op_count) const
             kFpSlackPerOp * static_cast<double>(op_count);
     }
     return result;
+}
+
+} // namespace
+
+double
+StalenessAssessment::bound() const
+{
+    if (!certifiable)
+        return std::numeric_limits<double>::infinity();
+    return firstOrder + secondOrder + fpSlack;
 }
 
 StalenessAssessment

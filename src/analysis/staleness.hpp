@@ -29,9 +29,13 @@
  * fpSlack covers the floating-point gap between the closed form and
  * the pipeline's product-form analytic PST: both accumulate one
  * rounding per operation, so the gap grows with the op count. The
- * slack is zero when *nothing* the profile depends on changed — a
- * bit-identical recompute yields a bit-identical product — so a
- * zero bound degenerates exactly to the PR-6 touched-set rule.
+ * slack is zero when *nothing* the profile weighs changed — every
+ * value the product form reads is then bit-identical, so is the
+ * product — and the bound is exactly 0. That zero-bound case is
+ * broader than "no touched value changed": it also covers T2 drift
+ * and drift of a touched parameter with zero usage weight (readout
+ * on a qubit that is never measured, 1q error on a qubit with no 1q
+ * gates), none of which sim::NoiseModel reads.
  *
  * The certificate is void (bound = +inf) when the model's premises
  * moved: gate durations changed, a touched qubit/link fell outside
@@ -47,13 +51,10 @@
  *
  * T2 never enters: the PerOp coherence model charges T1 only (see
  * sim/noise_model.cpp), so a T2-only calibration change certifies
- * at bound zero — the first strict win over the touched-set rule,
- * which treats any touched-parameter change as a miss.
+ * at bound zero.
  */
 #ifndef VAQ_ANALYSIS_STALENESS_HPP
 #define VAQ_ANALYSIS_STALENESS_HPP
-
-#include <cstddef>
 
 #include "analysis/sensitivity.hpp"
 #include "calibration/snapshot.hpp"
@@ -93,37 +94,11 @@ struct StalenessAssessment
 };
 
 /**
- * Accumulates per-parameter deltas into an assessment. Exposed so
- * the artifact store can assess from its serialized weight arrays
- * without rebuilding a SensitivityProfile; assessStaleness() is the
- * profile-shaped convenience wrapper.
- */
-class StalenessAccumulator
-{
-  public:
-    /** An error-rate parameter (1q, readout or 2q link error) used
-     *  `count` times, moving old_e -> new_e. */
-    void errorParam(double count, double old_e, double new_e);
-
-    /** A coherence parameter: `busy_ns` of exposure on a qubit
-     *  whose T1 moved old_t1_us -> new_t1_us. */
-    void coherenceParam(double busy_ns, double old_t1_us,
-                        double new_t1_us);
-
-    /** Void the certificate (premise violation). */
-    void uncertifiable();
-
-    /** Final assessment; `op_count` sizes the fp headroom. */
-    StalenessAssessment finish(std::size_t op_count) const;
-
-  private:
-    StalenessAssessment _result;
-};
-
-/**
  * Assess `profile` (built against its baseline snapshot) under the
  * new snapshot `now`. Never throws: any premise violation lands in
- * certifiable = false.
+ * certifiable = false. This is the one reuse certificate: the
+ * artifact store, the fleet's prediction cache, VL011 and `vaqc
+ * sens` all read it.
  */
 StalenessAssessment
 assessStaleness(const SensitivityProfile &profile,

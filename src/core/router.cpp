@@ -1,5 +1,7 @@
 #include "core/router.hpp"
 
+#include <algorithm>
+
 #include "circuit/layering.hpp"
 #include "common/cancellation.hpp"
 #include "common/error.hpp"
@@ -102,6 +104,8 @@ Router::routeLayerAstar(const Circuit &logical, RouteResult &result,
                 pairs.emplace_back(g.q0, g.q1);
         }
 
+        // Gates the budget fallback had to emit ahead of the layer.
+        std::vector<std::size_t> emitted;
         if (!pairs.empty()) {
             bool needsWork = _options.allowRelocation &&
                              _cost.relocationCanHelp();
@@ -125,33 +129,65 @@ Router::routeLayerAstar(const Circuit &logical, RouteResult &result,
                         ++result.insertedSwaps;
                     }
                 } else {
-                    // Budget exhausted: route this layer's gates
-                    // one at a time instead.
-                    for (const auto &[qa, qb] : pairs) {
-                        const topology::PhysQubit pa =
-                            layout.phys(qa);
-                        const topology::PhysQubit pb =
-                            layout.phys(qb);
-                        if (_graph.coupled(pa, pb) &&
-                            !(_options.allowRelocation &&
-                              _cost.relocationCanHelp())) {
-                            continue;
-                        }
-                        const MovementPlan plan =
-                            _planner.plan(pa, pb);
-                        for (const auto &[u, v] : plan.swaps) {
-                            result.physical.swap(u, v);
-                            layout.applySwap(u, v);
-                            ++result.insertedSwaps;
-                        }
-                    }
+                    emitted =
+                        routePairsInTurn(logical, layer, result, layout);
                 }
             }
         }
 
-        for (std::size_t idx : layer)
-            emitMapped(gates[idx], layout, result.physical);
+        for (std::size_t idx : layer) {
+            if (std::find(emitted.begin(), emitted.end(), idx) ==
+                emitted.end())
+                emitMapped(gates[idx], layout, result.physical);
+        }
     }
+}
+
+std::vector<std::size_t>
+Router::routePairsInTurn(const Circuit &logical,
+                         const circuit::Layer &layer,
+                         RouteResult &result, Layout &layout) const
+{
+    // Budget exhausted: route the layer's pairs one at a time. A
+    // later pair's swaps may separate a pair routed before it, so
+    // that pair's gate is emitted just before the separating swap
+    // (a layer's gates act on disjoint qubits, so their order
+    // within the layer is free).
+    const auto &gates = logical.gates();
+    const bool relocate =
+        _options.allowRelocation && _cost.relocationCanHelp();
+    std::vector<std::size_t> routed;
+    std::vector<std::size_t> emitted;
+    for (std::size_t idx : layer) {
+        const Gate &gate = gates[idx];
+        if (!gate.isTwoQubit())
+            continue;
+        const topology::PhysQubit pa = layout.phys(gate.q0);
+        const topology::PhysQubit pb = layout.phys(gate.q1);
+        const MovementPlan plan = _graph.coupled(pa, pb) && !relocate
+                                      ? MovementPlan{}
+                                      : _planner.plan(pa, pb);
+        for (const auto &[u, v] : plan.swaps) {
+            const auto swapped = [u, v](topology::PhysQubit p) {
+                return p == u ? v : p == v ? u : p;
+            };
+            for (const std::size_t prior : routed) {
+                const Gate &g = gates[prior];
+                if (_graph.coupled(swapped(layout.phys(g.q0)),
+                                   swapped(layout.phys(g.q1))) ||
+                    std::find(emitted.begin(), emitted.end(), prior) !=
+                        emitted.end())
+                    continue;
+                emitMapped(g, layout, result.physical);
+                emitted.push_back(prior);
+            }
+            result.physical.swap(u, v);
+            layout.applySwap(u, v);
+            ++result.insertedSwaps;
+        }
+        routed.push_back(idx);
+    }
+    return emitted;
 }
 
 } // namespace vaq::core

@@ -20,8 +20,10 @@
 #define VAQ_CORE_ROUTER_HPP
 
 #include <cstddef>
+#include <vector>
 
 #include "circuit/circuit.hpp"
+#include "circuit/layering.hpp"
 #include "core/cost_model.hpp"
 #include "core/layout.hpp"
 #include "core/mapped_circuit.hpp"
@@ -97,6 +99,13 @@ class Router
                       RouteResult &result, Layout &layout) const;
     void routeLayerAstar(const circuit::Circuit &logical,
                          RouteResult &result, Layout &layout) const;
+    /** LayerAstar's fallback when the A* budget runs out: plan one
+     *  layer's pairs one at a time. Returns the layer gates it had
+     *  to emit early, before a later swap separated their pair. */
+    std::vector<std::size_t>
+    routePairsInTurn(const circuit::Circuit &logical,
+                     const circuit::Layer &layer,
+                     RouteResult &result, Layout &layout) const;
 
     /** Emit one logical gate through the current layout. */
     static void emitMapped(const circuit::Gate &gate,

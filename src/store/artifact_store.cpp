@@ -10,6 +10,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include "analysis/staleness.hpp"
 #include "obs/metrics.hpp"
 
 namespace fs = std::filesystem;
@@ -160,87 +161,80 @@ ArtifactStore::getOrDelta(const ArtifactKey &key,
         ++_stats.hits;
         return exact->second.artifact;
     }
-    if (_options.deltaReuse) {
-        const auto bucket = _byBase.find(key.baseHash());
-        if (bucket != _byBase.end()) {
-            for (const std::uint64_t combined : bucket->second) {
-                const auto it = _entries.find(combined);
-                if (it == _entries.end())
-                    continue;
-                Entry &candidate = it->second;
-                if (candidate.key.circuitHash != key.circuitHash ||
-                    candidate.key.topologyHash != key.topologyHash ||
-                    candidate.key.policyHash != key.policyHash)
-                    continue;
-                if (!reusableUnder(candidate.artifact, snapshot))
-                    continue;
-                touchEntry(candidate);
-                ++_stats.deltaReuse;
-                ++_stats.hits;
-                CompileArtifact artifact = candidate.artifact;
-                // Alias the artifact under the new snapshot's key
-                // so the rest of this cycle hits exactly. Memory
-                // only: the record on disk stays singular.
-                Entry alias;
-                alias.key = key;
-                alias.artifact = artifact;
-                alias.lastUsed = ++_useCounter;
-                alias.aliasOnly = true;
-                const std::uint64_t alias_combined = key.combined();
-                if (_entries.emplace(alias_combined,
-                                     std::move(alias))
-                        .second) {
-                    std::vector<std::uint64_t> &base_bucket =
-                        _byBase[key.baseHash()];
-                    base_bucket.insert(
-                        std::lower_bound(base_bucket.begin(),
-                                         base_bucket.end(),
-                                         alias_combined),
-                        alias_combined);
-                    evictIfNeeded();
-                }
-                info.viaDelta = true;
-                return artifact;
+    // One walk of the key's base bucket (same circuit, topology and
+    // policy; ascending combined key), one certificate per candidate
+    // (analysis::assessStaleness against the stored profile).
+    Entry *zero = nullptr;
+    Entry *within = nullptr;
+    analysis::StalenessAssessment withinAssess;
+    const auto bucket = _byBase.find(key.baseHash());
+    if (bucket != _byBase.end()) {
+        for (const std::uint64_t combined : bucket->second) {
+            const auto it = _entries.find(combined);
+            if (it == _entries.end())
+                continue;
+            Entry &candidate = it->second;
+            if (candidate.key.circuitHash != key.circuitHash ||
+                candidate.key.topologyHash != key.topologyHash ||
+                candidate.key.policyHash != key.policyHash)
+                continue;
+            const analysis::StalenessAssessment assess =
+                analysis::assessStaleness(candidate.artifact.profile,
+                                          snapshot);
+            if (_options.deltaReuse && assess.within(0.0)) {
+                zero = &candidate;
+                break;
+            }
+            if (!within && _options.stalenessTol > 0.0 &&
+                assess.within(_options.stalenessTol)) {
+                within = &candidate;
+                withinAssess = assess;
             }
         }
     }
-    // Second fallback: certified-staleness serving. The touched-set
-    // scan above found no artifact with *identical* dependencies;
-    // serve the first whose certified |delta logPST| bound is
-    // within tolerance, PST shifted by the exact analytic delta.
-    // No alias entry: the bound must always be measured against the
-    // compile-time baseline (aliasing a shifted copy would let
-    // repeated serves accumulate drift past the tolerance).
-    if (_options.stalenessTol > 0.0) {
-        const auto bucket = _byBase.find(key.baseHash());
-        if (bucket != _byBase.end()) {
-            for (const std::uint64_t combined : bucket->second) {
-                const auto it = _entries.find(combined);
-                if (it == _entries.end())
-                    continue;
-                Entry &candidate = it->second;
-                if (candidate.key.circuitHash != key.circuitHash ||
-                    candidate.key.topologyHash != key.topologyHash ||
-                    candidate.key.policyHash != key.policyHash)
-                    continue;
-                const analysis::StalenessAssessment assess =
-                    assessArtifactStaleness(candidate.artifact,
-                                            snapshot);
-                if (!assess.within(_options.stalenessTol))
-                    continue;
-                touchEntry(candidate);
-                ++_stats.boundReuse;
-                ++_stats.hits;
-                obs::count("store.bound_reuse");
-                CompileArtifact artifact = candidate.artifact;
-                if (artifact.analyticPst > 0.0)
-                    artifact.analyticPst *=
-                        std::exp(assess.deltaLogPst);
-                info.boundReuse = true;
-                info.stalenessBound = assess.bound();
-                return artifact;
-            }
+    if (zero) {
+        // Nothing the stored PST reads has changed: serve it as is
+        // and alias it under the new snapshot's key so the rest of
+        // this cycle hits exactly. Memory only: the record on disk
+        // stays singular.
+        touchEntry(*zero);
+        ++_stats.deltaReuse;
+        ++_stats.hits;
+        CompileArtifact artifact = zero->artifact;
+        Entry alias;
+        alias.key = key;
+        alias.artifact = artifact;
+        alias.lastUsed = ++_useCounter;
+        alias.aliasOnly = true;
+        const std::uint64_t alias_combined = key.combined();
+        if (_entries.emplace(alias_combined, std::move(alias)).second) {
+            std::vector<std::uint64_t> &base_bucket =
+                _byBase[key.baseHash()];
+            base_bucket.insert(std::lower_bound(base_bucket.begin(),
+                                                base_bucket.end(),
+                                                alias_combined),
+                               alias_combined);
+            evictIfNeeded();
         }
+        info.viaDelta = true;
+        return artifact;
+    }
+    if (within) {
+        // Certified within tolerance: serve with the PST shifted by
+        // the exact analytic delta. No alias: the bound must always
+        // be measured against the compile-time baseline (aliasing a
+        // shifted copy would let repeated serves accumulate drift
+        // past the tolerance).
+        touchEntry(*within);
+        ++_stats.boundReuse;
+        ++_stats.hits;
+        obs::count("store.bound_reuse");
+        CompileArtifact artifact = within->artifact;
+        if (artifact.analyticPst > 0.0)
+            artifact.analyticPst *= std::exp(withinAssess.deltaLogPst);
+        info.boundReuse = true;
+        info.stalenessBound = withinAssess.bound();
+        return artifact;
     }
     ++_stats.misses;
     return std::nullopt;

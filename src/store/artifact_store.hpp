@@ -10,9 +10,11 @@
  * reuse durable: every fresh compile is written to disk as a
  * checksummed record keyed on content (store/artifact.hpp), a later
  * process warm-starts from the directory, and lookups fall back
- * from exact key match to *delta reuse* — serving a prior cycle's
- * artifact when the calibration delta is confined to qubits/links
- * the mapped circuit never touches.
+ * from exact key match to a prior cycle's artifact of the same
+ * circuit, machine and policy whose staleness certificate
+ * (analysis::assessStaleness over the artifact's sensitivity
+ * profile) says the stored PST is still exact (bound 0: a *delta
+ * serve*) or within StoreOptions::stalenessTol (a *bound serve*).
  *
  * Durability rules:
  *  - Writes are atomic: serialize to "<name>.tmp", then rename onto
@@ -55,16 +57,14 @@ struct StoreOptions
     std::string directory;
     /** In-memory index bound; evicting an entry deletes its file. */
     std::size_t maxEntries = 4096;
-    /** Enable the delta-reuse fallback in getOrDelta(). */
+    /** Serve zero-bound candidates in getOrDelta() (delta serves). */
     bool deltaReuse = true;
     /**
      * Certified-staleness serving tolerance. When > 0, a getOrDelta
-     * miss under the touched-set rule may still be served from an
-     * artifact whose certified |delta logPST| bound
-     * (assessArtifactStaleness) is within this tolerance; the
-     * served copy's PST is shifted by the exact analytic delta.
-     * 0 (default) disables the fallback — behavior is then
-     * byte-identical to the pure touched-set rule.
+     * lookup with no zero-bound candidate may still be served from
+     * an artifact whose certified |delta logPST| bound is within
+     * this tolerance; the served copy's PST is shifted by the exact
+     * analytic delta. 0 (default) serves zero-bound candidates only.
      */
     double stalenessTol = 0.0;
 };
@@ -89,8 +89,8 @@ struct StoreStats
 /** How a getOrDelta() result was served. */
 struct DeltaServeInfo
 {
-    /** Served across a snapshot change with every touched value
-     *  unchanged (the exact touched-set rule). */
+    /** Served across a snapshot change on a staleness bound of
+     *  exactly 0: nothing the stored PST reads changed. */
     bool viaDelta = false;
     /** Served on a certified staleness bound within
      *  StoreOptions::stalenessTol; PST shifted by the exact
@@ -119,26 +119,23 @@ class ArtifactStore
     std::optional<CompileArtifact> get(const ArtifactKey &key);
 
     /**
-     * Exact-key lookup with delta-reuse fallback: when the exact key
-     * misses, scan the stored artifacts that share the key's
-     * snapshot-independent base (same circuit, topology, policy) in
-     * deterministic order and serve the first whose calibration
-     * dependencies are unchanged under `snapshot` (reusableUnder).
-     * A delta hit is additionally indexed under the new key in
-     * memory, so the rest of the cycle hits exactly without
-     * re-scanning; the alias writes no new file (no store bloat).
-     * `info` reports how the result was served: info.viaDelta for
-     * this touched-set fallback, info.boundReuse for the bound
-     * fallback below (never both).
-     *
-     * When StoreOptions::stalenessTol > 0, a second fallback runs
-     * after the touched-set scan: serve the first base-bucket
-     * artifact whose certified staleness bound
-     * (assessArtifactStaleness) is within the tolerance, with its
-     * PST shifted by the exact analytic delta. Bound serves are
-     * never aliased under the new key — the bound is always
-     * measured against the compile-time baseline, so repeated
-     * serves can never accumulate drift past the tolerance.
+     * Exact-key lookup with a certified fallback: when the exact key
+     * misses, walk the stored artifacts that share the key's
+     * snapshot-independent base (same circuit, topology, policy)
+     * once, in deterministic order, and assess each one's profile
+     * under `snapshot` (analysis::assessStaleness).
+     *  - The first candidate whose bound is exactly 0 is served as
+     *    is (info.viaDelta; needs StoreOptions::deltaReuse) and
+     *    additionally indexed under the new key in memory, so the
+     *    rest of the cycle hits exactly without re-scanning; the
+     *    alias writes no new file (no store bloat).
+     *  - Otherwise, when StoreOptions::stalenessTol > 0, the first
+     *    candidate whose bound is within the tolerance is served
+     *    with its PST shifted by the exact analytic delta
+     *    (info.boundReuse). Bound serves are never aliased — the
+     *    bound is always measured against the compile-time
+     *    baseline, so repeated serves can never accumulate drift
+     *    past the tolerance.
      */
     std::optional<CompileArtifact>
     getOrDelta(const ArtifactKey &key,
@@ -165,7 +162,7 @@ class ArtifactStore
         ArtifactKey key;
         CompileArtifact artifact;
         std::uint64_t lastUsed = 0;
-        /** Delta-reuse alias: in-memory only, owns no file. */
+        /** Delta-serve alias: in-memory only, owns no file. */
         bool aliasOnly = false;
     };
 

@@ -54,7 +54,7 @@ TEST(Staleness, ZeroDriftHasBoundExactlyZero)
     const StalenessAssessment assess = assessStaleness(profile, snap);
     EXPECT_TRUE(assess.certifiable);
     EXPECT_FALSE(assess.anyDelta);
-    EXPECT_EQ(assess.bound(), 0.0); // exactly: touched-set parity
+    EXPECT_EQ(assess.bound(), 0.0); // exactly: nothing changed
     EXPECT_EQ(assess.deltaLogPst, 0.0);
     EXPECT_TRUE(assess.within(0.0));
 }
@@ -62,8 +62,7 @@ TEST(Staleness, ZeroDriftHasBoundExactlyZero)
 TEST(Staleness, T2OnlyDriftCertifiesAtZero)
 {
     // The PerOp coherence model charges T1 only, so a cycle that
-    // re-measures every T2 is provably harmless — the first strict
-    // win over the touched-set rule, which misses on any change.
+    // re-measures every T2 is provably harmless: bound exactly 0.
     const topology::CouplingGraph q5 = topology::ibmQ5Tenerife();
     calibration::Snapshot snap = vaq::test::uniformSnapshot(q5);
     circuit::Circuit c(5);

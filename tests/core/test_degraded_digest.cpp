@@ -331,9 +331,8 @@ TEST(DegradedDigest, CoreCompileMatchesTheDigests)
     std::size_t degraded = 0;
     for (const std::string &line : actual)
         degraded += line.find(" degraded ") != std::string::npos;
-    // Most programs fit the healthy region; the ones as wide as the
-    // machine cannot, and a few Falcon-27 regions are too sparse to
-    // route the widest QFTs.
+    // Most programs fit the healthy region; the ones wider than it
+    // cannot.
     EXPECT_GT(degraded, actual.size() / 2);
 
     if (std::getenv("VAQ_UPDATE_GOLDEN") != nullptr) {

@@ -2,8 +2,8 @@
  * @file
  * Compile-artifact record tests: keys, bit-exact serialization
  * round-trips, the corruption-tolerance contract (any damage is a
- * miss, never a throw), touched-set extraction and the delta-reuse
- * rule.
+ * miss, never a throw), the stored sensitivity profile and the
+ * staleness certificate read from it.
  */
 #include "store/artifact.hpp"
 
@@ -13,6 +13,7 @@
 #include <cmath>
 #include <limits>
 
+#include "analysis/staleness.hpp"
 #include "circuit/qasm.hpp"
 #include "core/mapper.hpp"
 #include "store_test_support.hpp"
@@ -111,12 +112,10 @@ TEST(Artifact, RoundTripsBitExactly)
               std::bit_cast<std::uint64_t>(artifact.analyticPst));
     EXPECT_EQ(back.mappedLintErrors, 1u);
     EXPECT_EQ(back.mappedLintWarnings, 2u);
-    EXPECT_EQ(back.touchedQubits, artifact.touchedQubits);
-    EXPECT_EQ(back.touchedLinks, artifact.touchedLinks);
-    EXPECT_EQ(back.qubitDeps, artifact.qubitDeps);
-    EXPECT_EQ(back.linkDeps, artifact.linkDeps);
-    EXPECT_EQ(back.qubitWeights, artifact.qubitWeights);
-    EXPECT_EQ(back.linkWeights, artifact.linkWeights);
+    EXPECT_EQ(back.profile, artifact.profile);
+    EXPECT_EQ(back, artifact);
+    // Write -> parse -> write is a fixpoint.
+    EXPECT_EQ(serializeArtifact(parsed->first, back), text);
 
     // And the reconstructed MappedCircuit matches the original.
     const core::MappedCircuit rebuilt = toMapped(back);
@@ -203,7 +202,7 @@ TEST(Artifact, VersionSkewIsAMiss)
     // checking the constant is what the format writes.
     const Compiled c;
     std::string text = serializeArtifact(c.key(), c.artifact());
-    ASSERT_EQ(text.rfind("vaqart 2\n", 0), 0u);
+    ASSERT_EQ(text.rfind("vaqart 3\n", 0), 0u);
     text[7] = '9';
     EXPECT_FALSE(parseArtifact(text).has_value());
 }
@@ -211,113 +210,125 @@ TEST(Artifact, VersionSkewIsAMiss)
 TEST(Artifact, TouchedSetsComeFromTheMappedCircuit)
 {
     const Compiled c;
-    const CompileArtifact artifact = c.artifact();
+    const analysis::SensitivityProfile &profile = c.artifact().profile;
     // Every touched qubit/link is actually used by the physical
     // circuit, and the 3-qubit program cannot touch all 6 machine
     // qubits without swaps landing everywhere.
-    ASSERT_FALSE(artifact.touchedQubits.empty());
-    ASSERT_FALSE(artifact.touchedLinks.empty());
-    EXPECT_EQ(artifact.qubitDeps.size(),
-              artifact.touchedQubits.size() * 4);
-    EXPECT_EQ(artifact.linkDeps.size(),
-              artifact.touchedLinks.size());
-    for (const int q : artifact.touchedQubits) {
+    ASSERT_FALSE(profile.qubits.empty());
+    ASSERT_FALSE(profile.links.empty());
+    EXPECT_EQ(profile.durations, c.snapshot.durations);
+    for (const analysis::QubitSensitivity &q : profile.qubits) {
         bool used = false;
         for (const circuit::Gate &g : c.mapped.physical.gates())
-            used = used || g.touches(q);
-        EXPECT_TRUE(used) << "qubit " << q;
+            used = used || g.touches(q.qubit);
+        EXPECT_TRUE(used) << "qubit " << q.qubit;
+        EXPECT_EQ(q.readoutError,
+                  c.snapshot.qubit(q.qubit).readoutError);
     }
+    for (const analysis::LinkSensitivity &l : profile.links)
+        EXPECT_GT(l.effectiveGates, 0.0) << "link " << l.link;
 }
 
-TEST(Artifact, ReusableUnderTracksOnlyTouchedHardware)
+/** Bound of the stored profile under `now`. */
+double
+boundUnder(const CompileArtifact &artifact,
+           const calibration::Snapshot &now)
+{
+    return analysis::assessStaleness(artifact.profile, now).bound();
+}
+
+TEST(Artifact, ZeroBoundTracksOnlyWhatThePstReads)
 {
     const Compiled c;
     const CompileArtifact artifact = c.artifact();
-    EXPECT_TRUE(reusableUnder(artifact, c.snapshot));
+    const analysis::SensitivityProfile &profile = artifact.profile;
+    EXPECT_EQ(boundUnder(artifact, c.snapshot), 0.0);
+
+    const auto touched = [&profile](int q) {
+        return std::any_of(
+            profile.qubits.begin(), profile.qubits.end(),
+            [q](const analysis::QubitSensitivity &s) {
+                return s.qubit == q;
+            });
+    };
 
     // Find an untouched qubit (linear(6) with a 3-qubit program
-    // always leaves some) and drift it: still reusable.
+    // always leaves some) and drift it: still bound 0.
     int untouched = -1;
     for (int q = 0; q < c.graph.numQubits(); ++q) {
-        if (std::find(artifact.touchedQubits.begin(),
-                      artifact.touchedQubits.end(),
-                      q) == artifact.touchedQubits.end())
+        if (!touched(q))
             untouched = q;
     }
     ASSERT_GE(untouched, 0);
     calibration::Snapshot drifted = c.snapshot;
     drifted.qubit(untouched).t1Us *= 0.5;
     drifted.qubit(untouched).readoutError = 0.25;
-    EXPECT_TRUE(reusableUnder(artifact, drifted));
+    EXPECT_EQ(boundUnder(artifact, drifted), 0.0);
 
-    // Drift a touched qubit: not reusable.
-    calibration::Snapshot touched = c.snapshot;
-    touched.qubit(artifact.touchedQubits.front()).readoutError =
-        0.25;
-    EXPECT_FALSE(reusableUnder(artifact, touched));
+    // T2 on every touched qubit: the PST never reads it, bound 0.
+    calibration::Snapshot t2 = c.snapshot;
+    for (const analysis::QubitSensitivity &q : profile.qubits)
+        t2.qubit(q.qubit).t2Us *= 0.5;
+    EXPECT_EQ(boundUnder(artifact, t2), 0.0);
 
-    // Drift a touched link: not reusable.
+    // Drift the readout of a measured touched qubit: bound > 0.
+    const auto measured = std::find_if(
+        profile.qubits.begin(), profile.qubits.end(),
+        [](const analysis::QubitSensitivity &q) {
+            return q.measurements > 0.0;
+        });
+    ASSERT_NE(measured, profile.qubits.end());
+    calibration::Snapshot readout = c.snapshot;
+    readout.qubit(measured->qubit).readoutError = 0.25;
+    EXPECT_GT(boundUnder(artifact, readout), 0.0);
+
+    // Drift a touched link: bound > 0.
     calibration::Snapshot link = c.snapshot;
-    link.setLinkError(artifact.touchedLinks.front(), 0.2);
-    EXPECT_FALSE(reusableUnder(artifact, link));
+    link.setLinkError(profile.links.front().link, 0.2);
+    EXPECT_GT(boundUnder(artifact, link), 0.0);
 
     // An untouched link may drift freely.
     std::size_t freeLink = c.graph.linkCount();
     for (std::size_t l = 0; l < c.graph.linkCount(); ++l) {
-        if (std::find(artifact.touchedLinks.begin(),
-                      artifact.touchedLinks.end(),
-                      l) == artifact.touchedLinks.end())
+        if (std::none_of(profile.links.begin(), profile.links.end(),
+                         [l](const analysis::LinkSensitivity &s) {
+                             return s.link == l;
+                         }))
             freeLink = l;
     }
     if (freeLink < c.graph.linkCount()) {
         calibration::Snapshot other = c.snapshot;
         other.setLinkError(freeLink, 0.3);
-        EXPECT_TRUE(reusableUnder(artifact, other));
+        EXPECT_EQ(boundUnder(artifact, other), 0.0);
     }
 
-    // Gate durations are dependencies too (coherence model).
+    // Gate durations are dependencies too (coherence model): a
+    // change voids the certificate.
     calibration::Snapshot slower = c.snapshot;
     slower.durations.twoQubitNs *= 2.0;
-    EXPECT_FALSE(reusableUnder(artifact, slower));
+    EXPECT_FALSE(
+        analysis::assessStaleness(profile, slower).certifiable);
 
     // Signed-zero drift is no drift at all.
     calibration::Snapshot zero = c.snapshot;
-    zero.setLinkError(artifact.touchedLinks.front(), 0.0);
+    zero.setLinkError(profile.links.front().link, 0.0);
     CompileArtifact zeroArtifact = artifact;
-    const auto it = std::find(zeroArtifact.touchedLinks.begin(),
-                              zeroArtifact.touchedLinks.end(),
-                              artifact.touchedLinks.front());
-    zeroArtifact
-        .linkDeps[it - zeroArtifact.touchedLinks.begin()] = -0.0;
-    EXPECT_TRUE(reusableUnder(zeroArtifact, zero));
+    zeroArtifact.profile.links.front().error2q = -0.0;
+    EXPECT_EQ(boundUnder(zeroArtifact, zero), 0.0);
 }
 
 TEST(Artifact, StalenessAssessmentFromSerializedWeights)
 {
     const Compiled c;
     const CompileArtifact artifact = c.artifact();
-    ASSERT_EQ(artifact.qubitWeights.size(),
-              3 * artifact.touchedQubits.size());
-    ASSERT_EQ(artifact.linkWeights.size(),
-              artifact.touchedLinks.size());
+    const analysis::SensitivityProfile &profile = artifact.profile;
 
-    // Unchanged snapshot: bound exactly 0 (touched-set parity).
+    // Unchanged snapshot: bound exactly 0.
     {
         const auto assess =
-            assessArtifactStaleness(artifact, c.snapshot);
+            analysis::assessStaleness(profile, c.snapshot);
         EXPECT_TRUE(assess.certifiable);
-        EXPECT_EQ(assess.bound(), 0.0);
-    }
-
-    // T2-only recalibration: provably harmless, bound exactly 0 —
-    // where reusableUnder() already gives up.
-    {
-        calibration::Snapshot t2 = c.snapshot;
-        for (int q = 0; q < c.graph.numQubits(); ++q)
-            t2.qubit(q).t2Us *= 0.5;
-        EXPECT_FALSE(reusableUnder(artifact, t2));
-        const auto assess = assessArtifactStaleness(artifact, t2);
-        EXPECT_TRUE(assess.certifiable);
+        EXPECT_FALSE(assess.anyDelta);
         EXPECT_EQ(assess.bound(), 0.0);
     }
 
@@ -326,10 +337,9 @@ TEST(Artifact, StalenessAssessmentFromSerializedWeights)
     // same certificate bit-for-bit.
     {
         calibration::Snapshot drifted = c.snapshot;
-        drifted.qubit(artifact.touchedQubits.front())
-            .readoutError += 1e-5;
-        const auto assess =
-            assessArtifactStaleness(artifact, drifted);
+        drifted.setLinkError(profile.links.front().link,
+                             profile.links.front().error2q + 1e-5);
+        const auto assess = analysis::assessStaleness(profile, drifted);
         EXPECT_TRUE(assess.certifiable);
         EXPECT_TRUE(assess.anyDelta);
         EXPECT_GT(assess.bound(), 0.0);
@@ -339,26 +349,24 @@ TEST(Artifact, StalenessAssessmentFromSerializedWeights)
             serializeArtifact(c.key(), artifact));
         ASSERT_TRUE(parsed.has_value());
         const auto reassessed =
-            assessArtifactStaleness(parsed->second, drifted);
+            analysis::assessStaleness(parsed->second.profile, drifted);
         EXPECT_EQ(reassessed.bound(), assess.bound());
         EXPECT_EQ(reassessed.deltaLogPst, assess.deltaLogPst);
     }
 
-    // Duration drift voids the certificate.
+    // Duration drift voids the certificate, before and after the
+    // round trip.
     {
         calibration::Snapshot slower = c.snapshot;
         slower.durations.measureNs += 10.0;
-        EXPECT_FALSE(assessArtifactStaleness(artifact, slower)
-                         .certifiable);
-    }
-
-    // A record with malformed weight arrays (e.g. a version-skew
-    // survivor) is never certified.
-    {
-        CompileArtifact bad = artifact;
-        bad.qubitWeights.pop_back();
-        EXPECT_FALSE(assessArtifactStaleness(bad, c.snapshot)
-                         .certifiable);
+        EXPECT_FALSE(
+            analysis::assessStaleness(profile, slower).certifiable);
+        const auto parsed = parseArtifact(
+            serializeArtifact(c.key(), artifact));
+        ASSERT_TRUE(parsed.has_value());
+        EXPECT_FALSE(
+            analysis::assessStaleness(parsed->second.profile, slower)
+                .certifiable);
     }
 }
 

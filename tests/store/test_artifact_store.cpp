@@ -2,16 +2,26 @@
  * @file
  * ArtifactStore tests: persistence with atomic publish, warm
  * starts, corruption degrading to misses, LRU eviction removing
- * files, and the delta-reuse lookup path.
+ * files, the certified lookup path (delta and bound serves), and a
+ * property check of the one certificate over the Table 1 suite.
  */
 #include "store/artifact_store.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <fstream>
 
+#include "analysis/staleness.hpp"
+#include "calibration/synthetic.hpp"
+#include "common/rng.hpp"
 #include "core/mapper.hpp"
+#include "sim/fault_sim.hpp"
+#include "sim/noise_model.hpp"
 #include "store_test_support.hpp"
+#include "workloads/workloads.hpp"
 
 namespace vaq::store
 {
@@ -47,6 +57,17 @@ class ArtifactStoreTest : public ::testing::Test
         const core::MappedCircuit mapped =
             core::makeMapper(spec).map(logical, graph, snapshot);
         return makeArtifact(mapped, 0.9, 0, 0, graph, snapshot);
+    }
+
+    /** A touched qubit the mapped circuit measures. */
+    static int measuredQubit(const CompileArtifact &artifact)
+    {
+        for (const analysis::QubitSensitivity &q :
+             artifact.profile.qubits) {
+            if (q.measurements > 0.0)
+                return q.qubit;
+        }
+        return -1;
     }
 
     test::TempStoreDir dir;
@@ -203,9 +224,11 @@ TEST_F(ArtifactStoreTest, DeltaReuseServesAcrossCycles)
     // New cycle drifting only hardware outside the touched set.
     int untouched = -1;
     for (int q = 0; q < graph.numQubits(); ++q) {
-        if (std::find(artifact.touchedQubits.begin(),
-                      artifact.touchedQubits.end(),
-                      q) == artifact.touchedQubits.end())
+        if (std::none_of(artifact.profile.qubits.begin(),
+                         artifact.profile.qubits.end(),
+                         [q](const analysis::QubitSensitivity &s) {
+                             return s.qubit == q;
+                         }))
             untouched = q;
     }
     ASSERT_GE(untouched, 0);
@@ -215,7 +238,7 @@ TEST_F(ArtifactStoreTest, DeltaReuseServesAcrossCycles)
               keyFor(snapshot).combined());
 
     // stalenessTol is 0, so a serve across the change is a
-    // touched-set (delta) serve and never a bound serve.
+    // zero-bound (delta) serve and never a bound serve.
     DeltaServeInfo info;
     const auto hit = store.getOrDelta(keyFor(benign), benign, info);
     ASSERT_TRUE(hit.has_value());
@@ -235,7 +258,7 @@ TEST_F(ArtifactStoreTest, DeltaReuseServesAcrossCycles)
 
     // A cycle that drifts a touched link must miss.
     calibration::Snapshot breaking = snapshot;
-    breaking.setLinkError(artifact.touchedLinks.front(), 0.2);
+    breaking.setLinkError(artifact.profile.links.front().link, 0.2);
     EXPECT_FALSE(
         store.getOrDelta(keyFor(breaking), breaking, info).has_value());
     EXPECT_FALSE(info.viaDelta);
@@ -257,12 +280,14 @@ TEST_F(ArtifactStoreTest, BoundReuseServesCertifiedStaleness)
     const CompileArtifact artifact = compileArtifact();
     store.put(keyFor(snapshot), artifact);
 
-    // Drift a touched qubit's readout by 1e-6: the touched-set rule
-    // misses, the certificate stays far within 1e-3.
+    // Drift a measured qubit's readout by 1e-6: the bound is no
+    // longer 0, but stays far within 1e-3.
     calibration::Snapshot drifted = snapshot;
-    drifted.qubit(artifact.touchedQubits.front()).readoutError +=
-        1e-6;
-    ASSERT_FALSE(reusableUnder(artifact, drifted));
+    ASSERT_GE(measuredQubit(artifact), 0);
+    drifted.qubit(measuredQubit(artifact)).readoutError += 1e-6;
+    const analysis::StalenessAssessment assess =
+        analysis::assessStaleness(artifact.profile, drifted);
+    ASSERT_GT(assess.bound(), 0.0);
 
     DeltaServeInfo info;
     const auto hit =
@@ -273,8 +298,6 @@ TEST_F(ArtifactStoreTest, BoundReuseServesCertifiedStaleness)
     EXPECT_GT(info.stalenessBound, 0.0);
     EXPECT_LE(info.stalenessBound, 1e-3);
     // The served PST carries the exact analytic shift.
-    const analysis::StalenessAssessment assess =
-        assessArtifactStaleness(artifact, drifted);
     EXPECT_DOUBLE_EQ(info.stalenessBound, assess.bound());
     EXPECT_DOUBLE_EQ(hit->analyticPst,
                      artifact.analyticPst *
@@ -298,16 +321,21 @@ TEST_F(ArtifactStoreTest, BoundReuseRespectsTheTolerance)
 {
     const CompileArtifact artifact = compileArtifact();
 
-    // T2-only recalibration certifies at bound 0 under any
-    // positive tolerance.
+    // T2-only recalibration: the PST never reads T2, so the bound is
+    // exactly 0 and the artifact is a delta serve at any tolerance.
     calibration::Snapshot t2Only = snapshot;
     for (int q = 0; q < graph.numQubits(); ++q)
         t2Only.qubit(q).t2Us *= 0.5;
 
+    // A small readout drift on a measured qubit: bound > 0.
+    calibration::Snapshot small = snapshot;
+    ASSERT_GE(measuredQubit(artifact), 0);
+    small.qubit(measuredQubit(artifact)).readoutError += 1e-6;
+
     // A hard excursion on a touched link exceeds every tolerance
     // in the sweep.
     calibration::Snapshot excursion = snapshot;
-    excursion.setLinkError(artifact.touchedLinks.front(), 0.2);
+    excursion.setLinkError(artifact.profile.links.front().link, 0.2);
 
     {
         ArtifactStore store(StoreOptions{.stalenessTol = 1e-6});
@@ -316,11 +344,10 @@ TEST_F(ArtifactStoreTest, BoundReuseRespectsTheTolerance)
         const auto hit =
             store.getOrDelta(keyFor(t2Only), t2Only, info);
         ASSERT_TRUE(hit.has_value());
-        EXPECT_TRUE(info.boundReuse);
-        EXPECT_EQ(info.stalenessBound, 0.0);
-        EXPECT_EQ(assessArtifactStaleness(artifact, t2Only).deltaLogPst,
-                  0.0);
-        EXPECT_DOUBLE_EQ(hit->analyticPst, artifact.analyticPst);
+        EXPECT_TRUE(info.viaDelta);
+        EXPECT_FALSE(info.boundReuse);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(hit->analyticPst),
+                  std::bit_cast<std::uint64_t>(artifact.analyticPst));
 
         EXPECT_FALSE(store
                          .getOrDelta(keyFor(excursion), excursion,
@@ -330,18 +357,20 @@ TEST_F(ArtifactStoreTest, BoundReuseRespectsTheTolerance)
         EXPECT_EQ(store.stats().misses, 1u);
     }
 
-    // tol = 0 (the default) disables the fallback entirely — the
-    // legacy touched-set behavior, even for the provably harmless
-    // T2-only cycle.
+    // tol = 0 (the default) still serves the zero-bound T2-only
+    // cycle, but never a positive bound, however small.
     {
         ArtifactStore store(StoreOptions{});
         store.put(keyFor(snapshot), artifact);
         DeltaServeInfo info;
+        EXPECT_TRUE(store.getOrDelta(keyFor(t2Only), t2Only, info)
+                        .has_value());
+        EXPECT_TRUE(info.viaDelta);
         EXPECT_FALSE(
-            store.getOrDelta(keyFor(t2Only), t2Only, info)
-                .has_value());
+            store.getOrDelta(keyFor(small), small, info).has_value());
         EXPECT_FALSE(info.boundReuse);
         EXPECT_EQ(store.stats().boundReuse, 0u);
+        EXPECT_EQ(store.stats().deltaReuse, 1u);
     }
 }
 
@@ -356,6 +385,176 @@ TEST_F(ArtifactStoreTest, DifferentPolicyNeverCrossesOver)
     DeltaServeInfo info;
     EXPECT_FALSE(
         store.getOrDelta(otherKey, snapshot, info).has_value());
+}
+
+/** The drift kinds the certificate property is checked under. */
+enum class Drift
+{
+    T2Only,        ///< T2 on every qubit
+    ZeroWeight,    ///< readout of unmeasured / 1q error of 1q-free
+                   ///< touched qubits
+    Untouched,     ///< every parameter outside the touched sets
+    SmallTouched,  ///< relative 1e-5 on every touched parameter
+    LinkExcursion, ///< one touched link x1.5
+};
+
+/** `base` with one seeded drift of `kind` against `profile`. */
+calibration::Snapshot
+drifted(const calibration::Snapshot &base,
+        const analysis::SensitivityProfile &profile, Drift kind,
+        std::uint64_t seed)
+{
+    Rng rng(seed);
+    calibration::Snapshot snap = base;
+    const auto touchedQubit = [&profile](int q) {
+        return std::any_of(profile.qubits.begin(), profile.qubits.end(),
+                           [q](const analysis::QubitSensitivity &s) {
+                               return s.qubit == q;
+                           });
+    };
+    const auto touchedLink = [&profile](std::size_t l) {
+        return std::any_of(profile.links.begin(), profile.links.end(),
+                           [l](const analysis::LinkSensitivity &s) {
+                               return s.link == l;
+                           });
+    };
+    const auto nudge = [&rng](double value, double rel) {
+        return value * (1.0 + rng.uniform(-rel, rel));
+    };
+    switch (kind) {
+      case Drift::T2Only:
+        for (int q = 0; q < snap.numQubits(); ++q)
+            snap.qubit(q).t2Us = nudge(snap.qubit(q).t2Us, 0.1);
+        break;
+      case Drift::ZeroWeight:
+        for (const analysis::QubitSensitivity &q : profile.qubits) {
+            calibration::QubitCalibration &cal = snap.qubit(q.qubit);
+            if (q.measurements == 0.0)
+                cal.readoutError = nudge(cal.readoutError, 0.5);
+            if (q.oneQubitGates == 0.0)
+                cal.error1q = nudge(cal.error1q, 0.5);
+        }
+        break;
+      case Drift::Untouched:
+        for (int q = 0; q < snap.numQubits(); ++q) {
+            if (touchedQubit(q))
+                continue;
+            calibration::QubitCalibration &cal = snap.qubit(q);
+            cal.t1Us = nudge(cal.t1Us, 0.3);
+            cal.t2Us = nudge(cal.t2Us, 0.3);
+            cal.error1q = nudge(cal.error1q, 0.3);
+            cal.readoutError = nudge(cal.readoutError, 0.3);
+        }
+        for (std::size_t l = 0; l < snap.numLinks(); ++l) {
+            if (!touchedLink(l))
+                snap.setLinkError(l, nudge(snap.linkError(l), 0.3));
+        }
+        break;
+      case Drift::SmallTouched:
+        for (const analysis::QubitSensitivity &q : profile.qubits) {
+            calibration::QubitCalibration &cal = snap.qubit(q.qubit);
+            cal.t1Us = nudge(cal.t1Us, 1e-5);
+            cal.error1q = nudge(cal.error1q, 1e-5);
+            cal.readoutError = nudge(cal.readoutError, 1e-5);
+        }
+        for (const analysis::LinkSensitivity &l : profile.links)
+            snap.setLinkError(l.link, nudge(snap.linkError(l.link), 1e-5));
+        break;
+      case Drift::LinkExcursion: {
+        const std::size_t l =
+            profile.links[rng.uniformInt(profile.links.size())].link;
+        snap.setLinkError(l, snap.linkError(l) * 1.5);
+        break;
+      }
+    }
+    return snap;
+}
+
+TEST(StoreCertificate, ZeroBoundIsExactAndBoundServesTrackTheFreshPst)
+{
+    // Table 1 under vqa+vqm on IBM-Q20, each mapping stored once and
+    // looked up under seeded drifts of five kinds. A bound of exactly
+    // 0 must reproduce a fresh analytic PST of the stored mapping bit
+    // for bit; a bound serve's shifted PST must sit within 1e-9 of
+    // it, relative (the check vaqbench's vaqd-drift applies).
+    constexpr double kTol = 1e-3;
+    StoreOptions options;
+    options.stalenessTol = kTol;
+    const topology::CouplingGraph graph = topology::ibmQ20Tokyo();
+    const calibration::Snapshot base =
+        calibration::SyntheticSource(graph, {}, 7).nextCycle();
+    const core::PolicySpec spec{.name = "vqa+vqm"};
+    const core::Mapper mapper = core::makeMapper(spec);
+    const auto pstUnder = [&graph](const circuit::Circuit &physical,
+                                   const calibration::Snapshot &snap) {
+        return sim::analyticPst(
+            physical,
+            sim::NoiseModel(graph, snap, sim::CoherenceMode::PerOp));
+    };
+
+    std::size_t zeroServes = 0;
+    std::size_t boundServes = 0;
+    std::size_t checked[5] = {};
+    for (const workloads::Workload &w : workloads::standardSuite(graph)) {
+        const core::MappedCircuit mapped =
+            mapper.map(w.circuit, graph, base);
+        const CompileArtifact artifact =
+            makeArtifact(mapped, pstUnder(mapped.physical, base), 0, 0,
+                         graph, base);
+        const ArtifactKey baseKey =
+            makeArtifactKey(w.circuit, graph, base, spec);
+        for (const Drift kind :
+             {Drift::T2Only, Drift::ZeroWeight, Drift::Untouched,
+              Drift::SmallTouched, Drift::LinkExcursion}) {
+            for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+                const calibration::Snapshot now =
+                    drifted(base, artifact.profile, kind, seed);
+                const ArtifactKey key =
+                    makeArtifactKey(w.circuit, graph, now, spec);
+                if (key == baseKey)
+                    continue; // nothing of this kind to drift
+                ++checked[static_cast<int>(kind)];
+                const std::string where =
+                    w.name + " kind " +
+                    std::to_string(static_cast<int>(kind)) + " seed " +
+                    std::to_string(seed);
+                const analysis::StalenessAssessment assess =
+                    analysis::assessStaleness(artifact.profile, now);
+                const bool zeroKind = kind == Drift::T2Only ||
+                                      kind == Drift::ZeroWeight ||
+                                      kind == Drift::Untouched;
+                EXPECT_EQ(assess.within(0.0), zeroKind) << where;
+
+                ArtifactStore store(options);
+                store.put(baseKey, artifact);
+                DeltaServeInfo info;
+                const auto hit = store.getOrDelta(key, now, info);
+                const double fresh = pstUnder(artifact.physical, now);
+                if (assess.within(0.0)) {
+                    ASSERT_TRUE(hit.has_value()) << where;
+                    EXPECT_TRUE(info.viaDelta) << where;
+                    EXPECT_EQ(std::bit_cast<std::uint64_t>(fresh),
+                              std::bit_cast<std::uint64_t>(
+                                  hit->analyticPst))
+                        << where;
+                    ++zeroServes;
+                } else if (assess.within(kTol)) {
+                    ASSERT_TRUE(hit.has_value()) << where;
+                    EXPECT_TRUE(info.boundReuse) << where;
+                    EXPECT_LE(std::abs(hit->analyticPst - fresh),
+                              1e-9 * fresh)
+                        << where;
+                    ++boundServes;
+                } else {
+                    EXPECT_FALSE(hit.has_value()) << where;
+                }
+            }
+        }
+    }
+    for (const std::size_t count : checked)
+        EXPECT_GT(count, 0u);
+    EXPECT_GT(zeroServes, 0u);
+    EXPECT_GT(boundServes, 0u);
 }
 
 } // namespace
