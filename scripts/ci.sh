@@ -5,7 +5,8 @@
 #   scripts/ci.sh          # tier-1: full build + full ctest +
 #                          # examples and vaqc explain/sens smokes
 #   scripts/ci.sh --tsan   # also run the -DVAQ_SANITIZE=thread leg
-#   scripts/ci.sh --asan   # also run the address+UB sanitizer leg
+#   scripts/ci.sh --asan   # also run the address+UB (with
+#                          # float-cast-overflow) sanitizer leg
 #   scripts/ci.sh --tidy   # also gate on scripts/lint.sh
 #                          # (clang-tidy over the default dirs)
 #
@@ -40,11 +41,14 @@
 # per-trial frame-vs-dense bit-exactness and thread-count invariance
 # are asserted under TSan) — because the full suite under TSan is
 # too slow for a gate. The ASan leg rebuilds into build-asan/ with
-# -DVAQ_SANITIZE=address,undefined and runs the full suite, then
-# re-selects the `store`, `sim` and `mutation` labels so the record
-# parser's corruption-tolerance sweeps, the simulator
-# cross-validation and the seeded QASM / calibration-CSV mutation
-# corpora are provably part of that leg.
+# -DVAQ_SANITIZE=address,undefined,float-cast-overflow (GCC's
+# `undefined` group leaves out float-cast-overflow, the check that
+# catches an out-of-range double-to-integer conversion of untrusted
+# JSON numbers) and runs the full suite, then re-selects the
+# `store`, `sim` and `mutation` labels so the record parser's
+# corruption-tolerance sweeps, the simulator cross-validation and
+# the seeded QASM / calibration-CSV / artifact-record / FaultPlan
+# JSON mutation corpora are provably part of that leg.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -286,9 +290,9 @@ if [ "$RUN_TSAN" -eq 1 ]; then
 fi
 
 if [ "$RUN_ASAN" -eq 1 ]; then
-    echo "== asan leg: -DVAQ_SANITIZE=address,undefined, full ctest =="
-    cmake -B build-asan -S . -DVAQ_SANITIZE=address,undefined \
-        >/dev/null
+    echo "== asan leg: -DVAQ_SANITIZE=address,undefined,float-cast-overflow, full ctest =="
+    cmake -B build-asan -S . \
+        -DVAQ_SANITIZE=address,undefined,float-cast-overflow >/dev/null
     cmake --build build-asan -j "$JOBS"
     # halt_on_error promotes UBSan findings to failures so the leg
     # cannot pass while printing runtime-error lines.

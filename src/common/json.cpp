@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 #include "common/error.hpp"
 
@@ -543,8 +544,10 @@ writeNumber(std::string &out, double x)
     // shortest round-trip form from to_chars. Both are pure
     // functions of the bit pattern, which is what keeps golden
     // files byte-stable.
-    if (x == static_cast<double>(static_cast<std::int64_t>(x)) &&
-        std::abs(x) < 9.007199254740992e15) {
+    // The range test comes first: the cast is undefined outside
+    // the int64 range.
+    if (std::abs(x) < 9.007199254740992e15 &&
+        x == static_cast<double>(static_cast<std::int64_t>(x))) {
         out += std::to_string(static_cast<std::int64_t>(x));
         return;
     }
@@ -732,11 +735,30 @@ Cursor::asInt() const
 {
     requireKind(Kind::Number, "number");
     const double x = _value->asNumber();
+    // The cast below is defined only on [-2^63, 2^63); the bounds
+    // are exact doubles, and NaN fails both tests.
+    constexpr double kLimit = 9223372036854775808.0;
+    if (!(x >= -kLimit && x < kLimit)) {
+        std::string text;
+        writeNumber(text, x);
+        throw VaqError(_path + ": integer out of range, got " + text);
+    }
     const auto n = static_cast<std::int64_t>(x);
     if (static_cast<double>(n) != x)
         throw VaqError(_path + ": expected integer, got " +
                        std::to_string(x));
     return n;
+}
+
+int
+Cursor::asInt32() const
+{
+    const std::int64_t n = asInt();
+    if (n < std::numeric_limits<int>::min() ||
+        n > std::numeric_limits<int>::max())
+        throw VaqError(_path + ": integer out of range, got " +
+                       std::to_string(n));
+    return static_cast<int>(n);
 }
 
 const std::string &

@@ -154,8 +154,10 @@ class Cursor
 
     bool asBool() const;
     double asNumber() const;
-    /** Number checked to be integral and in range. */
+    /** Number checked to be integral and in [-2^63, 2^63). */
     std::int64_t asInt() const;
+    /** asInt() further checked to fit an int. */
+    int asInt32() const;
     const std::string &asString() const;
 
   private:

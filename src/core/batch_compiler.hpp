@@ -104,12 +104,12 @@ struct BatchOptions
     analysis::LintOptions lintOptions;
     /**
      * Optional persistent artifact cache (not owned; must outlive
-     * the compiler). When set, each job on a clean snapshot first
-     * consults the cache — a hit skips the compile entirely
-     * (BatchResult::fromStore, attempts == 0), including both lint
-     * passes: its lint counts are the ones recorded when the
-     * artifact was stored — and every result is offered to the
-     * cache after the batch completes (it keeps the fresh Ok ones).
+     * the compiler). When set, each job on a clean snapshot
+     * consults the cache after pre-lint — a hit skips the mapping
+     * attempts (BatchResult::fromStore, attempts == 0), and both
+     * lint passes still run against the job's snapshot — and every
+     * result is offered to the cache after the batch completes (it
+     * keeps the fresh Ok ones).
      */
     ArtifactCacheHook *artifactCache = nullptr;
 };

@@ -201,40 +201,6 @@ compileCircuit(const circuit::Circuit &logical,
         return sim::analyticPst(mapped.physical, model);
     };
 
-    // Artifact-cache lookup: a stored compile for this exact
-    // (circuit, snapshot, machine, policy) key — or one whose
-    // calibration dependencies survived the snapshot change (delta
-    // reuse) — replaces the whole attempt loop. Only clean
-    // snapshots are eligible: a quarantined machine compiles
-    // against a synthesized cleaned snapshot whose content the key
-    // does not describe.
-    if (context.artifactCache &&
-        health.kind == SnapshotHealth::Kind::Clean) {
-        std::optional<CompileResult> hit =
-            context.artifactCache->lookup(logical, snapshot);
-        if (hit.has_value()) {
-            if (telemetry) {
-                obs::count("store.hits");
-                if (hit->viaDelta)
-                    obs::count("store.delta_reuse");
-                if (hit->boundReuse)
-                    obs::count("store.bound_serves");
-            }
-            // Prefer the PST recorded at store time; an artifact
-            // stored by a non-scoring batch carries 0 and is
-            // re-scored (deterministic — the analytic model needs
-            // no sampling).
-            if (!request.scoreResult)
-                hit->analyticPst = 0.0;
-            else if (hit->analyticPst == 0.0)
-                hit->analyticPst = scoreAttempt(hit->mapped);
-            hit->compileMs = elapsedMs(start);
-            return std::move(*hit);
-        }
-        if (telemetry)
-            obs::count("store.misses");
-    }
-
     std::optional<analysis::Linter> ownedLinter;
     const analysis::Linter *linter = context.linter;
     if (!linter && request.lint) {
@@ -273,79 +239,117 @@ compileCircuit(const circuit::Circuit &logical,
         }
     }
 
-    std::vector<Mapper> ownedFallbacks;
-    const std::vector<Mapper> *fallbacks = context.fallbacks;
-    if (!fallbacks) {
-        ownedFallbacks =
-            buildFallbackMappers(mapper.name(), request.maxRetries);
-        fallbacks = &ownedFallbacks;
+    // Artifact-cache lookup: a stored mapping for this exact
+    // (circuit, snapshot, machine, policy) key, or one the store
+    // certifies under the snapshot change, stands in for the
+    // attempt ladder; post-lint runs on it as on a fresh mapping.
+    // Only clean snapshots are eligible: a quarantined machine
+    // compiles against a synthesized cleaned snapshot whose content
+    // the key does not describe.
+    std::optional<CompileResult> hit;
+    if (context.artifactCache &&
+        health.kind == SnapshotHealth::Kind::Clean) {
+        hit = context.artifactCache->lookup(logical, snapshot);
+        if (telemetry) {
+            obs::count(hit ? "store.hits" : "store.misses");
+            if (hit && hit->viaDelta)
+                obs::count("store.delta_reuse");
+            if (hit && hit->boundReuse)
+                obs::count("store.bound_serves");
+        }
     }
 
-    const std::size_t totalAttempts = 1 + fallbacks->size();
-    for (std::size_t attempt = 0; attempt < totalAttempts;
-         ++attempt) {
-        const Mapper &attemptMapper =
-            attempt == 0 ? mapper : (*fallbacks)[attempt - 1];
-        if (telemetry && attempt > 0)
-            obs::count("batch.retries");
-        try {
-            // Install a deadline scope only when a deadline is
-            // actually requested — a request without one must not
-            // mask an ambient CancellationScope the caller set up
-            // (vaqc's single compile runs under one). The budget is
-            // per job, not per attempt: whatever a failed attempt
-            // burned is gone, so a retry after the deadline expires
-            // cancels at its first checkpoint instead of succeeding
-            // late as a deceptively healthy-looking Degraded
-            // result.
-            std::optional<CancellationToken> token;
-            std::optional<CancellationScope> deadline;
-            if (request.deadlineMs > 0.0) {
-                // withDeadline requires a positive budget; an
-                // exhausted one becomes a token that expires at
-                // the first checkpoint.
-                const double remainingMs =
-                    request.deadlineMs - elapsedMs(start);
-                token.emplace(CancellationToken::withDeadline(
-                    std::max(remainingMs, 1e-6)));
-                deadline.emplace(*token);
-            }
-            // One attempt maps onto the context's view: the full
-            // machine, or the healthy region of a quarantined
-            // snapshot.
-            result.mapped =
-                attemptMapper.map(logical, calibration, request.options);
-            result.analyticPst = scoreAttempt(result.mapped);
-            result.attempts = static_cast<int>(attempt) + 1;
-            result.policyUsed = attemptMapper.name();
-            if (health.kind == SnapshotHealth::Kind::Degraded ||
-                attempt > 0) {
-                result.status = JobStatus::Degraded;
-                std::string note;
-                if (attempt > 0)
-                    note = "fell back to policy '" +
-                           attemptMapper.name() + "'";
-                if (health.kind == SnapshotHealth::Kind::Degraded) {
-                    if (!note.empty())
-                        note += "; ";
-                    note += health.note;
+    if (hit) {
+        result.mapped = std::move(hit->mapped);
+        // Prefer the PST recorded at store time; an artifact stored
+        // by a non-scoring batch carries 0 and is re-scored
+        // (deterministic: the analytic model needs no sampling).
+        if (request.scoreResult)
+            result.analyticPst = hit->analyticPst != 0.0
+                                     ? hit->analyticPst
+                                     : scoreAttempt(result.mapped);
+        result.policyUsed = std::move(hit->policyUsed);
+        result.attempts = 0;
+        result.fromStore = true;
+        result.viaDelta = hit->viaDelta;
+        result.boundReuse = hit->boundReuse;
+        result.stalenessBound = hit->stalenessBound;
+    } else {
+        std::vector<Mapper> ownedFallbacks;
+        const std::vector<Mapper> *fallbacks = context.fallbacks;
+        if (!fallbacks) {
+            ownedFallbacks = buildFallbackMappers(mapper.name(),
+                                                  request.maxRetries);
+            fallbacks = &ownedFallbacks;
+        }
+
+        const std::size_t totalAttempts = 1 + fallbacks->size();
+        for (std::size_t attempt = 0; attempt < totalAttempts;
+             ++attempt) {
+            const Mapper &attemptMapper =
+                attempt == 0 ? mapper : (*fallbacks)[attempt - 1];
+            if (telemetry && attempt > 0)
+                obs::count("batch.retries");
+            try {
+                // Install a deadline scope only when a deadline is
+                // actually requested — a request without one must
+                // not mask an ambient CancellationScope the caller
+                // set up (vaqc's single compile runs under one). The
+                // budget is per job, not per attempt: whatever a
+                // failed attempt burned is gone, so a retry after
+                // the deadline expires cancels at its first
+                // checkpoint instead of succeeding late as a
+                // deceptively healthy-looking Degraded result.
+                std::optional<CancellationToken> token;
+                std::optional<CancellationScope> deadline;
+                if (request.deadlineMs > 0.0) {
+                    // withDeadline requires a positive budget; an
+                    // exhausted one becomes a token that expires at
+                    // the first checkpoint.
+                    const double remainingMs =
+                        request.deadlineMs - elapsedMs(start);
+                    token.emplace(CancellationToken::withDeadline(
+                        std::max(remainingMs, 1e-6)));
+                    deadline.emplace(*token);
                 }
-                result.note = std::move(note);
-            } else {
-                result.status = JobStatus::Ok;
-            }
-            result.error.clear();
-            break;
-        } catch (const std::exception &e) {
-            const ErrorCategory category = categorize(e);
-            result.status = category == ErrorCategory::Timeout
-                                ? JobStatus::TimedOut
-                                : JobStatus::Failed;
-            result.errorCategory = category;
-            result.error = e.what();
-            result.attempts = static_cast<int>(attempt) + 1;
-            if (!retryable(category))
+                // One attempt maps onto the context's view: the
+                // full machine, or the healthy region of a
+                // quarantined snapshot.
+                result.mapped = attemptMapper.map(logical, calibration,
+                                                  request.options);
+                result.analyticPst = scoreAttempt(result.mapped);
+                result.attempts = static_cast<int>(attempt) + 1;
+                result.policyUsed = attemptMapper.name();
+                if (health.kind == SnapshotHealth::Kind::Degraded ||
+                    attempt > 0) {
+                    result.status = JobStatus::Degraded;
+                    std::string note;
+                    if (attempt > 0)
+                        note = "fell back to policy '" +
+                               attemptMapper.name() + "'";
+                    if (health.kind ==
+                        SnapshotHealth::Kind::Degraded) {
+                        if (!note.empty())
+                            note += "; ";
+                        note += health.note;
+                    }
+                    result.note = std::move(note);
+                } else {
+                    result.status = JobStatus::Ok;
+                }
+                result.error.clear();
                 break;
+            } catch (const std::exception &e) {
+                const ErrorCategory category = categorize(e);
+                result.status = category == ErrorCategory::Timeout
+                                    ? JobStatus::TimedOut
+                                    : JobStatus::Failed;
+                result.errorCategory = category;
+                result.error = e.what();
+                result.attempts = static_cast<int>(attempt) + 1;
+                if (!retryable(category))
+                    break;
+            }
         }
     }
 

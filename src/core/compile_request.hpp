@@ -5,7 +5,7 @@
  *
  * A CompileRequest carries the full bundle of PolicySpec /
  * CompileOptions / lint / store knobs, and core::compile() runs the
- * one per-job pipeline (quarantine -> artifact lookup -> pre-lint ->
+ * one per-job pipeline (quarantine -> pre-lint -> artifact lookup or
  * attempt ladder -> scoring -> post-lint). Every caller is a thin
  * adapter over it, and every compile attempt inside it is one
  * Mapper::map onto the snapshot's CalibrationContext (the full
@@ -148,10 +148,11 @@ struct CompileResult
     std::size_t mappedLintErrors = 0;
     std::size_t mappedLintWarnings = 0;
     /** Findings of the pre-compile lint pass (empty when linting is
-     *  off or the compile was served from the store). */
+     *  off). */
     std::vector<analysis::Diagnostic> diagnostics;
-    /** True when `mapped` came from the artifact cache (exact or
-     *  delta hit) instead of a compile; attempts is 0 then. */
+    /** True when `mapped` came from the artifact cache (exact,
+     *  delta or bound serve) instead of the attempt ladder;
+     *  attempts is 0 then. */
     bool fromStore = false;
     /** True when the store hit came through delta reuse (the stored
      *  artifact's calibration dependencies survived a snapshot
@@ -197,10 +198,11 @@ class ArtifactCacheHook
     virtual ~ArtifactCacheHook() = default;
 
     /** Best stored artifact for (logical, snapshot) under the
-     *  machine and policy the cache was configured with, as an Ok
-     *  result with fromStore set and attempts 0, or nullopt on a
-     *  miss. analyticPst is the PST recorded at store time (shifted
-     *  by the exact analytic delta on a boundReuse serve). */
+     *  machine and policy the cache was configured with, or nullopt
+     *  on a miss. compile() reads only the mapping, analyticPst,
+     *  policyUsed and the provenance flags of the result; the
+     *  analyticPst is the PST recorded at store time (shifted by
+     *  the exact analytic delta on a boundReuse serve). */
     virtual std::optional<CompileResult>
     lookup(const circuit::Circuit &logical,
            const calibration::Snapshot &snapshot) = 0;
@@ -242,9 +244,11 @@ struct CompileContext
 };
 
 /**
- * The canonical compile pipeline: quarantine -> artifact lookup ->
- * pre-lint -> attempt ladder (policy degradation under optional
- * cooperative deadlines) -> scoring -> post-lint. Faults are
+ * The canonical compile pipeline: quarantine -> pre-lint ->
+ * artifact lookup or attempt ladder (policy degradation under
+ * optional cooperative deadlines) -> scoring -> post-lint. A store
+ * serve stands in for the attempt ladder only: both lint passes run
+ * on it as on a fresh mapping. Faults are
  * contained into the result (status/category/message); a caller
  * that wants an exception throws VaqError(result.error,
  * result.errorCategory) when !result.ok().

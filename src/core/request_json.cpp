@@ -122,8 +122,7 @@ intArrayFrom(const json::Cursor &cursor)
     std::vector<int> values;
     values.reserve(cursor.arraySize());
     for (std::size_t i = 0; i < cursor.arraySize(); ++i)
-        values.push_back(
-            static_cast<int>(cursor.at(i).asInt()));
+        values.push_back(cursor.at(i).asInt32());
     return values;
 }
 
@@ -164,9 +163,9 @@ diagnosticFromJson(const json::Cursor &cursor)
                              cursor.at("category").path());
     diag.message = cursor.at("message").asString();
     diag.gateIndex = static_cast<long>(cursor.at("gate").asInt());
-    diag.qubit = static_cast<int>(cursor.at("qubit").asInt());
-    diag.qubit2 = static_cast<int>(cursor.at("qubit2").asInt());
-    diag.line = static_cast<int>(cursor.at("line").asInt());
+    diag.qubit = cursor.at("qubit").asInt32();
+    diag.qubit2 = cursor.at("qubit2").asInt32();
+    diag.line = cursor.at("line").asInt32();
     return diag;
 }
 
@@ -191,7 +190,7 @@ policySpecFromJson(const json::Cursor &cursor)
     if (const auto name = cursor.get("name"))
         spec.name = name->asString();
     if (const auto mah = cursor.get("mah"))
-        spec.mah = static_cast<int>(mah->asInt());
+        spec.mah = mah->asInt32();
     if (const auto seed = cursor.get("seed")) {
         const std::int64_t raw = seed->asInt();
         if (raw < 0)
@@ -283,7 +282,7 @@ compileRequestFromJson(const json::Cursor &cursor)
     if (const auto deadline = cursor.get("deadlineMs"))
         request.deadlineMs = deadline->asNumber();
     if (const auto retries = cursor.get("maxRetries"))
-        request.maxRetries = static_cast<int>(retries->asInt());
+        request.maxRetries = retries->asInt32();
     if (const auto calibration = cursor.get("calibration"))
         request.calibration =
             calibrationHandlingFromName(calibration->asString());
@@ -353,8 +352,7 @@ compileResultFromJson(const json::Cursor &cursor)
     result.status =
         jobStatusFromName(cursor.at("status").asString());
     result.policyUsed = cursor.at("policyUsed").asString();
-    result.attempts =
-        static_cast<int>(cursor.at("attempts").asInt());
+    result.attempts = cursor.at("attempts").asInt32();
     result.analyticPst = cursor.at("analyticPst").asNumber();
     result.errorCategory = errorCategoryFromName(
         cursor.at("errorCategory").asString(),

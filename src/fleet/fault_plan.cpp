@@ -153,8 +153,12 @@ faultEventFromJson(const json::Cursor &cursor)
 {
     FaultEvent event;
     event.timeUs = cursor.at("timeUs").asNumber();
-    event.machine =
-        static_cast<std::size_t>(cursor.at("machine").asInt());
+    const json::Cursor machine = cursor.at("machine");
+    const std::int64_t index = machine.asInt();
+    if (index < 0)
+        throw VaqError(machine.path() +
+                       ": machine index must be non-negative");
+    event.machine = static_cast<std::size_t>(index);
     event.kind = faultKindFromName(cursor.at("kind").asString());
     if (auto d = cursor.get("durationUs"))
         event.durationUs = d->asNumber();

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "analysis/staleness.hpp"
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -107,32 +106,13 @@ FleetSim::predict(std::size_t circuitIdx, std::size_t machineIdx)
 {
     Backend &backend = *_backends[machineIdx];
     const auto key = std::make_pair(circuitIdx, machineIdx);
-    auto it = _predictions.find(key);
-    if (it != _predictions.end()) {
-        PredictionEntry &entry = it->second;
-        if (entry.calVersion == backend.calVersion())
-            return entry.pred;
-        // The calibration moved. Instead of discarding outright
-        // (the calVersion rule), revalidate through the
-        // certified staleness bound: when the drift provably moved
-        // this prediction's logPST by less than the tolerance,
-        // shift the PST by the exact analytic delta and keep it.
-        if (_options.stalenessTol > 0.0 && entry.hasProfile &&
-            backend.health().kind ==
-                core::SnapshotHealth::Kind::Clean) {
-            const analysis::StalenessAssessment assess =
-                analysis::assessStaleness(entry.profile,
-                                          backend.snapshot());
-            if (assess.within(_options.stalenessTol)) {
-                entry.pred.pst = std::exp(entry.profile.logPst +
-                                          assess.deltaLogPst);
-                entry.calVersion = backend.calVersion();
-                obs::count("fleet.predict.bound_reuse");
-                return entry.pred;
-            }
-        }
-        _predictions.erase(it);
-    }
+    // A calibration change recompiles through the backend, whose
+    // artifact store decides whether the stored mapping still
+    // holds (exact, delta or bound serve) or must be redone.
+    const auto it = _predictions.find(key);
+    if (it != _predictions.end() &&
+        it->second.calVersion == backend.calVersion())
+        return it->second.pred;
     obs::Span span("fleet.predict", obs::enabled());
     PredictionEntry entry;
     entry.calVersion = backend.calVersion();
@@ -148,26 +128,6 @@ FleetSim::predict(std::size_t circuitIdx, std::size_t machineIdx)
         prediction.trialUs = backend.trialLatencyUs(result.mapped);
         obs::count(result.fromStore ? "fleet.compile.store_hits"
                                     : "fleet.compile.fresh");
-        // Profile the mapping for later certified revalidation —
-        // only clean, undegraded compiles (a degraded snapshot was
-        // sanitized; the published values are not what the mapping
-        // was scored against).
-        if (_options.stalenessTol > 0.0 &&
-            result.status == core::JobStatus::Ok &&
-            backend.health().kind ==
-                core::SnapshotHealth::Kind::Clean &&
-            prediction.pst > 0.0) {
-            try {
-                const analysis::DataflowAnalysis dataflow(
-                    result.mapped.physical,
-                    backend.snapshot().durations);
-                entry.profile = analysis::analyzeSensitivity(
-                    dataflow, backend.graph(), backend.snapshot());
-                entry.hasProfile = true;
-            } catch (const VaqError &) {
-                entry.hasProfile = false;
-            }
-        }
     } else {
         prediction.category = result.errorCategory;
         prediction.error = result.error.empty()

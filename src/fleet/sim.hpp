@@ -43,7 +43,6 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/sensitivity.hpp"
 #include "circuit/circuit.hpp"
 #include "common/rng.hpp"
 #include "core/mapper.hpp"
@@ -117,14 +116,12 @@ struct FleetOptions
     double replicateThreshold = 0.5;
     std::uint64_t seed = 7;
     /**
-     * Certified-staleness tolerance for prediction reuse across
-     * calibration epochs. When > 0, a cached prediction whose
-     * certified |delta logPST| bound (analysis/staleness.hpp) is
-     * within tolerance survives a calVersion bump with its PST
-     * shifted by the exact analytic delta, instead of forcing a
-     * recompile; the per-backend artifact stores get the same
-     * tolerance. 0 (default) = invalidate on every calVersion
-     * bump.
+     * Certified-staleness tolerance of every backend's artifact
+     * store (store::StoreOptions::stalenessTol). The scheduler's
+     * predictions are memoized per calVersion and recompile
+     * through that store when the calibration moves, so the store
+     * alone decides whether a mapping is reused. 0 (default) =
+     * reuse only on a zero bound.
      */
     double stalenessTol = 0.0;
     /** Compile policy every backend maps with. */
@@ -219,17 +216,12 @@ class FleetSim
         std::string error;
     };
 
-    /** Cached prediction plus the material to revalidate it across
-     *  calibration epochs without recompiling. */
+    /** Cached prediction and the calibration it was made under. */
     struct PredictionEntry
     {
         Prediction pred;
         /** Backend::calVersion the prediction is valid for. */
         std::uint64_t calVersion = 0;
-        /** Sensitivity profile of the predicted mapping against its
-         *  compile-time snapshot; only for clean Ok compiles. */
-        bool hasProfile = false;
-        analysis::SensitivityProfile profile;
     };
 
     void push(Event event);
@@ -275,8 +267,8 @@ class FleetSim
     std::vector<std::vector<std::pair<std::size_t, std::size_t>>>
         _assigned;
     std::vector<double> _downSinceUs;
-    /** (circuit, machine) -> cached prediction. Entries outlive
-     *  calVersion bumps; predict() revalidates or replaces them. */
+    /** (circuit, machine) -> cached prediction; predict() replaces
+     *  an entry whose calVersion is behind the backend's. */
     std::map<std::pair<std::size_t, std::size_t>, PredictionEntry>
         _predictions;
     FleetSummary _summary;

@@ -27,8 +27,6 @@ ArtifactCacheAdapter::lookup(const circuit::Circuit &logical,
     hit.analyticPst = artifact->analyticPst;
     hit.attempts = 0;
     hit.policyUsed = artifact->policyUsed;
-    hit.mappedLintErrors = artifact->mappedLintErrors;
-    hit.mappedLintWarnings = artifact->mappedLintWarnings;
     hit.fromStore = true;
     hit.viaDelta = info.viaDelta;
     hit.boundReuse = info.boundReuse;
@@ -48,9 +46,7 @@ ArtifactCacheAdapter::record(const circuit::Circuit &logical,
     const ArtifactKey key =
         makeArtifactKey(logical, _graph, snapshot, _spec);
     _store.put(key, makeArtifact(result.mapped, result.analyticPst,
-                                 result.mappedLintErrors,
-                                 result.mappedLintWarnings, _graph,
-                                 snapshot));
+                                 _graph, snapshot));
 }
 
 } // namespace vaq::store

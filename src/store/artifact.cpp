@@ -170,8 +170,6 @@ makeArtifactKey(const circuit::Circuit &logical,
 
 CompileArtifact
 makeArtifact(const core::MappedCircuit &mapped, double analytic_pst,
-             std::size_t mapped_lint_errors,
-             std::size_t mapped_lint_warnings,
              const topology::CouplingGraph &graph,
              const calibration::Snapshot &snapshot)
 {
@@ -184,8 +182,6 @@ makeArtifact(const core::MappedCircuit &mapped, double analytic_pst,
     artifact.insertedSwaps = mapped.insertedSwaps;
     artifact.policyUsed = mapped.policyName;
     artifact.analyticPst = analytic_pst;
-    artifact.mappedLintErrors = mapped_lint_errors;
-    artifact.mappedLintWarnings = mapped_lint_warnings;
     const analysis::DataflowAnalysis dataflow(mapped.physical,
                                               snapshot.durations);
     artifact.profile =
@@ -225,8 +221,6 @@ serializeArtifact(const ArtifactKey &key,
         << '\n';
     out << "swaps " << artifact.insertedSwaps << '\n';
     out << "pst " << hexDouble(artifact.analyticPst) << '\n';
-    out << "lint " << artifact.mappedLintErrors << ' '
-        << artifact.mappedLintWarnings << '\n';
     const analysis::SensitivityProfile &profile = artifact.profile;
     out << "dur " << hexDouble(profile.durations.oneQubitNs) << ' '
         << hexDouble(profile.durations.twoQubitNs) << ' '
@@ -338,14 +332,6 @@ parseArtifact(const std::string &text)
         if (pst.size() != 1)
             return std::nullopt;
         artifact.analyticPst = parseHexDouble(pst[0]);
-
-        const std::vector<std::string> lint = reader.line("lint");
-        if (lint.size() != 2)
-            return std::nullopt;
-        artifact.mappedLintErrors = static_cast<std::size_t>(
-            parseCount(lint[0], 1L << 40));
-        artifact.mappedLintWarnings = static_cast<std::size_t>(
-            parseCount(lint[1], 1L << 40));
 
         const std::vector<std::string> dur = reader.line("dur");
         if (dur.size() != 3)

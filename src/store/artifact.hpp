@@ -3,9 +3,9 @@
  * Compile artifacts: the unit of the persistent content-addressed
  * store (store/artifact_store.hpp).
  *
- * One CompileArtifact is everything a batch needs to skip a
- * recompile: the routed circuit with its layouts, the compile-time
- * PST estimate and mapped lint counts, plus the artifact's
+ * One CompileArtifact is everything a batch needs to skip the
+ * mapping attempts of a recompile: the routed circuit with its
+ * layouts and the compile-time PST estimate, plus the artifact's
  * *calibration dependencies* — the analysis::SensitivityProfile of
  * the mapped circuit against the compile-time snapshot: the touched
  * qubits and links, how often each of their parameters is used, the
@@ -13,6 +13,9 @@
  * reuse across calibration cycles sound: analysis::assessStaleness()
  * certifies how far the stored PST can be off under a new snapshot,
  * and a bound of exactly 0 means nothing the PST reads has changed.
+ * Lint findings are not part of an artifact: they read calibration
+ * the certificate does not weigh (T2, idle windows), so
+ * core::compile re-runs both lint passes on a served mapping.
  *
  * Artifacts are keyed on content, never identity:
  *
@@ -54,8 +57,10 @@ namespace vaq::store
 
 /** On-disk format version (bumped on any layout change; older
  *  records parse as misses). Version 3 stores the sensitivity
- *  profile in place of the per-qubit/per-link dependency arrays. */
-inline constexpr int kArtifactVersion = 3;
+ *  profile in place of the per-qubit/per-link dependency arrays;
+ *  version 4 drops the mapped-lint counts, which a serve
+ *  recomputes against the current snapshot. */
+inline constexpr int kArtifactVersion = 4;
 
 /** Content-address of one compile artifact. */
 struct ArtifactKey
@@ -103,9 +108,6 @@ struct CompileArtifact
     std::string policyUsed;
     /** Analytic PST recorded at store time (0 = not scored). */
     double analyticPst = 0.0;
-    /** Mapped-circuit lint counts recorded at store time. */
-    std::size_t mappedLintErrors = 0;
-    std::size_t mappedLintWarnings = 0;
 
     /** The calibration dependencies: the sensitivity profile of
      *  `physical` against the compile-time snapshot (touched
@@ -123,8 +125,6 @@ struct CompileArtifact
  */
 CompileArtifact makeArtifact(const core::MappedCircuit &mapped,
                              double analytic_pst,
-                             std::size_t mapped_lint_errors,
-                             std::size_t mapped_lint_warnings,
                              const topology::CouplingGraph &graph,
                              const calibration::Snapshot &snapshot);
 

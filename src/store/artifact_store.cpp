@@ -228,7 +228,6 @@ ArtifactStore::getOrDelta(const ArtifactKey &key,
         touchEntry(*within);
         ++_stats.boundReuse;
         ++_stats.hits;
-        obs::count("store.bound_reuse");
         CompileArtifact artifact = within->artifact;
         if (artifact.analyticPst > 0.0)
             artifact.analyticPst *= std::exp(withinAssess.deltaLogPst);

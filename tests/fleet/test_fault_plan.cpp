@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace vaq::fleet
 {
 namespace
@@ -135,6 +137,26 @@ TEST(FaultPlan, ScriptedEventJsonShape)
     const FaultEvent parsed = faultEventFromJson(cursor);
     EXPECT_EQ(parsed.kind, FaultKind::LatencySpike);
     EXPECT_DOUBLE_EQ(parsed.magnitude, 6.0);
+}
+
+TEST(FaultPlan, MachineIndexOutsideItsRangeIsRefused)
+{
+    // A negative index would wrap to a huge size_t whose toJson
+    // does not parse back; 1e20 is outside what asInt() converts.
+    for (const char *machine : {"-1", "1e20"}) {
+        const std::string text =
+            std::string("{\"events\":[{\"timeUs\":1,\"machine\":") +
+            machine + ",\"kind\":\"outage\"}]}";
+        try {
+            faultPlanFromJson(json::Cursor(json::parse(text, "plan")));
+            ADD_FAILURE() << "machine " << machine << " was accepted";
+        } catch (const VaqError &e) {
+            EXPECT_NE(std::string(e.message())
+                          .find("$.events[0].machine"),
+                      std::string::npos)
+                << e.message();
+        }
+    }
 }
 
 } // namespace

@@ -371,8 +371,8 @@ TEST(FleetSim, FailoverBeatsBaselineUnderOutageCorruptionMix)
     EXPECT_LT(downtimeUs / fleetCapacityUs, 0.5);
 }
 
-/** Fleet whose rollovers redraw little hardware, so certified
- *  prediction revalidation has something to certify. */
+/** Fleet whose rollovers redraw little hardware, so the backends'
+ *  certified store serves have something to certify. */
 std::vector<BackendSpec>
 gentleDriftFleet()
 {
@@ -382,53 +382,64 @@ gentleDriftFleet()
     return specs;
 }
 
-FleetSummary
-predictionReuseRun(double staleness_tol, std::size_t threads)
+/** A tolerance the gentle-drift fleet's stores serve bounds under:
+ *  no drifted candidate there has a bound in (0, 1e-3], so 1e-3
+ *  serves exactly what 0 does. */
+constexpr double kCertifiedTol = 1e-2;
+
+FleetOptions
+predictionReuseOptions(double staleness_tol, std::size_t threads,
+                       const std::vector<FleetJob> &jobs)
 {
-    const std::vector<FleetJob> jobs = steadyJobs(60);
     FleetOptions options;
     options.seed = 17;
     options.threads = threads;
     options.stalenessTol = staleness_tol;
     options.calibrationPeriodUs = jobs.back().arrivalUs / 4.0;
-    return runScenario(options, FaultPlan{}, jobs,
-                       gentleDriftFleet());
+    return options;
 }
 
-std::uint64_t
-counterValue(const char *name)
+FleetSummary
+predictionReuseRun(double staleness_tol, std::size_t threads)
 {
-    const auto counters =
-        obs::Registry::global().snapshot().counters;
-    return counters.count(name) ? counters.at(name) : 0;
+    const std::vector<FleetJob> jobs = steadyJobs(60);
+    return runScenario(predictionReuseOptions(staleness_tol, threads,
+                                              jobs),
+                       FaultPlan{}, jobs, gentleDriftFleet());
 }
 
-TEST(FleetSim, CertifiedPredictionReuseAcrossRollovers)
+TEST(FleetSim, BackendStoresDecideReuseAcrossRollovers)
 {
-    obs::setEnabled(true);
-    obs::Registry::global().reset();
-
-    // With a tolerance, predictions whose certified bound survives
-    // a calibration rollover are revalidated instead of recompiled.
-    const FleetSummary tolerant = predictionReuseRun(1e-3, 1);
-    EXPECT_EQ(tolerant.completed, tolerant.jobs);
-    EXPECT_GT(counterValue("fleet.predict.bound_reuse"), 0u);
-
-    // tol = 0 (the default) never takes the certified path.
-    obs::Registry::global().reset();
-    const FleetSummary legacy = predictionReuseRun(0.0, 1);
-    EXPECT_EQ(legacy.completed, legacy.jobs);
-    EXPECT_EQ(counterValue("fleet.predict.bound_reuse"), 0u);
-    obs::setEnabled(false);
+    // The scheduler keeps no reuse certificate of its own: after a
+    // rollover it recompiles through each backend's store, which
+    // serves on a certified bound when the tolerance allows and on
+    // a zero bound (delta) otherwise.
+    const auto storeTotals = [](double staleness_tol) {
+        const std::vector<FleetJob> jobs = steadyJobs(60);
+        FleetSim sim(gentleDriftFleet(), smallWorkload(),
+                     predictionReuseOptions(staleness_tol, 1, jobs));
+        const FleetSummary summary = sim.run(jobs);
+        EXPECT_EQ(summary.completed, summary.jobs);
+        store::StoreStats total;
+        for (std::size_t i = 0; i < sim.backendCount(); ++i) {
+            total.boundReuse += sim.backend(i).storeStats().boundReuse;
+            total.deltaReuse += sim.backend(i).storeStats().deltaReuse;
+        }
+        return total;
+    };
+    EXPECT_GT(storeTotals(kCertifiedTol).boundReuse, 0u);
+    const store::StoreStats zeroBoundOnly = storeTotals(0.0);
+    EXPECT_EQ(zeroBoundOnly.boundReuse, 0u);
+    EXPECT_GT(zeroBoundOnly.deltaReuse, 0u);
 }
 
 TEST(FleetSim, CertifiedReuseKeepsSummariesByteIdentical)
 {
     // The determinism contract holds with the certified path on:
     // byte-equal summaries across prewarm thread counts.
-    const FleetSummary t1 = predictionReuseRun(1e-3, 1);
-    const FleetSummary t4 = predictionReuseRun(1e-3, 4);
-    const FleetSummary t8 = predictionReuseRun(1e-3, 8);
+    const FleetSummary t1 = predictionReuseRun(kCertifiedTol, 1);
+    const FleetSummary t4 = predictionReuseRun(kCertifiedTol, 4);
+    const FleetSummary t8 = predictionReuseRun(kCertifiedTol, 8);
     EXPECT_EQ(t1.fingerprint(), t4.fingerprint());
     EXPECT_EQ(t1.fingerprint(), t8.fingerprint());
 }

@@ -6,7 +6,10 @@
  * tests pin the unknown-field tolerance and the "$.field.path"
  * error convention.
  */
+#include <cstdint>
+#include <limits>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -84,6 +87,49 @@ TEST(Json, CursorNamesTheFieldPathOnTypeMismatch)
                   std::string::npos)
             << e.message();
     }
+}
+
+/** The VaqError message of reading `text`'s `$.<field>` with
+ *  asInt(), or "" when it is accepted. */
+std::string
+asIntError(const std::string &text, const std::string &field)
+{
+    const json::Value doc = json::parse(text);
+    try {
+        json::Cursor(doc).at(field).asInt();
+        return "";
+    } catch (const VaqError &e) {
+        return e.message();
+    }
+}
+
+TEST(Json, AsIntRefusesNumbersOutsideTheInt64Range)
+{
+    // The conversion is undefined outside [-2^63, 2^63), so the
+    // range is checked before it, and the error names the path.
+    for (const char *number :
+         {"1e20", "-1e19", "9223372036854775808"}) {
+        const std::string message = asIntError(
+            std::string("{\"machine\":") + number + "}", "machine");
+        EXPECT_NE(message.find("$.machine: integer out of range"),
+                  std::string::npos)
+            << number << ": " << message;
+    }
+    const json::Value doc =
+        json::parse("{\"machine\":-9223372036854775808}");
+    EXPECT_EQ(json::Cursor(doc).at("machine").asInt(),
+              std::numeric_limits<std::int64_t>::min());
+}
+
+TEST(Json, WritesNumbersOutsideTheInt64Range)
+{
+    // Only integral values below 2^53 print as integers; the range
+    // test must come before the int64 conversion, which is undefined
+    // for these values.
+    EXPECT_EQ(json::write(json::Value::number(1e20)), "1e+20");
+    EXPECT_EQ(json::write(json::Value::number(-1e19)), "-1e+19");
+    EXPECT_EQ(json::write(json::Value::number(9007199254740991.0)),
+              "9007199254740991");
 }
 
 TEST(PolicySpecJson, RoundTripsAndRejectsNegativeSeed)
@@ -183,6 +229,41 @@ TEST(CompileRequestJson, MissingQasmNamesThePath)
                   std::string::npos)
             << e.message();
     }
+}
+
+TEST(CompileRequestJson, IntFieldsRefuseValuesOutsideInt)
+{
+    // mah and maxRetries are ints: 2^32 + 1 must be refused, not
+    // wrapped to 1, and the error names the field.
+    const std::string wire =
+        json::write(core::toJson(canonicalRequest()));
+    const auto withField = [&wire](const std::string &from,
+                                   const std::string &to) {
+        std::string text = wire;
+        text.replace(text.find(from), from.size(), to);
+        return text;
+    };
+    const std::pair<std::string, std::string> cases[] = {
+        {withField("\"mah\":4", "\"mah\":4294967297"), "$.policy.mah"},
+        {withField("\"mah\":4", "\"mah\":1e20"), "$.policy.mah"},
+        {withField("\"maxRetries\":2", "\"maxRetries\":4294967297"),
+         "$.maxRetries"},
+    };
+    for (const auto &[text, path] : cases) {
+        try {
+            core::compileRequestFromJson(json::Cursor(json::parse(text)));
+            ADD_FAILURE() << path << " was accepted";
+        } catch (const VaqError &e) {
+            EXPECT_NE(std::string(e.message())
+                          .find(path + ": integer out of range"),
+                      std::string::npos)
+                << e.message();
+        }
+    }
+    const core::CompileRequest widest =
+        core::compileRequestFromJson(json::Cursor(json::parse(
+            withField("\"mah\":4", "\"mah\":2147483647"))));
+    EXPECT_EQ(widest.policy.mah, 2147483647);
 }
 
 TEST(CompileResultJson, RoundTripsACompiledResult)

@@ -49,7 +49,7 @@ struct Compiled
 
     CompileArtifact artifact(double pst = 0.875) const
     {
-        return makeArtifact(mapped, pst, 1, 2, graph, snapshot);
+        return makeArtifact(mapped, pst, graph, snapshot);
     }
 };
 
@@ -110,8 +110,6 @@ TEST(Artifact, RoundTripsBitExactly)
     EXPECT_EQ(back.policyUsed, artifact.policyUsed);
     EXPECT_EQ(std::bit_cast<std::uint64_t>(back.analyticPst),
               std::bit_cast<std::uint64_t>(artifact.analyticPst));
-    EXPECT_EQ(back.mappedLintErrors, 1u);
-    EXPECT_EQ(back.mappedLintWarnings, 2u);
     EXPECT_EQ(back.profile, artifact.profile);
     EXPECT_EQ(back, artifact);
     // Write -> parse -> write is a fixpoint.
@@ -141,7 +139,7 @@ TEST(Artifact, ParameterizedAnglesSurviveExactly)
     mapped.initial.assign(0, 0);
     mapped.final.assign(0, 0);
     const CompileArtifact artifact =
-        makeArtifact(mapped, 0.0, 0, 0, c.graph, c.snapshot);
+        makeArtifact(mapped, 0.0, c.graph, c.snapshot);
     const auto parsed =
         parseArtifact(serializeArtifact(c.key(), artifact));
     ASSERT_TRUE(parsed.has_value());
@@ -202,7 +200,7 @@ TEST(Artifact, VersionSkewIsAMiss)
     // checking the constant is what the format writes.
     const Compiled c;
     std::string text = serializeArtifact(c.key(), c.artifact());
-    ASSERT_EQ(text.rfind("vaqart 3\n", 0), 0u);
+    ASSERT_EQ(text.rfind("vaqart 4\n", 0), 0u);
     text[7] = '9';
     EXPECT_FALSE(parseArtifact(text).has_value());
 }

@@ -91,7 +91,7 @@ TEST(ArtifactMutation, EveryMutantIsAMissOrARoundTrippingRecord)
             mapper.map(w.circuit, graph, snapshot);
         records.push_back(serializeArtifact(
             makeArtifactKey(w.circuit, graph, snapshot, spec),
-            makeArtifact(mapped, 0.5, 1, 2, graph, snapshot)));
+            makeArtifact(mapped, 0.5, graph, snapshot)));
         ASSERT_TRUE(parseArtifact(records.back()).has_value()) << w.name;
     }
 

@@ -2,24 +2,30 @@
  * @file
  * ArtifactStore tests: persistence with atomic publish, warm
  * starts, corruption degrading to misses, LRU eviction removing
- * files, the certified lookup path (delta and bound serves), and a
- * property check of the one certificate over the Table 1 suite.
+ * files, the certified lookup path (delta and bound serves), and
+ * property checks over the Table 1 suite: of the one certificate,
+ * and of served compiles linting exactly like fresh ones.
  */
 #include "store/artifact_store.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <fstream>
 
+#include "analysis/diagnostics.hpp"
+#include "analysis/linter.hpp"
 #include "analysis/staleness.hpp"
 #include "calibration/synthetic.hpp"
 #include "common/rng.hpp"
+#include "core/compile_request.hpp"
 #include "core/mapper.hpp"
 #include "sim/fault_sim.hpp"
 #include "sim/noise_model.hpp"
+#include "store/adapter.hpp"
 #include "store_test_support.hpp"
 #include "workloads/workloads.hpp"
 
@@ -56,7 +62,7 @@ class ArtifactStoreTest : public ::testing::Test
     {
         const core::MappedCircuit mapped =
             core::makeMapper(spec).map(logical, graph, snapshot);
-        return makeArtifact(mapped, 0.9, 0, 0, graph, snapshot);
+        return makeArtifact(mapped, 0.9, graph, snapshot);
     }
 
     /** A touched qubit the mapped circuit measures. */
@@ -391,11 +397,17 @@ TEST_F(ArtifactStoreTest, DifferentPolicyNeverCrossesOver)
 enum class Drift
 {
     T2Only,        ///< T2 on every qubit
+    T2Collapse,    ///< T2 x 0.1 on every qubit
     ZeroWeight,    ///< readout of unmeasured / 1q error of 1q-free
                    ///< touched qubits
     Untouched,     ///< every parameter outside the touched sets
     SmallTouched,  ///< relative 1e-5 on every touched parameter
     LinkExcursion, ///< one touched link x1.5
+};
+
+constexpr std::array kDriftKinds = {
+    Drift::T2Only,    Drift::T2Collapse,   Drift::ZeroWeight,
+    Drift::Untouched, Drift::SmallTouched, Drift::LinkExcursion,
 };
 
 /** `base` with one seeded drift of `kind` against `profile`. */
@@ -425,6 +437,10 @@ drifted(const calibration::Snapshot &base,
       case Drift::T2Only:
         for (int q = 0; q < snap.numQubits(); ++q)
             snap.qubit(q).t2Us = nudge(snap.qubit(q).t2Us, 0.1);
+        break;
+      case Drift::T2Collapse:
+        for (int q = 0; q < snap.numQubits(); ++q)
+            snap.qubit(q).t2Us *= 0.1;
         break;
       case Drift::ZeroWeight:
         for (const analysis::QubitSensitivity &q : profile.qubits) {
@@ -494,18 +510,16 @@ TEST(StoreCertificate, ZeroBoundIsExactAndBoundServesTrackTheFreshPst)
 
     std::size_t zeroServes = 0;
     std::size_t boundServes = 0;
-    std::size_t checked[5] = {};
+    std::size_t checked[kDriftKinds.size()] = {};
     for (const workloads::Workload &w : workloads::standardSuite(graph)) {
         const core::MappedCircuit mapped =
             mapper.map(w.circuit, graph, base);
         const CompileArtifact artifact =
-            makeArtifact(mapped, pstUnder(mapped.physical, base), 0, 0,
-                         graph, base);
+            makeArtifact(mapped, pstUnder(mapped.physical, base), graph,
+                         base);
         const ArtifactKey baseKey =
             makeArtifactKey(w.circuit, graph, base, spec);
-        for (const Drift kind :
-             {Drift::T2Only, Drift::ZeroWeight, Drift::Untouched,
-              Drift::SmallTouched, Drift::LinkExcursion}) {
+        for (const Drift kind : kDriftKinds) {
             for (std::uint64_t seed = 1; seed <= 3; ++seed) {
                 const calibration::Snapshot now =
                     drifted(base, artifact.profile, kind, seed);
@@ -521,6 +535,7 @@ TEST(StoreCertificate, ZeroBoundIsExactAndBoundServesTrackTheFreshPst)
                 const analysis::StalenessAssessment assess =
                     analysis::assessStaleness(artifact.profile, now);
                 const bool zeroKind = kind == Drift::T2Only ||
+                                      kind == Drift::T2Collapse ||
                                       kind == Drift::ZeroWeight ||
                                       kind == Drift::Untouched;
                 EXPECT_EQ(assess.within(0.0), zeroKind) << where;
@@ -555,6 +570,119 @@ TEST(StoreCertificate, ZeroBoundIsExactAndBoundServesTrackTheFreshPst)
         EXPECT_GT(count, 0u);
     EXPECT_GT(zeroServes, 0u);
     EXPECT_GT(boundServes, 0u);
+}
+
+/** Pre-lint counts and findings of a result, for equality checks. */
+std::string
+preLintView(const core::CompileResult &r)
+{
+    analysis::LintReport report;
+    report.diagnostics = r.diagnostics;
+    return std::to_string(r.lintErrors) + " errors, " +
+           std::to_string(r.lintWarnings) + " warnings\n" +
+           analysis::renderJson(report);
+}
+
+TEST(StoreCertificate, ServedResultsLintLikeFreshCompiles)
+{
+    // The certificate weighs what the PST reads, not what lint
+    // reads (T2, idle windows), so a serve re-runs both lint passes.
+    // Table 1 under vqa+vqm on IBM-Q20 is compiled once with lint on
+    // and recorded, then requested under the unchanged snapshot
+    // (exact serve) and under one drift of each kind (delta or bound
+    // serve, or a recompile). A served result's pre-lint counts and
+    // findings equal a fresh compile's; its mapped-lint counts equal
+    // a fresh lint of the served mapping, which is what the fresh
+    // compile reports whenever it picks the same mapping. A lint-off
+    // request served from the lint-on artifact reports no findings.
+    StoreOptions options;
+    options.stalenessTol = 1e-3;
+    const topology::CouplingGraph graph = topology::ibmQ20Tokyo();
+    const calibration::Snapshot base =
+        calibration::SyntheticSource(graph, {}, 7).nextCycle();
+    const core::PolicySpec spec{.name = "vqa+vqm"};
+    const core::Mapper mapper = core::makeMapper(spec);
+    core::CompileRequest request;
+    request.policy = spec;
+    request.lint = true;
+    core::CompileRequest lintOff = request;
+    lintOff.lint = false;
+    const analysis::Linter linter(request.lintOptions);
+    core::CompileContext fresh;
+    fresh.mapper = &mapper;
+
+    std::size_t exact = 0;
+    std::size_t delta = 0;
+    std::size_t bound = 0;
+    std::size_t sameMapping = 0;
+    for (const workloads::Workload &w : workloads::standardSuite(graph)) {
+        const auto compile = [&](const core::CompileRequest &r,
+                                 const calibration::Snapshot &snap,
+                                 const core::CompileContext &context) {
+            return core::compileCircuit(w.circuit, r, graph, snap,
+                                        context);
+        };
+        ArtifactStore store(options);
+        ArtifactCacheAdapter cache(store, graph, spec);
+        core::CompileContext cached = fresh;
+        cached.artifactCache = &cache;
+        const core::CompileResult stored = compile(request, base, fresh);
+        ASSERT_EQ(stored.status, core::JobStatus::Ok) << w.name;
+        cache.record(w.circuit, base, stored);
+        const auto artifact =
+            store.get(makeArtifactKey(w.circuit, graph, base, spec));
+        ASSERT_TRUE(artifact.has_value()) << w.name;
+
+        std::vector<calibration::Snapshot> snapshots = {base};
+        for (const Drift kind : kDriftKinds)
+            snapshots.push_back(
+                drifted(base, artifact->profile, kind, 1));
+        for (std::size_t i = 0; i < snapshots.size(); ++i) {
+            const calibration::Snapshot &now = snapshots[i];
+            const std::string where =
+                w.name + " snapshot " + std::to_string(i);
+            const core::CompileResult served =
+                compile(request, now, cached);
+            if (!served.fromStore)
+                continue; // recompiled: nothing was served
+            ++(served.boundReuse ? bound
+               : served.viaDelta ? delta
+                                 : exact);
+            // The recorded compile is the fresh one on `base`.
+            const core::CompileResult recompiled =
+                i == 0 ? stored : compile(request, now, fresh);
+            EXPECT_EQ(preLintView(served), preLintView(recompiled))
+                << where;
+            const analysis::LintReport post = linter.lintPhysical(
+                served.mapped.physical, graph, &now);
+            EXPECT_EQ(served.mappedLintErrors, post.errorCount())
+                << where;
+            EXPECT_EQ(served.mappedLintWarnings, post.warningCount())
+                << where;
+            if (served.mapped.physical == recompiled.mapped.physical) {
+                ++sameMapping;
+                EXPECT_EQ(served.mappedLintErrors,
+                          recompiled.mappedLintErrors)
+                    << where;
+                EXPECT_EQ(served.mappedLintWarnings,
+                          recompiled.mappedLintWarnings)
+                    << where;
+            }
+
+            const core::CompileResult quiet =
+                compile(lintOff, now, cached);
+            EXPECT_TRUE(quiet.fromStore) << where;
+            EXPECT_EQ(preLintView(quiet),
+                      preLintView(core::CompileResult{}))
+                << where;
+            EXPECT_EQ(quiet.mappedLintErrors, 0u) << where;
+            EXPECT_EQ(quiet.mappedLintWarnings, 0u) << where;
+        }
+    }
+    EXPECT_GT(exact, 0u);
+    EXPECT_GT(delta, 0u);
+    EXPECT_GT(bound, 0u);
+    EXPECT_GT(sameMapping, 0u);
 }
 
 } // namespace

@@ -352,8 +352,11 @@ TEST_F(BatchStoreTest, CorruptedStoreFilesNeverAbortABatch)
     EXPECT_EQ(healed.stats().warmLoaded, circuits.size());
 }
 
-TEST_F(BatchStoreTest, StoreHitsCarryStoredLintCounts)
+TEST_F(BatchStoreTest, StoreHitsRunBothLintPasses)
 {
+    // A hit stands in for the mapping attempts only: pre-lint and
+    // post-lint run on it, so a warm batch reports what the cold
+    // one did.
     ArtifactStore store(StoreOptions{});
     ArtifactCacheAdapter cache(store, graph, spec);
     const core::Mapper mapper = core::makeMapper(spec);
@@ -366,6 +369,10 @@ TEST_F(BatchStoreTest, StoreHitsCarryStoredLintCounts)
         compiler.compileAll(circuits, snapshots);
     for (std::size_t i = 0; i < warm.size(); ++i) {
         EXPECT_TRUE(warm[i].fromStore);
+        EXPECT_EQ(warm[i].lintErrors, cold[i].lintErrors);
+        EXPECT_EQ(warm[i].lintWarnings, cold[i].lintWarnings);
+        EXPECT_EQ(warm[i].diagnostics.size(),
+                  cold[i].diagnostics.size());
         EXPECT_EQ(warm[i].mappedLintErrors,
                   cold[i].mappedLintErrors);
         EXPECT_EQ(warm[i].mappedLintWarnings,
