@@ -493,6 +493,95 @@ TEST(FrameVsDense, AdaptiveStopIsThreadCountInvariant)
     EXPECT_EQ(one.successes, eight.successes);
 }
 
+TEST(FrameVsDense, AdaptiveStopPointIsPinned)
+{
+    // The outcome-checked stopping point on both engines, pinned as
+    // numbers (not just agreement across thread counts), so a change
+    // to the wave size or the stop rule cannot go unnoticed: both
+    // stop after the fifth 8-chunk wave, where a check after every
+    // chunk would stop at 17500 trials. The dense case is the
+    // T-dressed GHZ of FallbackCircuitsMatchDenseEngineBitExactly,
+    // which Auto runs on the dense fallback.
+    const auto q5 = topology::ibmQ5Tenerife();
+    const auto q5Snap = test::uniformSnapshot(q5);
+    const NoiseModel q5Model(q5, q5Snap);
+    Rng corpusRng(45);
+    const Circuit clifford =
+        test::randomCliffordCircuit(q5, 70, corpusRng, 4);
+
+    const auto full = topology::fullyConnected(4);
+    const auto fullSnap = test::uniformSnapshot(full);
+    const NoiseModel fullModel(full, fullSnap);
+    Circuit dressed(4);
+    dressed.t(0).h(0).cx(0, 1).cx(1, 2).cx(2, 3).tdg(3);
+    dressed.measureAll();
+
+    struct Case
+    {
+        const Circuit *circuit;
+        const NoiseModel *model;
+        bool framePath;
+        std::size_t trials;
+        std::size_t successes;
+    };
+    const Case cases[] = {
+        {&clifford, &q5Model, true, 20'000u, 3'816u},
+        {&dressed, &fullModel, false, 20'000u, 16'057u},
+    };
+    for (const Case &pinned : cases) {
+        OutcomeSimOptions options;
+        options.trials = 1'000'000;
+        options.chunkTrials = 500;
+        options.targetStderr = 0.003;
+        for (const std::size_t threads : {1, 4}) {
+            const OutcomeSimResult result =
+                ParallelFaultSim(threads).runOutcomeChecked(
+                    *pinned.circuit, *pinned.model, options);
+            EXPECT_EQ(result.framePath, pinned.framePath);
+            EXPECT_EQ(result.trials, pinned.trials);
+            EXPECT_EQ(result.successes, pinned.successes);
+            EXPECT_LE(result.stderrPst, options.targetStderr);
+        }
+    }
+}
+
+TEST(FrameVsDense, OneChunkRunsOnTheFirstSplitStream)
+{
+    // Chunk c draws from the c-th split() of Rng(seed), so a single
+    // chunk replays TrajectorySimulator seeded with
+    // Rng(seed).nextRaw() (split() seeds its child with one raw
+    // word), not with `seed` itself. GHZ-3 dressed with a T gate
+    // keeps the run on the dense engine.
+    const auto q5 = topology::ibmQ5Tenerife();
+    const auto snap = test::uniformSnapshot(q5);
+    const NoiseModel model(q5, snap);
+    Circuit logical(3);
+    logical.t(0).h(0).cx(0, 1).cx(1, 2);
+    logical.measureAll();
+    const Circuit physical = core::makeMapper({.name = "baseline"})
+                                 .map(logical, q5, snap)
+                                 .physical;
+
+    OutcomeSimOptions options;
+    options.trials = 4096;
+    options.chunkTrials = options.trials;
+    options.engine = SimEngine::Dense;
+    const OutcomeSimResult parallel =
+        ParallelFaultSim(2).runOutcomeChecked(physical, model, options);
+
+    TrajectoryOptions trajectory;
+    trajectory.shots = options.trials;
+    trajectory.seed = Rng(options.seed).nextRaw();
+    const ShotCounts replay =
+        TrajectorySimulator(model, trajectory).run(physical);
+    EXPECT_EQ(parallel.counts.counts, replay.counts);
+    EXPECT_EQ(parallel.counts.measuredMask, replay.measuredMask);
+
+    trajectory.seed = options.seed;
+    EXPECT_NE(parallel.counts.counts,
+              TrajectorySimulator(model, trajectory).run(physical).counts);
+}
+
 TEST(FrameVsDense, OptionsAndContractsValidated)
 {
     const auto graph = topology::ibmQ5Tenerife();

@@ -125,6 +125,27 @@ TEST_F(ParallelFaultSimTest, AdaptiveStopIsThreadCountInvariant)
     EXPECT_EQ(one.successes, eight.successes);
 }
 
+TEST_F(ParallelFaultSimTest, AdaptiveStopPointIsPinned)
+{
+    // Thread-count agreement alone would still pass if the stop test
+    // ran after every chunk or the wave size changed. These numbers
+    // pin the stopping point itself: the target is first met after
+    // the eighth 8-chunk wave (a check after every chunk would stop
+    // at 58000 trials).
+    const NoiseModel model(graph, snap);
+    ParallelFaultSimOptions options;
+    options.trials = 1'000'000;
+    options.chunkTrials = 1000;
+    options.targetStderr = 0.002;
+    for (const std::size_t threads : {1, 4}) {
+        const FaultSimResult result =
+            ParallelFaultSim(threads).run(workload, model, options);
+        EXPECT_EQ(result.trials, 64'000u);
+        EXPECT_EQ(result.successes, 40'709u);
+        EXPECT_LE(result.stderrPst, options.targetStderr);
+    }
+}
+
 TEST_F(ParallelFaultSimTest, UnreachableTargetRunsFullBudget)
 {
     const NoiseModel model(graph, snap);
