@@ -17,7 +17,11 @@
 # and `vaqc sens` must print "log-PST". A vaqc --batch differential
 # compiles the service fixtures once with shared calibration
 # contexts (the default) and once with a private context per compile
-# (--no-path-cache); the job tables must be byte-identical. A fleet
+# (--no-path-cache); the job tables must be byte-identical. A vaqc
+# Monte-Carlo golden runs the same fixtures on IBM-Q20 with an
+# adaptive PST target through both trial runs (Bernoulli and
+# outcome-checked) at 1 and at 4 threads; both outputs must equal
+# tests/sim/golden/vaqc_q20_adaptive.golden. A fleet
 # golden runs `vaqfleet --fingerprint` under rate-5 chaos (seed 11,
 # 400 jobs), whose quarantine events send many compiles through the
 # healthy-region path, at 1 and at 4 threads; both outputs must equal
@@ -135,6 +139,24 @@ grep -q '^jobs ' <<<"$SHARED_OUT" || {
     exit 1
 }
 echo "ci: vaqc --batch context differential passed"
+
+echo "== tier-1: vaqc adaptive Monte-Carlo golden (threads 1 and 4) =="
+# Each fixture's Bernoulli and outcome-checked PST lines, including
+# the trial counts at which the adaptive target stops them, must
+# equal the recorded golden at any thread count.
+SIM_GOLDEN=tests/sim/golden/vaqc_q20_adaptive.golden
+for threads in 1 4; do
+    for program in bv4 ghz6 qft5; do
+        build/tools/vaqc --qasm "tests/service/fixtures/$program.qasm" \
+            --machine q20 --trials 200000 --target-stderr 0.002 \
+            --sim-engine auto --threads "$threads"
+    done | cmp - "$SIM_GOLDEN" || {
+        echo "ci: vaqc Monte-Carlo output at --threads $threads" \
+            "differs from $SIM_GOLDEN" >&2
+        exit 1
+    }
+done
+echo "ci: vaqc Monte-Carlo golden matched (threads 1 and 4)"
 
 echo "== tier-1: robustness label smoke (must select tests) =="
 ctest --test-dir build -L robustness --output-on-failure -j "$JOBS"

@@ -49,7 +49,6 @@ inspectForBatch(const topology::CouplingGraph &graph,
         graph, snapshot,
         options.sanitizeCalibration ? CalibrationHandling::Sanitize
                                     : CalibrationHandling::Validate,
-        options.sanitize,
         options.compile.telemetryEnabled && obs::enabled());
 }
 

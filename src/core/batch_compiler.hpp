@@ -52,7 +52,6 @@
 #include <vector>
 
 #include "analysis/linter.hpp"
-#include "calibration/sanitize.hpp"
 #include "calibration/snapshot.hpp"
 #include "circuit/circuit.hpp"
 #include "common/error.hpp"
@@ -92,9 +91,6 @@ struct BatchOptions
      *  only to snapshots the batch inspects itself: a handed-in
      *  CalibrationContext already carries its verdict. */
     bool sanitizeCalibration = true;
-    /** Quarantine thresholds (see calibration/sanitize.hpp); like
-     *  sanitizeCalibration, only for snapshots the batch inspects. */
-    calibration::SanitizeOptions sanitize;
     /** Run the static analysis rules around each job: pre-compile on
      *  the logical circuit (error-severity Usage findings fail the
      *  job before any compile attempt) and post-compile on the
@@ -132,7 +128,7 @@ struct BatchResult : CompileResult
 };
 
 /** Inspect `snapshot` the way a batch under `options` does
- *  (sanitizeCalibration, sanitize, compile.telemetryEnabled). */
+ *  (sanitizeCalibration, compile.telemetryEnabled). */
 std::shared_ptr<const CalibrationContext>
 inspectForBatch(const topology::CouplingGraph &graph,
                 const calibration::Snapshot &snapshot,

@@ -46,9 +46,7 @@ reliabilityCostGraph(const topology::CouplingGraph &graph,
 SnapshotHealth
 inspectSnapshot(const calibration::Snapshot &snapshot,
                 const topology::CouplingGraph &graph,
-                CalibrationHandling handling,
-                const calibration::SanitizeOptions &options,
-                bool telemetry)
+                CalibrationHandling handling, bool telemetry)
 {
     SnapshotHealth health;
     if (handling == CalibrationHandling::Trust)
@@ -63,7 +61,7 @@ inspectSnapshot(const calibration::Snapshot &snapshot,
         }
         obs::Span sanitizeSpan("batch.sanitize", telemetry);
         calibration::SanitizedCalibration sanitized =
-            calibration::sanitize(snapshot, graph, options);
+            calibration::sanitize(snapshot, graph);
         health.note = sanitized.report.summary();
         if (telemetry) {
             obs::count("calibration.quarantine.snapshots");
@@ -187,14 +185,11 @@ CalibrationContext::plans(CostKind kind, int mah) const
 std::shared_ptr<const CalibrationContext>
 inspectCalibration(const topology::CouplingGraph &graph,
                    const calibration::Snapshot &snapshot,
-                   CalibrationHandling handling,
-                   const calibration::SanitizeOptions &sanitize,
-                   bool telemetry)
+                   CalibrationHandling handling, bool telemetry)
 {
     return std::make_shared<const CalibrationContext>(
         graph, snapshot,
-        inspectSnapshot(snapshot, graph, handling, sanitize,
-                        telemetry));
+        inspectSnapshot(snapshot, graph, handling, telemetry));
 }
 
 void

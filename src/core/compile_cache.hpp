@@ -103,7 +103,6 @@ SnapshotHealth
 inspectSnapshot(const calibration::Snapshot &snapshot,
                 const topology::CouplingGraph &graph,
                 CalibrationHandling handling,
-                const calibration::SanitizeOptions &options = {},
                 bool telemetry = false);
 
 /** One immutable per-(machine, snapshot) compile context.
@@ -186,7 +185,6 @@ std::shared_ptr<const CalibrationContext>
 inspectCalibration(const topology::CouplingGraph &graph,
                    const calibration::Snapshot &snapshot,
                    CalibrationHandling handling,
-                   const calibration::SanitizeOptions &sanitize = {},
                    bool telemetry = false);
 
 /** A no-op kept for callers that still signal a calibration

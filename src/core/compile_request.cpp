@@ -158,7 +158,7 @@ compileCircuit(const circuit::Circuit &logical,
     std::shared_ptr<const CalibrationContext> owned;
     if (!context.calibration) {
         owned = inspectCalibration(graph, snapshot, request.calibration,
-                                   request.sanitize, telemetry);
+                                   telemetry);
     } else {
         require(context.calibration->graph().topologyHash() ==
                         graph.topologyHash() &&

@@ -37,7 +37,6 @@
 #include <vector>
 
 #include "analysis/linter.hpp"
-#include "calibration/sanitize.hpp"
 #include "calibration/snapshot.hpp"
 #include "circuit/circuit.hpp"
 #include "common/error.hpp"
@@ -106,8 +105,6 @@ struct CompileRequest
     int maxRetries = 2;
     /** Snapshot trust level (see CalibrationHandling). */
     CalibrationHandling calibration = CalibrationHandling::Sanitize;
-    /** Quarantine thresholds (see calibration/sanitize.hpp). */
-    calibration::SanitizeOptions sanitize;
     /** Fill CompileResult::analyticPst (skip to save scoring time). */
     bool scoreResult = true;
     /** Caller identity for service quotas and telemetry; empty for
@@ -288,8 +285,8 @@ buildFallbackMappers(const std::string &policy_name, int maxRetries);
 /// order + shortest-round-trip numbers); parsing tolerates unknown
 /// fields and reports type/missing errors with the full field path.
 /// Limits: PolicySpec::seed round-trips exactly up to 2^53; the
-/// sanitize/lint rule-parameter thresholds are in-process knobs and
-/// do not serialize.
+/// lint rule-parameter thresholds are in-process knobs and do not
+/// serialize.
 /// @{
 
 json::Value toJson(const PolicySpec &spec);

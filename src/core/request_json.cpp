@@ -116,6 +116,17 @@ layoutArray(const Layout &layout)
     return array;
 }
 
+/** A count field: refuses negatives, which would wrap to huge
+ *  std::size_t values that the writer cannot emit again. */
+std::size_t
+countFrom(const json::Cursor &cursor)
+{
+    const std::int64_t value = cursor.asInt();
+    if (value < 0)
+        throw VaqError(cursor.path() + ": must be non-negative");
+    return static_cast<std::size_t>(value);
+}
+
 std::vector<int>
 intArrayFrom(const json::Cursor &cursor)
 {
@@ -260,8 +271,7 @@ compileRequestFromJson(const json::Cursor &cursor)
         if (const auto telemetry = options->get("telemetryEnabled"))
             request.options.telemetryEnabled = telemetry->asBool();
         if (const auto threads = options->get("threads"))
-            request.options.threads =
-                static_cast<std::size_t>(threads->asInt());
+            request.options.threads = countFrom(*threads);
         if (const auto engine = options->get("simEngine"))
             request.options.simEngine =
                 sim::simEngineFromName(engine->asString());
@@ -380,20 +390,15 @@ compileResultFromJson(const json::Cursor &cursor)
                                      initial[q]);
         mappedCircuit.final.assign(static_cast<int>(q), final_[q]);
     }
-    mappedCircuit.insertedSwaps = static_cast<std::size_t>(
-        mapped.at("insertedSwaps").asInt());
+    mappedCircuit.insertedSwaps = countFrom(mapped.at("insertedSwaps"));
     mappedCircuit.policyName = mapped.at("policyName").asString();
     result.mapped = std::move(mappedCircuit);
 
     const json::Cursor lint = cursor.at("lint");
-    result.lintErrors =
-        static_cast<std::size_t>(lint.at("errors").asInt());
-    result.lintWarnings =
-        static_cast<std::size_t>(lint.at("warnings").asInt());
-    result.mappedLintErrors =
-        static_cast<std::size_t>(lint.at("mappedErrors").asInt());
-    result.mappedLintWarnings = static_cast<std::size_t>(
-        lint.at("mappedWarnings").asInt());
+    result.lintErrors = countFrom(lint.at("errors"));
+    result.lintWarnings = countFrom(lint.at("warnings"));
+    result.mappedLintErrors = countFrom(lint.at("mappedErrors"));
+    result.mappedLintWarnings = countFrom(lint.at("mappedWarnings"));
     const json::Cursor diagnostics = lint.at("diagnostics");
     result.diagnostics.reserve(diagnostics.arraySize());
     for (std::size_t i = 0; i < diagnostics.arraySize(); ++i)

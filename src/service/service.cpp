@@ -85,7 +85,7 @@ CompileService::epochContext(const calibration::Snapshot &snapshot,
 {
     std::shared_ptr<const core::CalibrationContext> calibration =
         core::inspectCalibration(
-            _graph, snapshot, core::CalibrationHandling::Sanitize, {},
+            _graph, snapshot, core::CalibrationHandling::Sanitize,
             _options.compile.telemetryEnabled && obs::enabled());
     if (calibration->health().kind ==
         core::SnapshotHealth::Kind::Rejected) {

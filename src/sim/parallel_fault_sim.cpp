@@ -4,6 +4,7 @@
 #include <bit>
 #include <chrono>
 #include <optional>
+#include <type_traits>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -70,33 +71,41 @@ mergeRuns(OutcomeRuns &into, const OutcomeRuns &runs,
     into.swap(scratch);
 }
 
-} // namespace
-
-ParallelFaultSim::ParallelFaultSim(std::size_t threads)
-    : _pool(threads)
-{
-}
-
-FaultSimResult
-ParallelFaultSim::run(const Circuit &physical, const NoiseModel &model,
-                      const ParallelFaultSimOptions &options)
+/** The option checks both runs make before any setup. */
+template <typename Options>
+void
+checkRun(const Circuit &physical, const NoiseModel &model,
+         const Options &options)
 {
     require(options.trials > 0, "need at least one trial");
-    require(options.chunkTrials > 0,
-            "chunkTrials must be positive");
+    require(options.chunkTrials > 0, "chunkTrials must be positive");
     require(options.targetStderr >= 0.0,
             "targetStderr must be non-negative");
     checkExecutable(physical, model);
+}
 
+/**
+ * The chunk driver behind both runs (DESIGN §5b). It shards
+ * options.trials into chunks of options.chunkTrials; chunk c draws
+ * from the c-th split() of Rng(options.seed), split sequentially in
+ * chunk order, so the stream layout is a pure function of (seed,
+ * trials, chunkTrials). Each wave of chunks runs `kernel(rng, n)` on
+ * the pool, one output slot per chunk, then hands the outputs to
+ * `reduce` in chunk order; `reduce` returns the chunk's tally, which
+ * the driver folds into the running total. With targetStderr > 0
+ * the waves have a fixed size and the run stops after the first
+ * wave whose total meets the target. Nothing depends on which
+ * worker ran which chunk, so the result is thread-count invariant.
+ */
+template <typename Options, typename Kernel, typename Reduce>
+detail::TrialTally
+runChunks(ThreadPool &pool, const Options &options,
+          std::chrono::steady_clock::time_point runStart,
+          const Kernel &kernel, const Reduce &reduce)
+{
+    using Output = std::invoke_result_t<const Kernel &, Rng &,
+                                        std::size_t>;
     const bool telemetry = obs::enabled();
-    obs::Span runSpan("sim.run", telemetry);
-    const auto runStart = std::chrono::steady_clock::now();
-
-    const std::vector<double> probs =
-        detail::collectErrorProbs(physical, model);
-    const detail::TrialThresholds compiled =
-        detail::compileThresholds(probs);
-
     const std::size_t numChunks =
         (options.trials + options.chunkTrials - 1) /
         options.chunkTrials;
@@ -104,14 +113,10 @@ ParallelFaultSim::run(const Circuit &physical, const NoiseModel &model,
     const std::size_t waveChunks =
         adaptive ? kAdaptiveWaveChunks : numChunks;
 
-    // One independent stream per chunk, derived sequentially from
-    // the master seed in chunk order: the stream layout is a pure
-    // function of (seed, trials, chunkTrials).
     Rng master(options.seed);
-
     detail::TrialTally total;
     std::vector<Rng> streams;
-    std::vector<detail::TrialTally> tallies;
+    std::vector<Output> outputs;
     for (std::size_t first = 0; first < numChunks;
          first += waveChunks) {
         const std::size_t count =
@@ -122,22 +127,21 @@ ParallelFaultSim::run(const Circuit &physical, const NoiseModel &model,
         for (std::size_t i = 0; i < count; ++i)
             streams.push_back(master.split());
 
-        tallies.assign(count, detail::TrialTally{});
-        _pool.parallelFor(count, [&](std::size_t i) {
+        outputs.assign(count, Output{});
+        pool.parallelFor(count, [&](std::size_t i) {
             obs::ScopedTimer chunkTimer("sim.chunk.seconds",
                                         telemetry);
             const std::size_t begin =
                 (first + i) * options.chunkTrials;
-            const std::size_t n = std::min(
-                options.chunkTrials, options.trials - begin);
-            tallies[i] =
-                detail::simulateChunk(compiled, n, streams[i]);
+            outputs[i] = kernel(
+                streams[i],
+                std::min(options.chunkTrials, options.trials - begin));
         });
 
         // Reduce in chunk order — the merge sequence, like the
         // streams, never depends on which worker ran which chunk.
-        for (const detail::TrialTally &t : tallies)
-            total.merge(t);
+        for (const Output &out : outputs)
+            total.merge(reduce(out));
 
         if (adaptive &&
             detail::pstStandardError(total.successes,
@@ -158,6 +162,35 @@ ParallelFaultSim::run(const Circuit &physical, const NoiseModel &model,
                           static_cast<double>(total.trials) /
                               seconds);
     }
+    return total;
+}
+
+} // namespace
+
+ParallelFaultSim::ParallelFaultSim(std::size_t threads)
+    : _pool(threads)
+{
+}
+
+FaultSimResult
+ParallelFaultSim::run(const Circuit &physical, const NoiseModel &model,
+                      const ParallelFaultSimOptions &options)
+{
+    checkRun(physical, model, options);
+    obs::Span runSpan("sim.run", obs::enabled());
+    const auto runStart = std::chrono::steady_clock::now();
+
+    const std::vector<double> probs =
+        detail::collectErrorProbs(physical, model);
+    const detail::TrialThresholds compiled =
+        detail::compileThresholds(probs);
+
+    const detail::TrialTally total = runChunks(
+        _pool, options, runStart,
+        [&](Rng &rng, std::size_t n) {
+            return detail::simulateChunk(compiled, n, rng);
+        },
+        [](const detail::TrialTally &tally) { return tally; });
     return detail::resultFromTally(
         total, detail::productSuccessProb(probs));
 }
@@ -167,12 +200,7 @@ ParallelFaultSim::runOutcomeChecked(const Circuit &physical,
                                     const NoiseModel &model,
                                     const OutcomeSimOptions &options)
 {
-    require(options.trials > 0, "need at least one trial");
-    require(options.chunkTrials > 0, "chunkTrials must be positive");
-    require(options.targetStderr >= 0.0,
-            "targetStderr must be non-negative");
-    checkExecutable(physical, model);
-
+    checkRun(physical, model, options);
     const bool telemetry = obs::enabled();
     obs::Span runSpan("sim.outcome_run", telemetry);
     const auto runStart = std::chrono::steady_clock::now();
@@ -244,45 +272,18 @@ ParallelFaultSim::runOutcomeChecked(const Circuit &physical,
         denseScript =
             NoiseScript::compile(physical, model, trajectory);
 
-    const std::size_t numChunks =
-        (options.trials + options.chunkTrials - 1) /
-        options.chunkTrials;
-    const bool adaptive = options.targetStderr > 0.0;
-    const std::size_t waveChunks =
-        adaptive ? kAdaptiveWaveChunks : numChunks;
-
     struct ChunkOutput
     {
         detail::TrialTally tally;
         OutcomeRuns runs;
     };
 
-    Rng master(options.seed);
-    detail::TrialTally total;
     OutcomeRuns histogram;
     OutcomeRuns scratch;
-    std::vector<Rng> streams;
-    std::vector<ChunkOutput> outputs;
-    for (std::size_t first = 0; first < numChunks;
-         first += waveChunks) {
-        const std::size_t count =
-            std::min(waveChunks, numChunks - first);
-
-        streams.clear();
-        streams.reserve(count);
-        for (std::size_t i = 0; i < count; ++i)
-            streams.push_back(master.split());
-
-        outputs.assign(count, ChunkOutput{});
-        _pool.parallelFor(count, [&](std::size_t i) {
-            obs::ScopedTimer chunkTimer("sim.chunk.seconds",
-                                        telemetry);
-            const std::size_t begin =
-                (first + i) * options.chunkTrials;
-            const std::size_t n = std::min(
-                options.chunkTrials, options.trials - begin);
-            Rng rng = streams[i];
-            ChunkOutput &out = outputs[i];
+    const detail::TrialTally total = runChunks(
+        _pool, options, runStart,
+        [&](Rng &rng, std::size_t n) {
+            ChunkOutput out;
             std::vector<std::uint64_t> outcomes(n);
             for (std::uint64_t &outcome : outcomes) {
                 outcome = result.framePath
@@ -293,47 +294,27 @@ ParallelFaultSim::runOutcomeChecked(const Circuit &physical,
             }
             out.tally.trials = n;
             out.runs = encodeRuns(outcomes);
-        });
-
-        // Reduce in chunk order (thread-count invariant).
-        for (const ChunkOutput &out : outputs) {
-            total.merge(out.tally);
+            return out;
+        },
+        [&](const ChunkOutput &out) {
             mergeRuns(histogram, out.runs, scratch);
-        }
-
-        if (adaptive &&
-            detail::pstStandardError(total.successes,
-                                     total.trials) <=
-                options.targetStderr) {
-            break;
-        }
-    }
+            return out.tally;
+        });
 
     result.counts.shots = total.trials;
     result.counts.measuredMask = mask;
     for (const auto &[outcome, n] : histogram)
         result.counts.counts.emplace_hint(result.counts.counts.end(),
                                           outcome, n);
-    result.trials = total.trials;
-    result.successes = total.successes;
-    result.pst = static_cast<double>(total.successes) /
-                 static_cast<double>(total.trials);
-    result.stderrPst =
-        detail::pstStandardError(total.successes, total.trials);
+    // run()'s estimate and error bar; no closed form applies here.
+    const FaultSimResult estimate = detail::resultFromTally(total, 0.0);
+    result.trials = estimate.trials;
+    result.successes = estimate.successes;
+    result.pst = estimate.pst;
+    result.stderrPst = estimate.stderrPst;
 
-    if (telemetry) {
-        obs::count("sim.trials.total", total.trials);
-        if (result.framePath)
-            obs::count("sim.frame.trials", total.trials);
-        const double seconds =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - runStart)
-                .count();
-        if (seconds > 0.0)
-            obs::gaugeSet("sim.trials_per_sec",
-                          static_cast<double>(total.trials) /
-                              seconds);
-    }
+    if (telemetry && result.framePath)
+        obs::count("sim.frame.trials", total.trials);
     return result;
 }
 

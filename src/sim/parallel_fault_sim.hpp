@@ -64,8 +64,9 @@ struct ParallelFaultSimOptions
 struct OutcomeSimOptions
 {
     std::size_t trials = 100'000;
-    /** Defaults to the trajectory engine's seed so a single-threaded
-     *  chunk replays TrajectorySimulator streams per chunk. */
+    /** Master seed. Chunk c draws from the c-th split() of
+     *  Rng(seed), so a run of one chunk replays TrajectorySimulator
+     *  seeded with Rng(seed).nextRaw(), not with seed itself. */
     std::uint64_t seed = 29;
     /** Trials per chunk — the unit of determinism (see
      *  ParallelFaultSimOptions::chunkTrials). */
@@ -136,10 +137,10 @@ class ParallelFaultSim
      * trial simulates the full noisy execution (Pauli-frame fast
      * path for Clifford circuits, dense trajectory otherwise) and
      * succeeds iff its outcome lands in the program's ideal outcome
-     * set. Chunk streams, wave structure and adaptive stopping
-     * mirror run(), so results are thread-count invariant; with one
-     * chunk covering all trials the trial stream is exactly
-     * TrajectorySimulator's.
+     * set. It runs on run()'s chunk driver (same streams, waves
+     * and adaptive stop), so results are thread-count invariant.
+     * With one chunk covering all trials the trials are exactly
+     * TrajectorySimulator's under seed Rng(options.seed).nextRaw().
      *
      * @throws VaqError when the circuit measures nothing or its
      *         accept set covers more than half the outcome space

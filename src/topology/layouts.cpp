@@ -1,6 +1,7 @@
 #include "topology/layouts.hpp"
 
 #include "common/error.hpp"
+#include "common/strings.hpp"
 
 namespace vaq::topology
 {
@@ -106,6 +107,28 @@ fullyConnected(int n)
             links.push_back(Link{a, b});
     }
     return CouplingGraph("full-" + std::to_string(n), n, links);
+}
+
+CouplingGraph
+machineByName(const std::string &name)
+{
+    if (name == "q20")
+        return ibmQ20Tokyo();
+    if (name == "q5")
+        return ibmQ5Tenerife();
+    if (name == "falcon27")
+        return ibmFalcon27();
+    if (startsWith(name, "line:"))
+        return linear(static_cast<int>(parseSize(name.substr(5))));
+    if (startsWith(name, "ring:"))
+        return ring(static_cast<int>(parseSize(name.substr(5))));
+    if (startsWith(name, "grid:")) {
+        const auto dims = split(name.substr(5), 'x');
+        require(dims.size() == 2, "grid needs RxC");
+        return grid(static_cast<int>(parseSize(dims[0])),
+                    static_cast<int>(parseSize(dims[1])));
+    }
+    throw VaqError("unknown machine: " + name);
 }
 
 } // namespace vaq::topology

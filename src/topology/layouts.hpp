@@ -7,6 +7,8 @@
 #ifndef VAQ_TOPOLOGY_LAYOUTS_HPP
 #define VAQ_TOPOLOGY_LAYOUTS_HPP
 
+#include <string>
+
 #include "topology/coupling_graph.hpp"
 
 namespace vaq::topology
@@ -47,6 +49,13 @@ CouplingGraph fullyConnected(int n);
  * policies generalize to the topologies that followed it.
  */
 CouplingGraph ibmFalcon27();
+
+/**
+ * The machine a command line names: q20, q5, falcon27, line:N,
+ * ring:N or grid:RxC.
+ * @throws VaqError on any other spelling.
+ */
+CouplingGraph machineByName(const std::string &name);
 
 } // namespace vaq::topology
 

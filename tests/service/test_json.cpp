@@ -266,6 +266,24 @@ TEST(CompileRequestJson, IntFieldsRefuseValuesOutsideInt)
     EXPECT_EQ(widest.policy.mah, 2147483647);
 }
 
+TEST(CompileRequestJson, NegativeThreadsIsRefused)
+{
+    // threads is a count: -1 must be refused with the field path,
+    // not wrapped to 2^64 - 1.
+    std::string text = json::write(core::toJson(canonicalRequest()));
+    const std::string from = "\"threads\":0";
+    text.replace(text.find(from), from.size(), "\"threads\":-1");
+    try {
+        core::compileRequestFromJson(json::Cursor(json::parse(text)));
+        ADD_FAILURE() << "threads -1 was accepted";
+    } catch (const VaqError &e) {
+        EXPECT_NE(std::string(e.message())
+                      .find("$.options.threads: must be non-negative"),
+                  std::string::npos)
+            << e.message();
+    }
+}
+
 TEST(CompileResultJson, RoundTripsACompiledResult)
 {
     const topology::CouplingGraph graph = topology::ibmQ5Tenerife();
@@ -323,6 +341,48 @@ TEST(CompileResultJson, LayoutWidthMismatchIsRejected)
     EXPECT_THROW(core::compileResultFromJson(
                      json::Cursor(doc)),
                  VaqError);
+}
+
+TEST(CompileResultJson, NegativeCountsAreRefused)
+{
+    // insertedSwaps and the four lint counts are counts: a negative
+    // value is refused with its path. Wrapped to 2^64 - 1 it would
+    // give a result whose own toJson no longer parses back.
+    const topology::CouplingGraph graph = topology::ibmQ5Tenerife();
+    core::CompileRequest request;
+    request.policy = {.name = "baseline"};
+    circuit::Circuit bell(2);
+    bell.h(0);
+    bell.cx(0, 1);
+    bell.measure(0);
+    bell.measure(1);
+    const core::CompileResult result = core::compileCircuit(
+        bell, request, graph, test::uniformSnapshot(graph));
+    ASSERT_TRUE(result.ok());
+    const json::Value doc = core::toJson(result);
+
+    const std::pair<const char *, const char *> fields[] = {
+        {"mapped", "insertedSwaps"}, {"lint", "errors"},
+        {"lint", "warnings"},        {"lint", "mappedErrors"},
+        {"lint", "mappedWarnings"},
+    };
+    for (const auto &[object, field] : fields) {
+        json::Value corrupt = doc;
+        json::Value inner = *corrupt.find(object);
+        inner.set(field, json::Value::number(std::int64_t{-1}));
+        corrupt.set(object, std::move(inner));
+        const std::string path =
+            std::string("$.") + object + "." + field;
+        try {
+            core::compileResultFromJson(json::Cursor(corrupt));
+            ADD_FAILURE() << path << " -1 was accepted";
+        } catch (const VaqError &e) {
+            EXPECT_NE(std::string(e.message())
+                          .find(path + ": must be non-negative"),
+                      std::string::npos)
+                << e.message();
+        }
+    }
 }
 
 } // namespace

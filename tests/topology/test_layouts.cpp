@@ -126,5 +126,21 @@ TEST(Layouts, GridDegenerateCases)
     EXPECT_EQ(grid(1, 4).linkCount(), 3u);
 }
 
+TEST(Layouts, MachineByNameParsesEverySpelling)
+{
+    EXPECT_EQ(machineByName("q20").numQubits(), 20);
+    EXPECT_EQ(machineByName("q5").numQubits(), 5);
+    EXPECT_EQ(machineByName("falcon27").numQubits(), 27);
+    EXPECT_EQ(machineByName("line:4").linkCount(), 3u);
+    EXPECT_EQ(machineByName("ring:6").linkCount(), 6u);
+    const CouplingGraph mesh = machineByName("grid:2x3");
+    EXPECT_EQ(mesh.numQubits(), 6);
+    EXPECT_EQ(mesh.linkCount(), grid(2, 3).linkCount());
+
+    EXPECT_THROW(machineByName("grid:3"), VaqError);
+    EXPECT_THROW(machineByName("line:"), VaqError);
+    EXPECT_THROW(machineByName("mars"), VaqError);
+}
+
 } // namespace
 } // namespace vaq::topology

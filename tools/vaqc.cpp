@@ -372,31 +372,6 @@ parseArgs(int argc, char **argv)
     return options;
 }
 
-topology::CouplingGraph
-machineByName(const std::string &name)
-{
-    if (name == "q20")
-        return topology::ibmQ20Tokyo();
-    if (name == "q5")
-        return topology::ibmQ5Tenerife();
-    if (name == "falcon27")
-        return topology::ibmFalcon27();
-    if (startsWith(name, "line:"))
-        return topology::linear(
-            static_cast<int>(parseSize(name.substr(5))));
-    if (startsWith(name, "ring:"))
-        return topology::ring(
-            static_cast<int>(parseSize(name.substr(5))));
-    if (startsWith(name, "grid:")) {
-        const auto dims = split(name.substr(5), 'x');
-        require(dims.size() == 2, "grid needs RxC");
-        return topology::grid(
-            static_cast<int>(parseSize(dims[0])),
-            static_cast<int>(parseSize(dims[1])));
-    }
-    throw VaqError("unknown machine: " + name);
-}
-
 /**
  * CLI policy name -> registry PolicySpec. Shared by the mapper
  * construction and the artifact-store key derivation so stored
@@ -580,7 +555,7 @@ runLint(const Options &options)
     const circuit::ParsedQasm parsed = loadQasmWithLines(qasmPath);
 
     const topology::CouplingGraph machine =
-        machineByName(options.machine);
+        topology::machineByName(options.machine);
     const calibration::Snapshot snapshot =
         options.calibrationPath.empty()
             ? calibration::SyntheticSource(
@@ -620,7 +595,7 @@ runSens(const Options &options)
     const circuit::ParsedQasm parsed = loadQasmWithLines(qasmPath);
 
     const topology::CouplingGraph machine =
-        machineByName(options.machine);
+        topology::machineByName(options.machine);
 
     // Baseline + drifted calibration. A CSV has no series to drift
     // over (profile only); synthetic runs emit the baseline cycle
@@ -741,7 +716,7 @@ int
 runBatch(const Options &options)
 {
     const topology::CouplingGraph machine =
-        machineByName(options.machine);
+        topology::machineByName(options.machine);
 
     std::vector<circuit::Circuit> circuits;
     circuits.reserve(options.qasmPaths.size());
@@ -919,7 +894,7 @@ run(const Options &options)
 
     // Machine + calibration.
     const topology::CouplingGraph machine =
-        machineByName(options.machine);
+        topology::machineByName(options.machine);
     calibration::Snapshot snapshot =
         options.calibrationPath.empty()
             ? calibration::SyntheticSource(

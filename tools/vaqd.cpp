@@ -181,31 +181,6 @@ parseArgs(int argc, char **argv)
     return options;
 }
 
-topology::CouplingGraph
-machineByName(const std::string &name)
-{
-    if (name == "q20")
-        return topology::ibmQ20Tokyo();
-    if (name == "q5")
-        return topology::ibmQ5Tenerife();
-    if (name == "falcon27")
-        return topology::ibmFalcon27();
-    if (startsWith(name, "line:"))
-        return topology::linear(
-            static_cast<int>(parseSize(name.substr(5))));
-    if (startsWith(name, "ring:"))
-        return topology::ring(
-            static_cast<int>(parseSize(name.substr(5))));
-    if (startsWith(name, "grid:")) {
-        const auto dims = split(name.substr(5), 'x');
-        require(dims.size() == 2, "grid needs RxC");
-        return topology::grid(
-            static_cast<int>(parseSize(dims[0])),
-            static_cast<int>(parseSize(dims[1])));
-    }
-    throw VaqError("unknown machine: " + name);
-}
-
 /** CLI policy name -> registry PolicySpec (vaqc's table). */
 core::PolicySpec
 policySpecByName(const std::string &name, int mah)
@@ -221,7 +196,7 @@ int
 run(const Options &options)
 {
     const topology::CouplingGraph machine =
-        machineByName(options.machine);
+        topology::machineByName(options.machine);
 
     calibration::Snapshot snapshot(machine);
     if (options.calibrationPath.empty()) {
