@@ -85,14 +85,14 @@ checkRun(const Circuit &physical, const NoiseModel &model,
 }
 
 /**
- * The chunk driver behind both runs (DESIGN §5b). It shards
+ * The chunk loop behind both runs (DESIGN §5b). It shards
  * options.trials into chunks of options.chunkTrials; chunk c draws
  * from the c-th split() of Rng(options.seed), split sequentially in
  * chunk order, so the stream layout is a pure function of (seed,
  * trials, chunkTrials). Each wave of chunks runs `kernel(rng, n)` on
  * the pool, one output slot per chunk, then hands the outputs to
  * `reduce` in chunk order; `reduce` returns the chunk's tally, which
- * the driver folds into the running total. With targetStderr > 0
+ * runChunks folds into the running total. With targetStderr > 0
  * the waves have a fixed size and the run stops after the first
  * wave whose total meets the target. Nothing depends on which
  * worker ran which chunk, so the result is thread-count invariant.
@@ -133,9 +133,11 @@ runChunks(ThreadPool &pool, const Options &options,
                                         telemetry);
             const std::size_t begin =
                 (first + i) * options.chunkTrials;
+            // Draw from a local copy: neighbouring chunks' streams
+            // share cache lines, which every draw would write.
+            Rng rng = streams[i];
             outputs[i] = kernel(
-                streams[i],
-                std::min(options.chunkTrials, options.trials - begin));
+                rng, std::min(options.chunkTrials, options.trials - begin));
         });
 
         // Reduce in chunk order — the merge sequence, like the

@@ -137,8 +137,8 @@ class ParallelFaultSim
      * trial simulates the full noisy execution (Pauli-frame fast
      * path for Clifford circuits, dense trajectory otherwise) and
      * succeeds iff its outcome lands in the program's ideal outcome
-     * set. It runs on run()'s chunk driver (same streams, waves
-     * and adaptive stop), so results are thread-count invariant.
+     * set. It shares run()'s chunk loop (same streams, waves and
+     * adaptive stop), so results are thread-count invariant.
      * With one chunk covering all trials the trials are exactly
      * TrajectorySimulator's under seed Rng(options.seed).nextRaw().
      *
