@@ -14,6 +14,16 @@
  * layers on large machines), the caller falls back to per-gate
  * movement planning, preserving the locality-first behaviour of the
  * baseline compiler.
+ *
+ * Storage: every visited layout is one row of n std::int16_t cells
+ * in a single flat pool; a node is {g, parent index, SWAP}; the
+ * visited set is an open-addressing table of node indices that
+ * hashes and compares the pooled rows; an open-list entry is
+ * (f, g, node index). Entries pop in (f, g, layout) order, the
+ * layout compared lexicographically: the pops, stale skips and the
+ * stop rule are those of a search keyed on whole layouts. Heap
+ * allocations grow with the log of the nodes visited. Machines up
+ * to 32767 qubits fit a cell.
  */
 #ifndef VAQ_CORE_ASTAR_ROUTER_HPP
 #define VAQ_CORE_ASTAR_ROUTER_HPP

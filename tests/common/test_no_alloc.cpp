@@ -8,17 +8,26 @@
  * literal, a link lookup, JSON accessors, integer parsing and gate
  * appends into spare capacity. Any of them building its failure
  * message up front shows up here as a heap allocation.
+ *
+ * It also bounds the layer A* search: a search keeps its visited
+ * layouts in one flat pool, so its allocations grow with the log of
+ * the nodes it visits, not with the nodes.
  */
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdlib>
 #include <new>
+#include <optional>
+#include <vector>
 
 #include "circuit/circuit.hpp"
 #include "common/error.hpp"
 #include "common/json.hpp"
 #include "common/strings.hpp"
+#include "core/astar_router.hpp"
+#include "core/movement_planner.hpp"
+#include "test_support.hpp"
 #include "topology/coupling_graph.hpp"
 #include "topology/layouts.hpp"
 
@@ -148,6 +157,33 @@ TEST(NoAlloc, AppendIntoSpareCapacity)
               }),
               0u);
     EXPECT_EQ(c.gates().capacity() - c.size(), 0u);
+}
+
+TEST(NoAlloc, LayerSearchAllocatesLogarithmically)
+{
+    // Four far-apart pairs on a full Falcon-27 layout: the search
+    // spends its whole 4000-expansion budget. A search holding one
+    // heap vector per layout makes about 450k allocations here; the
+    // pool makes under a hundred (vector doublings only).
+    const auto graph = topology::ibmFalcon27();
+    const core::PlanCache plans(graph, test::uniformSnapshot(graph),
+                                core::CostKind::SwapCount,
+                                core::kUnlimitedHops);
+    const core::MovementPlanner planner(graph, plans.cost(),
+                                        core::kUnlimitedHops, &plans);
+    const core::Layout layout = core::Layout::identity(27, 27);
+    const std::vector<core::ProgPair> pairs{
+        {0, 26}, {1, 25}, {6, 20}, {9, 17}};
+    const auto search = [&] {
+        return core::planLayerSwaps(graph, plans.cost(), planner,
+                                    layout, pairs, 4000);
+    };
+    search(); // fill the shared plan table first
+    std::optional<core::SwapSequence> swaps;
+    const std::size_t allocations =
+        allocationsDuring([&] { swaps = search(); });
+    EXPECT_FALSE(swaps.has_value());
+    EXPECT_LT(allocations, 200u);
 }
 
 } // namespace
