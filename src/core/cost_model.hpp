@@ -61,6 +61,9 @@ class SwapCountCost final : public CostModel
   public:
     explicit SwapCountCost(const topology::CouplingGraph &graph);
 
+    /** The model borrows the graph: a temporary would dangle. */
+    explicit SwapCountCost(const topology::CouplingGraph &&) = delete;
+
     double swapCost(topology::PhysQubit a,
                     topology::PhysQubit b) const override;
     double cnotCost(topology::PhysQubit a,
@@ -96,6 +99,12 @@ class ReliabilityCost final : public CostModel
     ReliabilityCost(const topology::CouplingGraph &graph,
                     const calibration::Snapshot &snapshot,
                     double floor = 1e-6);
+
+    /** The model borrows the graph (the snapshot is only read
+     *  here): a temporary graph would dangle. */
+    ReliabilityCost(const topology::CouplingGraph &&,
+                    const calibration::Snapshot &,
+                    double = 1e-6) = delete;
 
     double swapCost(topology::PhysQubit a,
                     topology::PhysQubit b) const override;

@@ -77,6 +77,14 @@ class MovementPlanner
                     int mah = kUnlimitedHops,
                     const PlanCache *shared = nullptr);
 
+    /** The planner borrows both: a temporary would dangle. */
+    MovementPlanner(const topology::CouplingGraph &&,
+                    const CostModel &, int = kUnlimitedHops,
+                    const PlanCache * = nullptr) = delete;
+    MovementPlanner(const topology::CouplingGraph &,
+                    const CostModel &&, int = kUnlimitedHops,
+                    const PlanCache * = nullptr) = delete;
+
     /**
      * Plan the SWAPs that make the qubits at `pa` and `pb`
      * adjacent. Either endpoint may be the one that moves; the
@@ -140,6 +148,10 @@ class PlanCache
     PlanCache(const topology::CouplingGraph &graph,
               const calibration::Snapshot &snapshot, CostKind kind,
               int mah);
+
+    /** The table borrows the graph: a temporary would dangle. */
+    PlanCache(const topology::CouplingGraph &&,
+              const calibration::Snapshot &, CostKind, int) = delete;
 
     PlanCache(const PlanCache &) = delete;
     PlanCache &operator=(const PlanCache &) = delete;

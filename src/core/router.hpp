@@ -85,6 +85,12 @@ class Router
     Router(const topology::CouplingGraph &graph,
            const CostModel &cost, const RouterOptions &options = {});
 
+    /** The router borrows both: a temporary would dangle. */
+    Router(const topology::CouplingGraph &&, const CostModel &,
+           const RouterOptions & = {}) = delete;
+    Router(const topology::CouplingGraph &, const CostModel &&,
+           const RouterOptions & = {}) = delete;
+
     /**
      * Route `logical` starting from `initial` (which must place
      * every program qubit). Emits mapped one-qubit gates and

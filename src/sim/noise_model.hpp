@@ -46,6 +46,14 @@ class NoiseModel
                const calibration::Snapshot &snapshot,
                CoherenceMode mode = CoherenceMode::PerOp);
 
+    /** The model borrows both: a temporary would dangle. */
+    NoiseModel(const topology::CouplingGraph &&,
+               const calibration::Snapshot &,
+               CoherenceMode = CoherenceMode::PerOp) = delete;
+    NoiseModel(const topology::CouplingGraph &,
+               const calibration::Snapshot &&,
+               CoherenceMode = CoherenceMode::PerOp) = delete;
+
     /** Machine the model describes. */
     const topology::CouplingGraph &graph() const { return _graph; }
 

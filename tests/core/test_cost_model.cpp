@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <type_traits>
 
 #include "common/error.hpp"
 #include "test_support.hpp"
@@ -12,6 +13,18 @@ namespace vaq::core
 {
 namespace
 {
+
+// Both models borrow the graph (ReliabilityCost only reads the
+// snapshot), so they refuse a temporary graph.
+using topology::CouplingGraph;
+static_assert(
+    std::is_constructible_v<SwapCountCost, const CouplingGraph &>);
+static_assert(!std::is_constructible_v<SwapCountCost, CouplingGraph>);
+static_assert(std::is_constructible_v<ReliabilityCost,
+                                      const CouplingGraph &,
+                                      calibration::Snapshot>);
+static_assert(!std::is_constructible_v<ReliabilityCost, CouplingGraph,
+                                       const calibration::Snapshot &>);
 
 TEST(SwapCountCost, UniformCosts)
 {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <type_traits>
 
 #include "common/error.hpp"
 #include "test_support.hpp"
@@ -12,6 +13,24 @@ namespace vaq::core
 {
 namespace
 {
+
+// The planner borrows its graph and cost model, and a PlanCache its
+// graph, so each refuses temporaries of what it borrows.
+using topology::CouplingGraph;
+static_assert(std::is_constructible_v<MovementPlanner,
+                                      const CouplingGraph &,
+                                      const SwapCountCost &>);
+static_assert(!std::is_constructible_v<MovementPlanner, CouplingGraph,
+                                       const SwapCountCost &>);
+static_assert(!std::is_constructible_v<MovementPlanner,
+                                       const CouplingGraph &,
+                                       SwapCountCost, int>);
+static_assert(std::is_constructible_v<PlanCache, const CouplingGraph &,
+                                      calibration::Snapshot, CostKind,
+                                      int>);
+static_assert(!std::is_constructible_v<PlanCache, CouplingGraph,
+                                       const calibration::Snapshot &,
+                                       CostKind, int>);
 
 TEST(MovementPlanner, AdjacentStaysPutUnderUniformCost)
 {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "circuit/circuit.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -13,6 +15,18 @@ namespace vaq::core
 {
 namespace
 {
+
+// The router borrows its graph and cost model, so it refuses
+// temporaries of either.
+using topology::CouplingGraph;
+static_assert(std::is_constructible_v<Router, const CouplingGraph &,
+                                      const SwapCountCost &>);
+static_assert(!std::is_constructible_v<Router, CouplingGraph,
+                                       const SwapCountCost &>);
+static_assert(!std::is_constructible_v<Router, const CouplingGraph &,
+                                       SwapCountCost>);
+static_assert(!std::is_constructible_v<Router, const CouplingGraph &,
+                                       ReliabilityCost, RouterOptions>);
 
 using circuit::Circuit;
 using circuit::Gate;

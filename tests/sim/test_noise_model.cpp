@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <type_traits>
 
 #include "common/error.hpp"
 #include "test_support.hpp"
@@ -12,6 +13,19 @@ namespace vaq::sim
 {
 namespace
 {
+
+// The model borrows its graph and snapshot, so it refuses
+// temporaries of either.
+using topology::CouplingGraph;
+using calibration::Snapshot;
+static_assert(std::is_constructible_v<NoiseModel, const CouplingGraph &,
+                                      const Snapshot &>);
+static_assert(
+    !std::is_constructible_v<NoiseModel, CouplingGraph, const Snapshot &>);
+static_assert(
+    !std::is_constructible_v<NoiseModel, const CouplingGraph &, Snapshot>);
+static_assert(
+    !std::is_constructible_v<NoiseModel, CouplingGraph, Snapshot>);
 
 using circuit::Gate;
 using circuit::GateKind;
