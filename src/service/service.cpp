@@ -521,10 +521,15 @@ CompileService::handleCalibration(const HttpRequest &httpRequest)
                     csv->asString(), _graph, "calibration");
             } else if (const auto seed =
                            cursor.get("syntheticSeed")) {
+                // A negative seed would wrap to a huge one.
+                const std::int64_t value = seed->asInt();
+                if (value < 0)
+                    throw VaqError(seed->path() +
+                                   ": must be non-negative");
                 snapshot =
                     calibration::SyntheticSource(
                         _graph, calibration::SyntheticParams{},
-                        static_cast<std::uint64_t>(seed->asInt()))
+                        static_cast<std::uint64_t>(value))
                         .nextCycle();
             } else {
                 throw VaqError("calibration body needs \"csv\" or "

@@ -583,6 +583,26 @@ TEST(ServiceRollover, UnusableSnapshotIsRefusedAndKeepsTheOldEpoch)
               200);
 }
 
+TEST(ServiceRollover, NegativeSyntheticSeedIsRefused)
+{
+    // The seed is unsigned: -1 is a usage error naming the field,
+    // not seed 2^64 - 1, and the old epoch stays.
+    ServiceFixture fx;
+    const HttpResponse response =
+        httpExchange(fx.port(), "POST", "/v1/calibration",
+                     R"({"syntheticSeed":-1})");
+    EXPECT_EQ(response.status, 400) << response.body;
+    EXPECT_NE(response.body.find("syntheticSeed: must be non-negative"),
+              std::string::npos)
+        << response.body;
+    EXPECT_EQ(fx.service.epoch(), 1u);
+    EXPECT_EQ(httpExchange(fx.port(), "POST", "/v1/calibration",
+                           R"({"syntheticSeed":0})")
+                  .status,
+              200);
+    EXPECT_EQ(fx.service.epoch(), 2u);
+}
+
 TEST(ServiceRollover, ArtifactDeltaReuseSurvivesTheEpochSwap)
 {
     store::ArtifactStore store{store::StoreOptions{}};
