@@ -11,7 +11,11 @@
 #                          # (clang-tidy over the default dirs)
 #
 # The default ctest run includes every label (robustness, parallel,
-# analysis, store, router, obs, sim, fleet, ...). Next to the
+# analysis, store, router, obs, sim, fleet, ...). The `parallel`
+# label then runs again with `ctest --repeat until-fail:5`: each
+# test runs up to five times and stops at its first failure (nothing
+# is retried until it passes), any failure fails CI, and each failed
+# run's output is kept as build/flake-logs/<test>.log. Next to the
 # examples smoke, two vaqc smokes run the views of the loss
 # decomposition end to end: `--explain` must print "PST estimate"
 # and `vaqc sens` must print "log-PST". A vaqc --batch differential
@@ -57,6 +61,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
+PARALLEL_REPEAT=5
 RUN_TSAN=0
 RUN_ASAN=0
 RUN_TIDY=0
@@ -87,6 +92,41 @@ fi
 
 echo "== tier-1: full test suite (all labels) =="
 ctest --test-dir build --output-on-failure -j "$JOBS"
+
+echo "== tier-1: parallel label repeat (until-fail:$PARALLEL_REPEAT, logs kept) =="
+# Thread-crossing flakes show up once in many runs, and a plain rerun
+# loses the failing run's output. Run every `parallel` test up to
+# $PARALLEL_REPEAT times, stopping a test at its first failure (a
+# failing test is never retried until it passes), and copy each
+# failed run's output from ctest's LastTest.log into
+# build/flake-logs/<test>.log. Any failure fails CI.
+FLAKE_LOGS=build/flake-logs
+rm -rf "$FLAKE_LOGS"
+PARALLEL_STATUS=0
+ctest --test-dir build -L parallel --repeat "until-fail:$PARALLEL_REPEAT" \
+    --output-on-failure -j "$JOBS" || PARALLEL_STATUS=$?
+if [ "$PARALLEL_STATUS" -ne 0 ]; then
+    mkdir -p "$FLAKE_LOGS"
+    awk -v dir="$FLAKE_LOGS" '
+        /^[0-9]+\/[0-9]+ Testing: / {
+            name = substr($0, index($0, ": ") + 2)
+            block = ""
+            passed = 0
+        }
+        { block = block $0 "\n" }
+        /^Test Passed\./ { passed = 1 }
+        name != "" && index($0, "\"" name "\" time elapsed:") == 1 {
+            if (!passed) {
+                file = name
+                gsub(/[^A-Za-z0-9_.-]/, "_", file)
+                printf "%s", block >> (dir "/" file ".log")
+            }
+            name = ""
+        }' build/Testing/Temporary/LastTest.log
+    echo "ci: parallel label failed under repeat; failed runs' logs:" >&2
+    ls "$FLAKE_LOGS" >&2
+    exit 1
+fi
 
 echo "== tier-1: examples smoke (each must exit 0) =="
 # The examples are the documented front doors of the library; a
