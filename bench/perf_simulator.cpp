@@ -8,6 +8,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_util.hpp"
+#include "calibration/schedule.hpp"
 #include "sim/density_matrix.hpp"
 #include "sim/parallel_fault_sim.hpp"
 #include "sim/statevector.hpp"
@@ -211,10 +212,9 @@ BENCHMARK(BM_DensityMatrixNoisy)->Unit(benchmark::kMillisecond);
 void
 BM_ScheduleCircuit(benchmark::State &state)
 {
-    const sim::NoiseModel model(env().machine, env().averaged);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(sim::scheduleCircuit(
-            mappedBv16().physical, model));
+        benchmark::DoNotOptimize(calibration::scheduleAsap(
+            mappedBv16().physical, env().averaged.durations));
     }
 }
 BENCHMARK(BM_ScheduleCircuit);

@@ -15,9 +15,12 @@
 # label then runs again with `ctest --repeat until-fail:5`: each
 # test runs up to five times and stops at its first failure (nothing
 # is retried until it passes), any failure fails CI, and each failed
-# run's output is kept as build/flake-logs/<test>.log. Next to the
-# examples smoke, two vaqc smokes run the views of the loss
-# decomposition end to end: `--explain` must print "PST estimate"
+# run's output is kept as build/flake-logs/<test>.log. The 5
+# examples and the 17 paper benches (fig*, table*, ablation*,
+# extension*) then run once each: every one must exit 0 and print
+# exactly its recorded stdout in tests/golden/stdout/<name>.stdout,
+# so a refactor that moves any printed number fails CI. Two vaqc
+# smokes run the views of the loss decomposition end to end: `--explain` must print "PST estimate"
 # and `vaqc sens` must print "log-PST". A vaqc --batch differential
 # compiles the service fixtures once with shared calibration
 # contexts (the default) and once with a private context per compile
@@ -128,17 +131,42 @@ if [ "$PARALLEL_STATUS" -ne 0 ]; then
     exit 1
 fi
 
-echo "== tier-1: examples smoke (each must exit 0) =="
-# The examples are the documented front doors of the library; a
-# build that compiles them but crashes at run time must fail CI.
-for example in characterize_and_run custom_topology \
-    daily_recompilation partition_explorer quickstart; do
-    "build/examples/$example" >/dev/null || {
-        echo "ci: example $example failed" >&2
+echo "== tier-1: examples and paper benches stdout goldens =="
+# The examples are the documented front doors of the library and the
+# paper benches print its figures and tables; all are deterministic.
+# Each must exit 0 and print exactly its golden. Every binary needs a
+# golden and every golden a binary. Re-record only for an intended
+# change: build/<examples|bench>/<name> >tests/golden/stdout/<name>.stdout
+STDOUT_GOLDENS=tests/golden/stdout
+STDOUT_ACTUAL="$(mktemp)"
+STDOUT_CHECKED=0
+for binary in build/examples/* build/bench/fig* build/bench/table* \
+    build/bench/ablation* build/bench/extension*; do
+    [ -f "$binary" ] && [ -x "$binary" ] || continue
+    name="$(basename "$binary")"
+    golden="$STDOUT_GOLDENS/$name.stdout"
+    [ -f "$golden" ] || {
+        echo "ci: $name has no stdout golden ($golden)" >&2
         exit 1
     }
+    "$binary" >"$STDOUT_ACTUAL" || {
+        echo "ci: $name failed" >&2
+        exit 1
+    }
+    diff -u "$golden" "$STDOUT_ACTUAL" >&2 || {
+        echo "ci: $name stdout differs from $golden" >&2
+        exit 1
+    }
+    STDOUT_CHECKED=$((STDOUT_CHECKED + 1))
 done
-echo "ci: examples smoke passed"
+rm -f "$STDOUT_ACTUAL"
+STDOUT_GOLDEN_COUNT="$(find "$STDOUT_GOLDENS" -name '*.stdout' | wc -l)"
+[ "$STDOUT_CHECKED" -eq "$STDOUT_GOLDEN_COUNT" ] || {
+    echo "ci: checked $STDOUT_CHECKED binaries but" \
+        "$STDOUT_GOLDENS holds $STDOUT_GOLDEN_COUNT goldens" >&2
+    exit 1
+}
+echo "ci: $STDOUT_CHECKED stdout goldens matched"
 
 echo "== tier-1: vaqc --explain and vaqc sens smokes (exit 0) =="
 # Both read the circuit's SensitivityProfile; each must exit 0 and

@@ -20,7 +20,7 @@ DataflowAnalysis::DataflowAnalysis(
       _chains(static_cast<std::size_t>(circuit.numQubits())),
       _liveGate(circuit.size(), false),
       _wireState(static_cast<std::size_t>(circuit.numQubits())),
-      _startNs(circuit.size(), 0.0)
+      _schedule(calibration::scheduleAsap(circuit, durations))
 {
     const auto n = static_cast<std::size_t>(circuit.numQubits());
     const auto &gates = circuit.gates();
@@ -140,43 +140,29 @@ DataflowAnalysis::DataflowAnalysis(
         }
     }
 
-    // --- ASAP schedule + idle windows ----------------------------
-    std::vector<double> readyNs(n, 0.0);
-    // Per qubit: the gate that last occupied the wire (for gap
-    // attribution) and when it finished.
+    // --- Idle windows on the ASAP schedule ----------------------
+    // Per qubit: the gate that last occupied the wire.
     std::vector<long> lastGate(n, -1);
-    std::vector<double> lastEndNs(n, 0.0);
     for (std::size_t i = 0; i < gates.size(); ++i) {
         const Gate &g = gates[i];
-        if (g.kind == GateKind::BARRIER) {
-            const double fence =
-                *std::max_element(readyNs.begin(), readyNs.end());
-            std::fill(readyNs.begin(), readyNs.end(), fence);
-            _startNs[i] = fence;
+        if (g.kind == GateKind::BARRIER)
             continue;
-        }
-        double start = 0.0;
-        for (const Qubit q : {g.q0, g.q1}) {
-            if (q != circuit::kNoQubit)
-                start = std::max(
-                    start, readyNs[static_cast<std::size_t>(q)]);
-        }
-        _startNs[i] = start;
-        const double end = start + gateDurationNs(i);
+        const double start = _schedule.startNs[i];
         for (const Qubit q : {g.q0, g.q1}) {
             if (q == circuit::kNoQubit)
                 continue;
             const auto qi = static_cast<std::size_t>(q);
-            if (lastGate[qi] >= 0 && start > lastEndNs[qi]) {
-                _idleWindows.push_back(IdleWindow{
-                    q, static_cast<std::size_t>(lastGate[qi]), i,
-                    start - lastEndNs[qi]});
+            if (lastGate[qi] >= 0) {
+                const auto from =
+                    static_cast<std::size_t>(lastGate[qi]);
+                const double fromEnd = gateEndNs(from);
+                if (start > fromEnd) {
+                    _idleWindows.push_back(
+                        IdleWindow{q, from, i, start - fromEnd});
+                }
             }
-            readyNs[qi] = end;
             lastGate[qi] = static_cast<long>(i);
-            lastEndNs[qi] = end;
         }
-        _scheduleNs = std::max(_scheduleNs, end);
     }
 }
 
@@ -191,8 +177,8 @@ DataflowAnalysis::chain(Qubit q) const
 double
 DataflowAnalysis::gateStartNs(std::size_t i) const
 {
-    VAQ_ASSERT(i < _startNs.size(), "gate index out of range");
-    return _startNs[i];
+    VAQ_ASSERT(i < _schedule.startNs.size(), "gate index out of range");
+    return _schedule.startNs[i];
 }
 
 double

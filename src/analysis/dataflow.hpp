@@ -18,6 +18,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "calibration/schedule.hpp"
 #include "calibration/snapshot.hpp"
 #include "circuit/circuit.hpp"
 
@@ -90,6 +91,9 @@ class DataflowAnalysis
     explicit DataflowAnalysis(
         const circuit::Circuit &circuit,
         calibration::GateDurations durations = {});
+    /** The analysis borrows the circuit: a temporary would dangle. */
+    explicit DataflowAnalysis(const circuit::Circuit &&,
+                              calibration::GateDurations = {}) = delete;
 
     /** The analyzed circuit (held by reference; must outlive us). */
     const circuit::Circuit &circuit() const { return _circuit; }
@@ -137,7 +141,7 @@ class DataflowAnalysis
     double gateEndNs(std::size_t i) const;
 
     /** Total scheduled duration of the circuit in nanoseconds. */
-    double scheduleNs() const { return _scheduleNs; }
+    double scheduleNs() const { return _schedule.durationNs; }
 
     /** Nominal duration of gate i under the analysis durations. */
     double gateDurationNs(std::size_t i) const;
@@ -150,8 +154,7 @@ class DataflowAnalysis
     std::vector<IdleWindow> _idleWindows;
     std::vector<SwapFact> _swapFacts;
     std::vector<circuit::Qubit> _wireState;
-    std::vector<double> _startNs;
-    double _scheduleNs = 0.0;
+    calibration::Schedule _schedule;
 };
 
 /**

@@ -70,22 +70,10 @@ struct Diagnostic
 /** Tunables consumed by individual rules. */
 struct RuleParams
 {
-    /** VL008: minimum static ESP lower bound before warning. */
-    double minEsp = 0.1;
-    /** VL009: idle window warns above this fraction of the idling
-     *  qubit's min(T1, T2). */
-    double idleFraction = 0.1;
-    /** VL007: quarantine thresholds mirror the batch compiler's
-     *  calibration sanitizer (calibration/sanitize.hpp). */
-    double deadErrorThreshold = 0.95;
-    double minCoherenceUs = 1e-3;
     /** VL011: certified staleness bound (analysis/staleness.hpp)
      *  above which a mapping counts as stale. Matches the store's
      *  default --staleness-tol. */
     double stalenessTol = 1e-3;
-    /** VL012: warn when one link carries at least this fraction of
-     *  the circuit's total drift-mass (|coefficient| * sigma). */
-    double fragileMassFraction = 0.5;
     /** VL013: report when one calibration parameter contributes at
      *  least this fraction of the total |logPST| mass. */
     double dominantFraction = 0.5;

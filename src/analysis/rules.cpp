@@ -18,6 +18,7 @@
 #include "analysis/rule.hpp"
 #include "analysis/sensitivity.hpp"
 #include "analysis/staleness.hpp"
+#include "calibration/sanitize.hpp"
 #include "common/error.hpp"
 #include "common/strings.hpp"
 
@@ -30,6 +31,15 @@ namespace
 using circuit::Gate;
 using circuit::GateKind;
 using circuit::Qubit;
+
+/** VL008: minimum static ESP lower bound before warning. */
+constexpr double kMinEsp = 0.1;
+/** VL009: an idle window warns above this fraction of the idling
+ *  qubit's min(T1, T2). */
+constexpr double kIdleFraction = 0.1;
+/** VL012: warn when one link carries at least this fraction of the
+ *  circuit's total drift-mass (|coefficient| * sigma). */
+constexpr double kFragileMassFraction = 0.5;
 
 /** VL001: a measurement is the first gate to touch its qubit. */
 class MeasureUninitializedRule final : public AnalysisRule
@@ -312,9 +322,9 @@ class QuarantinedQubitRule final : public AnalysisRule
     }
     std::string description() const override
     {
-        return "gate on a qubit or link whose calibration is dead "
-               "or non-finite (the batch quarantine would prune "
-               "it)";
+        return "gate on a qubit or link whose calibration the "
+               "batch quarantine would prune (dead, non-finite or "
+               "out of range)";
     }
 
     void run(const LintContext &context,
@@ -328,29 +338,6 @@ class QuarantinedQubitRule final : public AnalysisRule
         if (snap.numQubits() != graph.numQubits() ||
             snap.numLinks() != graph.linkCount())
             return; // shape mismatch is a usage problem, not ours
-        const RuleParams &params = context.params;
-
-        const auto deadQubitReason =
-            [&](int q) -> std::string {
-            const calibration::QubitCalibration &cal =
-                snap.qubit(q);
-            if (!std::isfinite(cal.t1Us) ||
-                !std::isfinite(cal.t2Us) ||
-                !std::isfinite(cal.error1q) ||
-                !std::isfinite(cal.readoutError))
-                return "non-finite calibration";
-            if (cal.error1q >= params.deadErrorThreshold)
-                return "1q error " +
-                       formatDouble(cal.error1q, 3);
-            if (cal.readoutError >= params.deadErrorThreshold)
-                return "readout error " +
-                       formatDouble(cal.readoutError, 3);
-            if (cal.t1Us <= params.minCoherenceUs ||
-                cal.t2Us <= params.minCoherenceUs)
-                return "zero coherence";
-            return "";
-        };
-
         const auto &gates = context.circuit.gates();
         std::set<int> reportedQubits;
         std::set<std::size_t> reportedLinks;
@@ -364,7 +351,8 @@ class QuarantinedQubitRule final : public AnalysisRule
                     continue;
                 if (reportedQubits.count(q) != 0)
                     continue;
-                const std::string reason = deadQubitReason(q);
+                const std::string reason =
+                    calibration::qubitDefect(snap.qubit(q));
                 if (reason.empty())
                     continue;
                 reportedQubits.insert(q);
@@ -382,17 +370,16 @@ class QuarantinedQubitRule final : public AnalysisRule
                     graph.linkIndex(g.q0, g.q1);
                 if (reportedLinks.count(link) != 0)
                     continue;
-                const double error = snap.linkError(link);
-                if (std::isfinite(error) &&
-                    error < params.deadErrorThreshold)
+                const std::string reason =
+                    calibration::linkDefect(snap.linkError(link));
+                if (reason.empty())
                     continue;
                 reportedLinks.insert(link);
                 out.push_back(make(
                     context,
                     "link {" + std::to_string(g.q0) + "," +
                         std::to_string(g.q1) +
-                        "} has dead calibration (2q error " +
-                        formatDouble(error, 3) +
+                        "} has dead calibration (" + reason +
                         ") but the circuit routes over it",
                     static_cast<long>(i), g.q0, g.q1));
             }
@@ -420,8 +407,8 @@ class ReliabilityBudgetRule final : public AnalysisRule
     std::string description() const override
     {
         return "static ESP lower bound (product of per-gate "
-               "success probabilities) falls below the configured "
-               "budget";
+               "success probabilities) falls below the 0.1 "
+               "reliability budget";
     }
 
     void run(const LintContext &context,
@@ -457,13 +444,13 @@ class ReliabilityBudgetRule final : public AnalysisRule
                 esp *= 1.0 - snap.qubit(g.q0).error1q;
             }
         }
-        if (esp >= context.params.minEsp)
+        if (esp >= kMinEsp)
             return;
         out.push_back(make(
             context,
             "static ESP lower bound " + formatDouble(esp, 5) +
                 " is below the reliability budget " +
-                formatDouble(context.params.minEsp, 5) +
+                formatDouble(kMinEsp, 5) +
                 " under this calibration snapshot"));
     }
 };
@@ -487,8 +474,8 @@ class IdleWindowRule final : public AnalysisRule
     }
     std::string description() const override
     {
-        return "a qubit sits idle longer than the configured "
-               "fraction of its min(T1, T2) between gates";
+        return "a qubit sits idle longer than 10% of its "
+               "min(T1, T2) between gates";
     }
 
     void run(const LintContext &context,
@@ -507,8 +494,7 @@ class IdleWindowRule final : public AnalysisRule
                 std::min(cal.t1Us, cal.t2Us) * 1000.0;
             if (!std::isfinite(coherenceNs) || coherenceNs <= 0.0)
                 continue; // dead calibration; VL007 reports it
-            const double budgetNs =
-                context.params.idleFraction * coherenceNs;
+            const double budgetNs = kIdleFraction * coherenceNs;
             if (window.nanoseconds <= budgetNs)
                 continue;
             out.push_back(make(
@@ -519,8 +505,7 @@ class IdleWindowRule final : public AnalysisRule
                     " ns before gate " +
                     std::to_string(window.toGate) +
                     ", exceeding " +
-                    formatDouble(context.params.idleFraction *
-                                     100.0, 0) +
+                    formatDouble(kIdleFraction * 100.0, 0) +
                     "% of its min(T1,T2) = " +
                     formatDouble(coherenceNs, 0) + " ns",
                 static_cast<long>(window.toGate), window.qubit));
@@ -705,7 +690,7 @@ class FragilePlacementRule final : public AnalysisRule
         if (total <= 0.0)
             return;
         const double share = worstMass / total;
-        if (share < context.params.fragileMassFraction)
+        if (share < kFragileMassFraction)
             return;
 
         // Only flag links that are volatile *for this machine*:

@@ -38,43 +38,39 @@ SanitizedCalibration::healthyGraph(
     return full.inducedSubgraph(healthyRegion);
 }
 
-namespace
-{
-
-/** Why a qubit record is unusable, or empty when it is fine. */
 std::string
-qubitDefect(const QubitCalibration &cal,
-            const SanitizeOptions &options)
+qubitDefect(const QubitCalibration &cal)
 {
     if (!std::isfinite(cal.t1Us) || !std::isfinite(cal.t2Us) ||
         !std::isfinite(cal.error1q) ||
         !std::isfinite(cal.readoutError))
         return "non-finite calibration value";
-    if (cal.t1Us <= options.minCoherenceUs ||
-        cal.t2Us <= options.minCoherenceUs)
+    if (cal.t1Us <= kMinCoherenceUs || cal.t2Us <= kMinCoherenceUs)
         return "zero coherence";
     if (cal.error1q < 0.0 || cal.error1q > 1.0 ||
         cal.readoutError < 0.0 || cal.readoutError > 1.0)
         return "error outside [0, 1]";
-    if (cal.error1q >= options.deadErrorThreshold)
+    if (cal.error1q >= kDeadErrorThreshold)
         return "1q error at dead threshold";
-    if (cal.readoutError >= options.deadErrorThreshold)
+    if (cal.readoutError >= kDeadErrorThreshold)
         return "readout at dead threshold";
     return {};
 }
 
-/** Why a link error is unusable on its own, or empty. */
 std::string
-linkDefect(double error, const SanitizeOptions &options)
+linkDefect(double error)
 {
     if (!std::isfinite(error))
         return "non-finite link error";
     if (error < 0.0 || error > 1.0)
         return "link error outside [0, 1]";
-    if (error >= options.deadErrorThreshold)
+    if (error >= kDeadErrorThreshold)
         return "link error at dead threshold";
     return {};
 }
+
+namespace
+{
 
 /**
  * Largest connected component over the surviving machine, ascending
@@ -147,8 +143,7 @@ sanitize(const Snapshot &snapshot,
     const int n = snapshot.numQubits();
     std::vector<bool> qubitDead(static_cast<std::size_t>(n), false);
     for (int q = 0; q < n; ++q) {
-        const std::string defect =
-            qubitDefect(snapshot.qubit(q), options);
+        const std::string defect = qubitDefect(snapshot.qubit(q));
         if (defect.empty())
             continue;
         qubitDead[static_cast<std::size_t>(q)] = true;
@@ -156,7 +151,7 @@ sanitize(const Snapshot &snapshot,
         // Pin to finite worst-case values so downstream arithmetic
         // on the full-width snapshot stays NaN-free.
         QubitCalibration &cal = out.snapshot.qubit(q);
-        cal.t1Us = cal.t2Us = 2.0 * options.minCoherenceUs;
+        cal.t1Us = cal.t2Us = 2.0 * kMinCoherenceUs;
         cal.error1q = 1.0;
         cal.readoutError = 1.0;
     }
@@ -164,8 +159,7 @@ sanitize(const Snapshot &snapshot,
     std::vector<bool> linkDead(graph.linkCount(), false);
     for (std::size_t l = 0; l < graph.linkCount(); ++l) {
         const topology::Link &link = graph.links()[l];
-        std::string defect =
-            linkDefect(snapshot.linkError(l), options);
+        std::string defect = linkDefect(snapshot.linkError(l));
         if (defect.empty() &&
             (qubitDead[static_cast<std::size_t>(link.a)] ||
              qubitDead[static_cast<std::size_t>(link.b)]))

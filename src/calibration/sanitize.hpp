@@ -41,15 +41,26 @@
 namespace vaq::calibration
 {
 
-/** Quarantine thresholds. */
+/** An error probability at or above this is "dead" (the paper's
+ *  error ≈ 1.0 links; 0.95 leaves margin for jitter). */
+inline constexpr double kDeadErrorThreshold = 0.95;
+/** Coherence times at or below this (microseconds) count as "zero
+ *  coherence". */
+inline constexpr double kMinCoherenceUs = 1e-3;
+
+/**
+ * Why sanitize() quarantines a qubit record (non-finite, zero
+ * coherence, an error outside [0, 1] or at the dead threshold), or
+ * empty when the record is fine.
+ */
+std::string qubitDefect(const QubitCalibration &cal);
+
+/** Why sanitize() quarantines a link error on its own, or empty. */
+std::string linkDefect(double error);
+
+/** Usability threshold. */
 struct SanitizeOptions
 {
-    /** An error probability at or above this is "dead" (the paper's
-     *  error ≈ 1.0 links; 0.95 leaves margin for jitter). */
-    double deadErrorThreshold = 0.95;
-    /** Coherence times at or below this (microseconds) count as
-     *  "zero coherence". */
-    double minCoherenceUs = 1e-3;
     /** A snapshot is usable when the healthy component keeps at
      *  least this fraction of the machine (and >= 2 qubits). */
     double minHealthyFraction = 0.25;

@@ -102,6 +102,10 @@ class SyntheticSource
     SyntheticSource(const topology::CouplingGraph &graph,
                     const SyntheticParams &params = {},
                     std::uint64_t seed = 7);
+    /** The source borrows the graph: a temporary would dangle. */
+    SyntheticSource(const topology::CouplingGraph &&,
+                    const SyntheticParams & = {},
+                    std::uint64_t = 7) = delete;
 
     /** Generate the next calibration cycle. */
     Snapshot nextCycle();

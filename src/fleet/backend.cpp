@@ -4,9 +4,8 @@
 #include <limits>
 #include <utility>
 
+#include "calibration/schedule.hpp"
 #include "common/rng.hpp"
-#include "sim/noise_model.hpp"
-#include "sim/schedule.hpp"
 
 namespace vaq::fleet
 {
@@ -179,11 +178,10 @@ Backend::prewarm(const std::vector<circuit::Circuit> &circuits,
 double
 Backend::trialLatencyUs(const core::MappedCircuit &mapped) const
 {
-    const sim::NoiseModel model(_spec.graph, _snapshot,
-                                sim::CoherenceMode::PerOp);
-    const sim::Schedule schedule =
-        sim::scheduleCircuit(mapped.physical, model);
-    return schedule.durationNs / 1000.0 / _spec.serviceRate;
+    return calibration::scheduleAsap(mapped.physical,
+                                     _snapshot.durations)
+               .durationNs /
+           1000.0 / _spec.serviceRate;
 }
 
 std::vector<BackendSpec>

@@ -52,6 +52,13 @@ faultCategory(FaultKind kind)
 namespace
 {
 
+/** LatencySpike service-time multiplier. */
+constexpr double kSpikeFactor = 8.0;
+/** CalCorruption poisoned-qubit fraction. */
+constexpr double kCorruptionFraction = 0.8;
+/** PartialQuarantine dead-link fraction. */
+constexpr double kQuarantineFraction = 0.35;
+
 void
 sortPlan(std::vector<FaultEvent> &events)
 {
@@ -106,15 +113,15 @@ generateFaultPlan(std::size_t machines,
                                    -std::log(1.0 - rng.uniform());
             } else if ((pick -= weights[1]) < 0.0) {
                 event.kind = FaultKind::CalCorruption;
-                event.magnitude = params.corruptionFraction;
+                event.magnitude = kCorruptionFraction;
             } else if ((pick -= weights[2]) < 0.0) {
                 event.kind = FaultKind::LatencySpike;
                 event.durationUs = params.meanSpikeUs *
                                    -std::log(1.0 - rng.uniform());
-                event.magnitude = params.spikeFactor;
+                event.magnitude = kSpikeFactor;
             } else {
                 event.kind = FaultKind::PartialQuarantine;
-                event.magnitude = params.quarantineFraction;
+                event.magnitude = kQuarantineFraction;
             }
             plan.events.push_back(event);
             t += meanGapUs * -std::log(1.0 - rng.uniform());

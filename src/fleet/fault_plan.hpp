@@ -105,12 +105,6 @@ struct FaultPlanParams
     /** Mean window lengths (exponential draws). */
     double meanOutageUs = 1.5e5;
     double meanSpikeUs = 2e5;
-    /** LatencySpike service-time multiplier. */
-    double spikeFactor = 8.0;
-    /** CalCorruption poisoned-qubit fraction. */
-    double corruptionFraction = 0.8;
-    /** PartialQuarantine dead-link fraction. */
-    double quarantineFraction = 0.35;
 };
 
 /**

@@ -16,6 +16,25 @@ namespace
 
 constexpr std::size_t kNoMachine = static_cast<std::size_t>(-1);
 
+/** Placement attempts per copy (first try included). */
+constexpr int kMaxAttempts = 5;
+/** Exponential retry backoff: base * factor^(attempt-1), scaled by
+ *  1 + jitter * U[0,1) from the job's private stream. */
+constexpr double kBackoffBaseUs = 2000.0;
+constexpr double kBackoffFactor = 2.0;
+constexpr double kBackoffJitter = 0.25;
+/** Virtual cost of a fresh compile vs. an artifact-store hit,
+ *  charged into the service time. */
+constexpr double kCompileCostUs = 400.0;
+constexpr double kStoreHitCostUs = 40.0;
+/** Per-backend artifact-store index bound. It stays above
+ *  workload-size x epochs: LRU eviction order under concurrent
+ *  prewarm lookups is the one thread-sensitive store behavior, so
+ *  the determinism contract assumes no evictions. */
+constexpr std::size_t kStoreEntries = 1024;
+/** Compile policy every backend maps with. */
+constexpr const char *kCompilePolicy = "vqm";
+
 std::uint64_t
 mixJobSeed(std::uint64_t seed, std::uint64_t jobId)
 {
@@ -68,13 +87,10 @@ FleetSim::FleetSim(std::vector<BackendSpec> specs,
 {
     require(!specs.empty(), "fleet needs at least one backend");
     require(!_workload.empty(), "fleet needs a workload");
-    require(_options.maxAttempts >= 1,
-            "maxAttempts must be at least 1");
     for (BackendSpec &spec : specs)
         _backends.push_back(std::make_unique<Backend>(
-            std::move(spec), _options.compilePolicy,
-            _options.storeEntries, _options.breaker,
-            _options.stalenessTol));
+            std::move(spec), core::PolicySpec{.name = kCompilePolicy},
+            kStoreEntries, _options.breaker, _options.stalenessTol));
     for (const FaultEvent &event : _plan.events) {
         if (event.machine >= _backends.size()) {
             throw VaqError("fault plan references machine " +
@@ -144,9 +160,8 @@ FleetSim::serviceUsFor(const Prediction &prediction,
                        const Backend &backend, int shots,
                        double nowUs) const
 {
-    const double compileUs = prediction.fromStore
-                                 ? _options.storeHitCostUs
-                                 : _options.compileCostUs;
+    const double compileUs =
+        prediction.fromStore ? kStoreHitCostUs : kCompileCostUs;
     return compileUs + static_cast<double>(shots) *
                            prediction.trialUs *
                            backend.latencyFactor(nowUs);
@@ -209,7 +224,7 @@ FleetSim::placeCopy(std::size_t jobIdx, std::size_t copyIdx,
         // or breaker-open) is transient: outages end and rollovers
         // heal corruption. Failover waits it out instead of
         // burning bounded attempts, so only real per-machine
-        // failures count toward maxAttempts. The deadline still
+        // failures count toward kMaxAttempts. The deadline still
         // bounds the wait.
         if (_options.failover && copy.attempts > 0)
             --copy.attempts;
@@ -328,15 +343,13 @@ FleetSim::copyAttemptFailed(std::size_t jobIdx,
     }
     obs::count("fleet.copy_failures");
 
-    if (!_options.failover ||
-        copy.attempts >= _options.maxAttempts) {
+    if (!_options.failover || copy.attempts >= kMaxAttempts) {
         finalizeCopy(jobIdx, copyIdx);
         return;
     }
     const double backoffUs =
-        _options.backoffBaseUs *
-        std::pow(_options.backoffFactor, copy.attempts - 1) *
-        (1.0 + _options.backoffJitter * job.rng.uniform());
+        kBackoffBaseUs * std::pow(kBackoffFactor, copy.attempts - 1) *
+        (1.0 + kBackoffJitter * job.rng.uniform());
     const double retryAtUs = nowUs + backoffUs;
     if (job.spec.deadlineUs > 0.0 &&
         retryAtUs > job.spec.deadlineUs) {
@@ -557,8 +570,7 @@ FleetSim::handleRollover(const Event &event)
     backend.rollover();
     ++_summary.machines[event.machine].rollovers;
     obs::count("fleet.rollovers");
-    if (_options.prewarmOnRollover)
-        backend.prewarm(_workload, _options.threads);
+    backend.prewarm(_workload, _options.threads);
     Event next;
     next.timeUs = event.timeUs + _options.calibrationPeriodUs;
     next.kind = EventKind::Rollover;

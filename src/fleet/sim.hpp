@@ -86,30 +86,12 @@ struct FleetOptions
     /** The robustness layer: retries, failover, deadline-aware
      *  placement, circuit breakers. Off = naive baseline. */
     bool failover = true;
-    /** Placement attempts per copy (first try included). */
-    int maxAttempts = 5;
-    /** Exponential backoff: base * factor^(attempt-1), scaled by
-     *  1 + jitter * U[0,1) from the job's private stream. */
-    double backoffBaseUs = 2000.0;
-    double backoffFactor = 2.0;
-    double backoffJitter = 0.25;
-    /** Virtual cost of a fresh compile vs. an artifact-store hit,
-     *  charged into the service time. */
-    double compileCostUs = 400.0;
-    double storeHitCostUs = 40.0;
     /** Calibration-epoch period per machine (0 = no rollovers);
-     *  machines are phase-staggered. */
+     *  machines are phase-staggered. Each rollover recompiles the
+     *  whole workload through the artifact store. */
     double calibrationPeriodUs = 0.0;
-    /** Recompile the whole workload through the artifact store
-     *  after each rollover (the PR-6 delta-recompile burst). */
-    bool prewarmOnRollover = true;
     /** Worker threads for prewarm bursts (summary-invariant). */
     std::size_t threads = 1;
-    /** Per-backend artifact-store index bound. Keep it above
-     *  workload-size x epochs: LRU eviction order under concurrent
-     *  prewarm lookups is the one thread-sensitive store behavior,
-     *  so the determinism contract assumes no evictions. */
-    std::size_t storeEntries = 1024;
     /** Replicate policy: split into two copies when the second-best
      *  machine's predicted STPT is at least this fraction of the
      *  best (the weak copy is worth its fleet capacity). */
@@ -124,8 +106,6 @@ struct FleetOptions
      * reuse only on a zero bound.
      */
     double stalenessTol = 0.0;
-    /** Compile policy every backend maps with. */
-    core::PolicySpec compilePolicy{.name = "vqm"};
     BreakerOptions breaker;
     /** StatsHub publication name; empty = do not publish. */
     std::string statsName;

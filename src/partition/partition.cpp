@@ -3,17 +3,21 @@
 #include <algorithm>
 #include <cmath>
 
+#include "calibration/schedule.hpp"
 #include "common/error.hpp"
 #include "graph/subgraph.hpp"
 #include "graph/weighted_graph.hpp"
 #include "sim/fault_sim.hpp"
-#include "sim/schedule.hpp"
 
 namespace vaq::partition
 {
 
 namespace
 {
+
+/** Copies are scored with the per-operation coherence charge
+ *  (DESIGN.md section 5). */
+constexpr sim::CoherenceMode kCoherence = sim::CoherenceMode::PerOp;
 
 /** Strength graph (success-probability weights) of the machine. */
 graph::WeightedGraph
@@ -35,15 +39,15 @@ CopyReport
 makeReport(core::MappedCircuit mapped,
            std::vector<topology::PhysQubit> region,
            const topology::CouplingGraph &graph,
-           const calibration::Snapshot &snapshot,
-           sim::CoherenceMode coherence)
+           const calibration::Snapshot &snapshot)
 {
-    const sim::NoiseModel model(graph, snapshot, coherence);
+    const sim::NoiseModel model(graph, snapshot, kCoherence);
     CopyReport report{std::move(mapped), std::move(region), 0.0,
                       0.0};
     report.pst = sim::analyticPst(report.mapped.physical, model);
     report.durationNs =
-        sim::scheduleCircuit(report.mapped.physical, model)
+        calibration::scheduleAsap(report.mapped.physical,
+                                  snapshot.durations)
             .durationNs;
     require(report.durationNs > 0.0, "copy has empty schedule");
     return report;
@@ -74,8 +78,7 @@ comparePartitioning(const circuit::Circuit &logical,
     // single copy is free to pick the strongest subset of qubits,
     // which is the entire point of Section 8.1.)
     CopyReport single = makeReport(
-        mapper.map(logical, graph, snapshot), {}, graph, snapshot,
-        options.coherence);
+        mapper.map(logical, graph, snapshot), {}, graph, snapshot);
     for (int q = 0; q < logical.numQubits(); ++q)
         single.region.push_back(single.mapped.initial.phys(q));
     std::sort(single.region.begin(), single.region.end());
@@ -135,10 +138,10 @@ comparePartitioning(const circuit::Circuit &logical,
 
         CopyReport copyA = makeReport(
             mapper.mapInRegion(logical, graph, snapshot, regionA),
-            regionA, graph, snapshot, options.coherence);
+            regionA, graph, snapshot);
         CopyReport copyB = makeReport(
             mapper.mapInRegion(logical, graph, snapshot, regionB),
-            regionB, graph, snapshot, options.coherence);
+            regionB, graph, snapshot);
 
         // Any region good enough for a dual copy is also a valid
         // single-copy placement; keep the best seen.

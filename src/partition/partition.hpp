@@ -18,7 +18,6 @@
 #include "calibration/snapshot.hpp"
 #include "circuit/circuit.hpp"
 #include "core/mapper.hpp"
-#include "sim/noise_model.hpp"
 
 namespace vaq::partition
 {
@@ -57,7 +56,6 @@ struct PartitionOptions
      * winner in practice.
      */
     std::size_t candidateRegions = 48;
-    sim::CoherenceMode coherence = sim::CoherenceMode::PerOp;
 };
 
 /**

@@ -128,6 +128,8 @@ class IterativeRunner
      */
     IterativeRunner(const topology::CouplingGraph &graph,
                     Machine machine);
+    /** The runner borrows the graph: a temporary would dangle. */
+    IterativeRunner(const topology::CouplingGraph &&, Machine) = delete;
 
     /**
      * Compile `logical` with `mapper` against `calibration`, run

@@ -173,6 +173,9 @@ HttpServer::HttpServer(HttpServerOptions options,
     require(_handler != nullptr, "http server needs a handler");
     require(_options.workerThreads > 0,
             "http server needs at least one worker");
+    require(_options.queueDepth > 0,
+            "queueDepth must be at least 1 (a zero-depth admission "
+            "queue sheds every connection)");
 
     _listenFd = ::socket(AF_INET, SOCK_STREAM, 0);
     require(_listenFd >= 0, "socket() failed");

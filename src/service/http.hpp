@@ -79,7 +79,7 @@ struct HttpServerOptions
     /** Worker threads serving queued connections. */
     std::size_t workerThreads = 4;
     /** Admission bound: accepted connections waiting for a worker.
-     *  Beyond this the accept thread sheds with 503. */
+     *  Beyond this the accept thread sheds with 503. At least 1. */
     std::size_t queueDepth = 64;
     /** Largest accepted request body. */
     std::size_t maxBodyBytes = 8u << 20;

@@ -75,6 +75,9 @@ CompileService::CompileService(
     store::ArtifactStore *artifacts)
     : _graph(graph), _options(options), _store(artifacts)
 {
+    require(_options.quotaRps <= 0.0 || _options.quotaBurst >= 1.0,
+            "quotaBurst must be at least 1 when quotaRps is set (a "
+            "smaller bucket never holds a whole token)");
     _epoch = std::make_shared<const Epoch>(
         Epoch{1, epochContext(snapshot, "initial snapshot unusable")});
 }

@@ -74,7 +74,8 @@ struct ServiceOptions
     /** Sustained per-client request rate (tokens/second); 0
      *  disables quotas. */
     double quotaRps = 0.0;
-    /** Token-bucket burst capacity. */
+    /** Token-bucket burst capacity; at least 1 when quotas are
+     *  on. */
     double quotaBurst = 8.0;
     /** Worker threads for /v1/batch bursts (0 = hardware). */
     std::size_t batchThreads = 0;
@@ -111,6 +112,10 @@ class CompileService
                    calibration::Snapshot snapshot,
                    ServiceOptions options = {},
                    store::ArtifactStore *artifacts = nullptr);
+    /** The service borrows the graph: a temporary would dangle. */
+    CompileService(const topology::CouplingGraph &&,
+                   calibration::Snapshot, ServiceOptions = {},
+                   store::ArtifactStore * = nullptr) = delete;
 
     /** Route one request (the HttpServer handler). */
     HttpResponse handle(const HttpRequest &request);

@@ -43,6 +43,12 @@ fitDecayRate(const std::vector<int> &depths,
 namespace
 {
 
+/** Assumed coherence times copied into the estimate (decay
+ *  sequences cannot separate them from gate error without delay
+ *  instructions). */
+constexpr double kAssumedT1Us = 80.0;
+constexpr double kAssumedT2Us = 42.0;
+
 /** Survival of the all-zeros outcome on the measured qubits. */
 double
 survivalOfZeros(const ShotCounts &counts)
@@ -96,8 +102,8 @@ characterizeMachine(const topology::CouplingGraph &graph,
 
     calibration::Snapshot estimate(graph);
     for (int q = 0; q < graph.numQubits(); ++q) {
-        estimate.qubit(q).t1Us = options.assumeT1Us;
-        estimate.qubit(q).t2Us = options.assumeT2Us;
+        estimate.qubit(q).t1Us = kAssumedT1Us;
+        estimate.qubit(q).t2Us = kAssumedT2Us;
     }
 
     // --- Readout: measure the fresh |0...0> state. ---

@@ -56,11 +56,6 @@ struct CharacterizeOptions
      * second-operand Pauli).
      */
     double visibility = 5.0 / 6.0;
-    /** Assumed coherence times copied into the estimate (decay
-     *  sequences cannot separate them from gate error without
-     *  delay instructions). */
-    double assumeT1Us = 80.0;
-    double assumeT2Us = 42.0;
 };
 
 /**

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <string>
 
+#include "calibration/schedule.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 
@@ -79,9 +80,13 @@ collectErrorProbs(const Circuit &physical, const NoiseModel &model)
         probs.push_back(p);
     }
     if (idleAware) {
-        const Schedule schedule = scheduleCircuit(physical, model);
+        const calibration::GateDurations &durations =
+            model.snapshot().durations;
+        const calibration::Schedule schedule =
+            calibration::scheduleAsap(physical, durations);
         for (int q = 0; q < physical.numQubits(); ++q) {
-            const double idle = schedule.idleNs(physical, q);
+            const double idle =
+                schedule.idleNs(physical, durations, q);
             if (idle > 0.0) {
                 const double p = model.idleErrorProb(q, idle);
                 requireProbability(p, "idle", q);

@@ -22,7 +22,6 @@
 #include "circuit/circuit.hpp"
 #include "common/rng.hpp"
 #include "sim/noise_model.hpp"
-#include "sim/schedule.hpp"
 
 namespace vaq::sim
 {

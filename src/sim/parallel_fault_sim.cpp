@@ -210,7 +210,6 @@ ParallelFaultSim::runOutcomeChecked(const Circuit &physical,
     TrajectoryOptions trajectory;
     trajectory.shots = options.trials;
     trajectory.seed = options.seed;
-    trajectory.readoutNoise = options.readoutNoise;
     trajectory.crosstalk = options.crosstalk;
 
     OutcomeSimResult result;

@@ -75,8 +75,6 @@ struct OutcomeSimOptions
     double targetStderr = 0.0;
     /** Which per-trial engine executes the trials. */
     SimEngine engine = SimEngine::Auto;
-    /** Flip measured bits with the calibrated readout error. */
-    bool readoutNoise = true;
     /** Crosstalk extension (see TrajectoryOptions::crosstalk). */
     double crosstalk = 0.0;
 };

@@ -644,6 +644,10 @@ sparseIdealProbabilities(const Circuit &circuit)
 namespace
 {
 
+/** Largest ideal support replayed densely per shot; bigger supports
+ *  switch to the tableau reference. */
+constexpr std::size_t kMaxDenseSupport = 4096;
+
 /** Second-operand coin of a two-qubit operational error:
  *  bernoulli(0.75) as a raw-word compare. */
 constexpr std::uint64_t kSecondOperandThreshold = 0xC000000000000000ULL;
@@ -741,15 +745,15 @@ PauliFrameSim::PauliFrameSim(const Circuit &physical,
     // per-shot walk replays the dense sampler's exact float
     // subtractions, making frame trials bit-identical to dense
     // trials. Every tableau-support state has a non-zero dense
-    // probability, so a support wider than maxDenseSupport can
+    // probability, so a support wider than kMaxDenseSupport can
     // never pass the size check and the replay is skipped.
     _reference = FrameReference::Tableau;
     const std::size_t k = _support.dimension();
     if (physical.numQubits() <=
             std::min(options.denseReferenceMaxQubits, 27) &&
-        k < 64 && (1ULL << k) <= options.maxDenseSupport) {
+        k < 64 && (1ULL << k) <= kMaxDenseSupport) {
         auto entries = sparseIdealProbabilities(physical);
-        if (entries.size() <= options.maxDenseSupport) {
+        if (entries.size() <= kMaxDenseSupport) {
             _denseRef = std::move(entries);
             _reference = FrameReference::DenseAmplitudes;
         }

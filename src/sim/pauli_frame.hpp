@@ -242,9 +242,6 @@ struct PauliFrameOptions
     TrajectoryOptions trajectory;
     /** Widest circuit sampled against a dense ideal reference. */
     int denseReferenceMaxQubits = 20;
-    /** Largest ideal support replayed densely per shot; bigger
-     *  supports switch to the tableau reference. */
-    std::size_t maxDenseSupport = 4096;
 };
 
 /**
@@ -269,6 +266,9 @@ class PauliFrameSim
     PauliFrameSim(const circuit::Circuit &physical,
                   const NoiseModel &model,
                   const PauliFrameOptions &options = {});
+    /** The engine borrows the circuit: a temporary would dangle. */
+    PauliFrameSim(const circuit::Circuit &&, const NoiseModel &,
+                  const PauliFrameOptions & = {}) = delete;
 
     /** True when trials run on the frame fast path. */
     bool framePath() const { return _framePath; }

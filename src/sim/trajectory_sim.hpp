@@ -87,6 +87,9 @@ class TrajectorySimulator
      */
     explicit TrajectorySimulator(const NoiseModel &model,
                                  const TrajectoryOptions &options = {});
+    /** The simulator borrows the model: a temporary would dangle. */
+    explicit TrajectorySimulator(
+        const NoiseModel &&, const TrajectoryOptions & = {}) = delete;
 
     /**
      * Execute `physical` for options.shots trajectories and return

@@ -27,6 +27,11 @@ class ArtifactCacheAdapter final : public core::ArtifactCacheHook
     ArtifactCacheAdapter(ArtifactStore &store,
                          const topology::CouplingGraph &graph,
                          core::PolicySpec spec);
+    /** The adapter borrows the graph: a temporary would dangle (the
+     *  non-const store reference already refuses one). */
+    ArtifactCacheAdapter(ArtifactStore &,
+                         const topology::CouplingGraph &&,
+                         core::PolicySpec) = delete;
 
     /** Exact-or-delta store lookup (thread-safe; the store locks). */
     std::optional<core::CompileResult>

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "circuit/circuit.hpp"
 #include "circuit/layering.hpp"
 
@@ -11,6 +13,12 @@ namespace
 {
 
 using circuit::Circuit;
+
+// The analysis borrows its circuit, so it refuses a temporary.
+static_assert(std::is_constructible_v<DataflowAnalysis, const Circuit &>);
+static_assert(!std::is_constructible_v<DataflowAnalysis, Circuit>);
+static_assert(!std::is_constructible_v<DataflowAnalysis, Circuit,
+                                       calibration::GateDurations>);
 
 TEST(Dataflow, ChainsRecordTouchesAndMeasures)
 {

@@ -1,5 +1,9 @@
 #include <algorithm>
+#include <functional>
+#include <limits>
+#include <set>
 #include <sstream>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -8,6 +12,7 @@
 #include "analysis/rule.hpp"
 #include "analysis/sens_report.hpp"
 #include "analysis/sensitivity.hpp"
+#include "calibration/sanitize.hpp"
 #include "calibration/snapshot.hpp"
 #include "calibration/synthetic.hpp"
 #include "circuit/circuit.hpp"
@@ -262,6 +267,95 @@ TEST(Rules, QuarantinedQubitSilentOnHealthyMachine)
     input.snapshot = &snapshot;
     const LintReport report = runRule("VL007", input);
     EXPECT_TRUE(report.diagnostics.empty());
+}
+
+TEST(Rules, QuarantinedQubitAgreesWithTheSanitizer)
+{
+    // Every defect the sanitizer quarantines: NaN values, negative
+    // errors, errors at or above 0.95, errors above 1 and zero
+    // coherence. Snapshot::setLinkError takes only probabilities, so
+    // links die at or above the threshold.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const std::vector<
+        std::function<void(calibration::QubitCalibration &)>>
+        qubitDefects = {
+            [&](auto &cal) { cal.t1Us = nan; },
+            [](auto &cal) { cal.readoutError = -0.01; },
+            [](auto &cal) { cal.error1q = -1e-6; },
+            [](auto &cal) { cal.error1q = 0.95; },
+            [](auto &cal) { cal.readoutError = 0.97; },
+            [](auto &cal) { cal.t2Us = 0.0; },
+            [](auto &cal) { cal.error1q = 1.5; },
+            [&](auto &cal) { cal.readoutError = nan; },
+        };
+    const std::vector<double> linkDefects = {0.95, 0.999, 1.0};
+
+    for (const topology::CouplingGraph &graph :
+         {topology::ibmQ5Tenerife(), topology::ibmQ20Tokyo()}) {
+        calibration::Snapshot snap =
+            calibration::SyntheticSource(graph, {}, 11).nextCycle();
+        const int n = graph.numQubits();
+        for (int q = 0; q < n; q += 2)
+            qubitDefects[static_cast<std::size_t>(q / 2) %
+                         qubitDefects.size()](snap.qubit(q));
+        for (std::size_t l = 1; l < graph.linkCount(); l += 3)
+            snap.setLinkError(l, linkDefects[(l / 3) %
+                                             linkDefects.size()]);
+        // The last qubit is corrupted but the circuit never uses it.
+        const int spare = n - 1;
+        snap.qubit(spare).readoutError = -0.5;
+
+        Circuit c(n);
+        for (int q = 0; q < n; ++q) {
+            if (q != spare)
+                c.h(q);
+        }
+        for (const topology::Link &link : graph.links()) {
+            if (link.a != spare && link.b != spare)
+                c.cx(link.a, link.b);
+        }
+        for (int q = 0; q < n; ++q) {
+            if (q != spare)
+                c.measure(q);
+        }
+
+        const calibration::SanitizedCalibration verdict =
+            calibration::sanitize(snap, graph);
+        std::set<int> wantQubits;
+        for (const calibration::QuarantinedQubit &q :
+             verdict.report.qubits) {
+            if (q.qubit != spare)
+                wantQubits.insert(q.qubit);
+        }
+        std::set<std::pair<int, int>> wantLinks;
+        for (const calibration::QuarantinedLink &l :
+             verdict.report.links) {
+            if (l.reason != "endpoint qubit quarantined" &&
+                l.a != spare && l.b != spare)
+                wantLinks.insert({l.a, l.b});
+        }
+
+        LintInput input = logicalInput(c);
+        input.physical = true;
+        input.graph = &graph;
+        input.snapshot = &snap;
+        const LintReport report = runRule("VL007", input);
+        std::set<int> gotQubits;
+        std::set<std::pair<int, int>> gotLinks;
+        for (const Diagnostic &d : report.diagnostics) {
+            if (d.qubit2 < 0)
+                gotQubits.insert(d.qubit);
+            else
+                gotLinks.insert({d.qubit, d.qubit2});
+        }
+        EXPECT_FALSE(wantQubits.empty()) << graph.name();
+        EXPECT_FALSE(wantLinks.empty()) << graph.name();
+        EXPECT_EQ(gotQubits, wantQubits) << graph.name();
+        EXPECT_EQ(gotLinks, wantLinks) << graph.name();
+        EXPECT_EQ(report.diagnostics.size(),
+                  gotQubits.size() + gotLinks.size())
+            << graph.name();
+    }
 }
 
 // --- VL008 reliability-budget --------------------------------------

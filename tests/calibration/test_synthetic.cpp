@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "common/statistics.hpp"
 #include "topology/layouts.hpp"
 
@@ -9,6 +11,15 @@ namespace vaq::calibration
 {
 namespace
 {
+
+// The source borrows its graph, so it refuses a temporary.
+using topology::CouplingGraph;
+static_assert(
+    std::is_constructible_v<SyntheticSource, const CouplingGraph &>);
+static_assert(!std::is_constructible_v<SyntheticSource, CouplingGraph>);
+static_assert(!std::is_constructible_v<SyntheticSource, CouplingGraph,
+                                       const SyntheticParams &,
+                                       std::uint64_t>);
 
 /** Pool a statistic over every qubit/cycle of a series. */
 template <typename Extract>

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <type_traits>
 
 #include "common/error.hpp"
 #include "sim/trajectory_sim.hpp"
@@ -14,6 +15,13 @@ namespace vaq::runtime
 {
 namespace
 {
+
+// The runner borrows its graph, so it refuses a temporary.
+static_assert(std::is_constructible_v<IterativeRunner,
+                                      const topology::CouplingGraph &,
+                                      Machine>);
+static_assert(!std::is_constructible_v<IterativeRunner,
+                                       topology::CouplingGraph, Machine>);
 
 TEST(TrialLog, MajorityAndConfidence)
 {

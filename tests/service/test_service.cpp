@@ -29,6 +29,8 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -37,6 +39,7 @@
 #include "calibration/csv_io.hpp"
 #include "calibration/synthetic.hpp"
 #include "circuit/qasm.hpp"
+#include "common/error.hpp"
 #include "common/json.hpp"
 #include "core/compile_request.hpp"
 #include "obs/metrics.hpp"
@@ -50,6 +53,14 @@ namespace vaq::service
 {
 namespace
 {
+
+// The service borrows its graph, so it refuses a temporary.
+static_assert(std::is_constructible_v<CompileService,
+                                      const topology::CouplingGraph &,
+                                      calibration::Snapshot>);
+static_assert(!std::is_constructible_v<CompileService,
+                                       topology::CouplingGraph,
+                                       calibration::Snapshot>);
 
 std::string
 readFile(const std::string &path)
@@ -758,6 +769,77 @@ TEST(ServiceTransport, AdmissionQueueShedsWith503UnderFlood)
     EXPECT_EQ(ok.load(), served.load());
     EXPECT_EQ(shedWithoutRetryAfter.load(), 0);
 }
+
+/** The VaqError a callable throws; fails the test when none. */
+template <typename Fn>
+VaqError
+thrownBy(Fn fn)
+{
+    try {
+        fn();
+    } catch (const VaqError &e) {
+        return e;
+    }
+    ADD_FAILURE() << "no VaqError thrown";
+    return VaqError("none", ErrorCategory::Internal);
+}
+
+TEST(ServiceConfig, ZeroQueueDepthIsRefused)
+{
+    // A zero-depth admission queue would shed every connection.
+    HttpServerOptions http;
+    http.queueDepth = 0;
+    const VaqError e = thrownBy([&] {
+        HttpServer server(http, [](const HttpRequest &) {
+            return HttpResponse{};
+        });
+    });
+    EXPECT_EQ(e.category(), ErrorCategory::Usage);
+    EXPECT_NE(std::string(e.what()).find("queueDepth"),
+              std::string::npos)
+        << e.what();
+}
+
+TEST(ServiceConfig, QuotaBurstBelowOneTokenIsRefused)
+{
+    // A bucket capped below one token answers 429 forever.
+    const topology::CouplingGraph graph = topology::ibmQ5Tenerife();
+    const calibration::Snapshot snapshot = test::uniformSnapshot(graph);
+    ServiceOptions options;
+    options.quotaRps = 5.0;
+    options.quotaBurst = 0.5;
+    const VaqError e = thrownBy(
+        [&] { CompileService service(graph, snapshot, options); });
+    EXPECT_EQ(e.category(), ErrorCategory::Usage);
+    EXPECT_NE(std::string(e.what()).find("quotaBurst"),
+              std::string::npos)
+        << e.what();
+
+    options.quotaBurst = 1.0;
+    EXPECT_NO_THROW(CompileService(graph, snapshot, options));
+    options.quotaRps = 0.0; // quotas off: the burst is unused
+    options.quotaBurst = 0.5;
+    EXPECT_NO_THROW(CompileService(graph, snapshot, options));
+}
+
+#ifdef VAQ_VAQD_BIN
+TEST(VaqdConfig, ConfigsThatServeNothingExitWithTheUsageCode)
+{
+    const std::string err = ::testing::TempDir() + "vaqd_config.err";
+    for (const auto &[args, field] :
+         {std::pair<std::string, std::string>{"--queue-depth 0",
+                                              "queueDepth"},
+          {"--quota-rps 5 --quota-burst 0.5", "quotaBurst"}}) {
+        const std::string command = std::string(VAQ_VAQD_BIN) +
+                                    " --machine q5 --once " + args +
+                                    " >/dev/null 2>" + err;
+        const int status = std::system(command.c_str());
+        ASSERT_TRUE(WIFEXITED(status)) << args;
+        EXPECT_EQ(WEXITSTATUS(status), 2) << args;
+        EXPECT_NE(readFile(err).find(field), std::string::npos) << args;
+    }
+}
+#endif
 
 #ifdef VAQ_VAQC_BIN
 TEST(VaqcTelemetry, FlushedOnFailureExitPaths)

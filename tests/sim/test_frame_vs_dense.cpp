@@ -226,7 +226,7 @@ TEST(FrameVsDense, BitExactOnQ20WithPhaseGates)
 TEST(FrameVsDense, BitExactOnFullDenseSupport)
 {
     // H on 12 of 14 qubits, then only permutations and phases: the
-    // ideal support is 2^12 states, exactly maxDenseSupport, so every
+    // ideal support is 2^12 states, exactly kMaxDenseSupport, so every
     // trial walks a 4096-entry reference in frame-shifted order.
     const int n = 14;
     const auto graph = topology::fullyConnected(n);

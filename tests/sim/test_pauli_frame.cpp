@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "clifford_corpus.hpp"
@@ -40,6 +41,15 @@ namespace
 {
 
 using circuit::Circuit;
+
+// The engine borrows its circuit, so it refuses a temporary.
+static_assert(std::is_constructible_v<PauliFrameSim, const Circuit &,
+                                      const NoiseModel &>);
+static_assert(
+    !std::is_constructible_v<PauliFrameSim, Circuit, const NoiseModel &>);
+static_assert(!std::is_constructible_v<PauliFrameSim, Circuit,
+                                       const NoiseModel &,
+                                       const PauliFrameOptions &>);
 
 PauliFrame
 conj(PauliFrame frame, FrameOpKind kind, std::uint64_t m0,

@@ -110,7 +110,7 @@ TEST(SparseReference, MatchesDenseBitwiseOnMappedQ20Workloads)
 
 TEST(SparseReference, UniformSuperpositionSelectsTableau)
 {
-    // 2^13 equal amplitudes: one past maxDenseSupport (4096) even at
+    // 2^13 equal amplitudes: one past kMaxDenseSupport (4096) even at
     // a width the replay still checks cheaply.
     Circuit narrow(13);
     for (int q = 0; q < 13; ++q)

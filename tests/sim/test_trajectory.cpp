@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "common/error.hpp"
 #include "test_support.hpp"
 #include "topology/layouts.hpp"
@@ -13,6 +15,13 @@ namespace
 {
 
 using circuit::Circuit;
+
+// The simulator borrows its noise model, so it refuses a temporary.
+static_assert(std::is_constructible_v<TrajectorySimulator,
+                                      const NoiseModel &>);
+static_assert(!std::is_constructible_v<TrajectorySimulator, NoiseModel>);
+static_assert(!std::is_constructible_v<TrajectorySimulator, NoiseModel,
+                                       const TrajectoryOptions &>);
 
 class TrajectoryTest : public ::testing::Test
 {

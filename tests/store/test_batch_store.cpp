@@ -11,6 +11,7 @@
 #include <fstream>
 #include <set>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "analysis/dataflow.hpp"
@@ -31,6 +32,21 @@ using core::BatchCompiler;
 using core::BatchOptions;
 using core::BatchResult;
 using core::JobStatus;
+
+// The adapter borrows its store and graph, so it refuses a
+// temporary of either.
+static_assert(std::is_constructible_v<ArtifactCacheAdapter,
+                                      ArtifactStore &,
+                                      const topology::CouplingGraph &,
+                                      core::PolicySpec>);
+static_assert(!std::is_constructible_v<ArtifactCacheAdapter,
+                                       ArtifactStore,
+                                       const topology::CouplingGraph &,
+                                       core::PolicySpec>);
+static_assert(!std::is_constructible_v<ArtifactCacheAdapter,
+                                       ArtifactStore &,
+                                       topology::CouplingGraph,
+                                       core::PolicySpec>);
 
 /** Hardware a mapped circuit depends on. */
 struct TouchedSets
