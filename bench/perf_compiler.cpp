@@ -41,17 +41,40 @@ BM_AllocateLocality(benchmark::State &state)
 }
 BENCHMARK(BM_AllocateLocality);
 
+/**
+ * The three vqa+vqm strength placements (range 0: induced,
+ * full-strength, qubit-aware) on Bernstein-Vazirani of width range
+ * 1. Each allocation runs the connected-region search once.
+ */
 void
 BM_AllocateStrength(benchmark::State &state)
 {
-    const auto bv = workloads::bernsteinVazirani(16);
-    const core::StrengthAllocator allocator;
+    struct Placement
+    {
+        const char *label;
+        graph::SubgraphScore score;
+        bool qubitAware;
+    };
+    static constexpr Placement kPlacements[] = {
+        {"induced", graph::SubgraphScore::InducedWeight, false},
+        {"full-strength", graph::SubgraphScore::FullStrength, false},
+        {"qubit-aware", graph::SubgraphScore::InducedWeight, true},
+    };
+    const Placement &placement =
+        kPlacements[static_cast<std::size_t>(state.range(0))];
+    const auto bv = workloads::bernsteinVazirani(
+        static_cast<int>(state.range(1)));
+    const core::StrengthAllocator allocator(placement.score, 0,
+                                            placement.qubitAware);
     const core::CalibrationContext context(env().machine,
                                            env().averaged);
     for (auto _ : state)
         benchmark::DoNotOptimize(allocator.allocate(bv, context));
+    state.SetLabel(placement.label);
 }
-BENCHMARK(BM_AllocateStrength);
+BENCHMARK(BM_AllocateStrength)
+    ->ArgsProduct({{0, 1, 2}, {5, 12, 20}})
+    ->Unit(benchmark::kMillisecond);
 
 void
 BM_MovementPlan(benchmark::State &state)

@@ -37,12 +37,14 @@
 # 7: its exit code is its acceptance gate, and its count columns
 # (tol, lookups, exact, delta, bound, recompile, hit-rate; no
 # timings) must equal tests/store/golden/perf_sens_seed7.counts.
-# Five perf_* benches run as exit-0 smokes: perf_frame's frame-reference construction,
+# Six perf_* benches run as exit-0 smokes: perf_frame's frame-reference construction,
 # perf_frame's width-27 Pauli-frame trials (the fault-table trial
 # kernel), perf_simulator's 1M-trial, 4-thread Bernoulli
 # fault-injection run (the threshold trial kernel), perf_compiler's
-# QASM parse/write cases (the wire codec) and perf_compiler's
-# vqa+vqm portfolio compiles (placements x routes). The TSan leg
+# QASM parse/write cases (the wire codec), perf_compiler's
+# vqa+vqm portfolio compiles (placements x routes) and
+# perf_compiler's three vqa+vqm strength placements at widths 5, 12
+# and 20 (the connected-region search). The TSan leg
 # rebuilds into build-tsan/ and runs only
 # `-L "parallel|analysis|store|sim|service|fleet"`
 # — the tests that exercise the thread pool, calibration contexts
@@ -344,6 +346,22 @@ grep -q BM_FullPolicy <<<"$POLICY_OUT" || {
     exit 1
 }
 echo "ci: portfolio compile bench smoke passed"
+
+echo "== tier-1: strength allocation bench smoke (must exit 0) =="
+# The three vqa+vqm strength placements (induced, full-strength,
+# qubit-aware) at widths 5, 12 and 20: each runs the connected-region
+# search once per allocation. All nine cases must appear.
+ALLOC_OUT="$(build/bench/perf_compiler --benchmark_filter='BM_AllocateStrength' --benchmark_min_time=0.1)"
+for placement in 0 1 2; do
+    for width in 5 12 20; do
+        grep -q "BM_AllocateStrength/$placement/$width " <<<"$ALLOC_OUT" || {
+            echo "ci: strength allocation bench did not run" \
+                "BM_AllocateStrength/$placement/$width" >&2
+            exit 1
+        }
+    done
+done
+echo "ci: strength allocation bench smoke passed"
 
 echo "== tier-1: vaqd daemon smoke (compile + rollover over HTTP) =="
 # Start vaqd on an ephemeral port, parse the port it prints, then

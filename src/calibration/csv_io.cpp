@@ -136,8 +136,7 @@ fromCsv(const std::string &text,
     try {
         snap.validate();
     } catch (const CalibrationError &e) {
-        throw CalibrationError(source + ": " + e.message(), e.qubit(),
-                               e.link());
+        throw e.prefixed(source + ": ");
     }
     return snap;
 }

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include <algorithm>
+#include <string>
 
 #include "circuit/layering.hpp"
 #include "common/error.hpp"
@@ -15,6 +16,11 @@ Circuit::Circuit(int num_qubits)
     : _numQubits(num_qubits)
 {
     require(num_qubits > 0, "circuit needs at least one qubit");
+    if (num_qubits > kMaxQubits) {
+        throw VaqError("circuit width " + std::to_string(num_qubits) +
+                       " exceeds the operand limit " +
+                       std::to_string(kMaxQubits));
+    }
 }
 
 void

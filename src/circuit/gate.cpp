@@ -1,18 +1,37 @@
 #include "circuit/gate.hpp"
 
+#include <string>
+
 #include "common/error.hpp"
 
 namespace vaq::circuit
 {
 
+namespace
+{
+
+/** A factory operand must be a non-negative index within kMaxQubits. */
+void
+requireOperand(Qubit q)
+{
+    require(q >= 0, "negative qubit index");
+    if (q > kMaxQubits) {
+        throw VaqError("qubit index " + std::to_string(q) +
+                       " exceeds the operand limit " +
+                       std::to_string(kMaxQubits));
+    }
+}
+
+} // namespace
+
 Gate
 Gate::oneQubit(GateKind kind, Qubit q, double param)
 {
     VAQ_ASSERT(gateArity(kind) == 1, "not a one-qubit gate kind");
-    require(q >= 0, "negative qubit index");
+    requireOperand(q);
     Gate g;
     g.kind = kind;
-    g.q0 = q;
+    g.q0 = static_cast<std::int16_t>(q);
     g.param = param;
     return g;
 }
@@ -21,22 +40,23 @@ Gate
 Gate::twoQubit(GateKind kind, Qubit a, Qubit b)
 {
     VAQ_ASSERT(gateArity(kind) == 2, "not a two-qubit gate kind");
-    require(a >= 0 && b >= 0, "negative qubit index");
+    requireOperand(a);
+    requireOperand(b);
     require(a != b, "two-qubit gate needs distinct operands");
     Gate g;
     g.kind = kind;
-    g.q0 = a;
-    g.q1 = b;
+    g.q0 = static_cast<std::int16_t>(a);
+    g.q1 = static_cast<std::int16_t>(b);
     return g;
 }
 
 Gate
 Gate::measure(Qubit q)
 {
-    require(q >= 0, "negative qubit index");
+    requireOperand(q);
     Gate g;
     g.kind = GateKind::MEASURE;
-    g.q0 = q;
+    g.q0 = static_cast<std::int16_t>(q);
     return g;
 }
 

@@ -12,6 +12,7 @@
 #define VAQ_CIRCUIT_GATE_HPP
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 
@@ -23,6 +24,15 @@ using Qubit = int;
 
 /** Sentinel for "no second operand". */
 inline constexpr Qubit kNoQubit = -1;
+
+/**
+ * Operand width limit: the largest qubit index a Gate stores, and the
+ * widest Circuit. Gate keeps its operands as std::int16_t so that the
+ * kind and both operands share 8 bytes ahead of the angles; the
+ * Circuit constructor, the Gate factories and the QASM parser refuse
+ * anything wider, so no operand can wrap.
+ */
+inline constexpr Qubit kMaxQubits = std::numeric_limits<std::int16_t>::max();
 
 /** The supported gate alphabet. */
 enum class GateKind : std::uint8_t
@@ -51,13 +61,14 @@ enum class GateKind : std::uint8_t
  * One circuit operation.
  *
  * Plain value type: gates are stored by value in Circuit and copied
- * freely by the mappers when SWAPs are inserted.
+ * freely by the mappers when SWAPs are inserted. 32 bytes: operands
+ * are std::int16_t, at most kMaxQubits (reads widen them to Qubit).
  */
 struct Gate
 {
     GateKind kind = GateKind::I;
-    Qubit q0 = kNoQubit;        ///< first (or only) operand
-    Qubit q1 = kNoQubit;        ///< second operand for 2q gates
+    std::int16_t q0 = kNoQubit; ///< first (or only) operand
+    std::int16_t q1 = kNoQubit; ///< second operand for 2q gates
     double param = 0.0;         ///< rotation angle / U3 theta
     double param2 = 0.0;        ///< U3 phi
     double param3 = 0.0;        ///< U3 lambda

@@ -91,6 +91,22 @@ struct ParseState
     }
 };
 
+/**
+ * A qreg size or operand index: a decimal no larger than kMaxQubits,
+ * checked before it narrows to int so a huge value cannot wrap.
+ */
+std::size_t
+parseWithinLimit(string_view text)
+{
+    const std::size_t n = parseSize(text);
+    if (n > static_cast<std::size_t>(kMaxQubits)) {
+        throw VaqError(std::to_string(n) +
+                       " exceeds the operand limit " +
+                       std::to_string(kMaxQubits));
+    }
+    return n;
+}
+
 /** Parse "q[i]" (whitespace-tolerant); returns the index. */
 Qubit
 parseOperand(const ParseState &st, string_view text)
@@ -103,7 +119,7 @@ parseOperand(const ParseState &st, string_view text)
     }
     const string_view idx = t.substr(2, t.size() - 3);
     try {
-        return static_cast<Qubit>(parseSize(idx));
+        return static_cast<Qubit>(parseWithinLimit(idx));
     } catch (const VaqError &e) {
         st.fail("bad operand index '" + std::string(idx) +
                     "': " + e.message(),
@@ -256,7 +272,7 @@ parseQasm(const std::string &text, const std::string &source)
                          close != string_view::npos && close > open,
                      "malformed qreg: expected qreg q[<size>]");
             try {
-                const auto n = parseSize(
+                const auto n = parseWithinLimit(
                     line.substr(open + 1, close - open - 1));
                 circuit.emplace(static_cast<int>(n));
             } catch (const VaqError &e) {

@@ -69,6 +69,15 @@ CalibrationError::CalibrationError(const std::string &what_arg,
 {
 }
 
+CalibrationError
+CalibrationError::prefixed(const std::string &prefix) const
+{
+    CalibrationError out(prefix + message());
+    out._qubit = _qubit;
+    out._link = _link;
+    return out;
+}
+
 RoutingError::RoutingError(const std::string &what_arg, int a, int b)
     : VaqError(withQubitLink(what_arg, "qubit", a, "qubit", b),
                ErrorCategory::Routing),

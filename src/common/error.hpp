@@ -107,6 +107,13 @@ class CalibrationError : public VaqError
     /** Offending link index, or -1. */
     long link() const { return _link; }
 
+    /**
+     * The same error with `prefix` put before its message ("cal.csv:
+     * "). Keeps the qubit and link fields; the message already ends
+     * in their suffix, so it is not appended again.
+     */
+    CalibrationError prefixed(const std::string &prefix) const;
+
   private:
     int _qubit;
     long _link;

@@ -1,7 +1,6 @@
 #include "graph/subgraph.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <queue>
 
 #include "common/error.hpp"
@@ -13,106 +12,188 @@ namespace
 {
 
 /**
- * Enumerate all connected induced subgraphs of size k that contain
- * `root` as their minimum node id, invoking `visit` on each. The
- * min-id anchoring guarantees every connected set is produced exactly
- * once across all roots. Standard "fixed-root expansion" enumeration.
+ * Scores candidate node sets without allocating: FullStrength sums
+ * the precomputed node strengths in candidate order, InducedWeight
+ * sums the weights over `graph.edges()` in edge order through a
+ * reused membership map. Both are the sums scoreSubgraph defines, so
+ * they give the same doubles.
  */
-template <typename Visit>
-void
-enumerateFromRoot(const WeightedGraph &graph, int root,
-                  std::size_t k, Visit &&visit)
+class Scorer
 {
-    std::vector<int> current{root};
-    std::vector<bool> inCurrent(
-        static_cast<std::size_t>(graph.numNodes()), false);
-    std::vector<bool> forbidden(
-        static_cast<std::size_t>(graph.numNodes()), false);
-    inCurrent[static_cast<std::size_t>(root)] = true;
-
-    // Frontier of candidate extensions (> root, not forbidden).
-    std::vector<int> frontier;
-    for (const auto &[u, w] : graph.neighbors(root)) {
-        (void)w;
-        if (u > root)
-            frontier.push_back(u);
-    }
-    std::sort(frontier.begin(), frontier.end());
-
-    struct Action
+  public:
+    Scorer(const WeightedGraph &graph, SubgraphScore score)
+        : _graph(graph), _score(score)
     {
-        int node;
-        std::vector<int> addedFrontier;
-    };
+        if (score == SubgraphScore::FullStrength)
+            _strengths = graph.nodeStrengths();
+        else
+            _member.assign(static_cast<std::size_t>(graph.numNodes()),
+                           0);
+    }
 
-    // Recursive lambda via explicit stack-free recursion.
-    const std::function<void(std::vector<int> &)> recurse =
-        [&](std::vector<int> &localFrontier) {
-            if (current.size() == k) {
-                visit(current);
-                return;
+    double
+    operator()(const std::vector<int> &nodes)
+    {
+        double total = 0.0;
+        if (_score == SubgraphScore::FullStrength) {
+            for (int v : nodes)
+                total += _strengths[static_cast<std::size_t>(v)];
+            return total;
+        }
+        for (int v : nodes)
+            _member[static_cast<std::size_t>(v)] = 1;
+        for (const WeightedEdge &e : _graph.edges()) {
+            if (_member[static_cast<std::size_t>(e.a)] &&
+                _member[static_cast<std::size_t>(e.b)]) {
+                total += e.weight;
             }
-            // Take candidates one at a time; once a candidate is
-            // skipped it becomes forbidden for this branch so each
-            // subset is generated once.
-            std::vector<int> skipped;
-            while (!localFrontier.empty()) {
-                const int v = localFrontier.back();
-                localFrontier.pop_back();
-                if (forbidden[static_cast<std::size_t>(v)] ||
-                    inCurrent[static_cast<std::size_t>(v)]) {
-                    continue;
-                }
+        }
+        for (int v : nodes)
+            _member[static_cast<std::size_t>(v)] = 0;
+        return total;
+    }
 
-                // Branch 1: include v.
-                current.push_back(v);
-                inCurrent[static_cast<std::size_t>(v)] = true;
-                std::vector<int> extended = localFrontier;
-                for (const auto &[u, w] : graph.neighbors(v)) {
-                    (void)w;
-                    if (u > current.front() &&
-                        !inCurrent[static_cast<std::size_t>(u)] &&
-                        !forbidden[static_cast<std::size_t>(u)]) {
-                        extended.push_back(u);
-                    }
-                }
-                recurse(extended);
-                current.pop_back();
-                inCurrent[static_cast<std::size_t>(v)] = false;
+  private:
+    const WeightedGraph &_graph;
+    SubgraphScore _score;
+    std::vector<double> _strengths;
+    std::vector<unsigned char> _member;
+};
 
-                // Branch 2: exclude v permanently on this branch.
-                forbidden[static_cast<std::size_t>(v)] = true;
-                skipped.push_back(v);
-            }
-            for (int v : skipped)
-                forbidden[static_cast<std::size_t>(v)] = false;
-        };
-
-    std::vector<int> f = frontier;
-    recurse(f);
-}
-
-/** Greedy growth from a seed, adding the best-scoring neighbour. */
-std::vector<int>
-greedyGrow(const WeightedGraph &graph, int seed, std::size_t k,
-           SubgraphScore score)
+/**
+ * Enumerates every connected induced k-node subgraph once, in a
+ * fixed order, reusing buffers sized once per walk.
+ *
+ * Each subset is produced from its minimum node id (the root) by
+ * "fixed-root expansion": a level pops candidates off its frontier
+ * from the back; each one is first included (the next level's
+ * frontier is this level's remainder plus the new node's unseen
+ * neighbours above the root), then forbidden for the rest of the
+ * level so no subset comes twice. Every level's frontier is one
+ * segment of a single arena, appended on entry and truncated on
+ * return; a level's frontier holds at most the summed degrees of the
+ * nodes chosen so far, which bounds the arena.
+ */
+class ConnectedWalk
 {
-    std::vector<int> current{seed};
-    std::vector<bool> member(
-        static_cast<std::size_t>(graph.numNodes()), false);
-    member[static_cast<std::size_t>(seed)] = true;
+  public:
+    ConnectedWalk(const WeightedGraph &graph, std::size_t k)
+        : _graph(graph), _k(k)
+    {
+        const auto n = static_cast<std::size_t>(graph.numNodes());
+        std::size_t maxDegree = 0;
+        for (int v = 0; v < graph.numNodes(); ++v)
+            maxDegree = std::max(maxDegree, graph.degree(v));
+        _current.reserve(k);
+        _inSet.assign(n, 0);
+        _forbidden.assign(n, 0);
+        _skipped.resize(n);
+        _arena.resize(
+            k * std::min(2 * graph.edgeCount(), k * maxDegree));
+    }
+
+    /** Call `visit(current)` on each subset, in enumeration order. */
+    template <typename Visit>
+    void
+    run(Visit &&visit)
+    {
+        for (int root = 0; root < _graph.numNodes(); ++root) {
+            _current.assign(1, root);
+            _inSet[static_cast<std::size_t>(root)] = 1;
+            std::size_t top = 0;
+            for (const auto &[u, w] : _graph.neighbors(root)) {
+                (void)w;
+                if (u > root)
+                    _arena[top++] = u;
+            }
+            std::sort(_arena.begin(),
+                      _arena.begin() + static_cast<std::ptrdiff_t>(top));
+            extend(0, top, visit);
+            _inSet[static_cast<std::size_t>(root)] = 0;
+        }
+    }
+
+  private:
+    template <typename Visit>
+    void
+    extend(std::size_t begin, std::size_t end, Visit &visit)
+    {
+        if (_current.size() == _k) {
+            visit(_current);
+            return;
+        }
+        const std::size_t skippedMark = _skippedTop;
+        while (end > begin) {
+            const int v = _arena[--end];
+            const auto vi = static_cast<std::size_t>(v);
+            if (_forbidden[vi] || _inSet[vi])
+                continue;
+
+            // Include v: the child's frontier is this level's
+            // remainder plus v's new neighbours.
+            _current.push_back(v);
+            _inSet[vi] = 1;
+            std::size_t top = end;
+            for (std::size_t i = begin; i < end; ++i)
+                _arena[top++] = _arena[i];
+            for (const auto &[u, w] : _graph.neighbors(v)) {
+                (void)w;
+                const auto ui = static_cast<std::size_t>(u);
+                if (u > _current.front() && !_inSet[ui] &&
+                    !_forbidden[ui]) {
+                    _arena[top++] = u;
+                }
+            }
+            extend(end, top, visit);
+            _current.pop_back();
+            _inSet[vi] = 0;
+
+            // Exclude v for the rest of this level.
+            _forbidden[vi] = 1;
+            _skipped[_skippedTop++] = v;
+        }
+        while (_skippedTop > skippedMark)
+            _forbidden[static_cast<std::size_t>(
+                _skipped[--_skippedTop])] = 0;
+    }
+
+    const WeightedGraph &_graph;
+    std::size_t _k;
+    std::vector<int> _current;
+    std::vector<unsigned char> _inSet;
+    std::vector<unsigned char> _forbidden;
+    std::vector<int> _skipped; ///< stack of forbidden nodes, ≤ n live
+    std::size_t _skippedTop = 0;
+    std::vector<int> _arena;
+};
+
+/**
+ * Greedy growth from a seed into `current`, adding the best-scoring
+ * neighbour each step. Returns false when the seed's component runs
+ * out before k nodes; on success `current` is sorted.
+ */
+bool
+greedyGrow(const WeightedGraph &graph, int seed, std::size_t k,
+           Scorer &scorer, std::vector<int> &current,
+           std::vector<unsigned char> &member)
+{
+    for (int v : current)
+        member[static_cast<std::size_t>(v)] = 0;
+    current.assign(1, seed);
+    member[static_cast<std::size_t>(seed)] = 1;
 
     while (current.size() < k) {
         int best = -1;
         double bestScore = -1.0;
-        for (int v : current) {
-            for (const auto &[u, w] : graph.neighbors(v)) {
+        const std::size_t size = current.size();
+        for (std::size_t i = 0; i < size; ++i) {
+            for (const auto &[u, w] : graph.neighbors(current[i])) {
                 (void)w;
                 if (member[static_cast<std::size_t>(u)])
                     continue;
-                std::vector<int> trial = current;
-                trial.push_back(u);
-                const double s = scoreSubgraph(graph, trial, score);
+                current.push_back(u);
+                const double s = scorer(current);
+                current.pop_back();
                 if (s > bestScore ||
                     (s == bestScore && (best < 0 || u < best))) {
                     bestScore = s;
@@ -121,12 +202,12 @@ greedyGrow(const WeightedGraph &graph, int seed, std::size_t k,
             }
         }
         if (best < 0)
-            return {}; // component exhausted before reaching k
+            return false; // component exhausted before reaching k
         current.push_back(best);
-        member[static_cast<std::size_t>(best)] = true;
+        member[static_cast<std::size_t>(best)] = 1;
     }
     std::sort(current.begin(), current.end());
-    return current;
+    return true;
 }
 
 /** Binomial coefficient with saturation (avoids overflow). */
@@ -155,22 +236,18 @@ choose(std::size_t n, std::size_t k)
 template <typename Visit>
 void
 forEachCandidate(const WeightedGraph &graph, std::size_t k,
-                 SubgraphScore score, Visit &&visit)
+                 Scorer &scorer, Visit &&visit)
 {
     const auto n = static_cast<std::size_t>(graph.numNodes());
     if (choose(n, k) <= 2.5e5 || n <= 20) {
-        for (int root = 0; root < graph.numNodes(); ++root) {
-            if (k == 1)
-                visit(std::vector<int>{root});
-            else
-                enumerateFromRoot(graph, root, k, visit);
-        }
+        ConnectedWalk(graph, k).run(visit);
         return;
     }
+    std::vector<int> grown;
+    grown.reserve(k + 1);
+    std::vector<unsigned char> member(n, 0);
     for (int seed = 0; seed < graph.numNodes(); ++seed) {
-        const std::vector<int> grown =
-            greedyGrow(graph, seed, k, score);
-        if (!grown.empty())
+        if (greedyGrow(graph, seed, k, scorer, grown, member))
             visit(grown);
     }
 }
@@ -181,24 +258,7 @@ double
 scoreSubgraph(const WeightedGraph &graph,
               const std::vector<int> &nodes, SubgraphScore score)
 {
-    if (score == SubgraphScore::FullStrength) {
-        double total = 0.0;
-        for (int v : nodes)
-            total += graph.nodeStrength(v);
-        return total;
-    }
-    std::vector<bool> member(
-        static_cast<std::size_t>(graph.numNodes()), false);
-    for (int v : nodes)
-        member[static_cast<std::size_t>(v)] = true;
-    double total = 0.0;
-    for (const WeightedEdge &e : graph.edges()) {
-        if (member[static_cast<std::size_t>(e.a)] &&
-            member[static_cast<std::size_t>(e.b)]) {
-            total += e.weight;
-        }
-    }
-    return total;
+    return Scorer(graph, score)(nodes);
 }
 
 bool
@@ -242,10 +302,11 @@ bestConnectedSubgraph(const WeightedGraph &graph, std::size_t k,
     require(k >= 1 && k <= n,
             "subgraph size out of range for machine");
 
+    Scorer scorer(graph, score);
     std::vector<int> best;
     double bestScore = -1.0;
     auto consider = [&](const std::vector<int> &candidate) {
-        const double s = scoreSubgraph(graph, candidate, score);
+        const double s = scorer(candidate);
         if (s > bestScore) {
             bestScore = s;
             best = candidate;
@@ -253,7 +314,7 @@ bestConnectedSubgraph(const WeightedGraph &graph, std::size_t k,
         }
     };
 
-    forEachCandidate(graph, k, score, consider);
+    forEachCandidate(graph, k, scorer, consider);
 
     require(!best.empty(),
             "no connected subgraph of the requested size exists");
@@ -278,12 +339,12 @@ topConnectedSubgraphs(const WeightedGraph &graph, std::size_t k,
         return x.first > y.first ||
                (x.first == y.first && x.second < y.second);
     };
+    Scorer scorer(graph, score);
     std::vector<Entry> ranked;
     auto consider = [&](const std::vector<int> &candidate) {
         std::vector<int> nodes = candidate;
         std::sort(nodes.begin(), nodes.end());
-        Entry entry(scoreSubgraph(graph, nodes, score),
-                    std::move(nodes));
+        Entry entry(scorer(nodes), std::move(nodes));
         const auto at = std::upper_bound(ranked.begin(), ranked.end(),
                                          entry, before);
         if (at == ranked.end() && ranked.size() == count)
@@ -293,7 +354,7 @@ topConnectedSubgraphs(const WeightedGraph &graph, std::size_t k,
             ranked.pop_back();
     };
 
-    forEachCandidate(graph, k, score, consider);
+    forEachCandidate(graph, k, scorer, consider);
 
     // Drop duplicates (greedy growth can converge).
     std::vector<std::vector<int>> out;

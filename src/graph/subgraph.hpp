@@ -42,10 +42,20 @@ bool isConnectedSubset(const WeightedGraph &graph,
 /**
  * Best connected k-node subgraph under `score`.
  *
- * Uses exhaustive enumeration of connected k-subsets when the
- * combination count is small enough (the IBM-Q20 cases all are), and
- * falls back to one greedy growth per seed node (no local search) on
- * larger machines. Returns node ids in ascending order.
+ * Uses exhaustive enumeration of connected k-subsets when
+ * C(n, k) <= 2.5e5 or n <= 20 (every IBM-Q20 case), and falls back to
+ * one greedy growth per seed node (no local search) otherwise.
+ * Returns node ids in ascending order.
+ *
+ * The enumeration allocates its buffers once per call and nothing
+ * per candidate: one walk keeps the current set, in-set and forbidden
+ * byte maps and one frontier arena whose per-level segments are
+ * appended and truncated. It visits subsets root by root (each from
+ * its minimum node id) in a fixed order. Each candidate is scored as
+ * scoreSubgraph does, with the same summation order (FullStrength in
+ * visit order, InducedWeight in edge order), so the same doubles
+ * result, and the first candidate of the highest score wins (strict
+ * `>`): ties keep resolving to the same region.
  *
  * @throws VaqError when k is out of range or no connected k-subset
  *         exists.
@@ -57,8 +67,9 @@ std::vector<int> bestConnectedSubgraph(
 /**
  * The `count` best-scoring connected k-node subgraphs, best first
  * (fewer are returned when fewer exist). Uses the same exhaustive /
- * greedy strategy split as bestConnectedSubgraph. Used by the
- * machine-partitioning study to rank candidate regions.
+ * greedy strategy split as bestConnectedSubgraph; each candidate is
+ * scored on its sorted node list and ties rank by that list. Used by
+ * the machine-partitioning study to rank candidate regions.
  */
 std::vector<std::vector<int>> topConnectedSubgraphs(
     const WeightedGraph &graph, std::size_t k, std::size_t count,

@@ -118,6 +118,16 @@ parseCount(const std::string &token, long max)
     return value;
 }
 
+/** A gate operand as Gate stores it: kNoQubit .. kMaxQubits. */
+std::int16_t
+parseOperand(const std::string &token)
+{
+    const int value = std::stoi(token);
+    if (value < circuit::kNoQubit || value > circuit::kMaxQubits)
+        throw std::invalid_argument("operand out of range");
+    return static_cast<std::int16_t>(value);
+}
+
 } // namespace
 
 std::uint64_t
@@ -376,9 +386,10 @@ parseArtifact(const std::string &text)
             gate.kind = circuit::gateKindFromName(g[0]);
             // Operands may be the kNoQubit sentinel (-1); range
             // checking is Circuit::append's job and a throw there
-            // is a miss like any other damage.
-            gate.q0 = std::stoi(g[1]);
-            gate.q1 = std::stoi(g[2]);
+            // is a miss like any other damage. Narrowing is checked
+            // first so a wide operand cannot wrap into range.
+            gate.q0 = parseOperand(g[1]);
+            gate.q1 = parseOperand(g[2]);
             gate.param = parseHexDouble(g[3]);
             gate.param2 = parseHexDouble(g[4]);
             gate.param3 = parseHexDouble(g[5]);

@@ -203,6 +203,25 @@ TEST(CsvIo, MissingRowsNameTheSource)
     }
 }
 
+TEST(CsvIo, ValidationErrorsNameTheQubitOnce)
+{
+    // Snapshot::validate names the qubit; the loader's rethrow adds
+    // the source and must not append the qubit suffix again.
+    const auto q5 = topology::ibmQ5Tenerife();
+    const std::string csv = toCsv(
+        test::uniformSnapshot(q5, 0.04, 0.003, /*readout=*/1.5), q5);
+    try {
+        fromCsv(csv, q5, "cal.csv");
+        FAIL() << "expected CalibrationError";
+    } catch (const CalibrationError &e) {
+        EXPECT_EQ(e.message(),
+                  "cal.csv: readout error must be a probability "
+                  "(qubit 0)");
+        EXPECT_EQ(e.qubit(), 0);
+        EXPECT_EQ(e.link(), -1);
+    }
+}
+
 TEST(CsvIo, SeriesErrorsNameSourceAndCycle)
 {
     const auto q5 = topology::ibmQ5Tenerife();

@@ -2,12 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include "circuit/circuit.hpp"
 #include "common/error.hpp"
 
 namespace vaq::circuit
 {
 namespace
 {
+
+// Kind and both int16_t operands share 8 bytes ahead of the angles.
+static_assert(sizeof(Gate) == 32);
 
 TEST(Gate, OneQubitFactoryValidates)
 {
@@ -42,6 +46,22 @@ TEST(Gate, MeasureAndBarrier)
     EXPECT_EQ(b.kind, GateKind::BARRIER);
     EXPECT_FALSE(b.isUnitary());
     EXPECT_THROW(Gate::measure(-2), VaqError);
+}
+
+TEST(Gate, OperandsStopAtTheWidthLimit)
+{
+    constexpr Qubit past = kMaxQubits + 1;
+    EXPECT_EQ(Gate::oneQubit(GateKind::X, kMaxQubits).q0, kMaxQubits);
+    EXPECT_EQ(Gate::twoQubit(GateKind::CX, 0, kMaxQubits).q1,
+              kMaxQubits);
+    EXPECT_EQ(Circuit(kMaxQubits).numQubits(), kMaxQubits);
+
+    EXPECT_THROW(Circuit{past}, VaqError);
+    EXPECT_THROW(Gate::oneQubit(GateKind::X, past), VaqError);
+    EXPECT_THROW(Gate::u3(past, 0.1, 0.2, 0.3), VaqError);
+    EXPECT_THROW(Gate::twoQubit(GateKind::CX, past, 0), VaqError);
+    EXPECT_THROW(Gate::twoQubit(GateKind::CX, 0, past), VaqError);
+    EXPECT_THROW(Gate::measure(past), VaqError);
 }
 
 TEST(Gate, Classification)

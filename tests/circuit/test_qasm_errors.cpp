@@ -133,6 +133,36 @@ TEST(QasmErrors, OutOfRangeOperandGainsTheSourceLine)
     messageFor("out_of_range.qasm", "3:1");
 }
 
+TEST(QasmErrors, SizesAndIndicesStopAtTheOperandLimit)
+{
+    const auto failure = [](const std::string &body) {
+        try {
+            parseQasm("OPENQASM 2.0;\n" + body, "limit.qasm");
+        } catch (const VaqError &e) {
+            return e.message();
+        }
+        ADD_FAILURE() << "parsed: " << body;
+        return std::string();
+    };
+    // 2^32 + 1 must not wrap to a 1-qubit register.
+    EXPECT_EQ(failure("qreg q[4294967297];\nh q[0];\n")
+                  .rfind("limit.qasm:2:1: bad qreg size: 4294967297 "
+                         "exceeds the operand limit 32767",
+                         0),
+              0u);
+    EXPECT_NE(failure("qreg q[32768];\n").find("operand limit 32767"),
+              std::string::npos);
+    // 2^32 must not wrap to q[0].
+    EXPECT_NE(failure("qreg q[1];\nh q[4294967296];\n")
+                  .find("bad operand index '4294967296': 4294967296 "
+                        "exceeds the operand limit 32767"),
+              std::string::npos);
+
+    const ParsedQasm widest = parseQasm(
+        "OPENQASM 2.0;\nqreg q[32767];\nh q[32766];\n", "limit.qasm");
+    EXPECT_EQ(widest.circuit.numQubits(), kMaxQubits);
+}
+
 TEST(QasmErrors, ProgramWithoutQregReportsLastLine)
 {
     const std::string msg = messageFor("no_qreg.qasm", "2:1");

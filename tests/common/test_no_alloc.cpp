@@ -11,7 +11,9 @@
  *
  * It also bounds the layer A* search: a search keeps its visited
  * layouts in one flat pool, so its allocations grow with the log of
- * the nodes it visits, not with the nodes.
+ * the nodes it visits, not with the nodes. The VQA region search
+ * sizes its buffers once per call, so its allocations do not grow
+ * with the candidates it scores at all.
  */
 #include <gtest/gtest.h>
 
@@ -27,6 +29,7 @@
 #include "common/strings.hpp"
 #include "core/astar_router.hpp"
 #include "core/movement_planner.hpp"
+#include "graph/subgraph.hpp"
 #include "test_support.hpp"
 #include "topology/coupling_graph.hpp"
 #include "topology/layouts.hpp"
@@ -184,6 +187,39 @@ TEST(NoAlloc, LayerSearchAllocatesLogarithmically)
         allocationsDuring([&] { swaps = search(); });
     EXPECT_FALSE(swaps.has_value());
     EXPECT_LT(allocations, 200u);
+}
+
+TEST(NoAlloc, RegionSearchAllocatesOncePerCall)
+{
+    // IBM-Q20 at k = 12 scores tens of thousands of connected
+    // candidates. A search that copies its frontier at every step
+    // and allocates per scored candidate makes about 430k
+    // allocations here; the walk makes a fixed handful per call.
+    const auto machine = topology::ibmQ20Tokyo();
+    Rng rng(7);
+    const calibration::Snapshot snapshot =
+        test::randomSnapshot(machine, rng);
+    std::vector<graph::WeightedEdge> edges;
+    for (std::size_t l = 0; l < machine.linkCount(); ++l) {
+        const topology::Link &link = machine.links()[l];
+        edges.push_back(graph::WeightedEdge{
+            link.a, link.b, 1.0 - snapshot.linkError(l)});
+    }
+    const graph::WeightedGraph strength(machine.numQubits(), edges);
+    for (const graph::SubgraphScore score :
+         {graph::SubgraphScore::InducedWeight,
+          graph::SubgraphScore::FullStrength}) {
+        for (const std::size_t k : {5u, 12u}) {
+            std::vector<int> region;
+            const std::size_t allocations = allocationsDuring([&] {
+                region = graph::bestConnectedSubgraph(strength, k,
+                                                      score);
+            });
+            EXPECT_EQ(region.size(), k);
+            EXPECT_LE(allocations, 10u)
+                << "k " << k << " score " << static_cast<int>(score);
+        }
+    }
 }
 
 } // namespace

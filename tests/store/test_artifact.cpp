@@ -11,10 +11,12 @@
 
 #include <bit>
 #include <cmath>
+#include <cstdio>
 #include <limits>
 
 #include "analysis/staleness.hpp"
 #include "circuit/qasm.hpp"
+#include "common/hashing.hpp"
 #include "core/mapper.hpp"
 #include "store_test_support.hpp"
 
@@ -189,6 +191,32 @@ TEST(Artifact, GarbageInputsAreMisses)
     EXPECT_FALSE(parseArtifact("vaqart 1\n").has_value());
     EXPECT_FALSE(
         parseArtifact(std::string(4096, '\xff')).has_value());
+}
+
+TEST(Artifact, OperandPastTheWidthLimitIsAMiss)
+{
+    // q + 65536 narrows to q in Gate's int16_t operand, so a record
+    // whose first operand gained 2^16 (checksum recomputed) must be
+    // refused, not read back as the original gate.
+    const Compiled c;
+    const std::string text = serializeArtifact(c.key(), c.artifact());
+    const std::size_t line = text.find("\ng ");
+    ASSERT_NE(line, std::string::npos);
+    const std::size_t q0 = text.find(' ', line + 3) + 1;
+    const std::size_t q0End = text.find(' ', q0);
+    const int operand = std::stoi(text.substr(q0, q0End - q0));
+    std::string payload = text.substr(0, text.rfind("sum "));
+    payload.replace(q0, q0End - q0, std::to_string(operand + 65536));
+    std::uint64_t sum = kHashSeed;
+    for (const unsigned char ch : payload)
+        sum = hashCombine(sum, static_cast<std::uint64_t>(ch));
+    char hex[17];
+    std::snprintf(hex, sizeof(hex), "%016llx",
+                  static_cast<unsigned long long>(sum));
+
+    EXPECT_TRUE(parseArtifact(text).has_value());
+    EXPECT_FALSE(
+        parseArtifact(payload + "sum " + hex + "\n").has_value());
 }
 
 TEST(Artifact, VersionSkewIsAMiss)
