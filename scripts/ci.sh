@@ -3,7 +3,8 @@
 # by an optional ThreadSanitizer leg over the thread-crossing suites.
 #
 #   scripts/ci.sh          # tier-1: full build + full ctest +
-#                          # examples and vaqc explain/sens smokes
+#                          # examples and vaqc explain/sens smokes +
+#                          # the unreached-function check
 #   scripts/ci.sh --tsan   # also run the -DVAQ_SANITIZE=thread leg
 #   scripts/ci.sh --asan   # also run the address+UB (with
 #                          # float-cast-overflow) sanitizer leg
@@ -44,7 +45,12 @@
 # QASM parse/write cases (the wire codec), perf_compiler's
 # vqa+vqm portfolio compiles (placements x routes) and
 # perf_compiler's three vqa+vqm strength placements at widths 5, 12
-# and 20 (the connected-region search). The TSan leg
+# and 20 (the connected-region search). scripts/unreached.sh then
+# rebuilds the shipped binaries into build-unreached/ (-O0, one
+# section per function, --gc-sections) and fails when a library
+# function that no binary reaches is missing from
+# scripts/unreached.allow, or when a listed one is reached or gone
+# (about 50 s clean on 4 cores). The TSan leg
 # rebuilds into build-tsan/ and runs only
 # `-L "parallel|analysis|store|sim|service|fleet"`
 # — the tests that exercise the thread pool, calibration contexts
@@ -387,6 +393,11 @@ kill -TERM "$VAQD_PID"
 wait "$VAQD_PID"
 trap - EXIT
 echo "ci: vaqd smoke passed (port $VAQD_PORT)"
+
+echo "== tier-1: unreached library functions (scripts/unreached.sh) =="
+# Every out-of-line library function must be reached by a shipped
+# binary or carry an allowlist reason (oracle, probe, api <name>).
+scripts/unreached.sh
 
 if [ "$RUN_TSAN" -eq 1 ]; then
     echo "== tsan leg: -DVAQ_SANITIZE=thread, ctest -L parallel|analysis|store|sim|service|fleet =="

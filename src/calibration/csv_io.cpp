@@ -165,103 +165,4 @@ loadCsv(const std::string &path,
     return fromCsv(buffer.str(), graph, path);
 }
 
-std::string
-toCsvSeries(const CalibrationSeries &series,
-            const topology::CouplingGraph &graph)
-{
-    require(!series.empty(), "cannot serialize an empty series");
-    std::ostringstream oss;
-    oss << "cycle,section,id,a,b,t1_us,t2_us,error_1q,"
-           "readout_error,error_2q\n";
-    for (std::size_t cycle = 0; cycle < series.size(); ++cycle) {
-        const std::string body = toCsv(series.at(cycle), graph);
-        std::istringstream lines(body);
-        std::string line;
-        bool first = true;
-        while (std::getline(lines, line)) {
-            if (first) { // skip the per-snapshot header
-                first = false;
-                continue;
-            }
-            if (!trim(line).empty())
-                oss << cycle << "," << line << "\n";
-        }
-    }
-    return oss.str();
-}
-
-CalibrationSeries
-fromCsvSeries(const std::string &text,
-              const topology::CouplingGraph &graph,
-              const std::string &source)
-{
-    // Split rows per cycle, then reuse the snapshot parser.
-    std::vector<std::string> perCycle;
-    std::istringstream in(text);
-    std::string line;
-    int lineNo = 0;
-    while (std::getline(in, line)) {
-        ++lineNo;
-        const std::string trimmed = trim(line);
-        if (trimmed.empty() || startsWith(trimmed, "#") ||
-            startsWith(trimmed, "cycle")) {
-            continue;
-        }
-        const auto comma = trimmed.find(',');
-        if (comma == std::string::npos)
-            throw rowError(source, lineNo, "malformed series row");
-        try {
-            const std::size_t cycle =
-                parseSize(trimmed.substr(0, comma));
-            if (cycle >= perCycle.size()) {
-                require(cycle == perCycle.size(),
-                        "series cycles must be dense");
-                perCycle.emplace_back();
-            }
-            perCycle[cycle] += trimmed.substr(comma + 1) + "\n";
-        } catch (const CalibrationError &) {
-            throw;
-        } catch (const VaqError &e) {
-            throw rowError(source, lineNo, e.message());
-        }
-    }
-    if (perCycle.empty())
-        throw CalibrationError(source + ": series CSV has no rows");
-
-    CalibrationSeries series;
-    for (std::size_t cycle = 0; cycle < perCycle.size(); ++cycle) {
-        // Line numbers inside a cycle body count that cycle's rows,
-        // so label the source with the cycle they belong to.
-        series.add(fromCsv(perCycle[cycle], graph,
-                           source + " cycle " +
-                               std::to_string(cycle)));
-    }
-    return series;
-}
-
-void
-saveCsvSeries(const std::string &path,
-              const CalibrationSeries &series,
-              const topology::CouplingGraph &graph)
-{
-    std::ofstream out(path);
-    if (!out)
-        throw VaqError("cannot open for write: " + path);
-    out << toCsvSeries(series, graph);
-    if (!out)
-        throw VaqError("write failed: " + path);
-}
-
-CalibrationSeries
-loadCsvSeries(const std::string &path,
-              const topology::CouplingGraph &graph)
-{
-    std::ifstream in(path);
-    if (!in)
-        throw VaqError("cannot open for read: " + path);
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    return fromCsvSeries(buffer.str(), graph, path);
-}
-
 } // namespace vaq::calibration

@@ -47,29 +47,6 @@ void saveCsv(const std::string &path, const Snapshot &snapshot,
 Snapshot loadCsv(const std::string &path,
                  const topology::CouplingGraph &graph);
 
-/**
- * Serialize a whole calibration series (the 52-day archive of the
- * paper's Section 3) as CSV with a leading `cycle` column.
- */
-std::string toCsvSeries(const CalibrationSeries &series,
-                        const topology::CouplingGraph &graph);
-
-/** Parse a series written by toCsvSeries. Cycles must be dense,
- *  starting at 0, each complete. `source` labels errors as in
- *  fromCsv. */
-CalibrationSeries fromCsvSeries(
-    const std::string &text, const topology::CouplingGraph &graph,
-    const std::string &source = "<csv>");
-
-/** Write a series to a CSV file. */
-void saveCsvSeries(const std::string &path,
-                   const CalibrationSeries &series,
-                   const topology::CouplingGraph &graph);
-
-/** Read a series from a CSV file. */
-CalibrationSeries loadCsvSeries(
-    const std::string &path, const topology::CouplingGraph &graph);
-
 } // namespace vaq::calibration
 
 #endif // VAQ_CALIBRATION_CSV_IO_HPP

@@ -31,13 +31,6 @@ QuarantineReport::summary() const
     return oss.str();
 }
 
-topology::CouplingGraph
-SanitizedCalibration::healthyGraph(
-    const topology::CouplingGraph &full) const
-{
-    return full.inducedSubgraph(healthyRegion);
-}
-
 std::string
 qubitDefect(const QubitCalibration &cal)
 {

@@ -18,15 +18,15 @@
  *    entries are pinned to finite worst-case values, so downstream
  *    arithmetic never sees NaN,
  *  - the largest connected component of healthy qubits over healthy
- *    links becomes the degraded machine view (healthyRegion /
- *    healthyGraph), the region a Degraded snapshot's compiles map onto,
+ *    links becomes the degraded machine view (healthyRegion), the
+ *    region a Degraded snapshot's compiles map onto,
  *  - `usable` says whether enough of the machine survived to be
  *    worth compiling for at all.
  *
  * core::inspectCalibration consumes this: a usable result becomes a
  * Degraded CalibrationContext over the healthy region (jobs come
  * back degraded instead of failed), an unusable one a Rejected
- * verdict (IterativeRunner::runBatchSeries skips such cycles).
+ * verdict whose jobs fail with the quarantine summary.
  */
 #ifndef VAQ_CALIBRATION_SANITIZE_HPP
 #define VAQ_CALIBRATION_SANITIZE_HPP
@@ -113,10 +113,6 @@ struct SanitizedCalibration
     std::vector<topology::PhysQubit> healthyRegion;
     /** Enough machine survived (see SanitizeOptions). */
     bool usable = false;
-
-    /** The degraded machine: `full` induced on healthyRegion. */
-    topology::CouplingGraph
-    healthyGraph(const topology::CouplingGraph &full) const;
 };
 
 /**

@@ -269,20 +269,4 @@ Circuit::contentHash() const
     return h;
 }
 
-Circuit
-Circuit::withSwapsLowered() const
-{
-    Circuit out(_numQubits);
-    for (const Gate &g : _gates) {
-        if (g.kind == GateKind::SWAP) {
-            out.cx(g.q0, g.q1);
-            out.cx(g.q1, g.q0);
-            out.cx(g.q0, g.q1);
-        } else {
-            out.append(g);
-        }
-    }
-    return out;
-}
-
 } // namespace vaq::circuit

@@ -105,12 +105,6 @@ class Circuit
     Circuit remapped(const std::vector<Qubit> &permutation,
                      int width) const;
 
-    /**
-     * Rewrite each SWAP as its 3-CNOT expansion (Fig. 2d of the
-     * paper), leaving all other gates untouched.
-     */
-    Circuit withSwapsLowered() const;
-
     /** Structural equality. */
     bool operator==(const Circuit &other) const = default;
 

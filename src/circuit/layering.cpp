@@ -38,22 +38,4 @@ layerize(const Circuit &circuit)
     return layers;
 }
 
-std::vector<Layer>
-layerizeTwoQubit(const Circuit &circuit)
-{
-    std::vector<Layer> all = layerize(circuit);
-    std::vector<Layer> out;
-    const auto &gates = circuit.gates();
-    for (Layer &layer : all) {
-        Layer filtered;
-        for (std::size_t idx : layer) {
-            if (gates[idx].isTwoQubit())
-                filtered.push_back(idx);
-        }
-        if (!filtered.empty())
-            out.push_back(std::move(filtered));
-    }
-    return out;
-}
-
 } // namespace vaq::circuit

@@ -33,14 +33,6 @@ using Layer = std::vector<std::size_t>;
  */
 std::vector<Layer> layerize(const Circuit &circuit);
 
-/**
- * Like layerize(), but each layer keeps only the two-qubit gates.
- * Layers with no two-qubit gate are dropped. This is the view the
- * routers consume, since only two-qubit gates impose connectivity
- * constraints.
- */
-std::vector<Layer> layerizeTwoQubit(const Circuit &circuit);
-
 } // namespace vaq::circuit
 
 #endif // VAQ_CIRCUIT_LAYERING_HPP

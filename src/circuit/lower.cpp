@@ -93,21 +93,4 @@ toNativeBasis(const Circuit &circuit, LowerStats *stats)
     return out;
 }
 
-bool
-isNativeBasis(const Circuit &circuit)
-{
-    for (const Gate &g : circuit.gates()) {
-        switch (g.kind) {
-          case GateKind::U3:
-          case GateKind::CX:
-          case GateKind::MEASURE:
-          case GateKind::BARRIER:
-            break;
-          default:
-            return false;
-        }
-    }
-    return true;
-}
-
 } // namespace vaq::circuit

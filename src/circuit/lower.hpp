@@ -36,9 +36,6 @@ struct LowerStats
 Circuit toNativeBasis(const Circuit &circuit,
                       LowerStats *stats = nullptr);
 
-/** True when the circuit contains only {U3, CX, MEASURE, BARRIER}. */
-bool isNativeBasis(const Circuit &circuit);
-
 } // namespace vaq::circuit
 
 #endif // VAQ_CIRCUIT_LOWER_HPP

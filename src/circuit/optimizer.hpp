@@ -17,8 +17,8 @@
  *
  * Routing interacts with this pass: a SWAP inserted directly before
  * a CX on the same link turns into 3 CX + 1 CX, of which the lowered
- * pair cancels — run the optimizer after withSwapsLowered() to
- * harvest those.
+ * pair cancels — run the optimizer after toNativeBasis()
+ * (circuit/lower.hpp) to harvest those.
  */
 #ifndef VAQ_CIRCUIT_OPTIMIZER_HPP
 #define VAQ_CIRCUIT_OPTIMIZER_HPP

@@ -19,26 +19,6 @@ errorCategoryName(ErrorCategory category)
     return "unknown";
 }
 
-VaqError &
-VaqError::addContext(const std::string &frame)
-{
-    _context.push_back(frame);
-    // Compose eagerly so what() stays noexcept.
-    std::ostringstream oss;
-    oss << _message << " [";
-    for (std::size_t i = 0; i < _context.size(); ++i)
-        oss << (i ? "; " : "") << _context[i];
-    oss << "]";
-    _composed = oss.str();
-    return *this;
-}
-
-const char *
-VaqError::what() const noexcept
-{
-    return _context.empty() ? _message.c_str() : _composed.c_str();
-}
-
 namespace
 {
 
@@ -76,14 +56,6 @@ CalibrationError::prefixed(const std::string &prefix) const
     out._qubit = _qubit;
     out._link = _link;
     return out;
-}
-
-RoutingError::RoutingError(const std::string &what_arg, int a, int b)
-    : VaqError(withQubitLink(what_arg, "qubit", a, "qubit", b),
-               ErrorCategory::Routing),
-      _a(a),
-      _b(b)
-{
 }
 
 ErrorCategory

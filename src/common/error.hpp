@@ -14,12 +14,9 @@
  * On top of the base VaqError sits a small structured taxonomy used
  * by the failure-containment layer (batch compiler, calibration
  * quarantine, the vaqc exit-code map). Every taxonomy error carries
- *
- *  - a category (ErrorCategory) that callers dispatch on without
- *    string matching, and
- *  - a context chain: outer layers append "while ..." frames as the
- *    error unwinds (job index, qubit, link, file/line), so the final
- *    what() reads innermost-cause-first with the full path attached.
+ * a category (ErrorCategory) that callers dispatch on without string
+ * matching; a site that knows more (the CSV file and line, the
+ * offending qubit or link) writes it into the message.
  */
 #ifndef VAQ_COMMON_ERROR_HPP
 #define VAQ_COMMON_ERROR_HPP
@@ -28,7 +25,6 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace vaq
 {
@@ -44,6 +40,8 @@ enum class ErrorCategory
     Usage,       ///< invalid caller input / bad configuration
     Calibration, ///< unusable characterization data
     Routing,     ///< the router could not produce a legal result
+                 ///< (nothing raises it today; the wire format,
+                 ///< vaqc's exit codes and vaqd's statuses name it)
     Compile,     ///< any other compilation-pipeline failure
     Timeout,     ///< a cooperative deadline expired
     Internal,    ///< libvaq invariant violation (a bug)
@@ -66,30 +64,11 @@ class VaqError : public std::runtime_error
     /** Structured failure class for dispatch without string tests. */
     ErrorCategory category() const { return _category; }
 
-    /**
-     * Append one context frame ("compiling batch job 17",
-     * "cal.csv:42") as the error travels up the stack. Frames
-     * compose into what() innermost-first. Returns *this so a catch
-     * site can `throw` after chaining.
-     */
-    VaqError &addContext(const std::string &frame);
-
-    /** All frames added so far, innermost first. */
-    const std::vector<std::string> &contextChain() const
-    {
-        return _context;
-    }
-
-    /** The original message without any context frames. */
+    /** The message, as what() returns it. */
     const std::string &message() const { return _message; }
-
-    /** Message plus " [frame; frame; ...]" when context exists. */
-    const char *what() const noexcept override;
 
   private:
     std::string _message;
-    std::string _composed; ///< kept current by addContext
-    std::vector<std::string> _context;
     ErrorCategory _category;
 };
 
@@ -119,23 +98,7 @@ class CalibrationError : public VaqError
     long _link;
 };
 
-/** The routing pass could not produce a legal physical circuit. */
-class RoutingError : public VaqError
-{
-  public:
-    /** Negative qubit ids mean "not tied to one pair". */
-    explicit RoutingError(const std::string &what_arg, int a = -1,
-                          int b = -1);
-
-    int qubitA() const { return _a; }
-    int qubitB() const { return _b; }
-
-  private:
-    int _a;
-    int _b;
-};
-
-/** Compilation-pipeline failure outside routing proper. */
+/** Compilation-pipeline failure. */
 class CompileError : public VaqError
 {
   public:

@@ -37,15 +37,6 @@ Rng::uniform(double lo, double hi)
     return lo + (hi - lo) * uniform();
 }
 
-std::int64_t
-Rng::uniformInt(std::int64_t lo, std::int64_t hi)
-{
-    VAQ_ASSERT(lo <= hi, "uniformInt bounds inverted");
-    const std::uint64_t span =
-        static_cast<std::uint64_t>(hi - lo) + 1ULL;
-    return lo + static_cast<std::int64_t>(uniformInt(span));
-}
-
 double
 Rng::gauss()
 {

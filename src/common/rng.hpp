@@ -85,9 +85,6 @@ class Rng
         }
     }
 
-    /** Uniform integer in [lo, hi] inclusive. Requires lo <= hi. */
-    std::int64_t uniformInt(std::int64_t lo, std::int64_t hi);
-
     /**
      * Bernoulli trial: true with probability p (clamped to [0,1]).
      * p <= 0 and p >= 1 decide without consuming a draw; any other

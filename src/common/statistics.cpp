@@ -24,26 +24,6 @@ RunningStats::add(double x)
     _m2 += delta * (x - _mean);
 }
 
-void
-RunningStats::merge(const RunningStats &other)
-{
-    if (other._count == 0)
-        return;
-    if (_count == 0) {
-        *this = other;
-        return;
-    }
-    const double na = static_cast<double>(_count);
-    const double nb = static_cast<double>(other._count);
-    const double delta = other._mean - _mean;
-    const double total = na + nb;
-    _mean += delta * nb / total;
-    _m2 += other._m2 + delta * delta * na * nb / total;
-    _count += other._count;
-    _min = std::min(_min, other._min);
-    _max = std::max(_max, other._max);
-}
-
 double
 RunningStats::variance() const
 {
@@ -101,21 +81,6 @@ geomean(const std::vector<double> &xs)
         logSum += std::log(x);
     }
     return std::exp(logSum / static_cast<double>(xs.size()));
-}
-
-double
-percentile(std::vector<double> xs, double p)
-{
-    require(!xs.empty(), "percentile of empty vector");
-    require(p >= 0.0 && p <= 100.0, "percentile p out of [0,100]");
-    std::sort(xs.begin(), xs.end());
-    if (xs.size() == 1)
-        return xs.front();
-    const double rank = p / 100.0 * static_cast<double>(xs.size() - 1);
-    const auto lo = static_cast<std::size_t>(std::floor(rank));
-    const auto hi = static_cast<std::size_t>(std::ceil(rank));
-    const double frac = rank - std::floor(rank);
-    return xs[lo] + frac * (xs[hi] - xs[lo]);
 }
 
 double

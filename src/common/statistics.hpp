@@ -28,9 +28,6 @@ class RunningStats
     /** Fold one sample into the accumulator. */
     void add(double x);
 
-    /** Fold every sample of another accumulator into this one. */
-    void merge(const RunningStats &other);
-
     /** Number of samples observed so far. */
     std::size_t count() const { return _count; }
 
@@ -69,12 +66,6 @@ double stddev(const std::vector<double> &xs);
  * paper's Table 3.
  */
 double geomean(const std::vector<double> &xs);
-
-/**
- * Linear-interpolated percentile, p in [0, 100].
- * Throws VaqError when the batch is empty or p is out of range.
- */
-double percentile(std::vector<double> xs, double p);
 
 /** Coefficient of variation: stddev / mean (Table 2's "Covariation"). */
 double coefficientOfVariation(const std::vector<double> &xs);

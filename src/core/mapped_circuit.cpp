@@ -17,15 +17,4 @@ MappedCircuit::logicalOutcome(std::uint64_t phys_outcome) const
     return logical;
 }
 
-std::uint64_t
-MappedCircuit::physicalMeasureMask() const
-{
-    std::uint64_t mask = 0;
-    for (const circuit::Gate &g : physical.gates()) {
-        if (g.kind == circuit::GateKind::MEASURE)
-            mask |= 1ULL << g.q0;
-    }
-    return mask;
-}
-
 } // namespace vaq::core

@@ -47,12 +47,6 @@ struct MappedCircuit
      * qubit i), reading each program qubit at its *final* location.
      */
     std::uint64_t logicalOutcome(std::uint64_t phys_outcome) const;
-
-    /**
-     * Mask of physical bits carrying measured program qubits; the
-     * physical MEASURE gates target exactly these bits.
-     */
-    std::uint64_t physicalMeasureMask() const;
 };
 
 } // namespace vaq::core

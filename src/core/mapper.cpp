@@ -348,13 +348,4 @@ makeMapper(const PolicySpec &spec)
     return it->second(spec);
 }
 
-std::vector<std::string>
-policyNames()
-{
-    std::vector<std::string> names;
-    for (const auto &[name, builder] : policyRegistry())
-        names.push_back(name);
-    return names;
-}
-
 } // namespace vaq::core

@@ -151,9 +151,6 @@ struct PolicySpec
  */
 Mapper makeMapper(const PolicySpec &spec);
 
-/** Canonical policy names makeMapper accepts (without aliases). */
-std::vector<std::string> policyNames();
-
 } // namespace vaq::core
 
 #endif // VAQ_CORE_MAPPER_HPP

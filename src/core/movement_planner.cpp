@@ -200,20 +200,6 @@ MovementPlanner::computePlan(topology::PhysQubit pa,
     return plan;
 }
 
-double
-MovementPlanner::adjacencyBound(topology::PhysQubit pa,
-                                topology::PhysQubit pb) const
-{
-    if (_graph.coupled(pa, pb))
-        return 0.0;
-    if (_shared) {
-        const MovementPlan &p = _shared->plan(pa, pb);
-        return p.cost - _cost.cnotCost(p.gateA, p.gateB);
-    }
-    const MovementPlan p = computePlan(pa, pb);
-    return p.cost - _cost.cnotCost(p.gateA, p.gateB);
-}
-
 PlanCache::PlanCache(const topology::CouplingGraph &graph,
                      const calibration::Snapshot &snapshot,
                      CostKind kind, int mah)

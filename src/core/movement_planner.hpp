@@ -105,14 +105,6 @@ class MovementPlanner
     double planCost(topology::PhysQubit pa,
                     topology::PhysQubit pb) const;
 
-    /**
-     * Minimal SWAP-cost (excluding the final CNOT) to make the pair
-     * adjacent — the lower bound used as the A* heuristic. Zero for
-     * already-adjacent pairs.
-     */
-    double adjacencyBound(topology::PhysQubit pa,
-                          topology::PhysQubit pb) const;
-
   private:
     friend class PlanCache;
 

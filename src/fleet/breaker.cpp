@@ -5,17 +5,6 @@
 namespace vaq::fleet
 {
 
-const char *
-breakerStateName(BreakerState state)
-{
-    switch (state) {
-    case BreakerState::Closed: return "closed";
-    case BreakerState::Open: return "open";
-    case BreakerState::HalfOpen: return "half-open";
-    }
-    return "closed";
-}
-
 CircuitBreaker::CircuitBreaker(BreakerOptions options)
     : _options(options)
 {

@@ -50,9 +50,6 @@ enum class BreakerState
     HalfOpen,
 };
 
-/** Stable lowercase name ("closed", "open", "half-open"). */
-const char *breakerStateName(BreakerState state);
-
 /** Deterministic virtual-time circuit breaker. */
 class CircuitBreaker
 {

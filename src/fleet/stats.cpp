@@ -91,11 +91,4 @@ StatsHub::snapshot() const
     return v;
 }
 
-void
-StatsHub::reset()
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    _published.clear();
-}
-
 } // namespace vaq::fleet

@@ -86,9 +86,6 @@ class StatsHub
      *  publication order. */
     json::Value snapshot() const;
 
-    /** Drop every published summary (tests). */
-    void reset();
-
   private:
     mutable std::mutex _mutex;
     std::vector<std::pair<std::string, json::Value>> _published;

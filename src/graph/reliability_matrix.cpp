@@ -14,7 +14,8 @@ ReliabilityMatrix::ReliabilityMatrix(const WeightedGraph &costs,
 {
     const auto n = static_cast<std::size_t>(_numNodes);
     _dist.assign(n, std::vector<double>(n, kUnreachable));
-    _next.assign(n, std::vector<int>(n, -1));
+    // next[i * n + j]: first node after i on the cheapest i-j path.
+    std::vector<int> next(n * n, -1);
 
     for (std::size_t v = 0; v < n; ++v)
         _dist[v][v] = 0.0;
@@ -25,8 +26,8 @@ ReliabilityMatrix::ReliabilityMatrix(const WeightedGraph &costs,
         const auto b = static_cast<std::size_t>(e.b);
         _dist[a][b] = e.weight;
         _dist[b][a] = e.weight;
-        _next[a][b] = e.b;
-        _next[b][a] = e.a;
+        next[a * n + b] = e.b;
+        next[b * n + a] = e.a;
     }
 
     // Floyd-Warshall with next-hop propagation. Strict-improvement
@@ -44,7 +45,7 @@ ReliabilityMatrix::ReliabilityMatrix(const WeightedGraph &costs,
                 const double alt = dik + dkj;
                 if (alt < _dist[i][j]) {
                     _dist[i][j] = alt;
-                    _next[i][j] = _next[i][k];
+                    next[i * n + j] = next[i * n + k];
                 }
             }
         }
@@ -56,13 +57,12 @@ ReliabilityMatrix::ReliabilityMatrix(const WeightedGraph &costs,
     // association can differ in the last ULP).
     for (std::size_t i = 0; i < n; ++i) {
         for (std::size_t j = 0; j < n; ++j) {
-            if (i == j || _next[i][j] < 0)
+            if (i == j || next[i * n + j] < 0)
                 continue;
             double sum = 0.0;
             int at = static_cast<int>(i);
             while (at != static_cast<int>(j)) {
-                const int hop = _next[static_cast<std::size_t>(at)]
-                                     [j];
+                const int hop = next[static_cast<std::size_t>(at) * n + j];
                 sum += costs.weight(at, hop);
                 at = hop;
             }
@@ -78,36 +78,6 @@ ReliabilityMatrix::distance(int a, int b) const
             "reliability matrix node out of range");
     return _dist[static_cast<std::size_t>(a)]
                 [static_cast<std::size_t>(b)];
-}
-
-bool
-ReliabilityMatrix::reachable(int a, int b) const
-{
-    return distance(a, b) != kUnreachable;
-}
-
-int
-ReliabilityMatrix::nextHop(int a, int b) const
-{
-    require(a >= 0 && a < _numNodes && b >= 0 && b < _numNodes,
-            "reliability matrix node out of range");
-    return _next[static_cast<std::size_t>(a)]
-                [static_cast<std::size_t>(b)];
-}
-
-std::vector<int>
-ReliabilityMatrix::path(int a, int b) const
-{
-    require(reachable(a, b),
-            "destination unreachable in reliability matrix");
-    std::vector<int> nodes{a};
-    while (a != b) {
-        a = _next[static_cast<std::size_t>(a)]
-                 [static_cast<std::size_t>(b)];
-        VAQ_ASSERT(a >= 0, "broken next-hop chain");
-        nodes.push_back(a);
-    }
-    return nodes;
 }
 
 } // namespace vaq::graph

@@ -1,6 +1,6 @@
 /**
  * @file
- * All-pairs most-reliable-path table with next-hop reconstruction.
+ * All-pairs most-reliable-path cost table.
  *
  * The paper's reliability matrix (Section 5) is a fixed function of
  * one calibration snapshot: with edge weights set to -log(link
@@ -12,11 +12,13 @@
  * against that cycle: core::CalibrationContext builds it once per
  * snapshot and shares it.
  *
- * Bit-compatibility note: after the Floyd-Warshall sweep the final
- * distances are re-accumulated by walking each next-hop chain and
- * summing edge weights left-to-right — the same association order
- * Dijkstra uses — so consumers that previously called
- * allPairsDistances() observe identical doubles.
+ * Bit-compatibility note: the Floyd-Warshall sweep also tracks each
+ * cheapest path's next hop, and the final distances are
+ * re-accumulated by walking each next-hop chain and summing edge
+ * weights left-to-right — the same association order Dijkstra uses —
+ * so consumers that previously called allPairsDistances() observe
+ * identical doubles. The next-hop table is dropped once the
+ * distances are final.
  */
 #ifndef VAQ_GRAPH_RELIABILITY_MATRIX_HPP
 #define VAQ_GRAPH_RELIABILITY_MATRIX_HPP
@@ -57,21 +59,6 @@ class ReliabilityMatrix
         return _dist;
     }
 
-    /** True when b is reachable from a. */
-    bool reachable(int a, int b) const;
-
-    /**
-     * First node after `a` on the cheapest a-b path; `b` itself for
-     * a direct edge, -1 when a == b or b is unreachable.
-     */
-    int nextHop(int a, int b) const;
-
-    /**
-     * Reconstruct the node sequence a..b (inclusive) along the
-     * cheapest path. @throws VaqError when b is unreachable.
-     */
-    std::vector<int> path(int a, int b) const;
-
     /** Hash of the calibration snapshot this table was built for. */
     std::uint64_t snapshotHash() const { return _snapshotHash; }
 
@@ -79,7 +66,6 @@ class ReliabilityMatrix
     int _numNodes;
     std::uint64_t _snapshotHash;
     std::vector<std::vector<double>> _dist;
-    std::vector<std::vector<int>> _next;
 };
 
 } // namespace vaq::graph

@@ -47,26 +47,6 @@ Histogram::record(double value)
     _stats.add(value);
 }
 
-void
-Histogram::merge(const Histogram &other)
-{
-    if (other._bounds != _bounds)
-        return; // incompatible layouts: drop rather than corrupt
-    for (std::size_t i = 0; i <= _bounds.size(); ++i) {
-        std::uint64_t n =
-            other._buckets[i].load(std::memory_order_relaxed);
-        if (n != 0)
-            _buckets[i].fetch_add(n, std::memory_order_relaxed);
-    }
-    RunningStats otherStats;
-    {
-        std::lock_guard<std::mutex> lock(other._statsMutex);
-        otherStats = other._stats;
-    }
-    std::lock_guard<std::mutex> lock(_statsMutex);
-    _stats.merge(otherStats);
-}
-
 HistogramSnapshot
 Histogram::snapshot() const
 {

@@ -17,9 +17,7 @@
  * thread-safe:
  *   - Counter / Gauge: single relaxed atomics.
  *   - Histogram: atomic per-bucket counts plus a mutex-guarded
- *     RunningStats (Welford) for exact mean/min/max; two histograms
- *     merge via RunningStats::merge, so per-thread partials can be
- *     folded without double counting.
+ *     RunningStats (Welford) for exact mean/min/max.
  *
  * Exporters for the registry snapshot live in obs/export.hpp.
  */
@@ -138,10 +136,6 @@ class Histogram
 
     /** Fold one sample (same unit as the bounds). */
     void record(double value);
-
-    /** Fold another histogram's samples into this one. The bucket
-     *  layouts must match; moments fold via RunningStats::merge. */
-    void merge(const Histogram &other);
 
     HistogramSnapshot snapshot() const;
 

@@ -112,15 +112,4 @@ drainTrace()
     return all;
 }
 
-void
-clearTrace()
-{
-    TraceState &s = state();
-    std::lock_guard<std::mutex> lock(s.mutex);
-    for (auto &buffer : s.buffers) {
-        std::lock_guard<std::mutex> bufferLock(buffer->mutex);
-        buffer->records.clear();
-    }
-}
-
 } // namespace vaq::obs

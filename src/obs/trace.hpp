@@ -82,9 +82,6 @@ class Span
  */
 std::vector<SpanRecord> drainTrace();
 
-/** Discard all buffered finished spans. */
-void clearTrace();
-
 } // namespace vaq::obs
 
 #endif // VAQ_OBS_TRACE_HPP

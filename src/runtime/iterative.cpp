@@ -1,7 +1,6 @@
 #include "runtime/iterative.hpp"
 
 #include "common/error.hpp"
-#include "core/batch_compiler.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -140,111 +139,6 @@ IterativeRunner::run(const circuit::Circuit &logical,
     result.log = translateLog(logical, result.mapped, counts, trials);
     obs::count("runtime.jobs");
     return result;
-}
-
-std::vector<JobResult>
-IterativeRunner::runBatch(
-    const std::vector<circuit::Circuit> &logicals,
-    const core::Mapper &mapper,
-    const calibration::Snapshot &calibration, std::size_t trials,
-    const core::BatchOptions &options) const
-{
-    return runBatch(logicals, mapper,
-                    core::inspectForBatch(_graph, calibration, options),
-                    trials, options);
-}
-
-std::vector<JobResult>
-IterativeRunner::runBatch(
-    const std::vector<circuit::Circuit> &logicals,
-    const core::Mapper &mapper,
-    std::shared_ptr<const core::CalibrationContext> calibration,
-    std::size_t trials, const core::BatchOptions &options) const
-{
-    require(trials > 0, "need at least one trial");
-
-    const bool telemetry =
-        options.compile.telemetryEnabled && obs::enabled();
-    obs::Span batchSpan("runtime.batch", telemetry);
-
-    core::BatchOptions batchOptions = options;
-    batchOptions.scoreResults = false;
-    core::BatchCompiler compiler(mapper, _graph, batchOptions);
-    std::vector<core::BatchResult> compiled =
-        compiler.compileAll(logicals, {std::move(calibration)});
-
-    std::vector<JobResult> results;
-    results.reserve(logicals.size());
-    for (core::BatchResult &entry : compiled) {
-        obs::Span jobSpan("runtime.job", telemetry);
-        const circuit::Circuit &logical = logicals[entry.circuit];
-        JobResult result(logical.numQubits(), _graph.numQubits());
-        result.status = entry.status;
-        if (!entry.ok()) {
-            // Compile failed: keep the job's slot (queue order is
-            // part of the contract) but skip execution.
-            result.note = entry.error;
-            if (telemetry)
-                obs::count("runtime.jobs.skipped");
-            results.push_back(std::move(result));
-            continue;
-        }
-        result.note = entry.note;
-        result.mapped = std::move(entry.mapped);
-        const sim::ShotCounts counts = [&] {
-            obs::Span executeSpan("runtime.execute", telemetry);
-            return _machine(result.mapped.physical, trials);
-        }();
-        checkMachineTrials(counts, trials);
-        result.log = translateLog(logical, result.mapped, counts,
-                                  trials);
-        if (telemetry)
-            obs::count("runtime.jobs");
-        results.push_back(std::move(result));
-    }
-    return results;
-}
-
-std::vector<SeriesCycleResult>
-IterativeRunner::runBatchSeries(
-    const std::vector<circuit::Circuit> &logicals,
-    const core::Mapper &mapper,
-    const calibration::CalibrationSeries &series,
-    std::size_t trials, const core::BatchOptions &options) const
-{
-    require(!series.empty(), "series replay needs cycles");
-
-    const bool telemetry =
-        options.compile.telemetryEnabled && obs::enabled();
-    obs::Span seriesSpan("runtime.series", telemetry);
-
-    std::vector<SeriesCycleResult> cycles;
-    cycles.reserve(series.size());
-    for (std::size_t c = 0; c < series.size(); ++c) {
-        SeriesCycleResult cycleResult;
-        cycleResult.cycle = c;
-
-        // A stale cycle must not abort the replay: a snapshot that
-        // fails validation and cannot be rescued by the quarantine
-        // is skipped with the verdict's note as the reason.
-        std::shared_ptr<const core::CalibrationContext> calibration =
-            core::inspectForBatch(_graph, series.at(c), options);
-        if (calibration->health().kind ==
-            core::SnapshotHealth::Kind::Rejected) {
-            cycleResult.skipped = true;
-            cycleResult.skipReason = calibration->health().note;
-            if (telemetry)
-                obs::count("runtime.cycles.skipped");
-            cycles.push_back(std::move(cycleResult));
-            continue;
-        }
-
-        cycleResult.jobs = runBatch(logicals, mapper,
-                                    std::move(calibration), trials,
-                                    options);
-        cycles.push_back(std::move(cycleResult));
-    }
-    return cycles;
 }
 
 } // namespace vaq::runtime

@@ -20,15 +20,11 @@
 #define VAQ_RUNTIME_ITERATIVE_HPP
 
 #include <cstdint>
+#include <functional>
 #include <map>
-#include <memory>
-#include <vector>
-
-#include <string>
 
 #include "calibration/snapshot.hpp"
 #include "circuit/circuit.hpp"
-#include "core/batch_compiler.hpp"
 #include "core/mapper.hpp"
 #include "sim/characterize.hpp"
 
@@ -79,35 +75,10 @@ struct JobResult
 {
     core::MappedCircuit mapped;
     TrialLog log;
-    /** Compile outcome for this job; Failed/TimedOut jobs were not
-     *  executed and carry an empty log. */
-    core::JobStatus status = core::JobStatus::Ok;
-    /** Degrade reason or failure message; empty when status is Ok. */
-    std::string note;
 
     JobResult(int num_prog, int num_phys)
         : mapped(num_prog, num_phys)
     {}
-
-    /** True when the job compiled and ran (Ok or Degraded). */
-    bool executed() const
-    {
-        return status == core::JobStatus::Ok ||
-               status == core::JobStatus::Degraded;
-    }
-};
-
-/** One calibration cycle of a series replay (runBatchSeries). */
-struct SeriesCycleResult
-{
-    std::size_t cycle = 0;
-    /** The cycle's snapshot was unusable; no jobs ran. */
-    bool skipped = false;
-    /** Why the cycle was skipped: the verdict's note (quarantine
-     *  summary or validation message). */
-    std::string skipReason;
-    /** Per-job results, queue order; empty when skipped. */
-    std::vector<JobResult> jobs;
 };
 
 /** A machine accepting (circuit, shots) jobs. */
@@ -141,54 +112,7 @@ class IterativeRunner
                   const calibration::Snapshot &calibration,
                   std::size_t trials) const;
 
-    /**
-     * Run a whole queue of programs against one calibration cycle —
-     * the recompile-everything burst of Section 3.3. Compilation
-     * fans out across `options.compile.threads` workers through
-     * the batch compiler (core/batch_compiler.hpp), sharing one
-     * reliability matrix and plan table per snapshot; execution
-     * then proceeds serially in queue order, because the machine
-     * callback is not required to be thread-safe. Results are in
-     * queue order.
-     *
-     * Faults are contained per job: a job whose compile failed (or
-     * timed out) comes back with its status and an empty log, and
-     * the other jobs execute normally. `options` carries the
-     * failure-containment knobs (retries, deadlines, quarantine
-     * thresholds) and the per-compile CompileOptions.
-     */
-    std::vector<JobResult>
-    runBatch(const std::vector<circuit::Circuit> &logicals,
-             const core::Mapper &mapper,
-             const calibration::Snapshot &calibration,
-             std::size_t trials,
-             const core::BatchOptions &options = {}) const;
-
-    /**
-     * Replay the queue against every cycle of a calibration series
-     * (the paper's 52-day archive). Each cycle's snapshot is
-     * inspected once and its context handed to the batch. A cycle
-     * whose snapshot is invalid and cannot be rescued by the
-     * quarantine (calibration/sanitize.hpp) is skipped with the
-     * verdict's note (the error text its jobs would carry) instead
-     * of aborting the replay; usable-but-dirty cycles run with
-     * degraded jobs. Results are in cycle order.
-     */
-    std::vector<SeriesCycleResult>
-    runBatchSeries(const std::vector<circuit::Circuit> &logicals,
-                   const core::Mapper &mapper,
-                   const calibration::CalibrationSeries &series,
-                   std::size_t trials,
-                   const core::BatchOptions &options = {}) const;
-
   private:
-    /** runBatch() against an inspected snapshot's context. */
-    std::vector<JobResult>
-    runBatch(const std::vector<circuit::Circuit> &logicals,
-             const core::Mapper &mapper,
-             std::shared_ptr<const core::CalibrationContext> calibration,
-             std::size_t trials, const core::BatchOptions &options) const;
-
     const topology::CouplingGraph &_graph;
     Machine _machine;
 };

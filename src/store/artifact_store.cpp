@@ -133,21 +133,6 @@ ArtifactStore::touchEntry(Entry &entry)
 }
 
 std::optional<CompileArtifact>
-ArtifactStore::get(const ArtifactKey &key)
-{
-    const std::lock_guard<std::mutex> lock(_mutex);
-    const auto it = _entries.find(key.combined());
-    if (it == _entries.end() || !(it->second.key == key)) {
-        ++_stats.misses;
-        return std::nullopt;
-    }
-    touchEntry(it->second);
-    ++_stats.exactHits;
-    ++_stats.hits;
-    return it->second.artifact;
-}
-
-std::optional<CompileArtifact>
 ArtifactStore::getOrDelta(const ArtifactKey &key,
                           const calibration::Snapshot &snapshot,
                           DeltaServeInfo &info)
@@ -345,13 +330,6 @@ ArtifactStore::stats() const
     StoreStats stats = _stats;
     stats.entries = _entries.size();
     return stats;
-}
-
-std::size_t
-ArtifactStore::size() const
-{
-    const std::lock_guard<std::mutex> lock(_mutex);
-    return _entries.size();
 }
 
 } // namespace vaq::store

@@ -115,10 +115,9 @@ class ArtifactStore
         return _options.directory;
     }
 
-    /** Exact-key lookup. Counts a hit or a miss. */
-    std::optional<CompileArtifact> get(const ArtifactKey &key);
-
     /**
+     * The store's one lookup. Counts a hit or a miss.
+     *
      * Exact-key lookup with a certified fallback: when the exact key
      * misses, walk the stored artifacts that share the key's
      * snapshot-independent base (same circuit, topology, policy)
@@ -152,9 +151,6 @@ class ArtifactStore
 
     /** Current counters. */
     StoreStats stats() const;
-
-    /** Current index size. */
-    std::size_t size() const;
 
   private:
     struct Entry

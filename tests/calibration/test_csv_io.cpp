@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <sstream>
 
 #include "calibration/synthetic.hpp"
 #include "common/error.hpp"
@@ -220,87 +219,6 @@ TEST(CsvIo, ValidationErrorsNameTheQubitOnce)
         EXPECT_EQ(e.qubit(), 0);
         EXPECT_EQ(e.link(), -1);
     }
-}
-
-TEST(CsvIo, SeriesErrorsNameSourceAndCycle)
-{
-    const auto q5 = topology::ibmQ5Tenerife();
-    SyntheticSource src(q5, SyntheticParams{}, 80);
-    std::string text = toCsvSeries(src.series(2), q5);
-    // Corrupt one cycle-1 row: make its t1 non-numeric.
-    const auto pos = text.rfind("1,qubit,4");
-    ASSERT_NE(pos, std::string::npos);
-    const auto comma = text.find(",,,", pos) + 3;
-    text.replace(comma, 2, "xx");
-    try {
-        fromCsvSeries(text, q5, "archive.csv");
-        FAIL() << "expected CalibrationError";
-    } catch (const CalibrationError &e) {
-        EXPECT_NE(std::string(e.what()).find("archive.csv cycle 1"),
-                  std::string::npos)
-            << e.what();
-    }
-}
-
-TEST(CsvIo, SeriesRoundTrip)
-{
-    const auto q5 = topology::ibmQ5Tenerife();
-    SyntheticSource src(q5, SyntheticParams{}, 77);
-    const CalibrationSeries original = src.series(5);
-
-    const CalibrationSeries reloaded =
-        fromCsvSeries(toCsvSeries(original, q5), q5);
-    ASSERT_EQ(reloaded.size(), original.size());
-    for (std::size_t c = 0; c < original.size(); ++c) {
-        for (std::size_t l = 0; l < q5.linkCount(); ++l) {
-            EXPECT_NEAR(reloaded.at(c).linkError(l),
-                        original.at(c).linkError(l), 1e-7);
-        }
-        for (int q = 0; q < q5.numQubits(); ++q) {
-            EXPECT_NEAR(reloaded.at(c).qubit(q).t1Us,
-                        original.at(c).qubit(q).t1Us, 1e-5);
-        }
-    }
-    // Averaging the reloaded archive matches the original's.
-    EXPECT_NEAR(reloaded.averaged().linkError(0),
-                original.averaged().linkError(0), 1e-7);
-}
-
-TEST(CsvIo, SeriesFileRoundTrip)
-{
-    const auto q5 = topology::ibmQ5Tenerife();
-    SyntheticSource src(q5, SyntheticParams{}, 78);
-    const CalibrationSeries original = src.series(3);
-    const std::string path = "/tmp/vaq_series_test.csv";
-    saveCsvSeries(path, original, q5);
-    const CalibrationSeries reloaded = loadCsvSeries(path, q5);
-    EXPECT_EQ(reloaded.size(), 3u);
-    std::remove(path.c_str());
-}
-
-TEST(CsvIo, SeriesValidation)
-{
-    const auto q5 = topology::ibmQ5Tenerife();
-    EXPECT_THROW(toCsvSeries(CalibrationSeries{}, q5), VaqError);
-    EXPECT_THROW(fromCsvSeries("", q5), VaqError);
-    // Sparse cycle numbering rejected.
-    SyntheticSource src(q5, SyntheticParams{}, 79);
-    std::string text =
-        toCsvSeries(src.series(1), q5);
-    // Renumber cycle 0 -> 2.
-    std::string sparse;
-    std::istringstream in(text);
-    std::string line;
-    bool first = true;
-    while (std::getline(in, line)) {
-        if (first) {
-            sparse += line + "\n";
-            first = false;
-        } else if (!line.empty()) {
-            sparse += "2" + line.substr(1) + "\n";
-        }
-    }
-    EXPECT_THROW(fromCsvSeries(sparse, q5), VaqError);
 }
 
 TEST(CsvIo, FileRoundTrip)

@@ -67,7 +67,7 @@ TEST(Sanitize, NaNQubitIsQuarantinedWithItsLinks)
     EXPECT_EQ(result.snapshot.linkError(q5.linkIndex(2, 3)), 1.0);
 
     const topology::CouplingGraph healthy =
-        result.healthyGraph(q5);
+        q5.inducedSubgraph(result.healthyRegion);
     EXPECT_EQ(healthy.numQubits(), 4);
     EXPECT_TRUE(healthy.isConnected());
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "circuit/lower.hpp"
 #include "common/error.hpp"
 
 namespace vaq::circuit
@@ -111,7 +112,7 @@ TEST(Circuit, SwapLoweringUsesThreeCnots)
 {
     Circuit c(2);
     c.swap(0, 1);
-    const Circuit lowered = c.withSwapsLowered();
+    const Circuit lowered = toNativeBasis(c);
     ASSERT_EQ(lowered.size(), 3u);
     for (const Gate &g : lowered.gates())
         EXPECT_EQ(g.kind, GateKind::CX);
@@ -123,9 +124,10 @@ TEST(Circuit, SwapLoweringUsesThreeCnots)
 TEST(Circuit, SwapLoweringLeavesOthersAlone)
 {
     Circuit c(3);
-    c.h(0).swap(0, 1).cx(1, 2).measure(2);
-    const Circuit lowered = c.withSwapsLowered();
+    c.cx(0, 2).swap(0, 1).cx(1, 2).measure(2);
+    const Circuit lowered = toNativeBasis(c);
     EXPECT_EQ(lowered.size(), 6u);
+    EXPECT_EQ(lowered.gates()[0], c.gates()[0]);
     EXPECT_EQ(lowered.swapCount(), 0u);
     EXPECT_EQ(lowered.measureCount(), 1u);
 }

@@ -112,24 +112,6 @@ TEST(Layering, LayersRespectProgramOrderPerQubit)
     }
 }
 
-TEST(Layering, TwoQubitViewDropsOneQubitGates)
-{
-    Circuit c(4);
-    c.h(0).cx(1, 2).h(3);
-    const auto layers = layerizeTwoQubit(c);
-    ASSERT_EQ(layers.size(), 1u);
-    ASSERT_EQ(layers[0].size(), 1u);
-    EXPECT_TRUE(c.gates()[layers[0][0]].isTwoQubit());
-}
-
-TEST(Layering, TwoQubitViewDropsEmptyLayers)
-{
-    Circuit c(2);
-    c.h(0).h(0).cx(0, 1);
-    const auto layers = layerizeTwoQubit(c);
-    EXPECT_EQ(layers.size(), 1u);
-}
-
 TEST(Layering, DepthMatchesLayerCount)
 {
     Rng rng(80);

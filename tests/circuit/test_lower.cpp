@@ -10,13 +10,25 @@ namespace vaq::circuit
 namespace
 {
 
+/** True when the circuit holds only {U3, CX, MEASURE, BARRIER}. */
+bool
+onlyNativeGates(const Circuit &circuit)
+{
+    for (const Gate &g : circuit.gates()) {
+        if (g.kind != GateKind::U3 && g.kind != GateKind::CX &&
+            g.kind != GateKind::MEASURE && g.kind != GateKind::BARRIER)
+            return false;
+    }
+    return true;
+}
+
 TEST(Lower, OutputIsNativeBasis)
 {
     Rng rng(41);
     const Circuit c = test::randomCircuit(4, 80, rng);
     const Circuit lowered = toNativeBasis(c);
-    EXPECT_TRUE(isNativeBasis(lowered));
-    EXPECT_FALSE(isNativeBasis(c)); // random circuits carry H/T/CX
+    EXPECT_TRUE(onlyNativeGates(lowered));
+    EXPECT_FALSE(onlyNativeGates(c)); // random circuits carry H/T/CX
 }
 
 TEST(Lower, PreservesSemanticsOnRandomCircuits)
@@ -44,7 +56,7 @@ TEST(Lower, StatsCountRewrites)
     EXPECT_EQ(stats.loweredOneQubit, 3u); // h, t, x
     EXPECT_EQ(stats.loweredCz, 1u);
     EXPECT_EQ(stats.loweredSwaps, 1u);
-    EXPECT_TRUE(isNativeBasis(lowered));
+    EXPECT_TRUE(onlyNativeGates(lowered));
     EXPECT_EQ(lowered.measureCount(), 3u);
 }
 

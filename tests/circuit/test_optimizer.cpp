@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "circuit/lower.hpp"
 #include "common/rng.hpp"
 #include "test_support.hpp"
 
@@ -123,7 +124,7 @@ TEST(Optimizer, SwapLoweringBoundaryCancellation)
     // CX(0,1): the trailing pair cancels.
     Circuit c(2);
     c.swap(0, 1).cx(0, 1);
-    const Circuit out = optimize(c.withSwapsLowered());
+    const Circuit out = optimize(toNativeBasis(c));
     EXPECT_EQ(out.size(), 2u);
 }
 

@@ -58,8 +58,6 @@ TEST(Error, TaxonomyCarriesCategories)
     EXPECT_EQ(VaqError("x").category(), ErrorCategory::Usage);
     EXPECT_EQ(CalibrationError("x").category(),
               ErrorCategory::Calibration);
-    EXPECT_EQ(RoutingError("x").category(),
-              ErrorCategory::Routing);
     EXPECT_EQ(CompileError("x").category(),
               ErrorCategory::Compile);
     EXPECT_EQ(TimeoutError("x").category(),
@@ -85,20 +83,6 @@ TEST(Error, CategoryNamesAreStable)
                  "internal");
 }
 
-TEST(Error, ContextChainComposesInnermostFirst)
-{
-    VaqError e("matrix is singular");
-    e.addContext("compiling batch job 17");
-    e.addContext("cycle 3 of series");
-    EXPECT_EQ(e.message(), "matrix is singular");
-    ASSERT_EQ(e.contextChain().size(), 2u);
-    EXPECT_EQ(e.contextChain()[0], "compiling batch job 17");
-    EXPECT_EQ(e.contextChain()[1], "cycle 3 of series");
-    EXPECT_EQ(std::string(e.what()),
-              "matrix is singular [compiling batch job 17; "
-              "cycle 3 of series]");
-}
-
 TEST(Error, StructuredFieldsSurviveTheMessage)
 {
     const CalibrationError cal("dead readout", 3);
@@ -111,10 +95,6 @@ TEST(Error, StructuredFieldsSurviveTheMessage)
     EXPECT_EQ(link.link(), 5);
     EXPECT_NE(std::string(link.what()).find("link 5"),
               std::string::npos);
-
-    const RoutingError route("no path", 1, 4);
-    EXPECT_EQ(route.qubitA(), 1);
-    EXPECT_EQ(route.qubitB(), 4);
 
     const TimeoutError timeout("deadline of 20 ms exceeded", 20.0);
     EXPECT_EQ(timeout.budgetMs(), 20.0);

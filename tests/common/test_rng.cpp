@@ -83,22 +83,6 @@ TEST(Rng, UniformIntIsUnbiased)
                     trials * 0.01);
 }
 
-TEST(Rng, SignedUniformIntInclusiveBounds)
-{
-    Rng rng(23);
-    bool sawLo = false, sawHi = false;
-    for (int i = 0; i < 5000; ++i) {
-        const auto v = rng.uniformInt(std::int64_t{-3},
-                                      std::int64_t{3});
-        EXPECT_GE(v, -3);
-        EXPECT_LE(v, 3);
-        sawLo |= v == -3;
-        sawHi |= v == 3;
-    }
-    EXPECT_TRUE(sawLo);
-    EXPECT_TRUE(sawHi);
-}
-
 TEST(Rng, BernoulliEdgeCases)
 {
     Rng rng(1);

@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "common/rng.hpp"
 
 namespace vaq
 {
@@ -45,73 +44,6 @@ TEST(RunningStats, KnownBatch)
     EXPECT_DOUBLE_EQ(s.max(), 9.0);
 }
 
-TEST(RunningStats, MergeMatchesSequential)
-{
-    Rng rng(3);
-    RunningStats whole, partA, partB;
-    for (int i = 0; i < 1000; ++i) {
-        const double x = rng.gauss(3.0, 1.5);
-        whole.add(x);
-        (i % 2 == 0 ? partA : partB).add(x);
-    }
-    partA.merge(partB);
-    EXPECT_EQ(partA.count(), whole.count());
-    EXPECT_NEAR(partA.mean(), whole.mean(), 1e-9);
-    EXPECT_NEAR(partA.variance(), whole.variance(), 1e-9);
-    EXPECT_DOUBLE_EQ(partA.min(), whole.min());
-    EXPECT_DOUBLE_EQ(partA.max(), whole.max());
-}
-
-TEST(RunningStats, MergeIsAssociative)
-{
-    // The parallel trial engine reduces per-chunk tallies with
-    // merge(); any chunking of the stream must agree with the
-    // single-stream accumulator.
-    Rng rng(11);
-    std::vector<double> xs(3000);
-    for (double &x : xs)
-        x = rng.gauss(-2.0, 4.0);
-
-    RunningStats whole;
-    RunningStats parts[3];
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-        whole.add(xs[i]);
-        parts[i % 3].add(xs[i]);
-    }
-
-    RunningStats leftFold = parts[0];
-    leftFold.merge(parts[1]);
-    leftFold.merge(parts[2]);
-
-    RunningStats rightFold = parts[1];
-    rightFold.merge(parts[2]);
-    RunningStats rightAssoc = parts[0];
-    rightAssoc.merge(rightFold);
-
-    for (const RunningStats &merged : {leftFold, rightAssoc}) {
-        EXPECT_EQ(merged.count(), whole.count());
-        EXPECT_NEAR(merged.mean(), whole.mean(), 1e-9);
-        EXPECT_NEAR(merged.variance(), whole.variance(), 1e-9);
-        EXPECT_DOUBLE_EQ(merged.min(), whole.min());
-        EXPECT_DOUBLE_EQ(merged.max(), whole.max());
-    }
-}
-
-TEST(RunningStats, MergeWithEmptyIsIdentity)
-{
-    RunningStats a, empty;
-    a.add(1.0);
-    a.add(2.0);
-    a.merge(empty);
-    EXPECT_EQ(a.count(), 2u);
-    EXPECT_DOUBLE_EQ(a.mean(), 1.5);
-
-    RunningStats b;
-    b.merge(a);
-    EXPECT_EQ(b.count(), 2u);
-    EXPECT_DOUBLE_EQ(b.mean(), 1.5);
-}
-
 TEST(Statistics, MeanBasics)
 {
     EXPECT_DOUBLE_EQ(mean({1.0, 2.0, 3.0}), 2.0);
@@ -146,22 +78,6 @@ TEST(Statistics, GeomeanRejectsBadInput)
     EXPECT_THROW(geomean({}), VaqError);
     EXPECT_THROW(geomean({1.0, 0.0}), VaqError);
     EXPECT_THROW(geomean({1.0, -2.0}), VaqError);
-}
-
-TEST(Statistics, PercentileInterpolates)
-{
-    const std::vector<double> xs{10.0, 20.0, 30.0, 40.0};
-    EXPECT_DOUBLE_EQ(percentile(xs, 0.0), 10.0);
-    EXPECT_DOUBLE_EQ(percentile(xs, 100.0), 40.0);
-    EXPECT_DOUBLE_EQ(percentile(xs, 50.0), 25.0);
-}
-
-TEST(Statistics, PercentileValidation)
-{
-    EXPECT_THROW(percentile({}, 50.0), VaqError);
-    EXPECT_THROW(percentile({1.0}, -1.0), VaqError);
-    EXPECT_THROW(percentile({1.0}, 101.0), VaqError);
-    EXPECT_DOUBLE_EQ(percentile({3.0}, 50.0), 3.0);
 }
 
 TEST(Statistics, CoefficientOfVariation)

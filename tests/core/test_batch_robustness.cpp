@@ -26,6 +26,7 @@
 #include "obs/metrics.hpp"
 #include "test_support.hpp"
 #include "topology/layouts.hpp"
+#include "workloads/workloads.hpp"
 
 namespace vaq
 {
@@ -238,6 +239,53 @@ TEST(BatchRobustness, NaNPoisonedSnapshotDegradesJobs)
             }
         }
     }
+}
+
+TEST(BatchRobustness, WideProgramFailsAloneOnQuarantinedSnapshot)
+{
+    // Qubit 3 reports NaN coherence: the quarantine leaves the
+    // {0,1,2,4} region. Small programs compile degraded; the 5-qubit
+    // program no longer fits and fails alone.
+    const topology::CouplingGraph q5 = topology::ibmQ5Tenerife();
+    calibration::Snapshot dirty =
+        vaq::test::uniformSnapshot(q5, 0.06, 0.004, 0.06);
+    dirty.qubit(3).t1Us = std::numeric_limits<double>::quiet_NaN();
+    const std::vector<circuit::Circuit> queue = {
+        workloads::ghz(3), workloads::ghz(5),
+        workloads::bernsteinVazirani(3)};
+
+    const core::Mapper mapper = core::makeMapper({.name = "baseline"});
+    BatchCompiler compiler(mapper, q5, BatchOptions{});
+    const auto results = compiler.compileAll(queue, {dirty});
+    ASSERT_EQ(results.size(), 3u);
+
+    EXPECT_EQ(results[0].status, JobStatus::Degraded);
+    EXPECT_NE(results[0].note.find("quarantined"), std::string::npos);
+
+    EXPECT_EQ(results[1].status, JobStatus::Failed);
+    EXPECT_NE(results[1].error.find("healthy region"),
+              std::string::npos)
+        << results[1].error;
+
+    EXPECT_TRUE(results[2].ok()) << results[2].error;
+}
+
+TEST(BatchRobustness, DirtySnapshotFailsJobsWithoutQuarantine)
+{
+    const topology::CouplingGraph q5 = topology::ibmQ5Tenerife();
+    calibration::Snapshot dirty =
+        vaq::test::uniformSnapshot(q5, 0.06, 0.004, 0.06);
+    dirty.qubit(1).readoutError =
+        std::numeric_limits<double>::quiet_NaN();
+    BatchOptions options;
+    options.sanitizeCalibration = false;
+
+    const core::Mapper mapper = core::makeMapper({.name = "baseline"});
+    BatchCompiler compiler(mapper, q5, options);
+    const auto results = compiler.compileAll({workloads::ghz(3)}, {dirty});
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_EQ(results[0].status, JobStatus::Failed);
+    EXPECT_FALSE(results[0].error.empty());
 }
 
 TEST(BatchRobustness, DegradedCompileKeepsTheRequestOptions)

@@ -310,14 +310,5 @@ TEST(MovementPlanner, DisconnectedPairRejected)
     EXPECT_THROW(planner.plan(0, 3), VaqError);
 }
 
-TEST(MovementPlanner, AdjacencyBoundIsZeroForNeighbors)
-{
-    const auto q5 = topology::ibmQ5Tenerife();
-    const SwapCountCost cost(q5);
-    const MovementPlanner planner(q5, cost);
-    EXPECT_DOUBLE_EQ(planner.adjacencyBound(0, 1), 0.0);
-    EXPECT_GT(planner.adjacencyBound(0, 3), 0.0);
-}
-
 } // namespace
 } // namespace vaq::core

@@ -75,9 +75,23 @@ publishFleet(const std::string &name)
     return sim.run(jobs);
 }
 
+TEST(FleetServiceStats, EmptyHubStillServesShape)
+{
+    // The hub is process-global and keeps what is published, so this
+    // test comes before the one that publishes (ctest also runs each
+    // test in a process of its own).
+    FleetServiceFixture fx;
+    const service::HttpResponse response = service::httpExchange(
+        fx.port(), "GET", "/v1/fleet/stats");
+    ASSERT_EQ(response.status, 200) << response.body;
+    const json::Value parsed =
+        json::parse(response.body, "response");
+    const json::Cursor body(parsed);
+    EXPECT_EQ(json::write(body.at("fleets").value()), "{}");
+}
+
 TEST(FleetServiceStats, ReturnsPublishedSummariesAndCounters)
 {
-    StatsHub::global().reset();
     FleetServiceFixture fx;
     const FleetSummary summary = publishFleet("loop-fleet");
 
@@ -101,20 +115,6 @@ TEST(FleetServiceStats, ReturnsPublishedSummariesAndCounters)
     // fleet ran, so at least the placement counter moved).
     const json::Cursor counters = body.at("counters");
     EXPECT_GT(counters.at("fleet.placements").asInt(), 0);
-    StatsHub::global().reset();
-}
-
-TEST(FleetServiceStats, EmptyHubStillServesShape)
-{
-    StatsHub::global().reset();
-    FleetServiceFixture fx;
-    const service::HttpResponse response = service::httpExchange(
-        fx.port(), "GET", "/v1/fleet/stats");
-    ASSERT_EQ(response.status, 200) << response.body;
-    const json::Value parsed =
-        json::parse(response.body, "response");
-    const json::Cursor body(parsed);
-    EXPECT_EQ(json::write(body.at("fleets").value()), "{}");
 }
 
 TEST(FleetServiceStats, PostIsMethodNotAllowed)

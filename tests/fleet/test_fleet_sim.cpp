@@ -266,7 +266,6 @@ TEST(FleetSim, ReplicatePolicySplitsStrongJobsIntoCopies)
 
 TEST(FleetSim, PublishesSummaryToStatsHub)
 {
-    StatsHub::global().reset();
     FleetOptions options;
     options.seed = 17;
     options.statsName = "unit-fleet";
@@ -282,7 +281,6 @@ TEST(FleetSim, PublishesSummaryToStatsHub)
               static_cast<std::int64_t>(summary.jobs));
     EXPECT_EQ(json::write(fleet.value()),
               summary.fingerprint());
-    StatsHub::global().reset();
 }
 
 /** The chaos fixture the CI smoke and the acceptance gap share:

@@ -73,25 +73,6 @@ TEST(ObsMetrics, HistogramBucketsAndMoments)
     EXPECT_DOUBLE_EQ(snap.mean, 555.5 / 4.0);
 }
 
-TEST(ObsMetrics, HistogramMergeMatchesCombinedStream)
-{
-    Histogram a({1.0, 2.0});
-    Histogram b({1.0, 2.0});
-    a.record(0.5);
-    a.record(1.5);
-    b.record(1.7);
-    b.record(9.0);
-    a.merge(b);
-    const HistogramSnapshot snap = a.snapshot();
-    EXPECT_EQ(snap.count, 4u);
-    EXPECT_EQ(snap.counts[0], 1u);
-    EXPECT_EQ(snap.counts[1], 2u);
-    EXPECT_EQ(snap.counts[2], 1u);
-    EXPECT_DOUBLE_EQ(snap.min, 0.5);
-    EXPECT_DOUBLE_EQ(snap.max, 9.0);
-    EXPECT_DOUBLE_EQ(snap.mean, 12.7 / 4.0);
-}
-
 TEST(ObsMetrics, FreeHelpersAreGatedOnEnabled)
 {
     // With telemetry off the helpers must not touch the registry.

@@ -16,11 +16,11 @@ class EnabledGuard
     explicit EnabledGuard(bool on) : _previous(enabled())
     {
         setEnabled(on);
-        clearTrace();
+        drainTrace();
     }
     ~EnabledGuard()
     {
-        clearTrace();
+        drainTrace();
         setEnabled(_previous);
     }
 

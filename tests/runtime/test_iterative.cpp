@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <limits>
 #include <type_traits>
 
 #include "common/error.hpp"
@@ -152,96 +151,6 @@ TEST_F(IterativeTest, AwareCompilationRaisesConfidence)
               base.log.confidence() - 0.02);
 }
 
-TEST_F(IterativeTest, BatchIsolatesJobsOnDirtyCalibration)
-{
-    // Qubit 3 reports NaN coherence: the quarantine leaves the
-    // {0,1,2,4} region. Small programs run degraded; the 5-qubit
-    // program no longer fits and fails alone.
-    auto dirty = truth;
-    dirty.qubit(3).t1Us =
-        std::numeric_limits<double>::quiet_NaN();
-    const std::vector<circuit::Circuit> queue = {
-        workloads::ghz(3), workloads::ghz(5),
-        workloads::bernsteinVazirani(3)};
-
-    const IterativeRunner runner(graph, machine());
-    const auto results =
-        runner.runBatch(queue, core::makeMapper({.name = "baseline"}),
-                        dirty, 512, core::BatchOptions{});
-    ASSERT_EQ(results.size(), 3u);
-
-    EXPECT_EQ(results[0].status, core::JobStatus::Degraded);
-    EXPECT_TRUE(results[0].executed());
-    EXPECT_EQ(results[0].log.trials, 512u);
-    EXPECT_NE(results[0].note.find("quarantined"),
-              std::string::npos);
-
-    EXPECT_EQ(results[1].status, core::JobStatus::Failed);
-    EXPECT_FALSE(results[1].executed());
-    EXPECT_EQ(results[1].log.trials, 0u);
-    EXPECT_NE(results[1].note.find("healthy region"),
-              std::string::npos)
-        << results[1].note;
-
-    EXPECT_TRUE(results[2].executed());
-    EXPECT_EQ(results[2].log.trials, 512u);
-}
-
-TEST_F(IterativeTest, BatchWithoutQuarantineFailsDirtyJobs)
-{
-    auto dirty = truth;
-    dirty.qubit(1).readoutError =
-        std::numeric_limits<double>::quiet_NaN();
-    core::BatchOptions options;
-    options.sanitizeCalibration = false;
-
-    const IterativeRunner runner(graph, machine());
-    const auto results = runner.runBatch(
-        {workloads::ghz(3)}, core::makeMapper({.name = "baseline"}),
-        dirty, 256, options);
-    ASSERT_EQ(results.size(), 1u);
-    EXPECT_EQ(results[0].status, core::JobStatus::Failed);
-    EXPECT_FALSE(results[0].executed());
-    EXPECT_FALSE(results[0].note.empty());
-}
-
-TEST_F(IterativeTest, SeriesSkipsUnusableCyclesOnly)
-{
-    // Cycle 1's snapshot is beyond rescue (every readout NaN); the
-    // replay skips it with a reason and the other cycles still run.
-    calibration::CalibrationSeries series;
-    series.add(truth);
-    auto dead = truth;
-    for (int q = 0; q < graph.numQubits(); ++q)
-        dead.qubit(q).readoutError =
-            std::numeric_limits<double>::quiet_NaN();
-    series.add(dead);
-    series.add(truth);
-
-    const IterativeRunner runner(graph, machine());
-    const auto cycles = runner.runBatchSeries(
-        {workloads::ghz(3)}, core::makeMapper({.name = "baseline"}),
-        series, 256);
-    ASSERT_EQ(cycles.size(), 3u);
-
-    EXPECT_FALSE(cycles[0].skipped);
-    ASSERT_EQ(cycles[0].jobs.size(), 1u);
-    EXPECT_TRUE(cycles[0].jobs[0].executed());
-    EXPECT_EQ(cycles[0].jobs[0].log.trials, 256u);
-
-    EXPECT_TRUE(cycles[1].skipped);
-    EXPECT_EQ(cycles[1].cycle, 1u);
-    EXPECT_TRUE(cycles[1].jobs.empty());
-    EXPECT_NE(cycles[1].skipReason.find("quarantined"),
-              std::string::npos)
-        << cycles[1].skipReason;
-
-    EXPECT_FALSE(cycles[2].skipped);
-    EXPECT_EQ(cycles[2].cycle, 2u);
-    ASSERT_EQ(cycles[2].jobs.size(), 1u);
-    EXPECT_TRUE(cycles[2].jobs[0].executed());
-}
-
 TEST_F(IterativeTest, Validation)
 {
     EXPECT_THROW(IterativeRunner(graph, Machine{}), VaqError);
@@ -315,36 +224,6 @@ TEST_F(IterativeTest, MachineTrialAccountingRejected)
         overRunner.run(workloads::ghz(3),
                        core::makeMapper({.name = "baseline"}),
                        truth, 100),
-        VaqError);
-}
-
-TEST_F(IterativeTest, BatchAppliesSameTrialAccounting)
-{
-    auto earlyStop = [this](const circuit::Circuit &c,
-                            std::size_t shots) {
-        return machine()(c, shots - 100);
-    };
-    const IterativeRunner runner(graph, earlyStop);
-    const auto results = runner.runBatch(
-        {workloads::ghz(3), workloads::bernsteinVazirani(3)},
-        core::makeMapper({.name = "baseline"}), truth, 512,
-        core::BatchOptions{});
-    ASSERT_EQ(results.size(), 2u);
-    for (const auto &result : results) {
-        EXPECT_EQ(result.log.trials, 412u);
-        EXPECT_EQ(result.log.requestedTrials, 512u);
-    }
-
-    auto overCount = [this](const circuit::Circuit &c,
-                            std::size_t shots) {
-        return machine()(c, shots + 1);
-    };
-    const IterativeRunner overRunner(graph, overCount);
-    EXPECT_THROW(
-        overRunner.runBatch(
-            {workloads::ghz(3)},
-            core::makeMapper({.name = "baseline"}), truth, 512,
-            core::BatchOptions{}),
         VaqError);
 }
 

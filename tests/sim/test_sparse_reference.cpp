@@ -157,7 +157,7 @@ TEST(SparseReference, ConstructionIsTracedWhenTelemetryIsOn)
     };
 
     obs::setEnabled(false);
-    obs::clearTrace();
+    obs::drainTrace();
     std::uint64_t before = seconds.snapshot().count;
     {
         const PauliFrameSim frame(c, model);

@@ -58,6 +58,14 @@ class ArtifactStoreTest : public ::testing::Test
         return makeArtifactKey(logical, graph, snap, spec);
     }
 
+    /** Look `key` up against the fixture snapshot. */
+    std::optional<CompileArtifact> lookup(ArtifactStore &store,
+                                          const ArtifactKey &key) const
+    {
+        DeltaServeInfo info;
+        return store.getOrDelta(key, snapshot, info);
+    }
+
     CompileArtifact compileArtifact() const
     {
         const core::MappedCircuit mapped =
@@ -87,9 +95,9 @@ TEST_F(ArtifactStoreTest, MemoryOnlyPutGet)
 {
     ArtifactStore store(StoreOptions{}); // no directory
     const ArtifactKey key = keyFor(snapshot);
-    EXPECT_FALSE(store.get(key).has_value());
+    EXPECT_FALSE(lookup(store, key).has_value());
     store.put(key, compileArtifact());
-    const auto hit = store.get(key);
+    const auto hit = lookup(store, key);
     ASSERT_TRUE(hit.has_value());
     EXPECT_DOUBLE_EQ(hit->analyticPst, 0.9);
     const StoreStats stats = store.stats();
@@ -116,7 +124,7 @@ TEST_F(ArtifactStoreTest, PersistsAtomicallyAndWarmStarts)
     // A new process (new store) warm-starts from the directory.
     ArtifactStore reopened(StoreOptions{.directory = dir.str()});
     EXPECT_EQ(reopened.stats().warmLoaded, 1u);
-    const auto hit = reopened.get(key);
+    const auto hit = lookup(reopened, key);
     ASSERT_TRUE(hit.has_value());
     EXPECT_DOUBLE_EQ(hit->analyticPst, 0.9);
 }
@@ -142,7 +150,7 @@ TEST_F(ArtifactStoreTest, CorruptAndTruncatedRecordsAreMisses)
     ArtifactStore corrupted(StoreOptions{.directory = dir.str()});
     EXPECT_EQ(corrupted.stats().warmLoaded, 0u);
     EXPECT_EQ(corrupted.stats().corruptRecords, 1u);
-    EXPECT_FALSE(corrupted.get(key).has_value());
+    EXPECT_FALSE(lookup(corrupted, key).has_value());
     // ... and warm start removed the damaged file.
     EXPECT_TRUE(test::storeRecords(dir.path()).empty());
 
@@ -154,12 +162,12 @@ TEST_F(ArtifactStoreTest, CorruptAndTruncatedRecordsAreMisses)
     fs::resize_file(test::storeRecords(dir.path()).at(0), 64);
     ArtifactStore truncated(StoreOptions{.directory = dir.str()});
     EXPECT_EQ(truncated.stats().corruptRecords, 1u);
-    EXPECT_FALSE(truncated.get(key).has_value());
+    EXPECT_FALSE(lookup(truncated, key).has_value());
 
     // A put over the same key heals the record.
     truncated.put(key, compileArtifact());
     ArtifactStore healed(StoreOptions{.directory = dir.str()});
-    EXPECT_TRUE(healed.get(key).has_value());
+    EXPECT_TRUE(lookup(healed, key).has_value());
 }
 
 TEST_F(ArtifactStoreTest, CrashRecoverySweepsDroppings)
@@ -186,7 +194,7 @@ TEST_F(ArtifactStoreTest, CrashRecoverySweepsDroppings)
     EXPECT_EQ(recovered.stats().warmLoaded, 0u);
     EXPECT_EQ(recovered.stats().corruptRecords, 1u);
     EXPECT_EQ(recovered.stats().staleTmpCleaned, 1u);
-    EXPECT_FALSE(recovered.get(key).has_value());
+    EXPECT_FALSE(lookup(recovered, key).has_value());
     EXPECT_FALSE(fs::exists(tmp));
     EXPECT_TRUE(test::storeRecords(dir.path()).empty());
 
@@ -196,13 +204,16 @@ TEST_F(ArtifactStoreTest, CrashRecoverySweepsDroppings)
     ArtifactStore reopened(StoreOptions{.directory = dir.str()});
     EXPECT_EQ(reopened.stats().warmLoaded, 1u);
     EXPECT_EQ(reopened.stats().staleTmpCleaned, 0u);
-    EXPECT_TRUE(reopened.get(key).has_value());
+    EXPECT_TRUE(lookup(reopened, key).has_value());
 }
 
 TEST_F(ArtifactStoreTest, EvictionRemovesFilesLru)
 {
+    // Exact lookups only: every key shares one base, so a delta
+    // serve would mask the eviction.
     ArtifactStore store(StoreOptions{.directory = dir.str(),
-                                     .maxEntries = 2});
+                                     .maxEntries = 2,
+                                     .deltaReuse = false});
     const CompileArtifact artifact = compileArtifact();
     std::vector<ArtifactKey> keys;
     for (int i = 0; i < 3; ++i) {
@@ -211,14 +222,14 @@ TEST_F(ArtifactStoreTest, EvictionRemovesFilesLru)
         keys.push_back(keyFor(cycle));
         store.put(keys.back(), artifact);
     }
-    EXPECT_EQ(store.size(), 2u);
+    EXPECT_EQ(store.stats().entries, 2u);
     EXPECT_EQ(store.stats().evictions, 1u);
     EXPECT_EQ(test::storeRecords(dir.path()).size(), 2u);
     // keys[0] was least recently used; exact-get misses do not
     // resurrect it from the (deleted) file.
-    EXPECT_FALSE(store.get(keys[0]).has_value());
-    EXPECT_TRUE(store.get(keys[1]).has_value());
-    EXPECT_TRUE(store.get(keys[2]).has_value());
+    EXPECT_FALSE(lookup(store, keys[0]).has_value());
+    EXPECT_TRUE(lookup(store, keys[1]).has_value());
+    EXPECT_TRUE(lookup(store, keys[2]).has_value());
 }
 
 TEST_F(ArtifactStoreTest, DeltaReuseServesAcrossCycles)
@@ -387,7 +398,6 @@ TEST_F(ArtifactStoreTest, DifferentPolicyNeverCrossesOver)
     const core::PolicySpec other{.name = "baseline"};
     const ArtifactKey otherKey =
         makeArtifactKey(logical, graph, snapshot, other);
-    EXPECT_FALSE(store.get(otherKey).has_value());
     DeltaServeInfo info;
     EXPECT_FALSE(
         store.getOrDelta(otherKey, snapshot, info).has_value());
@@ -629,8 +639,9 @@ TEST(StoreCertificate, ServedResultsLintLikeFreshCompiles)
         const core::CompileResult stored = compile(request, base, fresh);
         ASSERT_EQ(stored.status, core::JobStatus::Ok) << w.name;
         cache.record(w.circuit, base, stored);
-        const auto artifact =
-            store.get(makeArtifactKey(w.circuit, graph, base, spec));
+        DeltaServeInfo info;
+        const auto artifact = store.getOrDelta(
+            makeArtifactKey(w.circuit, graph, base, spec), base, info);
         ASSERT_TRUE(artifact.has_value()) << w.name;
 
         std::vector<calibration::Snapshot> snapshots = {base};
